@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
+.PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism perf lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
 
 all: build test
 
@@ -65,6 +65,13 @@ sweep-determinism:
 	./bin/matscale $(SWEEP_ARGS) -jobs 8 -csv sweep_parallel.csv
 	cmp sweep_serial.csv sweep_parallel.csv
 	@echo "sweep output is byte-identical at -jobs=1 and -jobs=8"
+
+# The repository benchmark (BENCHMARK.json, perfbench/README.md): all
+# three end-to-end workloads, 30 s each. Override with e.g.
+# `make perf PERF_ARGS='--workload host-mul --seed 2 --seconds 30 --trace 1'`.
+PERF_ARGS ?= --workload all --seed 1 --seconds 30 --trace 0
+perf:
+	bash perfbench/run.sh $(PERF_ARGS)
 
 # Same linters as CI (.golangci.yml); requires golangci-lint on PATH.
 lint: vet

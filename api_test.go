@@ -9,6 +9,7 @@ import (
 	"testing"
 
 	"matscale"
+	"matscale/internal/core"
 )
 
 func TestRunWithMetrics(t *testing.T) {
@@ -89,7 +90,7 @@ func TestWithDNSGridMatchesDeprecatedFunction(t *testing.T) {
 	m := matscale.NCube2(64)
 	a := matscale.RandomMatrix(16, 16, 1)
 	b := matscale.RandomMatrix(16, 16, 2)
-	old, err := matscale.DNSWithGrid(m, a, b, 4)
+	old, err := core.DNSWithGrid(m, a, b, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +99,7 @@ func TestWithDNSGridMatchesDeprecatedFunction(t *testing.T) {
 		t.Fatal(err)
 	}
 	if old.Sim.Tp != viaOpt.Sim.Tp || old.Sim.Messages != viaOpt.Sim.Messages {
-		t.Fatalf("WithDNSGrid diverges from DNSWithGrid: Tp %v vs %v", old.Sim.Tp, viaOpt.Sim.Tp)
+		t.Fatalf("WithDNSGrid diverges from core.DNSWithGrid: Tp %v vs %v", old.Sim.Tp, viaOpt.Sim.Tp)
 	}
 	// nil algorithm with the grid option also runs DNS.
 	viaNil, err := matscale.Run(nil, m, a, b, matscale.WithDNSGrid(4))
@@ -245,16 +246,26 @@ func TestParseBackend(t *testing.T) {
 }
 
 func TestHostMul(t *testing.T) {
-	a := matscale.RandomMatrix(33, 17, 1)
-	b := matscale.RandomMatrix(17, 29, 2)
-	got, err := matscale.HostMul(a, b, matscale.WithWorkers(3))
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := matscale.Mul(a, b)
-	for i := range want.Data {
-		if d := got.Data[i] - want.Data[i]; d > 1e-9 || d < -1e-9 {
-			t.Fatalf("element %d: %v vs %v", i, got.Data[i], want.Data[i])
+	for _, c := range []struct{ r, k, c, workers int }{
+		{33, 17, 29, 3}, {65, 65, 65, 4}, {13, 29, 7, 3}, // rectangular and odd shapes
+		{1, 1, 1, 1}, {7, 7, 7, 2}, {64, 64, 64, 0}, {50, 50, 50, 100},
+		{0, 5, 3, 4}, // empty product
+	} {
+		a := matscale.RandomMatrix(c.r, c.k, uint64(c.r))
+		b := matscale.RandomMatrix(c.k, c.c, uint64(c.c)+9)
+		got, err := matscale.HostMul(a, b, matscale.WithWorkers(c.workers))
+		if err != nil {
+			t.Fatalf("%+v: %v", c, err)
+		}
+		if got.Rows != c.r || got.Cols != c.c {
+			t.Fatalf("%+v: product shape %dx%d", c, got.Rows, got.Cols)
+		}
+		// Bit-identical to the serial product at every worker count.
+		want := matscale.Mul(a, b)
+		for i := range want.Data {
+			if got.Data[i] != want.Data[i] {
+				t.Fatalf("%+v: element %d: %v vs %v", c, i, got.Data[i], want.Data[i])
+			}
 		}
 	}
 }
@@ -264,15 +275,6 @@ func TestHostMulDimensionMismatch(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("err = %v, want dimension mismatch", err)
 	}
-}
-
-func TestParallelMulStillPanicsOnMismatch(t *testing.T) {
-	defer func() {
-		if r := recover(); r == nil {
-			t.Fatal("ParallelMul did not panic on a dimension mismatch")
-		}
-	}()
-	matscale.ParallelMul(matscale.NewMatrix(3, 4), matscale.NewMatrix(5, 3), 1)
 }
 
 // intMatrix builds a matrix of small integers so parallel and serial
@@ -530,9 +532,8 @@ func TestSweepServerPublicSurface(t *testing.T) {
 		t.Fatalf("no cache hits recorded: %+v", st)
 	}
 
-	// Typed rejections surface through the exported aliases.
-	var bad *matscale.SweepBadSpecError
-	if _, err := srv.Submit(&matscale.SweepSpec{}, matscale.Goroutines); !errors.As(err, &bad) {
-		t.Fatalf("empty spec error = %v, want *SweepBadSpecError", err)
+	// Typed rejections match their exported kind.
+	if _, err := srv.Submit(&matscale.SweepSpec{}, matscale.Goroutines); !errors.Is(err, matscale.ServerKindBadSpec) {
+		t.Fatalf("empty spec error = %v, want ServerKindBadSpec", err)
 	}
 }

@@ -19,7 +19,6 @@ import (
 	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/regions"
-	"matscale/internal/shm"
 	"matscale/internal/simulator"
 	"matscale/internal/tech"
 )
@@ -87,7 +86,7 @@ func BenchmarkFigure4FullSweep(b *testing.B) {
 	var f *experiments.FigureEfficiency
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.EfficiencyFigure(4)
+		f, err = experiments.EfficiencyFigure(4, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -100,7 +99,7 @@ func BenchmarkFigure5FullSweep(b *testing.B) {
 	var f *experiments.FigureEfficiency
 	for i := 0; i < b.N; i++ {
 		var err error
-		f, err = experiments.EfficiencyFigure(5)
+		f, err = experiments.EfficiencyFigure(5, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -240,17 +239,24 @@ func benchKernel(b *testing.B, n int, f func(a, c *matrix.Dense) *matrix.Dense) 
 func BenchmarkHostSerialN256(b *testing.B) {
 	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense { return matrix.Mul(a, c) })
 }
-func BenchmarkHostBlockedN256(b *testing.B) {
-	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense { return matrix.MulBlocked(a, c, 64) })
-}
 func BenchmarkHostParallelN256(b *testing.B) {
-	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense { return matscale.ParallelMul(a, c, 0) })
+	benchHostMul(b, 256, 0)
 }
 func BenchmarkHostParallelN512(b *testing.B) {
-	benchKernel(b, 512, func(a, c *matrix.Dense) *matrix.Dense { r, _ := shm.Mul(a, c, 0, 64); return r })
+	benchHostMul(b, 512, 0)
 }
 func BenchmarkHostParallel1WorkerN512(b *testing.B) {
-	benchKernel(b, 512, func(a, c *matrix.Dense) *matrix.Dense { r, _ := shm.Mul(a, c, 1, 64); return r })
+	benchHostMul(b, 512, 1)
+}
+
+func benchHostMul(b *testing.B, n, workers int) {
+	benchKernel(b, n, func(a, c *matrix.Dense) *matrix.Dense {
+		out, err := matscale.HostMul(a, c, matscale.WithWorkers(workers))
+		if err != nil {
+			b.Fatal(err)
+		}
+		return out
+	})
 }
 
 // --- Methodology validation -----------------------------------------------
@@ -260,7 +266,7 @@ func BenchmarkIsoefficiencyValidationCannon(b *testing.B) {
 	var pts []experiments.IsoPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256})
+		pts, err = experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -273,7 +279,7 @@ func BenchmarkPredictionAccuracy(b *testing.B) {
 	var outcomes []experiments.PredictionOutcome
 	for i := 0; i < b.N; i++ {
 		var err error
-		outcomes, err = experiments.PredictionAccuracy(pr, []int{16, 32, 48, 64}, []int{64, 256, 512})
+		outcomes, err = experiments.PredictionAccuracy(pr, []int{16, 32, 48, 64}, []int{64, 256, 512}, 0)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -355,16 +361,6 @@ func BenchmarkSimFoxAsyncN64P16(b *testing.B) {
 	}
 }
 
-func BenchmarkHostCannonParallelN256(b *testing.B) {
-	benchKernel(b, 256, func(a, c *matrix.Dense) *matrix.Dense {
-		out, err := shm.CannonParallel(a, c, 4)
-		if err != nil {
-			b.Fatal(err)
-		}
-		return out
-	})
-}
-
 // --- Parameterized sweeps (sub-benchmarks) --------------------------------
 
 // BenchmarkAlgorithmsAcrossScale runs the core algorithm suite over a
@@ -420,7 +416,7 @@ func BenchmarkHostWorkerScaling(b *testing.B) {
 		b.Run(fmt.Sprintf("workers%d", w), func(b *testing.B) {
 			b.SetBytes(int64(8 * 384 * 384 * 3))
 			for i := 0; i < b.N; i++ {
-				if _, err := shm.Mul(a, c, w, 64); err != nil {
+				if _, err := matscale.HostMul(a, c, matscale.WithWorkers(w)); err != nil {
 					b.Fatal(err)
 				}
 			}

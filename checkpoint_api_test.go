@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"matscale"
+	"matscale/internal/server"
 )
 
 // suspendRun runs Cannon on the Events backend with a cut at the given
@@ -177,19 +178,18 @@ func TestCheckpointOptionValidation(t *testing.T) {
 }
 
 // The consolidated ServerErrorKind enum: kinds are errors.Is targets
-// for every typed server error, old aliases included, and each maps to
-// its HTTP status.
+// for every typed server error, and each maps to its HTTP status.
 func TestServerErrorKindPublicSurface(t *testing.T) {
 	cases := []struct {
 		err    error
 		kind   matscale.ServerErrorKind
 		status int
 	}{
-		{&matscale.SweepQueueFullError{Depth: 4}, matscale.ServerKindQueueFull, 429},
-		{&matscale.SweepRateLimitedError{}, matscale.ServerKindRateLimited, 429},
-		{&matscale.SweepShuttingDownError{}, matscale.ServerKindShuttingDown, 503},
-		{&matscale.SweepJobTimeoutError{}, matscale.ServerKindJobTimeout, 504},
-		{&matscale.SweepBadSpecError{Err: errors.New("x")}, matscale.ServerKindBadSpec, 400},
+		{&server.QueueFullError{Depth: 4}, matscale.ServerKindQueueFull, 429},
+		{&server.RateLimitedError{}, matscale.ServerKindRateLimited, 429},
+		{&server.ShuttingDownError{}, matscale.ServerKindShuttingDown, 503},
+		{&server.JobTimeoutError{}, matscale.ServerKindJobTimeout, 504},
+		{&server.BadSpecError{Err: errors.New("x")}, matscale.ServerKindBadSpec, 400},
 	}
 	for _, c := range cases {
 		if !errors.Is(c.err, c.kind) {

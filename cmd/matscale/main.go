@@ -174,7 +174,7 @@ func cmdEfficiency(args []string) error {
 	csv := fs.Bool("csv", false, "emit CSV instead of the rendered table")
 	asPlot := fs.Bool("plot", false, "draw an ASCII chart instead of the table")
 	fs.Parse(args)
-	f, err := experiments.EfficiencyFigure(*fig)
+	f, err := experiments.EfficiencyFigure(*fig, 0)
 	if err != nil {
 		return err
 	}

@@ -29,7 +29,7 @@ func cmdIsoVal(args []string) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algorithm)
 	}
-	pts, err := experiments.IsoefficiencyValidation(pr, *e, *algorithm, ps)
+	pts, err := experiments.IsoefficiencyValidation(pr, *e, *algorithm, ps, 0)
 	if err != nil {
 		return err
 	}
@@ -42,7 +42,7 @@ func cmdPredict(args []string) error {
 	ts, tw := paramFlags(fs, 17, 3)
 	fs.Parse(args)
 	pr := model.Params{Ts: *ts, Tw: *tw}
-	outcomes, err := experiments.PredictionAccuracy(pr, []int{16, 32, 48, 64}, []int{64, 256, 512})
+	outcomes, err := experiments.PredictionAccuracy(pr, []int{16, 32, 48, 64}, []int{64, 256, 512}, 0)
 	if err != nil {
 		return err
 	}
@@ -128,7 +128,7 @@ func cmdTsSweep(args []string) error {
 	n := fs.Int("n", 64, "matrix dimension")
 	p := fs.Int("p", 64, "processors (power of eight for GK)")
 	fs.Parse(args)
-	pts, err := experiments.TsSweep(*tw, *n, *p, []float64{0, 0.5, 1, 3, 10, 30, 100, 300, 1000})
+	pts, err := experiments.TsSweep(*tw, *n, *p, []float64{0, 0.5, 1, 3, 10, 30, 100, 300, 1000}, 0)
 	if err != nil {
 		return err
 	}
@@ -148,7 +148,7 @@ func cmdSaturation(args []string) error {
 			ps = append(ps, p)
 		}
 	}
-	pts, err := experiments.SpeedupSaturation(pr, core.Cannon, *n, ps)
+	pts, err := experiments.SpeedupSaturation(pr, core.Cannon, *n, ps, 0)
 	if err != nil {
 		return err
 	}
@@ -169,5 +169,5 @@ func cmdAll(args []string) error {
 	quick := fs.Bool("quick", false, "skip the CM-5 sweeps (Figures 4 and 5)")
 	jobs := fs.Int("jobs", 0, "host worker goroutines (0 = all CPUs); the output bytes do not depend on it")
 	fs.Parse(args)
-	return experiments.RunAllParallel(os.Stdout, *quick, *jobs)
+	return experiments.RunAll(os.Stdout, *quick, *jobs)
 }

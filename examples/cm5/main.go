@@ -13,7 +13,7 @@ import (
 
 func main() {
 	for _, fig := range []int{4, 5} {
-		f, err := experiments.EfficiencyFigure(fig)
+		f, err := experiments.EfficiencyFigure(fig, 0)
 		if err != nil {
 			log.Fatal(err)
 		}

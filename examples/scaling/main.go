@@ -19,7 +19,7 @@ func main() {
 
 	// Part 1 — fixed problem size, growing machine: watch the speedup
 	// saturate. Cannon's algorithm on the nCUBE-2-like machine.
-	pts, err := experiments.SpeedupSaturation(pr, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024, 4096})
+	pts, err := experiments.SpeedupSaturation(pr, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024, 4096}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -28,7 +28,7 @@ func main() {
 
 	// Part 2 — grow the problem along the isoefficiency function: the
 	// efficiency holds wherever the fixed-size run collapsed.
-	iso, err := experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256, 1024})
+	iso, err := experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256, 1024}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

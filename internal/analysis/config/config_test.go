@@ -22,7 +22,6 @@ func TestClassification(t *testing.T) {
 		{"matscale/internal/model", false, false, false, true, false, true},
 		{"matscale/internal/iso", false, false, false, true, false, true},
 		{"matscale/internal/regions", false, false, false, false, false, true},
-		{"matscale/internal/shm", false, false, false, false, false, false}, // host compute: real concurrency allowed
 		{"matscale", false, false, false, false, false, false},
 		{"matscale/cmd/matscale", false, false, false, false, false, false},
 		// cmd/ binaries are never in analyzer scope, even when their
@@ -68,14 +67,12 @@ func TestClassification(t *testing.T) {
 }
 
 // TestHostKernel pins the documented cost-charging exemption: the host
-// matmul kernel and its public-API shim run real parallelism outside
-// the simulator, while formulation packages must never inherit it.
+// matmul kernel runs real parallelism outside the simulator, while formulation packages must never inherit it.
 func TestHostKernel(t *testing.T) {
 	for _, path := range []string{
 		"matscale/internal/matrix",
-		"matscale/internal/shm",
 		"matscale/internal/matrix_test", // test variants classify like the base
-		"matscale/internal/shm.test",
+		"matscale/internal/matrix.test",
 	} {
 		if !config.HostKernel(path) {
 			t.Errorf("HostKernel(%q) = false, want true", path)

@@ -1,5 +1,5 @@
 // Package clean is outside the cost-charging contract's scope: host
-// code (the shm benchmark, the CLI) may use real concurrency freely.
+// code (the host benchmarks, the CLI) may use real concurrency freely.
 package clean
 
 import "sync"

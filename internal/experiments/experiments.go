@@ -146,16 +146,10 @@ type FigureEfficiency struct {
 // processors) or Figure 5 (fig=5: Cannon on 484, GK on 512 — the paper
 // uses the nearest perfect square to 512 for Cannon). Matrices contain
 // deterministic pseudo-random values; the products are computed for
-// real on the virtual-time CM-5. The sweep cells run on the default
-// worker pool (all host CPUs); see EfficiencyFigureWorkers.
-func EfficiencyFigure(fig int) (*FigureEfficiency, error) {
-	return EfficiencyFigureWorkers(fig, 0)
-}
-
-// EfficiencyFigureWorkers is EfficiencyFigure with an explicit host
-// worker count for the sweep engine (≤ 0: all CPUs). The figure is
-// identical for every worker count.
-func EfficiencyFigureWorkers(fig, workers int) (*FigureEfficiency, error) {
+// real on the virtual-time CM-5. The sweep cells run on workers host
+// goroutines (≤ 0: all CPUs); the figure is identical for every worker
+// count.
+func EfficiencyFigure(fig, workers int) (*FigureEfficiency, error) {
 	var pCannon, pGK, stepCannon, stepGK, nMax int
 	switch fig {
 	case 4:

@@ -50,7 +50,7 @@ func TestRegionFigureMatchesDirectCompute(t *testing.T) {
 }
 
 func TestFigure4CrossoverMatchesPaper(t *testing.T) {
-	f, err := EfficiencyFigure(4)
+	f, err := EfficiencyFigure(4, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -83,7 +83,7 @@ func TestFigure4CrossoverMatchesPaper(t *testing.T) {
 }
 
 func TestFigure5CrossoverMatchesPaper(t *testing.T) {
-	f, err := EfficiencyFigure(5)
+	f, err := EfficiencyFigure(5, 0)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -15,22 +15,14 @@ import (
 // order. The quick flag skips the two CM-5 sweeps (Figures 4 and 5),
 // which dominate the running time.
 //
-// It is a compatibility wrapper over RunAllParallel with the default
-// worker pool (all host CPUs); the output is byte-identical for every
-// worker count.
-func RunAll(w io.Writer, quick bool) error {
-	return RunAllParallel(w, quick, 0)
-}
-
-// RunAllParallel is RunAll on the sweep engine: the report sections run
-// concurrently on workers host goroutines (≤ 0: all CPUs), each
-// rendering into its own buffer, and the buffers are emitted in the
-// paper's order — so the bytes written to w do not depend on the worker
-// count, only the wall-clock time does. The heavy sections (the CM-5
-// efficiency sweeps, the prediction grid, the isoefficiency
-// validation) additionally parallelize their inner cell loops on the
-// same pool size.
-func RunAllParallel(w io.Writer, quick bool, workers int) error {
+// The report sections run concurrently on workers host goroutines
+// (≤ 0: all CPUs), each rendering into its own buffer, and the buffers
+// are emitted in the paper's order — so the bytes written to w do not
+// depend on the worker count, only the wall-clock time does. The heavy
+// sections (the CM-5 efficiency sweeps, the prediction grid, the
+// isoefficiency validation) additionally parallelize their inner cell
+// loops on the same pool size.
+func RunAll(w io.Writer, quick bool, workers int) error {
 	type section struct {
 		title string
 		run   func() (string, error)
@@ -65,7 +57,7 @@ func RunAllParallel(w io.Writer, quick bool, workers int) error {
 			sections = append(sections, section{
 				fmt.Sprintf("Figure %d — CM-5 efficiency curves", fig),
 				func() (string, error) {
-					f, err := EfficiencyFigureWorkers(fig, workers)
+					f, err := EfficiencyFigure(fig, workers)
 					if err != nil {
 						return "", err
 					}
@@ -86,7 +78,7 @@ func RunAllParallel(w io.Writer, quick bool, workers int) error {
 			str(func() string { return ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, 4096) })},
 		section{"Methodology validation — isoefficiency holds in simulation",
 			func() (string, error) {
-				pts, err := IsoefficiencyValidationWorkers(model.Params{Ts: 17, Tw: 3}, 0.5, "cannon", []int{4, 16, 64, 256}, workers)
+				pts, err := IsoefficiencyValidation(model.Params{Ts: 17, Tw: 3}, 0.5, "cannon", []int{4, 16, 64, 256}, workers)
 				if err != nil {
 					return "", err
 				}
@@ -94,7 +86,7 @@ func RunAllParallel(w io.Writer, quick bool, workers int) error {
 			}},
 		section{"Methodology validation — Section 6 predictions vs simulated races",
 			func() (string, error) {
-				outcomes, err := PredictionAccuracyWorkers(model.Params{Ts: 17, Tw: 3}, []int{16, 32, 48, 64}, []int{64, 256, 512}, workers)
+				outcomes, err := PredictionAccuracy(model.Params{Ts: 17, Tw: 3}, []int{16, 32, 48, 64}, []int{64, 256, 512}, workers)
 				if err != nil {
 					return "", err
 				}
@@ -102,7 +94,7 @@ func RunAllParallel(w io.Writer, quick bool, workers int) error {
 			}},
 		section{"Section 3 — fixed-size speedup saturation",
 			func() (string, error) {
-				sat, err := SpeedupSaturationWorkers(model.Params{Ts: 150, Tw: 3}, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024}, workers)
+				sat, err := SpeedupSaturation(model.Params{Ts: 150, Tw: 3}, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024}, workers)
 				if err != nil {
 					return "", err
 				}

@@ -22,16 +22,9 @@ type SpeedupPoint struct {
 // SpeedupSaturation runs one algorithm at a fixed matrix size over a
 // growing processor range — the Section 3 premise that speedup
 // saturates and then falls for a fixed W. The algorithm must accept
-// every (n, p) pair supplied. Points run on the sweep engine's default
-// worker pool; see SpeedupSaturationWorkers.
-func SpeedupSaturation(pr model.Params, alg core.Algorithm, n int, ps []int) ([]SpeedupPoint, error) {
-	return SpeedupSaturationWorkers(pr, alg, n, ps, 0)
-}
-
-// SpeedupSaturationWorkers is SpeedupSaturation with an explicit host
-// worker count (≤ 0: all CPUs); the points are identical for every
-// worker count.
-func SpeedupSaturationWorkers(pr model.Params, alg core.Algorithm, n int, ps []int, workers int) ([]SpeedupPoint, error) {
+// every (n, p) pair supplied. Points run on workers host goroutines
+// (≤ 0: all CPUs); the points are identical for every worker count.
+func SpeedupSaturation(pr model.Params, alg core.Algorithm, n int, ps []int, workers int) ([]SpeedupPoint, error) {
 	a := matrix.Random(n, n, uint64(n))
 	b := matrix.Random(n, n, uint64(n)+1)
 	out := make([]SpeedupPoint, len(ps))
@@ -78,15 +71,10 @@ type TsSweepPoint struct {
 // a range of message startup times — the continuous version of the
 // paper's three-machines comparison (Figures 1–3): the GK algorithm's
 // smaller startup coefficient wins on high-latency machines, Cannon's
-// smaller bandwidth coefficient wins as ts shrinks. Points run on the
-// sweep engine's default worker pool; see TsSweepWorkers.
-func TsSweep(tw float64, n, p int, tsValues []float64) ([]TsSweepPoint, error) {
-	return TsSweepWorkers(tw, n, p, tsValues, 0)
-}
-
-// TsSweepWorkers is TsSweep with an explicit host worker count (≤ 0:
-// all CPUs); the points are identical for every worker count.
-func TsSweepWorkers(tw float64, n, p int, tsValues []float64, workers int) ([]TsSweepPoint, error) {
+// smaller bandwidth coefficient wins as ts shrinks. Points run on
+// workers host goroutines (≤ 0: all CPUs); the points are identical
+// for every worker count.
+func TsSweep(tw float64, n, p int, tsValues []float64, workers int) ([]TsSweepPoint, error) {
 	a := matrix.Random(n, n, uint64(n))
 	b := matrix.Random(n, n, uint64(n)+1)
 	out := make([]TsSweepPoint, len(tsValues))

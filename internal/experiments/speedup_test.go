@@ -41,11 +41,11 @@ func TestPeakSpeedupDetectsSaturation(t *testing.T) {
 
 func TestTsSweepIdenticalAcrossWorkerCounts(t *testing.T) {
 	tsValues := []float64{0, 10, 100, 1000}
-	serial, err := TsSweepWorkers(3, 16, 64, tsValues, 1)
+	serial, err := TsSweep(3, 16, 64, tsValues, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := TsSweepWorkers(3, 16, 64, tsValues, 4)
+	parallel, err := TsSweep(3, 16, 64, tsValues, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -73,11 +73,11 @@ func TestRenderTsSweep(t *testing.T) {
 func TestSpeedupSaturationIdenticalAcrossWorkerCounts(t *testing.T) {
 	pr := model.Params{Ts: 150, Tw: 3}
 	ps := []int{1, 4, 16, 64, 256}
-	serial, err := SpeedupSaturationWorkers(pr, core.Cannon, 16, ps, 1)
+	serial, err := SpeedupSaturation(pr, core.Cannon, 16, ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SpeedupSaturationWorkers(pr, core.Cannon, 16, ps, 4)
+	parallel, err := SpeedupSaturation(pr, core.Cannon, 16, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -92,7 +92,7 @@ func TestSpeedupSaturationIdenticalAcrossWorkerCounts(t *testing.T) {
 func TestSpeedupSaturationErrorNamesTheCell(t *testing.T) {
 	pr := model.Params{Ts: 150, Tw: 3}
 	// p=8 is not a perfect square: Cannon rejects it.
-	_, err := SpeedupSaturation(pr, core.Cannon, 16, []int{1, 4, 8})
+	_, err := SpeedupSaturation(pr, core.Cannon, 16, []int{1, 4, 8}, 0)
 	if err == nil || !strings.Contains(err.Error(), "p=8") {
 		t.Fatalf("err = %v, want the p=8 cell named", err)
 	}

@@ -33,16 +33,9 @@ type IsoPoint struct {
 // processor count, rounds the prescribed n to the nearest runnable
 // size, runs the real algorithm on the simulator, and reports the
 // measured efficiencies — which stay at the target up to rounding.
-// The per-p cells run on the sweep engine's default worker pool; see
-// IsoefficiencyValidationWorkers.
-func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int) ([]IsoPoint, error) {
-	return IsoefficiencyValidationWorkers(pr, target, algorithm, ps, 0)
-}
-
-// IsoefficiencyValidationWorkers is IsoefficiencyValidation with an
-// explicit host worker count (≤ 0: all CPUs); the points are identical
-// for every worker count.
-func IsoefficiencyValidationWorkers(pr model.Params, target float64, algorithm string, ps []int, workers int) ([]IsoPoint, error) {
+// The per-p cells run on workers host goroutines (≤ 0: all CPUs); the
+// points are identical for every worker count.
+func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int, workers int) ([]IsoPoint, error) {
 	var (
 		alg  core.Algorithm
 		side func(p int) int // structural divisor of n
@@ -132,17 +125,10 @@ func (o PredictionOutcome) Regret() float64 { return o.PredictedTp / o.BestTp }
 // every applicable algorithm on the simulator and compares the actual
 // winner with the Table 1 overhead prediction. The returned outcomes
 // let callers check both the hit rate and the regret of misses. The
-// grid cells run on the sweep engine's default worker pool; see
-// PredictionAccuracyWorkers.
-func PredictionAccuracy(pr model.Params, ns, ps []int) ([]PredictionOutcome, error) {
-	return PredictionAccuracyWorkers(pr, ns, ps, 0)
-}
-
-// PredictionAccuracyWorkers is PredictionAccuracy with an explicit
-// host worker count (≤ 0: all CPUs); the outcomes are identical for
-// every worker count — cells land in grid order and skipped cells are
-// filtered in that same order.
-func PredictionAccuracyWorkers(pr model.Params, ns, ps []int, workers int) ([]PredictionOutcome, error) {
+// grid cells run on workers host goroutines (≤ 0: all CPUs); the
+// outcomes are identical for every worker count — cells land in grid
+// order and skipped cells are filtered in that same order.
+func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]PredictionOutcome, error) {
 	named := []struct {
 		name string
 		alg  core.Algorithm

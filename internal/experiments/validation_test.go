@@ -15,7 +15,7 @@ func TestIsoefficiencyValidationCannon(t *testing.T) {
 	// Growing W along Cannon's isoefficiency curve must hold the
 	// simulated efficiency at the target across a 64x processor range
 	// (up to the rounding of n to a runnable multiple of √p).
-	pts, err := IsoefficiencyValidation(valParams, 0.5, "cannon", []int{4, 16, 64, 256})
+	pts, err := IsoefficiencyValidation(valParams, 0.5, "cannon", []int{4, 16, 64, 256}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -35,7 +35,7 @@ func TestIsoefficiencyValidationCannon(t *testing.T) {
 }
 
 func TestIsoefficiencyValidationGK(t *testing.T) {
-	pts, err := IsoefficiencyValidation(valParams, 0.6, "gk", []int{8, 64, 512})
+	pts, err := IsoefficiencyValidation(valParams, 0.6, "gk", []int{8, 64, 512}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -56,7 +56,7 @@ func TestIsoefficiencyValidationGK(t *testing.T) {
 }
 
 func TestIsoefficiencyValidationUnknownAlgorithm(t *testing.T) {
-	if _, err := IsoefficiencyValidation(valParams, 0.5, "nope", []int{4}); err == nil {
+	if _, err := IsoefficiencyValidation(valParams, 0.5, "nope", []int{4}, 0); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -66,7 +66,7 @@ func TestPredictionAccuracyCrossValidation(t *testing.T) {
 	// the Table 1 prediction. The prediction must either hit, or miss
 	// with small regret (the predicted algorithm within 35% of the
 	// winner) — Section 6's analysis is a coarse but sound guide.
-	outcomes, err := PredictionAccuracy(valParams, []int{16, 32, 48, 64}, []int{64, 256, 512})
+	outcomes, err := PredictionAccuracy(valParams, []int{16, 32, 48, 64}, []int{64, 256, 512}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +95,7 @@ func TestPredictionAccuracyCrossValidation(t *testing.T) {
 
 func TestSpeedupSaturation(t *testing.T) {
 	pr := model.Params{Ts: 150, Tw: 3}
-	pts, err := SpeedupSaturation(pr, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024, 4096})
+	pts, err := SpeedupSaturation(pr, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024, 4096}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +118,7 @@ func TestSpeedupSaturation(t *testing.T) {
 
 func TestSpeedupSaturationPropagatesErrors(t *testing.T) {
 	pr := model.Params{Ts: 1, Tw: 1}
-	if _, err := SpeedupSaturation(pr, core.Cannon, 9, []int{4}); err == nil {
+	if _, err := SpeedupSaturation(pr, core.Cannon, 9, []int{4}, 0); err == nil {
 		t.Fatal("indivisible config accepted")
 	}
 }
@@ -128,7 +128,7 @@ func TestTsSweepWinnerFlips(t *testing.T) {
 	// (its ts coefficient (5/3)·log p beats Cannon's 2·√p) and Cannon
 	// wins as ts → 0 (its tw coefficient is smaller) — the machine-
 	// dependence at the heart of Section 6.
-	pts, err := TsSweep(3, 64, 64, []float64{0, 1, 10, 100, 1000})
+	pts, err := TsSweep(3, 64, 64, []float64{0, 1, 10, 100, 1000}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,7 +154,7 @@ func TestTsSweepWinnerFlips(t *testing.T) {
 
 func TestRunAllQuick(t *testing.T) {
 	var sb strings.Builder
-	if err := RunAll(&sb, true); err != nil {
+	if err := RunAll(&sb, true, 0); err != nil {
 		t.Fatal(err)
 	}
 	out := sb.String()

@@ -244,40 +244,6 @@ func mulAddIntoNaive(c, a, b *Dense) {
 	}
 }
 
-// MulBlocked returns a·b using cache blocking with the given tile size.
-// It produces the same result as Mul up to floating-point associativity.
-func MulBlocked(a, b *Dense, tile int) *Dense {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: MulBlocked inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if tile <= 0 {
-		panic("matrix: MulBlocked tile must be positive")
-	}
-	n, m, k := a.Rows, b.Cols, a.Cols
-	c := New(n, m)
-	for ii := 0; ii < n; ii += tile {
-		iEnd := min(ii+tile, n)
-		for ll := 0; ll < k; ll += tile {
-			lEnd := min(ll+tile, k)
-			for jj := 0; jj < m; jj += tile {
-				jEnd := min(jj+tile, m)
-				for i := ii; i < iEnd; i++ {
-					arow := a.Data[i*k : (i+1)*k]
-					crow := c.Data[i*m : (i+1)*m]
-					for l := ll; l < lEnd; l++ {
-						av := arow[l]
-						brow := b.Data[l*m : (l+1)*m]
-						for j := jj; j < jEnd; j++ {
-							crow[j] += av * brow[j]
-						}
-					}
-				}
-			}
-		}
-	}
-	return c
-}
-
 // Transpose returns mᵀ.
 func (m *Dense) Transpose() *Dense {
 	out := New(m.Cols, m.Rows)

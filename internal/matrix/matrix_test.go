@@ -148,23 +148,6 @@ func TestMulAddIntoShapePanics(t *testing.T) {
 	MulAddInto(New(2, 2), New(2, 3), New(3, 3))
 }
 
-func TestMulBlockedMatchesMul(t *testing.T) {
-	for _, tile := range []int{1, 2, 3, 7, 16, 100} {
-		a := RandomInts(13, 9, 11)
-		b := RandomInts(9, 17, 12)
-		got := MulBlocked(a, b, tile)
-		want := Mul(a, b)
-		if d := MaxAbsDiff(got, want); d != 0 {
-			t.Fatalf("tile %d: blocked differs from naive by %v", tile, d)
-		}
-	}
-}
-
-func TestMulBlockedBadTilePanics(t *testing.T) {
-	defer expectPanic(t, "tile must be positive")
-	MulBlocked(New(2, 2), New(2, 2), 0)
-}
-
 func TestTranspose(t *testing.T) {
 	a := Random(4, 6, 20)
 	at := a.Transpose()

@@ -26,12 +26,26 @@ type SubmitResponse struct {
 	State string `json:"state"`
 }
 
+// maxSubmitBytes bounds a submit body; a larger one is rejected as
+// bad_request before it is decoded.
+const maxSubmitBytes = 1 << 20
+
 // apiError is the JSON error body: a human message plus a
 // machine-readable kind matching the typed rejection.
 type apiError struct {
 	Error string `json:"error"`
 	Kind  string `json:"kind"`
 }
+
+// kindError is an HTTP-layer rejection that is not a server method's
+// typed error, classified by its ErrorKind for writeError.
+type kindError struct {
+	kind ErrorKind
+	msg  string
+}
+
+func (e kindError) Error() string   { return e.msg }
+func (e kindError) Kind() ErrorKind { return e.kind }
 
 // Handler returns the server's HTTP API. Jobs are a uniform resource
 // with POST verb endpoints for lifecycle control:
@@ -49,12 +63,9 @@ type apiError struct {
 //	GET  /v1/stats               admission, execution and cache counters
 //	GET  /v1/healthz             liveness probe
 //
-// The pre-redesign /v1/sweeps… routes remain as thin aliases of the
-// corresponding /v1/jobs… handlers.
-//
-// Deprecated routes aside, every error body is {"error", "kind"} with
-// kind an ErrorKind token and the status its HTTPStatus. See
-// docs/SERVER.md for the full protocol and the job state machine.
+// Every error body is {"error", "kind"} with kind an ErrorKind token
+// and the status its HTTPStatus. See docs/SERVER.md for the full
+// protocol and the job state machine.
 func (s *Server) Handler() http.Handler {
 	mux := http.NewServeMux()
 	mux.HandleFunc("GET /v1/healthz", func(w http.ResponseWriter, r *http.Request) {
@@ -64,17 +75,13 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("GET /v1/stats", func(w http.ResponseWriter, r *http.Request) {
 		writeJSON(w, http.StatusOK, s.Stats())
 	})
-	// /v1/sweeps is the deprecated alias of /v1/jobs: same handlers,
-	// same bodies, kept for pre-redesign clients.
-	for _, root := range []string{"/v1/jobs", "/v1/sweeps"} {
-		mux.HandleFunc("POST "+root, s.handleSubmit)
-		mux.HandleFunc("GET "+root+"/{id}", s.handleStatus)
-		mux.HandleFunc("GET "+root+"/{id}/result", s.handleResult)
-		mux.HandleFunc("GET "+root+"/{id}/events", s.handleEvents)
-		mux.HandleFunc("POST "+root+"/{id}/suspend", s.handleVerb("suspend", s.Suspend))
-		mux.HandleFunc("POST "+root+"/{id}/resume", s.handleVerb("resume", s.Resume))
-		mux.HandleFunc("POST "+root+"/{id}/cancel", s.handleVerb("cancel", s.Cancel))
-	}
+	mux.HandleFunc("POST /v1/jobs", s.handleSubmit)
+	mux.HandleFunc("GET /v1/jobs/{id}", s.handleStatus)
+	mux.HandleFunc("GET /v1/jobs/{id}/result", s.handleResult)
+	mux.HandleFunc("GET /v1/jobs/{id}/events", s.handleEvents)
+	mux.HandleFunc("POST /v1/jobs/{id}/suspend", s.handleVerb(s.Suspend))
+	mux.HandleFunc("POST /v1/jobs/{id}/resume", s.handleVerb(s.Resume))
+	mux.HandleFunc("POST /v1/jobs/{id}/cancel", s.handleVerb(s.Cancel))
 	return mux
 }
 
@@ -83,7 +90,7 @@ func (s *Server) Handler() http.Handler {
 // (for an asynchronous transition — suspending or cancelling a running
 // job — the snapshot may still show the old state; subscribe to
 // events or poll for the landing).
-func (s *Server) handleVerb(verb string, apply func(id string) error) http.HandlerFunc {
+func (s *Server) handleVerb(apply func(id string) error) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		id := r.PathValue("id")
 		if err := apply(id); err != nil {
@@ -101,17 +108,17 @@ func (s *Server) handleVerb(verb string, apply func(id string) error) http.Handl
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 	var req SubmitRequest
-	dec := json.NewDecoder(r.Body)
+	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxSubmitBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
-		writeJSON(w, http.StatusBadRequest, apiError{Error: "malformed request body: " + err.Error(), Kind: "bad_request"})
+		writeError(w, kindError{KindBadRequest, "malformed request body: " + err.Error()})
 		return
 	}
 	backend := machine.Backend(-1) // server default
 	if req.Backend != "" {
 		b, err := machine.ParseBackend(req.Backend)
 		if err != nil {
-			writeJSON(w, http.StatusBadRequest, apiError{Error: err.Error(), Kind: "bad_request"})
+			writeError(w, kindError{KindBadRequest, err.Error()})
 			return
 		}
 		backend = b
@@ -165,15 +172,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 			return // client went away mid-body
 		}
 	case st == StateSuspended:
-		writeJSON(w, KindSuspended.HTTPStatus(), apiError{
-			Error: "job suspended; resume it to continue", Kind: KindSuspended.String()})
+		writeError(w, kindError{KindSuspended, "job suspended; resume it to continue"})
 	case st.Terminal(): // failed or cancelled: surface the typed job error
 		_, jerr := j.Result()
 		writeError(w, jerr)
 	default:
-		w.Header().Set("Retry-After", "1")
-		writeJSON(w, KindNotDone.HTTPStatus(), apiError{
-			Error: "job not finished: " + st.String(), Kind: KindNotDone.String()})
+		writeError(w, kindError{KindNotDone, "job not finished: " + st.String()})
 	}
 }
 
@@ -184,12 +188,12 @@ func (s *Server) handleResult(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleEvents(w http.ResponseWriter, r *http.Request) {
 	j, ok := s.Job(r.PathValue("id"))
 	if !ok {
-		writeJSON(w, http.StatusNotFound, apiError{Error: "unknown job", Kind: "unknown_job"})
+		writeError(w, &UnknownJobError{ID: r.PathValue("id")})
 		return
 	}
 	fl, ok := w.(http.Flusher)
 	if !ok {
-		writeJSON(w, http.StatusInternalServerError, apiError{Error: "streaming unsupported by connection", Kind: "internal"})
+		writeError(w, kindError{KindInternal, "streaming unsupported by connection"})
 		return
 	}
 	events, cancel := j.Subscribe()

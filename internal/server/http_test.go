@@ -33,7 +33,7 @@ func httpServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // submitHTTP posts a spec and returns the decoded acknowledgment.
 func submitHTTP(t *testing.T, base string, body string) SubmitResponse {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/sweeps", "application/json", strings.NewReader(body))
+	resp, err := http.Post(base+"/v1/jobs", "application/json", strings.NewReader(body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -54,7 +54,7 @@ func awaitDone(t *testing.T, base, id string) Status {
 	t.Helper()
 	deadline := time.Now().Add(30 * time.Second)
 	for time.Now().Before(deadline) {
-		resp, err := http.Get(base + "/v1/sweeps/" + id)
+		resp, err := http.Get(base + "/v1/jobs/" + id)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -76,7 +76,7 @@ func awaitDone(t *testing.T, base, id string) Status {
 // fetchResult GETs a completed job's result bytes.
 func fetchResult(t *testing.T, base, id string) []byte {
 	t.Helper()
-	resp, err := http.Get(base + "/v1/sweeps/" + id + "/result")
+	resp, err := http.Get(base + "/v1/jobs/" + id + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -171,7 +171,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(specJSON))
+			resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(specJSON))
 			if err != nil {
 				errs[i] = err
 				return
@@ -184,7 +184,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 				return
 			}
 			for {
-				r, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID)
+				r, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID)
 				if err != nil {
 					errs[i] = err
 					return
@@ -205,7 +205,7 @@ func TestHTTPConcurrentClients(t *testing.T) {
 				}
 				time.Sleep(2 * time.Millisecond)
 			}
-			r, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/result")
+			r, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/result")
 			if err != nil {
 				errs[i] = err
 				return
@@ -235,7 +235,7 @@ func TestHTTPSSEStreamsProgressAndDone(t *testing.T) {
 	_, ts := httpServer(t, Config{MaxConcurrent: 1, SweepWorkers: 1, Cache: gate})
 	ack := submitHTTP(t, ts.URL, specJSON)
 	<-gate.entered
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/events")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -286,7 +286,7 @@ func TestHTTPSSEStreamsProgressAndDone(t *testing.T) {
 		t.Fatalf("terminal event = %+v, want %d/%d cells", final, ack.Cells, ack.Cells)
 	}
 	// A late subscriber gets the terminal event immediately.
-	resp2, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/events")
+	resp2, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/events")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -298,7 +298,7 @@ func TestHTTPSSEStreamsProgressAndDone(t *testing.T) {
 }
 
 func TestHTTPErrorMapping(t *testing.T) {
-	_, ts := httpServer(t, Config{SweepWorkers: 1})
+	srv, ts := httpServer(t, Config{SweepWorkers: 1})
 
 	get := func(path string) (int, apiError) {
 		resp, err := http.Get(ts.URL + path)
@@ -313,18 +313,14 @@ func TestHTTPErrorMapping(t *testing.T) {
 		return resp.StatusCode, ae
 	}
 
-	if code, ae := get("/v1/sweeps/nope"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
-		t.Fatalf("unknown job: %d %+v", code, ae)
-	}
-	if code, ae := get("/v1/sweeps/nope/result"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
-		t.Fatalf("unknown result: %d %+v", code, ae)
-	}
-	if code, ae := get("/v1/sweeps/nope/events"); code != http.StatusNotFound || ae.Kind != "unknown_job" {
-		t.Fatalf("unknown events: %d %+v", code, ae)
+	for _, path := range []string{"/v1/jobs/nope", "/v1/jobs/nope/result", "/v1/jobs/nope/events"} {
+		if code, ae := get(path); code != http.StatusNotFound || ae.Kind != "unknown_job" {
+			t.Fatalf("GET %s: %d %+v", path, code, ae)
+		}
 	}
 
 	post := func(body string) (int, apiError) {
-		resp, err := http.Post(ts.URL+"/v1/sweeps", "application/json", strings.NewReader(body))
+		resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(body))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -336,14 +332,36 @@ func TestHTTPErrorMapping(t *testing.T) {
 		return resp.StatusCode, ae
 	}
 
-	if code, ae := post(`{not json`); code != http.StatusBadRequest || ae.Kind != "bad_request" {
-		t.Fatalf("malformed body: %d %+v", code, ae)
+	for _, c := range []struct {
+		name, body string
+		code       int
+		kind       string
+	}{
+		{"malformed body", `{not json`, http.StatusBadRequest, "bad_request"},
+		{"oversize body", `{"spec":{"algorithms":["` + strings.Repeat("a", 2<<20) + `"]}}`, http.StatusBadRequest, "bad_request"},
+		{"bad spec", `{"spec":{"algorithms":["nope"],"machines":["ncube2"],"ps":[16],"ns":[16]}}`, http.StatusBadRequest, "bad_spec"},
+		{"bad backend", `{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"abacus"}`, http.StatusBadRequest, "bad_request"},
+		{"valid spec", `{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]}}`, http.StatusAccepted, ""},
+	} {
+		if code, ae := post(c.body); code != c.code || ae.Kind != c.kind {
+			t.Fatalf("%s: %d %+v, want %d %q", c.name, code, ae, c.code, c.kind)
+		}
 	}
-	if code, ae := post(`{"spec":{"algorithms":["nope"],"machines":["ncube2"],"ps":[16],"ns":[16]}}`); code != http.StatusBadRequest || ae.Kind != "bad_spec" {
-		t.Fatalf("bad spec: %d %+v", code, ae)
+
+	// A connection that cannot stream gets a typed internal error.
+	j, err := srv.Submit(testSpec(), -1)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if code, ae := post(`{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"abacus"}`); code != http.StatusBadRequest || ae.Kind != "bad_request" {
-		t.Fatalf("bad backend: %d %+v", code, ae)
+	rec := httptest.NewRecorder()
+	noFlush := struct{ http.ResponseWriter }{rec}
+	srv.Handler().ServeHTTP(noFlush, httptest.NewRequest("GET", "/v1/jobs/"+j.ID()+"/events", nil))
+	var ae apiError
+	if err := json.NewDecoder(rec.Body).Decode(&ae); err != nil {
+		t.Fatal(err)
+	}
+	if rec.Code != http.StatusInternalServerError || ae.Kind != "internal" {
+		t.Fatalf("unstreamable events: %d %+v", rec.Code, ae)
 	}
 
 	// Health and stats endpoints answer.
@@ -373,7 +391,7 @@ func TestHTTPResultNotDone(t *testing.T) {
 	_, ts := httpServer(t, Config{MaxConcurrent: 1, SweepWorkers: 1, Cache: gate})
 	ack := submitHTTP(t, ts.URL, specJSON)
 	<-gate.entered
-	resp, err := http.Get(ts.URL + "/v1/sweeps/" + ack.ID + "/result")
+	resp, err := http.Get(ts.URL + "/v1/jobs/" + ack.ID + "/result")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -382,8 +400,8 @@ func TestHTTPResultNotDone(t *testing.T) {
 		t.Fatal(err)
 	}
 	resp.Body.Close()
-	if resp.StatusCode != http.StatusConflict || ae.Kind != "not_done" {
-		t.Fatalf("unfinished result: %d %+v", resp.StatusCode, ae)
+	if resp.StatusCode != http.StatusConflict || ae.Kind != "not_done" || resp.Header.Get("Retry-After") != "1" {
+		t.Fatalf("unfinished result: %d %+v Retry-After=%q", resp.StatusCode, ae, resp.Header.Get("Retry-After"))
 	}
 	close(gate.release)
 	awaitDone(t, ts.URL, ack.ID)

@@ -429,9 +429,8 @@ func TestHTTPJobControlRoutes(t *testing.T) {
 	if code, body := get("/v1/jobs/" + target.ID + "/result"); code != 409 || body["kind"] != "suspended" {
 		t.Fatalf("suspended result: %d %v", code, body)
 	}
-	// Resume through the deprecated alias: same handler, same job.
-	if code, body := post("/v1/sweeps/" + target.ID + "/resume"); code != 200 || body["state"] != "queued" {
-		t.Fatalf("alias resume: %d %v", code, body)
+	if code, body := post("/v1/jobs/" + target.ID + "/resume"); code != 200 || body["state"] != "queued" {
+		t.Fatalf("resume: %d %v", code, body)
 	}
 	// Unknown job: 404 with kind "unknown_job".
 	if code, body := post("/v1/jobs/job-nope/cancel"); code != 404 || body["kind"] != "unknown_job" {

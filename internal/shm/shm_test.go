@@ -1,26 +1,29 @@
-package shm
+// Package shm_test holds the shared-memory multiply, matscale.HostMul, to
+// the serial product: every worker count, rectangular and empty shapes,
+// and the inner-dimension error. The directory has no non-test code.
+package shm_test
 
 import (
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"matscale"
 	"matscale/internal/matrix"
 )
 
 func TestMulMatchesSerial(t *testing.T) {
-	for _, c := range []struct{ n, workers, tile int }{
-		{1, 1, 1}, {7, 2, 3}, {16, 4, 8}, {33, 3, 16}, {64, 0, 0}, {50, 100, 64},
+	for _, c := range []struct{ n, workers int }{
+		{1, 1}, {7, 2}, {16, 4}, {33, 3}, {64, 0}, {50, 100},
 	} {
 		a := matrix.RandomInts(c.n, c.n, uint64(c.n))
 		b := matrix.RandomInts(c.n, c.n, uint64(c.n)+9)
-		got, err := Mul(a, b, c.workers, c.tile)
+		got, err := matscale.HostMul(a, b, matscale.WithWorkers(c.workers))
 		if err != nil {
-			t.Fatalf("n=%d workers=%d tile=%d: %v", c.n, c.workers, c.tile, err)
+			t.Fatalf("n=%d workers=%d: %v", c.n, c.workers, err)
 		}
-		want := matrix.Mul(a, b)
-		if d := matrix.MaxAbsDiff(got, want); d != 0 {
-			t.Fatalf("n=%d workers=%d tile=%d: differs by %v", c.n, c.workers, c.tile, d)
+		if d := matrix.MaxAbsDiff(got, matrix.Mul(a, b)); d != 0 {
+			t.Fatalf("n=%d workers=%d: differs by %v", c.n, c.workers, d)
 		}
 	}
 }
@@ -28,7 +31,7 @@ func TestMulMatchesSerial(t *testing.T) {
 func TestMulRectangular(t *testing.T) {
 	a := matrix.RandomInts(13, 29, 5)
 	b := matrix.RandomInts(29, 7, 6)
-	got, err := Mul(a, b, 3, 8)
+	got, err := matscale.HostMul(a, b, matscale.WithWorkers(3))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -38,7 +41,7 @@ func TestMulRectangular(t *testing.T) {
 }
 
 func TestMulEmpty(t *testing.T) {
-	c, err := Mul(matrix.New(0, 5), matrix.New(5, 3), 4, 16)
+	c, err := matscale.HostMul(matrix.New(0, 5), matrix.New(5, 3), matscale.WithWorkers(4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -48,7 +51,7 @@ func TestMulEmpty(t *testing.T) {
 }
 
 func TestMulDimensionMismatchErrors(t *testing.T) {
-	if _, err := Mul(matrix.New(2, 3), matrix.New(2, 3), 1, 1); err == nil || !strings.Contains(err.Error(), "mismatch") {
+	if _, err := matscale.HostMul(matrix.New(2, 3), matrix.New(2, 3), matscale.WithWorkers(1)); err == nil || !strings.Contains(err.Error(), "mismatch") {
 		t.Fatalf("err = %v", err)
 	}
 }
@@ -58,93 +61,11 @@ func TestQuickWorkerInvariance(t *testing.T) {
 	f := func(seed uint64, w1, w2 uint8) bool {
 		a := matrix.RandomInts(17, 17, seed)
 		b := matrix.RandomInts(17, 17, seed+1)
-		r1, err1 := Mul(a, b, int(w1%8)+1, 8)
-		r2, err2 := Mul(a, b, int(w2%8)+1, 32)
+		r1, err1 := matscale.HostMul(a, b, matscale.WithWorkers(int(w1%8)+1))
+		r2, err2 := matscale.HostMul(a, b, matscale.WithWorkers(int(w2%8)+1))
 		return err1 == nil && err2 == nil && matrix.MaxAbsDiff(r1, r2) == 0
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 30}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestCannonParallelMatchesSerial(t *testing.T) {
-	for _, c := range []struct{ n, q int }{{4, 1}, {8, 2}, {12, 3}, {16, 4}, {20, 5}} {
-		a := matrix.RandomInts(c.n, c.n, uint64(c.n))
-		b := matrix.RandomInts(c.n, c.n, uint64(c.n)+7)
-		got, err := CannonParallel(a, b, c.q)
-		if err != nil {
-			t.Fatalf("n=%d q=%d: %v", c.n, c.q, err)
-		}
-		if d := matrix.MaxAbsDiff(got, matrix.Mul(a, b)); d != 0 {
-			t.Fatalf("n=%d q=%d: differs by %v", c.n, c.q, d)
-		}
-	}
-}
-
-func TestCannonParallelErrors(t *testing.T) {
-	if _, err := CannonParallel(matrix.New(4, 5), matrix.New(5, 4), 2); err == nil {
-		t.Error("rectangular input accepted")
-	}
-	if _, err := CannonParallel(matrix.New(4, 4), matrix.New(4, 4), 3); err == nil {
-		t.Error("indivisible mesh accepted")
-	}
-	if _, err := CannonParallel(matrix.New(4, 4), matrix.New(4, 4), 0); err == nil {
-		t.Error("zero mesh accepted")
-	}
-}
-
-func TestQuickCannonParallelAgreesWithRowParallel(t *testing.T) {
-	f := func(seed uint64) bool {
-		a := matrix.RandomInts(12, 12, seed)
-		b := matrix.RandomInts(12, 12, seed+1)
-		viaCannon, err := CannonParallel(a, b, 4)
-		if err != nil {
-			return false
-		}
-		viaRows, errRows := Mul(a, b, 4, 8)
-		return errRows == nil && matrix.MaxAbsDiff(viaCannon, viaRows) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestSUMMAMatchesSerial(t *testing.T) {
-	for _, c := range []struct{ n, q int }{{4, 1}, {8, 2}, {12, 3}, {16, 4}} {
-		a := matrix.RandomInts(c.n, c.n, uint64(c.n)+30)
-		b := matrix.RandomInts(c.n, c.n, uint64(c.n)+31)
-		got, err := SUMMA(a, b, c.q)
-		if err != nil {
-			t.Fatalf("n=%d q=%d: %v", c.n, c.q, err)
-		}
-		if d := matrix.MaxAbsDiff(got, matrix.Mul(a, b)); d != 0 {
-			t.Fatalf("n=%d q=%d: differs by %v", c.n, c.q, d)
-		}
-	}
-}
-
-func TestSUMMAErrors(t *testing.T) {
-	if _, err := SUMMA(matrix.New(4, 5), matrix.New(5, 4), 2); err == nil {
-		t.Error("rectangular input accepted")
-	}
-	if _, err := SUMMA(matrix.New(4, 4), matrix.New(4, 4), 3); err == nil {
-		t.Error("indivisible mesh accepted")
-	}
-}
-
-// All three real message-passing implementations agree with each other.
-func TestQuickThreeWayAgreement(t *testing.T) {
-	f := func(seed uint64) bool {
-		a := matrix.RandomInts(16, 16, seed)
-		b := matrix.RandomInts(16, 16, seed+1)
-		viaSUMMA, err1 := SUMMA(a, b, 4)
-		viaCannon, err2 := CannonParallel(a, b, 4)
-		viaRows, err3 := Mul(a, b, 4, 8)
-		return err1 == nil && err2 == nil && err3 == nil &&
-			matrix.MaxAbsDiff(viaSUMMA, viaCannon) == 0 &&
-			matrix.MaxAbsDiff(viaSUMMA, viaRows) == 0
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

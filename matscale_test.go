@@ -31,7 +31,10 @@ func TestQuickstartFlow(t *testing.T) {
 func TestParallelMulMatchesSerial(t *testing.T) {
 	a := matscale.RandomMatrix(65, 65, 3)
 	b := matscale.RandomMatrix(65, 65, 4)
-	got := matscale.ParallelMul(a, b, 4)
+	got, err := matscale.HostMul(a, b, matscale.WithWorkers(4))
+	if err != nil {
+		t.Fatal(err)
+	}
 	want := matscale.Mul(a, b)
 	if d := maxDiff(got, want); d > 1e-10 {
 		t.Fatalf("parallel product differs by %v", d)
@@ -135,7 +138,7 @@ func TestFacadeVariantAlgorithms(t *testing.T) {
 		{"SimpleAllPort", matscale.SimpleAllPort, allPortHC(16)},
 		{"GKAllPort", matscale.GKAllPort, allPortHC(64)},
 		{"DNSWithGrid", func(m *matscale.Machine, a, b *matscale.Matrix) (*matscale.Result, error) {
-			return matscale.DNSWithGrid(m, a, b, 8)
+			return matscale.Run(matscale.DNS, m, a, b, matscale.WithDNSGrid(8))
 		}, matscale.Hypercube(128, 17, 3)},
 	}
 	for _, c := range cases {
