@@ -61,15 +61,15 @@ var ParseFaults = faults.Parse
 type Backend = machine.Backend
 
 const (
-	// Goroutines is the default engine: one host goroutine per
-	// simulated rank with blocking mailboxes. Fine up to a few thousand
-	// ranks.
-	Goroutines = machine.BackendGoroutines
-	// Events is the discrete-event engine of internal/des: a central
-	// virtual-time event loop resuming rank coroutines one at a time,
-	// with a native fast path for systolic programs. It reaches
-	// p = 2^20 ranks in seconds.
+	// Events is the default engine: a central virtual-time event loop
+	// resuming rank coroutines one at a time, with a native fast path
+	// for systolic programs (internal/des). It reaches p = 2^20 ranks
+	// in seconds, and it is the only engine that can checkpoint.
 	Events = machine.BackendEvents
+	// Goroutines is the opt-in concurrent engine: one host goroutine
+	// per simulated rank with blocking mailboxes. Fine up to a few
+	// thousand ranks.
+	Goroutines = machine.BackendGoroutines
 )
 
 // ParseBackend parses the textual backend names the CLI accepts:
@@ -343,14 +343,14 @@ func WithProgress(fn func(done, total int, c SweepCell)) Option {
 }
 
 // WithBackend selects the simulation engine a Run, RunAuto or Sweep
-// call executes on: Goroutines (the default) or Events. The result is
+// call executes on: Events (the default) or Goroutines. The result is
 // byte-identical either way — backend-equivalence is asserted by the
-// cross-backend differential suite — so pick Events when the rank
-// count is large (it simulates Cannon at p = 2^20 in seconds) and
-// Goroutines otherwise:
+// cross-backend differential suite — and Events is the faster engine
+// on the measured grid (docs/BACKENDS.md), so Goroutines is an
+// explicit opt-in:
 //
-//	res, err := matscale.Run(matscale.Cannon, matscale.NCube2(1<<20), a, b,
-//	        matscale.WithBackend(matscale.Events))
+//	res, err := matscale.Run(matscale.Cannon, matscale.NCube2(64), a, b,
+//	        matscale.WithBackend(matscale.Goroutines))
 //
 // An undefined Backend value makes the call fail with an
 // *UnsupportedBackendError. The caller's machine is never mutated.
@@ -384,18 +384,16 @@ func WithFaults(f *Faults) Option {
 //
 //	var buf bytes.Buffer
 //	_, err := matscale.Run(matscale.Cannon, m, a, b,
-//	        matscale.WithBackend(matscale.Events),
 //	        matscale.WithCheckpoint(&buf), matscale.WithSuspendAfter(500))
 //	// errors.As(err, &suspended) — buf holds the snapshot.
 //	ck, _ := matscale.Restore(&buf)
-//	res, err := matscale.Run(matscale.Cannon, m, a, b,
-//	        matscale.WithBackend(matscale.Events), matscale.WithResume(ck))
+//	res, err := matscale.Run(matscale.Cannon, m, a, b, matscale.WithResume(ck))
 //	// res is byte-identical to an uninterrupted run.
 //
-// Checkpointing requires the Events backend (the Goroutines engine has
-// no deterministic consistent cut) and an explicit algorithm; an
-// unsupported combination fails with a typed error instead of being
-// ignored.
+// Checkpointing requires the Events backend, the default (the
+// Goroutines engine has no deterministic consistent cut), and an
+// explicit algorithm; an unsupported combination fails with a typed
+// error instead of being ignored.
 func WithCheckpoint(sink io.Writer) Option {
 	return func(c *runConfig) { c.ckptSink = sink }
 }

@@ -156,7 +156,8 @@ func TestWithBackendRunEquivalence(t *testing.T) {
 	m := matscale.NCube2(64)
 	a := matscale.RandomMatrix(16, 16, 1)
 	b := matscale.RandomMatrix(16, 16, 2)
-	g, err := matscale.Run(matscale.Cannon, m, a, b, matscale.WithMetrics())
+	g, err := matscale.Run(matscale.Cannon, m, a, b,
+		matscale.WithMetrics(), matscale.WithBackend(matscale.Goroutines))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -165,7 +166,7 @@ func TestWithBackendRunEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Backend != matscale.Goroutines {
+	if m.Backend != matscale.Events {
 		t.Fatal("WithBackend mutated the caller's machine")
 	}
 	if !reflect.DeepEqual(g.Sim, e.Sim) {
@@ -177,7 +178,7 @@ func TestWithBackendRunAutoAndSweep(t *testing.T) {
 	m := matscale.NCube2(64)
 	a := matscale.RandomMatrix(16, 16, 1)
 	b := matscale.RandomMatrix(16, 16, 2)
-	g, gsel, err := matscale.RunAuto(m, a, b)
+	g, gsel, err := matscale.RunAuto(m, a, b, matscale.WithBackend(matscale.Goroutines))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -194,7 +195,7 @@ func TestWithBackendRunAutoAndSweep(t *testing.T) {
 		Ps:         []int{16, 64},
 		Ns:         []int{16},
 	}
-	gs, err := matscale.Sweep(spec)
+	gs, err := matscale.Sweep(spec, matscale.WithBackend(matscale.Goroutines))
 	if err != nil {
 		t.Fatal(err)
 	}

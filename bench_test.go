@@ -208,9 +208,9 @@ func BenchmarkSimBerntsenN64P64(b *testing.B) { benchSim(b, core.Berntsen, 64, 6
 func BenchmarkSimGKN64P64(b *testing.B)       { benchSim(b, core.GK, 64, 64) }
 
 // BenchmarkCannonHostTime measures host wall-clock of a full Cannon
-// simulation at p=64: 64 goroutines rolling blocks every step is the
-// heaviest steady-state load on the pooled zero-copy message path and
-// the sharded mailboxes.
+// simulation at p=64 on the default engine: 64 ranks rolling blocks
+// every step is the heaviest steady-state load on the pooled zero-copy
+// message path.
 func BenchmarkCannonHostTime(b *testing.B) { benchSim(b, core.Cannon, 128, 64) }
 
 func BenchmarkSimDNSN16P256(b *testing.B) {
@@ -220,6 +220,43 @@ func BenchmarkSimDNSN16P256(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := core.DNSWithGrid(m, a, c, 8); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// --- Engine grid: the same cells on both engines -------------------------
+
+// BenchmarkEngineGrid runs four cells of the paper's CM-5 grid
+// (Figures 4-5) like for like on each simulation engine: the same
+// formulation, n, p and operands, with sub-benchmarks named
+// alg/p/n/engine. On the events engine the Cannon cells take the
+// native systolic tier and the GK cells the fiber tier, as they do in
+// a sweep. Compare the engines across host parallelism with
+//
+//	go test -run '^$' -bench EngineGrid -cpu 1,2 .
+func BenchmarkEngineGrid(b *testing.B) {
+	cells := []struct {
+		alg  string
+		f    core.Algorithm
+		p, n int
+	}{
+		{"cannon", core.Cannon, 64, 176},
+		{"cannon", core.Cannon, 484, 352},
+		{"gk", core.GK, 64, 176},
+		{"gk", core.GK, 512, 352},
+	}
+	for _, c := range cells {
+		a := matrix.Random(c.n, c.n, 1)
+		bm := matrix.Random(c.n, c.n, 2)
+		for _, eng := range []machine.Backend{machine.BackendGoroutines, machine.BackendEvents} {
+			m := machine.CM5(c.p).WithBackend(eng)
+			b.Run(fmt.Sprintf("%s/p=%d/n=%d/%s", c.alg, c.p, c.n, eng), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					if _, err := c.f(m, a, bm); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
 		}
 	}
 }

@@ -153,7 +153,7 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	// The Goroutines engine has no deterministic cut: asking it for a
 	// checkpoint is a typed capability error.
 	var uce *matscale.UnsupportedCapabilityError
-	if _, err := matscale.Run(matscale.Cannon, m, a, a,
+	if _, err := matscale.Run(matscale.Cannon, m, a, a, matscale.WithBackend(matscale.Goroutines),
 		matscale.WithCheckpoint(&sink), matscale.WithSuspendAfter(5)); !errors.As(err, &uce) {
 		t.Fatalf("goroutines checkpoint err = %v, want *UnsupportedCapabilityError", err)
 	}

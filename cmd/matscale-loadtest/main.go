@@ -77,7 +77,7 @@ func main() {
 	concurrency := fs.Int("concurrency", 0, "in-process server concurrent jobs (0 = GOMAXPROCS)")
 	jobs := fs.Int("jobs", 1, "in-process server sweep workers per job")
 	cacheCells := fs.Int("cache", server.DefaultCacheCells, "in-process server cell cache capacity")
-	backendName := fs.String("backend", "goroutines", "in-process server backend: goroutines|events")
+	backendName := fs.String("backend", "events", "in-process server backend: events|goroutines")
 	watchers := fs.Int("watchers", 64, "clients that follow progress over SSE instead of polling")
 	poll := fs.Duration("poll", 10*time.Millisecond, "status poll interval for non-SSE clients")
 	bench := fs.Bool("bench", false, "emit the report in go-bench text format on stdout")

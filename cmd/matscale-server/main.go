@@ -8,7 +8,7 @@
 //
 //	matscale-server [-addr 127.0.0.1:8080] [-queue 256] [-concurrency 4]
 //	                [-jobs 0] [-rate 0] [-burst 0] [-timeout 0]
-//	                [-cache 65536] [-backend goroutines|events]
+//	                [-cache 65536] [-backend events|goroutines]
 //	                [-checkpoint-dir DIR] [-suspend-on-timeout=true]
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,
@@ -56,7 +56,7 @@ func main() {
 	burst := fs.Int("burst", 0, "rate-limit burst (0 = derived from -rate)")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 	cache := fs.Int("cache", server.DefaultCacheCells, "cell cache capacity in cells (-1 disables)")
-	backendName := fs.String("backend", "goroutines", "default simulation backend: goroutines|events")
+	backendName := fs.String("backend", "events", "default simulation backend: events|goroutines")
 	ckptDir := fs.String("checkpoint-dir", "", "persist suspended-job checkpoints here and restore them on startup (empty = in-memory only)")
 	suspendOnTimeout := fs.Bool("suspend-on-timeout", true, "suspend jobs that exceed -timeout with a resumable checkpoint instead of failing them")
 	fs.Parse(os.Args[1:])

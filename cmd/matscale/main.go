@@ -13,11 +13,11 @@
 //	                    [-a A.csv -b B.csv -out C.csv]
 //	                    [-metrics] [-trace out.json] [-grid q]
 //	                    [-faults 'straggler=3@rank7,loss=0.01,seed=42']
-//	                    [-backend goroutines|events]
+//	                    [-backend events|goroutines]
 //	                    [-checkpoint ck.bin -suspend-after 1000] [-resume ck.bin]
 //	matscale robust     [-n 16 -p 64 -machine ncube2]
 //	                    [-faults 'straggler=2@rank0,seed=42']
-//	                    [-backend goroutines|events]
+//	                    [-backend events|goroutines]
 //	matscale isoeff     [-ts 150 -tw 3 -e 0.5]
 //	matscale compare    [-ts 150 -tw 3]
 //	matscale allport    [-ts 10 -tw 3]
@@ -28,7 +28,7 @@
 //	matscale sweep      [-alg cannon,gk -machine ncube2 -n 16,32 -p 16,64]
 //	                    [-faults 'scenario1;scenario2'] [-seed 1]
 //	                    [-jobs 0] [-csv out.csv] [-json out.json] [-progress]
-//	                    [-backend goroutines|events]
+//	                    [-backend events|goroutines]
 //	matscale millionrank [-n 1024]
 //	matscale tssweep    [-n 64 -p 64 -tw 3]
 //	matscale saturation [-n 64 -ts 150 -tw 3]
@@ -205,8 +205,8 @@ func cmdRun(args []string) error {
 	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
 	grid := fs.Int("grid", 0, "DNS block-grid side (runs DNS with WithDNSGrid; requires -alg dns)")
 	faultSpec := fs.String("faults", "", "fault scenario, e.g. 'straggler=3@rank7,loss=0.01,seed=42' (see docs/FAULTS.md)")
-	backendName := fs.String("backend", "goroutines", "simulation engine: goroutines, events (see docs/BACKENDS.md)")
-	ckptFile := fs.String("checkpoint", "", "write the snapshot of a suspended run to this file (requires -suspend-after and -backend events)")
+	backendName := fs.String("backend", "events", "simulation engine: events, goroutines (see docs/BACKENDS.md)")
+	ckptFile := fs.String("checkpoint", "", "write the snapshot of a suspended run to this file (requires -suspend-after)")
 	suspendAfter := fs.Uint64("suspend-after", 0, "suspend at the consistent cut after this many event dispatches (requires -checkpoint)")
 	resumeFile := fs.String("resume", "", "resume from a snapshot written by an earlier -checkpoint run (same -alg, -n, -p, -machine flags)")
 	hostWorkers := fs.Int("workers", 0, "host goroutine workers for the verification multiply (0 = all CPUs; bit-identical at any count)")
@@ -395,7 +395,7 @@ func cmdRobust(args []string) error {
 	ts, tw := paramFlags(fs, 150, 3)
 	seed := fs.Uint64("seed", 1, "matrix seed")
 	faultSpec := fs.String("faults", "straggler=2@rank0,seed=42", "fault scenario to inject (see docs/FAULTS.md)")
-	backendName := fs.String("backend", "goroutines", "simulation engine: goroutines, events (see docs/BACKENDS.md)")
+	backendName := fs.String("backend", "events", "simulation engine: events, goroutines (see docs/BACKENDS.md)")
 	fs.Parse(args)
 
 	m, err := machineForPreset(*machineName, *p, *ts, *tw)

@@ -538,9 +538,38 @@ func TestCmdRunCheckpointResume(t *testing.T) {
 		t.Error("-suspend-after without -checkpoint accepted")
 	}
 	if _, err := capture(t, func() error {
-		return cmdRun([]string{"-alg", "cannon", "-n", "16", "-p", "64",
+		return cmdRun([]string{"-alg", "cannon", "-n", "16", "-p", "64", "-backend", "goroutines",
 			"-checkpoint", ck, "-suspend-after", "50"})
 	}); err == nil {
 		t.Error("checkpoint on the goroutines backend accepted")
+	}
+}
+
+// With no -backend flag the run command simulates on the events
+// engine, so checkpointing needs no extra flag: the run suspends, and
+// resuming it prints exactly what an uninterrupted run prints.
+func TestCmdRunCheckpointDefaultBackend(t *testing.T) {
+	ck := t.TempDir() + "/run.ckpt"
+	base := []string{"-alg", "gk", "-n", "16", "-p", "64", "-metrics"}
+
+	full, err := capture(t, func() error { return cmdRun(base) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	out, err := capture(t, func() error {
+		return cmdRun(append(base, "-checkpoint", ck, "-suspend-after", "40"))
+	})
+	if err != nil {
+		t.Fatalf("suspension must exit cleanly, got %v", err)
+	}
+	if !strings.Contains(out, "suspended:  at event 40") {
+		t.Fatalf("run did not suspend on the default backend:\n%s", out)
+	}
+	resumed, err := capture(t, func() error { return cmdRun(append(base, "-resume", ck)) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if resumed != full {
+		t.Fatalf("resumed output differs from the uninterrupted run:\n--- full\n%s\n--- resumed\n%s", full, resumed)
 	}
 }

@@ -69,13 +69,14 @@ func ExampleSelect() {
 
 // WithBackend swaps the simulation engine under a run. The two
 // backends are byte-equivalent — same Tp, same product, same metrics —
-// so the events backend is purely a scale upgrade: it simulates
-// Cannon's algorithm at a million ranks in seconds, where the
-// goroutine backend cannot go.
+// so the choice only changes host cost: the default events backend
+// simulates Cannon's algorithm at a million ranks in seconds, where
+// the goroutine backend cannot go.
 func ExampleWithBackend() {
 	m := matscale.Hypercube(16, 17, 3)
 	a := matscale.Identity(16)
-	g, err := matscale.Run(matscale.Cannon, m, a, a)
+	g, err := matscale.Run(matscale.Cannon, m, a, a,
+		matscale.WithBackend(matscale.Goroutines))
 	if err != nil {
 		panic(err)
 	}

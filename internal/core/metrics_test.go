@@ -92,10 +92,11 @@ func TestPerRankTimeBudget(t *testing.T) {
 }
 
 // TestMetricsDeterministic asserts that two identical runs produce
-// byte-identical metrics regardless of goroutine scheduling.
+// byte-identical metrics regardless of goroutine scheduling; it runs on
+// the goroutine engine, the one whose schedule varies run to run.
 func TestMetricsDeterministic(t *testing.T) {
 	run := func() []byte {
-		res, err := GK(observed(64), matrix.RandomInts(16, 16, 1), matrix.RandomInts(16, 16, 2))
+		res, err := GK(observed(64).WithBackend(machine.BackendGoroutines), matrix.RandomInts(16, 16, 1), matrix.RandomInts(16, 16, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -13,7 +13,9 @@ import (
 // tests cover those) but the messaging hot path: 64 goroutines give
 // the pooled zero-copy sends, buffer recycling, and sharded mailboxes
 // real concurrency to go wrong under — the -race run of this test is
-// the enforcement of the buffer ownership contract.
+// the enforcement of the buffer ownership contract. It is pinned to the
+// goroutine engine: the event engine runs one rank at a time and has
+// no concurrency to race.
 func TestAllFormulationsStressP64(t *testing.T) {
 	cases := []struct {
 		name string
@@ -44,7 +46,7 @@ func TestAllFormulationsStressP64(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel() // formulations stress the pools against each other too
 			for r := 0; r < rounds; r++ {
-				runCase(t, c.name, c.alg, machine.Hypercube(c.p, 17, 3), c.n)
+				runCase(t, c.name, c.alg, machine.Hypercube(c.p, 17, 3).WithBackend(machine.BackendGoroutines), c.n)
 			}
 		})
 	}

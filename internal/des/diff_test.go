@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"matscale/internal/core"
-	"matscale/internal/des"
 	"matscale/internal/faults"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
@@ -69,7 +68,7 @@ func runBoth(t *testing.T, alg core.Algorithm, mk func() *machine.Machine, n int
 	t.Helper()
 	a := matrix.RandomInts(n, n, 71)
 	b := matrix.RandomInts(n, n, 72)
-	gm := observe(mk()).WithFaults(fc)
+	gm := observe(mk()).WithFaults(fc).WithBackend(machine.BackendGoroutines)
 	g, err := alg(gm, a, b)
 	if err != nil {
 		t.Fatalf("goroutines backend: %v", err)
@@ -151,7 +150,7 @@ func TestBackendEquivalenceFaulted(t *testing.T) {
 }
 
 // TestBackendEquivalenceContention runs Cannon with link-level
-// contention tracking on both backends: the shared AdvanceRoute
+// contention tracking on both backends: the shared advanceRoute
 // computation must serialize identically (and find the paper's
 // algorithms contention-free on both).
 func TestBackendEquivalenceContention(t *testing.T) {
@@ -189,28 +188,5 @@ func TestEventsBackendErrors(t *testing.T) {
 		p.Send((p.Rank()+1)%p.P(), 0, []float64{1}) // never received
 	}); err == nil {
 		t.Error("unconsumed messages not reported on events backend")
-	}
-}
-
-// TestDesRunEntryPoint exercises the package-level Run against
-// simulator.Run on the same machine.
-func TestDesRunEntryPoint(t *testing.T) {
-	m := machine.Hypercube(8, 5, 1)
-	body := func(p *simulator.Proc) {
-		p.Compute(float64(p.Rank()))
-		p.Send((p.Rank()+1)%p.P(), 0, []float64{float64(p.Rank())})
-		buf := p.Recv((p.Rank()+p.P()-1)%p.P(), 0)
-		p.Recycle(buf)
-	}
-	g, err := simulator.Run(m, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := des.Run(m, body)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !reflect.DeepEqual(g, e) {
-		t.Errorf("des.Run differs from simulator.Run: Tp %v vs %v", g.Tp, e.Tp)
 	}
 }

@@ -56,7 +56,7 @@ func FuzzBackendEquivalence(f *testing.F) {
 			}
 			return m
 		}
-		g, gerr := simulator.Run(mk(), randomProgram(seed, p, rounds))
+		g, gerr := simulator.Run(mk().WithBackend(machine.BackendGoroutines), randomProgram(seed, p, rounds))
 		e, eerr := simulator.Run(mk().WithBackend(machine.BackendEvents), randomProgram(seed, p, rounds))
 		if (gerr == nil) != (eerr == nil) {
 			t.Fatalf("backends disagree on outcome: goroutines err=%v, events err=%v", gerr, eerr)

@@ -1,16 +1,7 @@
-package des
-
-import (
-	"fmt"
-
-	"matscale/internal/machine"
-	"matscale/internal/simulator"
-)
-
-// This file is the native tier of the discrete-event backend: a wave
-// scheduler for systolic programs — the regular compute/shift/shift
-// structure of Cannon's algorithm — that needs no coroutine, no
-// mailbox and no per-message event at all. In a systolic step every
+// Package des is the native systolic tier of the discrete-event
+// backend: a wave scheduler for systolic programs — the regular
+// compute/shift/shift structure of Cannon's algorithm — that needs no
+// coroutine, no mailbox and no per-message event at all. In a systolic step every
 // rank performs the same sequence (compute, then for each shift send
 // to a fixed partner and receive from the opposite one), so the whole
 // step is one synchronous wave: arrival times for a shift are a pure
@@ -18,8 +9,9 @@ import (
 // loop's least-time ordering collapses into array passes over the
 // ranks. The charging below replays, add for add and in the same
 // order, exactly what the shared simulator.Proc code charges the
-// fiber tier for the same program, so the Result is byte-identical to
-// both other engines — the native differential suite asserts this.
+// event engine's fiber tier for the same program, so the Result is
+// byte-identical to both other engines — the native differential suite
+// asserts this.
 //
 // On a healthy machine (no fault configuration) every rank's per-step
 // charges are identical, all clocks stay equal by induction, and the
@@ -28,6 +20,20 @@ import (
 // costs O(√p) clock arithmetic plus the real block arithmetic the
 // caller performs. Under stragglers or link jitter the engine runs the
 // full per-rank wave passes instead.
+//
+// The general fiber tier that runs any rank program is the event
+// engine inside internal/simulator (the default engine). This
+// package's tests hold the cross-engine suites for both tiers: the
+// differential, checkpoint/resume and fuzz comparisons against the
+// goroutine engine.
+package des
+
+import (
+	"fmt"
+
+	"matscale/internal/machine"
+	"matscale/internal/simulator"
+)
 
 // Shift is one nearest-neighbor exchange within a systolic step: every
 // rank sends to Dst(rank) and then receives from Src(rank). The two
@@ -219,7 +225,7 @@ func runSystolicWave(m *machine.Machine, spec SystolicSpec) *simulator.Result {
 }
 
 // assembleSystolic folds per-rank quantities into a Result exactly as
-// simulator.BuildResult folds Proc accumulators: rank-ascending float
+// the simulator's buildResult folds Proc accumulators: rank-ascending float
 // summation (the byte-identity contract) and integer message counts
 // derived from the spec's shape.
 func assembleSystolic(spec SystolicSpec, clock, compT, commT, sx func(int) float64) *simulator.Result {

@@ -33,7 +33,7 @@ func runCannonBoth(t *testing.T, p, n int, fc *faults.Config) (g, e *core.Result
 	t.Helper()
 	a := matrix.Random(n, n, 91)
 	b := matrix.Random(n, n, 92)
-	g, err := core.Cannon(machine.NCube2(p).WithFaults(fc), a, b)
+	g, err := core.Cannon(machine.NCube2(p).WithFaults(fc).WithBackend(machine.BackendGoroutines), a, b)
 	if err != nil {
 		t.Fatalf("goroutines: %v", err)
 	}
@@ -98,7 +98,7 @@ func TestSystolicEligibility(t *testing.T) {
 	if !des.SystolicEligible(base()) {
 		t.Error("plain events machine should be eligible")
 	}
-	if des.SystolicEligible(machine.NCube2(16)) {
+	if des.SystolicEligible(machine.NCube2(16).WithBackend(machine.BackendGoroutines)) {
 		t.Error("goroutines machine must not be eligible")
 	}
 	withMetrics := base()
@@ -124,7 +124,7 @@ func TestSystolicEligibility(t *testing.T) {
 // TestRunSystolicRejectsMismatch pins the error paths of the exported
 // entry point.
 func TestRunSystolicRejectsMismatch(t *testing.T) {
-	m := machine.NCube2(16)
+	m := machine.NCube2(16).WithBackend(machine.BackendGoroutines)
 	if _, err := des.RunSystolic(m, des.SystolicSpec{P: 16, GatherRoot: -1}); err == nil {
 		t.Error("want error for non-events machine")
 	}

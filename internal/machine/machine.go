@@ -45,24 +45,26 @@ func (r Routing) String() string {
 }
 
 // Backend selects the simulation engine that executes rank programs on
-// a machine: the goroutine backend (one OS-scheduled goroutine per
-// rank, blocking mailboxes) or the discrete-event backend of
-// internal/des (a central virtual-time event loop resuming rank
-// coroutines one at a time). The two produce byte-identical results
-// for a fixed configuration — the cost model is schedule-independent —
-// so the choice is purely about host performance and scale; see
+// a machine: the discrete-event engine (a central virtual-time event
+// loop resuming rank coroutines one at a time, the default) or the
+// goroutine engine (one OS-scheduled goroutine per rank, blocking
+// mailboxes). The two produce byte-identical results for a fixed
+// configuration — the cost model is schedule-independent — so the
+// choice is purely about host performance and scale; see
 // docs/BACKENDS.md. The selection rides on the Machine for the same
 // reason the observability flags do: it is the one context every
 // algorithm entry point receives, and it changes no measured quantity.
 type Backend int
 
 const (
-	// BackendGoroutines is the default concurrent engine.
-	BackendGoroutines Backend = iota
-	// BackendEvents is the sequential discrete-event engine, which
-	// scales to rank counts (p ≈ 2^20) far beyond the goroutine
-	// backend's reach.
-	BackendEvents
+	// BackendEvents is the default engine: sequential discrete-event
+	// simulation, which scales to rank counts (p ≈ 2^20) far beyond
+	// the goroutine engine's reach and is the only engine that can
+	// checkpoint.
+	BackendEvents Backend = iota
+	// BackendGoroutines is the concurrent engine, an explicit opt-in:
+	// one free-running host goroutine per rank.
+	BackendGoroutines
 	// backendCount bounds the valid Backend values for Validate.
 	backendCount
 )
@@ -130,7 +132,7 @@ type Machine struct {
 	// Chrome-trace export. Zero virtual cost.
 	CollectTrace bool
 	// Backend selects the simulation engine that executes rank programs
-	// on this machine (goroutines by default). See the Backend type.
+	// on this machine (events by default). See the Backend type.
 	Backend Backend
 	// Faults, when non-nil, perturbs the machine deterministically:
 	// per-rank compute slowdowns, per-link ts/tw perturbation, and

@@ -202,7 +202,8 @@ func mulPanel(crow, arow, bdata []float64, ll, lEnd, jj, jEnd, m int) {
 }
 
 // mulStrip is the one-depth-step-at-a-time fallback; its body is the
-// inner two loops of mulAddIntoNaive restricted to one column panel.
+// inner two loops of the naive i-k-j kernel (the test oracle
+// mulAddIntoNaive) restricted to one column panel.
 func mulStrip(crow, arow, bdata []float64, l0, l1, jj, jEnd, m int) {
 	for l := l0; l < l1; l++ {
 		av := arow[l]
@@ -213,33 +214,6 @@ func mulStrip(crow, arow, bdata []float64, l0, l1, jj, jEnd, m int) {
 		cs := crow[jj:jEnd]
 		for j := range cs {
 			cs[j] += av * brow[j]
-		}
-	}
-}
-
-// mulAddIntoNaive is the original i-k-j triple loop, retained as the
-// reference implementation for the differential bit-identity tests and
-// benchmarks. MulAddInto must agree with it bit for bit on every input.
-func mulAddIntoNaive(c, a, b *Dense) {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("matrix: Mul inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
-	if c.Rows != a.Rows || c.Cols != b.Cols {
-		panic(fmt.Sprintf("matrix: Mul output shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
-	}
-	n, m, k := a.Rows, b.Cols, a.Cols
-	for i := 0; i < n; i++ {
-		arow := a.Data[i*k : (i+1)*k]
-		crow := c.Data[i*m : (i+1)*m]
-		for l := 0; l < k; l++ {
-			av := arow[l]
-			if av == 0 {
-				continue
-			}
-			brow := b.Data[l*m : (l+1)*m]
-			for j := 0; j < m; j++ {
-				crow[j] += av * brow[j]
-			}
 		}
 	}
 }

@@ -12,8 +12,8 @@ import (
 )
 
 // SubmitRequest is the POST /v1/jobs body: the sweep spec plus an
-// optional backend name ("goroutines" or "events"; the server default
-// when empty).
+// optional backend name ("events" or "goroutines"; the server's
+// Config.Backend — events unless configured otherwise — when empty).
 type SubmitRequest struct {
 	Spec    sweep.Spec `json:"spec"`
 	Backend string     `json:"backend,omitempty"`

@@ -83,7 +83,7 @@ type Config struct {
 	// Stats.
 	Cache sweep.CellCache
 	// Backend is the default simulation engine for jobs that don't
-	// request one.
+	// request one; the zero value is the events engine.
 	Backend machine.Backend
 	// RetainJobs bounds how many terminal jobs stay queryable; the
 	// oldest-finished are evicted beyond it (0: DefaultRetainJobs).

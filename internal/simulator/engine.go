@@ -17,16 +17,17 @@ type Message struct {
 
 // Engine is the messaging and scheduling substrate a Proc runs on. The
 // charging, fault, metrics and trace logic all live in Proc and are
-// shared by every backend; an Engine only moves payloads, suspends
+// shared by every engine; an Engine only moves payloads, suspends
 // receivers until their message exists, and arbitrates link contention.
 //
-// Two engines implement it: the goroutine backend in this package
-// (one free-running goroutine per rank, blocking mailboxes) and the
-// discrete-event backend in internal/des (a central virtual-time event
-// loop resuming rank coroutines). Because every virtual-time quantity
-// is computed by the shared Proc code, the two backends produce
-// byte-identical results for a fixed configuration; the differential
-// suite asserts this for all formulations (see docs/BACKENDS.md).
+// Two engines implement it, both in this package: the discrete-event
+// engine (fiber.go, the default — a central virtual-time event loop
+// resuming rank coroutines one at a time) and the goroutine engine
+// (simulator.go — one free-running goroutine per rank, blocking
+// mailboxes). Because every virtual-time quantity is computed by the
+// shared Proc code, the two produce byte-identical results for a fixed
+// configuration; the differential suite in internal/des asserts this
+// for all formulations (see docs/BACKENDS.md).
 type Engine interface {
 	// Deliver enqueues msg from src under the matching key (dst, tag).
 	// Ownership of msg.Data passes to the engine and ultimately to the
@@ -35,7 +36,7 @@ type Engine interface {
 	// Await returns the next message from (src, tag) addressed to rank,
 	// suspending the calling processor until one is available. When the
 	// run has failed it does not return: it panics with the package's
-	// abort value (see AbortPanic), unwinding the processor body.
+	// abort value (see abortPanic), unwinding the processor body.
 	Await(rank, src, tag int) Message
 	// ContendedArrival advances a transfer of words over route
 	// (starting at src at virtual time start), serializing on busy
@@ -54,60 +55,83 @@ type Engine interface {
 	PutBuf(b []float64)
 }
 
-// RunFunc executes body on every processor of m under some engine and
-// collects timing — the signature alternative backends register under
-// their machine.Backend value.
-type RunFunc func(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result, error)
+// srcTag matches a message within one destination's mailbox.
+type srcTag struct {
+	src, tag int
+}
 
-// backends maps a machine.Backend to its registered runner. The
-// goroutine backend is built in; others (internal/des) install
-// themselves from an init function, so the map is written before any
-// simulation starts and read-only afterwards.
-var backends = map[machine.Backend]RunFunc{}
+// msgQueue is a growable FIFO ring of messages for one (src, tag) key,
+// the mailbox unit of both engines. The ring never shrinks and the
+// key's entry is never deleted, so a steady-state send/recv cycle
+// pushes and pops with zero allocation.
+type msgQueue struct {
+	buf  []Message
+	head int // index of the oldest message
+	n    int // live messages
+}
 
-// RegisterBackend installs the runner for backend b. It is intended to
-// be called from an init function of the package implementing the
-// backend; a later registration for the same value replaces the
-// earlier one.
-func RegisterBackend(b machine.Backend, fn RunFunc) {
-	backends[b] = fn
+func (q *msgQueue) push(m Message) {
+	if q.n == len(q.buf) {
+		grown := make([]Message, max(4, 2*len(q.buf)))
+		for i := 0; i < q.n; i++ {
+			grown[i] = q.buf[(q.head+i)%len(q.buf)]
+		}
+		q.buf, q.head = grown, 0
+	}
+	q.buf[(q.head+q.n)%len(q.buf)] = m
+	q.n++
+}
+
+func (q *msgQueue) pop() Message {
+	m := q.buf[q.head]
+	q.buf[q.head] = Message{} // release the payload reference
+	q.head = (q.head + 1) % len(q.buf)
+	q.n--
+	return m
+}
+
+// errDeadlock, errPanicked and errUnconsumed are the failure texts both
+// engines report, so an error reads the same whichever engine ran the
+// program.
+func errDeadlock(alive, rank int, want srcTag) error {
+	return fmt.Errorf("simulator: deadlock: all %d live processors blocked in Recv (rank %d waiting for src=%d tag=%d)", alive, rank, want.src, want.tag)
+}
+
+func errPanicked(rank int, v any) error {
+	return fmt.Errorf("simulator: processor %d panicked: %v", rank, v)
+}
+
+func errUnconsumed(n int) error {
+	return fmt.Errorf("simulator: %d messages left unconsumed at exit", n)
 }
 
 // dispatch routes a validated run to the engine the machine selects.
-// A machine carrying a CheckpointControl is routed to the backend's
-// checkpoint-capable runner; a backend without one rejects the run
-// with a typed error rather than silently ignoring the control.
+// The goroutine engine has no deterministic consistent cut, so a
+// machine carrying a CheckpointControl is rejected there with a typed
+// error rather than silently ignoring the control.
 func dispatch(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result, error) {
+	if m.Backend != machine.BackendGoroutines {
+		return runEvents(m, body, collectTrace)
+	}
 	if m.Checkpoint != nil {
-		fn := checkpointBackends[m.Backend]
-		if fn == nil {
-			return nil, &UnsupportedCapabilityError{
-				Backend:    m.Backend,
-				Capability: "checkpoint/resume",
-				Reason:     "its state has no deterministic consistent cut; use the events backend, or checkpoint at sweep-cell granularity",
-			}
+		return nil, &UnsupportedCapabilityError{
+			Backend:    m.Backend,
+			Capability: "checkpoint/resume",
+			Reason:     "its state has no deterministic consistent cut; use the events backend, or checkpoint at sweep-cell granularity",
 		}
-		return fn(m, body, collectTrace)
 	}
-	if m.Backend == machine.BackendGoroutines {
-		return runInternal(m, body, collectTrace)
-	}
-	fn := backends[m.Backend]
-	if fn == nil {
-		return nil, fmt.Errorf("simulator: backend %q is not linked into this binary", m.Backend)
-	}
-	return fn(m, body, collectTrace)
+	return runGoroutines(m, body, collectTrace)
 }
 
-// AdvanceRoute advances a transfer of words over route (starting at
+// advanceRoute advances a transfer of words over route (starting at
 // src at virtual time t), serializing on links recorded busy in links,
 // and returns the arrival time, updating links in place. Under
 // store-and-forward routing each hop is charged and claimed
 // individually; under cut-through the whole path is claimed for one
 // transfer time. It is the one contention-tracking computation, shared
-// by every engine so that TrackContention runs are backend-identical.
+// by both engines so that TrackContention runs are engine-identical.
 // Callers own the synchronization of links.
-func AdvanceRoute(m *machine.Machine, links map[[2]int]float64, src int, route []int, t float64, words int) float64 {
+func advanceRoute(m *machine.Machine, links map[[2]int]float64, src int, route []int, t float64, words int) float64 {
 	if len(route) == 0 {
 		return t
 	}
@@ -145,12 +169,11 @@ func AdvanceRoute(m *machine.Machine, links map[[2]int]float64, src int, route [
 	return t
 }
 
-// NewProcOn builds the processor handle for one rank running on an
-// alternative engine, wiring the rank's straggler factor, link metrics
-// aggregation and tracing exactly as the goroutine backend does.
-// Backends must create one Proc per rank and pass the same tracing
-// flag to BuildResult.
-func NewProcOn(eng Engine, rank int, m *machine.Machine, tracing bool) *Proc {
+// newProc builds the processor handle for one rank running on eng,
+// wiring the rank's straggler factor, link metrics aggregation and
+// tracing. Engines create one Proc per rank and pass the same tracing
+// flag to buildResult.
+func newProc(eng Engine, rank int, m *machine.Machine, tracing bool) *Proc {
 	pr := &Proc{rank: rank, eng: eng, mach: m, np: m.P(), tracing: tracing, computeFactor: 1}
 	if m.Faults != nil {
 		pr.computeFactor = m.Faults.ComputeFactor(rank)
@@ -161,30 +184,27 @@ func NewProcOn(eng Engine, rank int, m *machine.Machine, tracing bool) *Proc {
 	return pr
 }
 
-// AbortPanic unwinds the calling processor body with the package's
+// abortPanic unwinds the calling processor body with the package's
 // abort value wrapping err. Engines use it to implement Abort and to
 // release suspended receivers after a failure; the value is recognized
-// by the backends' recover handlers (see AbortError) so an unwinding
+// by the engines' recover handlers (see isAbort) so an unwinding
 // processor is not misreported as a fresh panic.
-func AbortPanic(err error) {
+func abortPanic(err error) {
 	panic(abort{err})
 }
 
-// AbortError reports whether a recovered panic value v is the
-// simulator's abort value, returning the failure it carries.
-func AbortError(v any) (error, bool) {
-	a, ok := v.(abort)
-	if !ok {
-		return nil, false
-	}
-	return a.err, true
+// isAbort reports whether a recovered panic value v is the
+// simulator's abort value.
+func isAbort(v any) bool {
+	_, ok := v.(abort)
+	return ok
 }
 
-// BuildResult assembles the Result of a finished run from the per-rank
-// processor handles, in rank order, exactly as the goroutine backend
-// does — the float64 summation order is part of the byte-identity
-// contract between backends. procs must be indexed by rank.
-func BuildResult(m *machine.Machine, procs []*Proc, collectTrace bool) *Result {
+// buildResult assembles the Result of a finished run from the per-rank
+// processor handles, in rank order — the float64 summation order is
+// part of the byte-identity contract between engines. procs must be
+// indexed by rank.
+func buildResult(m *machine.Machine, procs []*Proc, collectTrace bool) *Result {
 	p := len(procs)
 	res := &Result{
 		P:           p,

@@ -298,7 +298,7 @@ func TestCriticalRankShift(t *testing.T) {
 // A faulted machine behind the same topology still deadlock-detects.
 func TestFaultsPreserveDeadlockDetection(t *testing.T) {
 	f := &faults.Config{Seed: 1, Loss: 0.01}
-	_, err := Run(faultedMachine(2, f), func(pr *Proc) {
+	_, err := Run(goroutines(faultedMachine(2, f)), func(pr *Proc) {
 		pr.Recv((pr.Rank()+1)%2, 0) // everyone receives, nobody sends
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {

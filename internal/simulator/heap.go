@@ -1,19 +1,19 @@
-package des
+package simulator
 
-// event is one entry of the central virtual-time priority queue: rank
+// resumeEvent is one entry of the central virtual-time priority queue: rank
 // becomes runnable at virtual time t. seq breaks ties in insertion
 // order, so the pop sequence — and with it every simulated quantity —
 // is a pure function of the program, never of host scheduling. (The
 // cost model is schedule-independent, so the tie-break is about
 // reproducible *host* behavior: identical allocation and pool reuse
 // patterns across runs.)
-type event struct {
+type resumeEvent struct {
 	t    float64
 	seq  uint64
 	rank int32
 }
 
-func eventLess(a, b event) bool {
+func eventLess(a, b resumeEvent) bool {
 	if a.t != b.t {
 		return a.t < b.t
 	}
@@ -25,12 +25,12 @@ func eventLess(a, b event) bool {
 // one entry per rank resume, and the interface-based heap costs an
 // allocation and two indirect calls per operation on that hot path.
 type eventHeap struct {
-	a []event
+	a []resumeEvent
 }
 
 func (h *eventHeap) len() int { return len(h.a) }
 
-func (h *eventHeap) push(ev event) {
+func (h *eventHeap) push(ev resumeEvent) {
 	h.a = append(h.a, ev)
 	i := len(h.a) - 1
 	for i > 0 {
@@ -43,7 +43,7 @@ func (h *eventHeap) push(ev event) {
 	}
 }
 
-func (h *eventHeap) pop() event {
+func (h *eventHeap) pop() resumeEvent {
 	top := h.a[0]
 	last := len(h.a) - 1
 	h.a[0] = h.a[last]

@@ -173,10 +173,13 @@ func TestExchangeOwnedMatchesExchange(t *testing.T) {
 }
 
 // pingPongAllocs measures the average host allocations of a run whose
-// two ranks ping-pong msgs messages of 256 words with recycling.
+// two ranks ping-pong msgs messages of 256 words with recycling. It is
+// pinned to the goroutine engine, whose pool tiers and mailboxes the
+// allocation test and the gated Deliver benchmarks have always
+// measured.
 func pingPongAllocs(t testing.TB, msgs int) float64 {
 	t.Helper()
-	m := twoProc(0, 0)
+	m := twoProc(0, 0).WithBackend(machine.BackendGoroutines)
 	return testing.AllocsPerRun(5, func() {
 		_, err := Run(m, func(p *Proc) {
 			buf := make([]float64, 256)
@@ -219,9 +222,10 @@ func TestSteadyStateMessagingAllocationFree(t *testing.T) {
 
 // benchDeliver measures the host cost of one message hop (send +
 // receive) in a two-rank ping-pong, on the copying or the
-// ownership-transfer path.
+// ownership-transfer path, on the goroutine engine (pinned so the gated
+// benchmark keeps comparing like with like).
 func benchDeliver(b *testing.B, words int, owned bool) {
-	m := twoProc(0, 0)
+	m := twoProc(0, 0).WithBackend(machine.BackendGoroutines)
 	b.SetBytes(int64(words * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -272,12 +276,13 @@ func BenchmarkDeliverSteadyStateAllocs(b *testing.B) {
 	b.ReportMetric((large-small)/float64(2*(1040-16)), "allocs/msg")
 }
 
-// BenchmarkDeliverRing16 stresses the sharded mailboxes: 16 ranks shift
-// a 256-word block around a ring, so deliveries hit 16 different
-// mailboxes concurrently instead of one global queue.
+// BenchmarkDeliverRing16 stresses the goroutine engine's sharded
+// mailboxes: 16 ranks shift a 256-word block around a ring, so
+// deliveries hit 16 different mailboxes concurrently instead of one
+// global queue.
 func BenchmarkDeliverRing16(b *testing.B) {
 	const p, words = 16, 256
-	m := machine.Hypercube(p, 0, 0)
+	m := machine.Hypercube(p, 0, 0).WithBackend(machine.BackendGoroutines)
 	b.SetBytes(int64(p * words * 8))
 	b.ReportAllocs()
 	b.ResetTimer()

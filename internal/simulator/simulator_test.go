@@ -263,8 +263,16 @@ func TestSendMultiAllPortTakesMax(t *testing.T) {
 	}
 }
 
+// goroutines pins m to the goroutine engine. The deadlock-scan tests
+// use it: the scan, its lock ordering and its exit-triggered path are
+// that engine's code (the event engine finds deadlock by an empty
+// event heap, covered by TestEngineErrorTexts).
+func goroutines(m *machine.Machine) *machine.Machine {
+	return m.WithBackend(machine.BackendGoroutines)
+}
+
 func TestDeadlockDetected(t *testing.T) {
-	_, err := Run(twoProc(0, 0), func(p *Proc) {
+	_, err := Run(goroutines(twoProc(0, 0)), func(p *Proc) {
 		p.Recv(1-p.Rank(), 0) // both wait forever
 	})
 	if err == nil || !strings.Contains(err.Error(), "deadlock") {
@@ -273,7 +281,7 @@ func TestDeadlockDetected(t *testing.T) {
 }
 
 func TestDeadlockAfterExitDetected(t *testing.T) {
-	_, err := Run(twoProc(0, 0), func(p *Proc) {
+	_, err := Run(goroutines(twoProc(0, 0)), func(p *Proc) {
 		if p.Rank() == 1 {
 			p.Recv(0, 0) // rank 0 exits immediately; rank 1 starves
 		}
@@ -284,7 +292,7 @@ func TestDeadlockAfterExitDetected(t *testing.T) {
 }
 
 func TestWrongTagDeadlocks(t *testing.T) {
-	_, err := Run(twoProc(0, 0), func(p *Proc) {
+	_, err := Run(goroutines(twoProc(0, 0)), func(p *Proc) {
 		if p.Rank() == 0 {
 			p.SendFree(1, 1, []float64{1})
 			p.Recv(1, 0)
@@ -317,6 +325,44 @@ func TestUnconsumedMessagesReported(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "unconsumed") {
 		t.Fatalf("err = %v, want unconsumed message error", err)
+	}
+}
+
+// TestEngineErrorTexts asserts both engines report deadlock, a
+// panicking rank and unconsumed messages with the same error text. The
+// programs are chosen so the text is deterministic on the goroutine
+// engine too: one rank for the deadlock (the reported rank is whichever
+// blocked last), and a panic or send that no schedule can reorder.
+func TestEngineErrorTexts(t *testing.T) {
+	cases := []struct {
+		name string
+		p    int
+		body func(*Proc)
+		want string
+	}{
+		{"deadlock", 1, func(p *Proc) { p.Recv(0, 7) },
+			"simulator: deadlock: all 1 live processors blocked in Recv (rank 0 waiting for src=0 tag=7)"},
+		{"panic", 2, func(p *Proc) {
+			if p.Rank() == 1 {
+				panic("boom")
+			}
+			p.Recv(1, 0)
+		}, "simulator: processor 1 panicked: boom"},
+		{"unconsumed", 2, func(p *Proc) {
+			if p.Rank() == 0 {
+				p.SendFree(1, 0, []float64{1})
+			}
+		}, "simulator: 1 messages left unconsumed at exit"},
+	}
+	for _, tc := range cases {
+		for _, b := range []machine.Backend{machine.BackendEvents, machine.BackendGoroutines} {
+			t.Run(tc.name+"/"+b.String(), func(t *testing.T) {
+				_, err := Run(machine.Hypercube(tc.p, 0, 0).WithBackend(b), tc.body)
+				if err == nil || err.Error() != tc.want {
+					t.Fatalf("err = %v, want %q", err, tc.want)
+				}
+			})
+		}
 	}
 }
 
@@ -399,7 +445,8 @@ func TestProcAccessors(t *testing.T) {
 }
 
 // Determinism: running the same program many times must produce the
-// same virtual times regardless of goroutine scheduling.
+// same virtual times regardless of goroutine scheduling (pinned to the
+// goroutine engine, the one whose schedule varies run to run).
 func TestDeterministicVirtualTime(t *testing.T) {
 	prog := func(p *Proc) {
 		// Ring shift of 64 words, then a reduction to rank 0.
@@ -417,7 +464,7 @@ func TestDeterministicVirtualTime(t *testing.T) {
 			}
 		}
 	}
-	m := machine.Hypercube(16, 5, 2)
+	m := goroutines(machine.Hypercube(16, 5, 2))
 	first, err := Run(m, prog)
 	if err != nil {
 		t.Fatal(err)

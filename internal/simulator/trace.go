@@ -62,7 +62,7 @@ type Trace struct {
 	Events []Event // ordered by (Rank, Start)
 }
 
-// sortedEvents returns t.Events in (Rank, Start) order. runInternal
+// sortedEvents returns t.Events in (Rank, Start) order. buildResult
 // already builds the trace sorted, in which case this is a no-copy
 // pass-through; the stable sort exists so the exporters stay
 // byte-deterministic even for a Trace assembled by some future call

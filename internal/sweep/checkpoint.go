@@ -16,7 +16,7 @@ import (
 // consistent cut of its own: between cells. Suspension lets in-flight
 // cells finish (a cell is the granularity — the goroutine backend has
 // no mid-simulation cut, and the events backend's mid-run cuts are a
-// per-cell concern, see internal/des), then snapshots the completed
+// per-cell concern, see internal/simulator), then snapshots the completed
 // CellResults keyed by cell identity. Resuming seeds those results
 // back in and simulates only the remainder; because every cell is
 // deterministic, the resumed Result renders byte-identically to an

@@ -131,7 +131,7 @@ type Options struct {
 	// that need determinism must consume the Result instead.
 	Progress func(done, total int, r CellResult)
 	// Backend is the simulation engine every cell executes on
-	// (goroutines by default). Like Workers it never changes the
+	// (events by default). Like Workers it never changes the
 	// Result: the backends are byte-equivalent for a fixed spec.
 	Backend machine.Backend
 	// Cache, when non-nil, memoizes measured cell results across
