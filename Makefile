@@ -85,9 +85,11 @@ vet-tool:
 	@echo $(CURDIR)/bin/matscale-vet
 
 # Run the determinism/cost-model analyzers over the whole module,
-# reusing the binary vet-tool just built.
+# reusing the binary vet-tool just built, then the whole-module unused
+# check (dead code outside config.UnusedKeepers fails with file:line).
 vet: vet-tool
 	$(GO) vet -vettool=$(CURDIR)/bin/matscale-vet ./...
+	$(CURDIR)/bin/matscale-vet unused .
 
 # The CI fuzz targets, briefly.
 FUZZTIME ?= 30s

@@ -49,7 +49,9 @@ import (
 	"matscale"
 	"matscale/internal/experiments"
 	"matscale/internal/iso"
+	"matscale/internal/machine"
 	"matscale/internal/model"
+	"matscale/internal/sweep"
 )
 
 func main() {
@@ -296,15 +298,14 @@ func cmdRun(args []string) error {
 			fmt.Printf("predicted:  Tp = %.1f (model)\n", sel.PredictedTp)
 		}
 	} else {
-		algs := map[string]matscale.Algorithm{
-			"gk": matscale.GK, "gkimproved": matscale.GKImprovedBroadcast,
-			"cannon": matscale.Cannon, "fox": matscale.Fox, "foxpipe": matscale.FoxPipelined,
-			"simple": matscale.Simple, "berntsen": matscale.Berntsen, "dns": matscale.DNS,
-			"auto": nil,
-		}
-		alg, ok := algs[name]
-		if !ok {
-			return fmt.Errorf("unknown algorithm %q", name)
+		// "auto" reaches here only with -grid, where a nil algorithm
+		// selects DNS on the coarse grid.
+		var alg matscale.Algorithm
+		if name != "auto" {
+			var ok bool
+			if alg, ok = sweep.LookupAlgorithm(name); !ok {
+				return fmt.Errorf("unknown algorithm %q", name)
+			}
 		}
 		res, err = matscale.Run(alg, m, a, b, opts...)
 		if err == nil {
@@ -367,20 +368,11 @@ func cmdRun(args []string) error {
 // machineForPreset builds the simulated machine the run/robust commands
 // share: a named preset, or a custom hypercube from -ts/-tw.
 func machineForPreset(name string, p int, ts, tw float64) (*matscale.Machine, error) {
-	switch name {
-	case "ncube2":
-		return matscale.NCube2(p), nil
-	case "fast":
-		return matscale.FutureHypercube(p), nil
-	case "simd":
-		return matscale.SIMD(p), nil
-	case "cm5":
-		return matscale.CM5(p), nil
-	case "custom":
-		return matscale.Hypercube(p, ts, tw), nil
-	default:
+	build, _, _, ok := machine.LookupPreset(name, ts, tw)
+	if !ok {
 		return nil, fmt.Errorf("unknown machine %q", name)
 	}
+	return build(p), nil
 }
 
 // cmdRobust answers "how robust is each formulation to this fault

@@ -94,8 +94,8 @@ func TestDefaultBackendIsEvents(t *testing.T) {
 	hc := machine.Hypercube(8, 5, 1)
 	body := func(p *simulator.Proc) {
 		p.Compute(float64(p.Rank()))
-		p.Send((p.Rank()+1)%p.P(), 0, []float64{float64(p.Rank())})
-		p.Recycle(p.Recv((p.Rank()+p.P()-1)%p.P(), 0))
+		p.Send((p.Rank()+1)%p.Machine().P(), 0, []float64{float64(p.Rank())})
+		p.Recycle(p.Recv((p.Rank()+p.Machine().P()-1)%p.Machine().P(), 0))
 	}
 	e, err := simulator.Run(hc, body)
 	if err != nil {

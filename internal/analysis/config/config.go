@@ -70,24 +70,14 @@ var deterministicPkgs = map[string]bool{
 
 // chargedPkgs lists the algorithm/collective packages in which all
 // communication must be charged through the simulator's Proc API.
+// internal/matrix is deliberately absent: it hosts the parallel host
+// matmul kernel, whose goroutines and sync primitives run real
+// computation and move no simulated data, so there is no ts + tw·m
+// transfer for the model to miss. Paper algorithm code belongs in a
+// charged package, never in the kernel's.
 var chargedPkgs = map[string]bool{
 	"matscale/internal/core":       true,
 	"matscale/internal/collective": true,
-}
-
-// hostKernelPkgs are packages that run real computation on the host
-// machine and are deliberately OUTSIDE the cost-charging contract:
-// they are not algorithm formulations, so their goroutines, sync
-// primitives, and shared memory move no simulated data and there is no
-// ts + tw·m transfer for the model to miss. internal/matrix hosts the
-// parallel matmul kernel (goroutine workers over a deterministic
-// ownership partition), which the public HostMul calls directly. The
-// table exists to make the exemption explicit rather than an
-// accident of omission from chargedPkgs — a future PR moving paper
-// algorithm code into one of these packages should move that code into
-// a charged package instead of inheriting the exemption.
-var hostKernelPkgs = map[string]bool{
-	"matscale/internal/matrix": true,
 }
 
 // clockOwnerPkgs are the packages allowed to mutate machine cost
@@ -151,12 +141,6 @@ func Deterministic(path string) bool { return deterministicPkgs[Normalize(path)]
 // Charged reports whether the package at path is bound by the
 // cost-charging contract (costcharge).
 func Charged(path string) bool { return chargedPkgs[Normalize(path)] }
-
-// HostKernel reports whether the package at path is a documented host
-// compute kernel, exempt from the cost-charging contract because its
-// parallelism is real host work rather than simulated communication.
-// Charged and HostKernel are mutually exclusive by construction.
-func HostKernel(path string) bool { return hostKernelPkgs[Normalize(path)] }
 
 // ClockOwner reports whether the package at path may mutate guarded
 // clock/metrics fields (clockguard).
@@ -244,4 +228,42 @@ func MarkedLines(fset *token.FileSet, f *ast.File, marker string) map[int]bool {
 func SuppressedAt(lines map[int]bool, fset *token.FileSet, pos token.Pos) bool {
 	line := fset.Position(pos).Line
 	return lines[line] || lines[line-1]
+}
+
+// UnusedKeepers lists the declarations the whole-module unused check
+// (matscale-vet unused) must not report, each with the reason it stays
+// although no non-test code reaches it. Keys are "importpath.Name" or
+// "importpath.Type.Method". An entry naming no declaration, or one
+// that production code reaches, is stale and fails the check.
+var UnusedKeepers = map[string]string{
+	// Closed-form oracles: the collective and core tests assert that the
+	// live operation's measured time equals them exactly.
+	"matscale/internal/collective.ReduceTime":         "closed-form cost of the live Reduce; the collective tests check measured time against it",
+	"matscale/internal/collective.AllToAllTime":       "closed-form cost of the live AllToAll; the collective tests check measured time against it",
+	"matscale/internal/collective.AllReduceTime":      "closed-form cost of the live AllReduce; the collective tests check measured time against it",
+	"matscale/internal/collective.PipelinedChainTime": "closed-form cost of the pipelined chain broadcast FoxPacketPipelined runs",
+	"matscale/internal/model.PaperSimpleAllPortTp":    "Eq. (16) as printed; the model tests bound the live SimpleAllPortTo against it",
+	"matscale/internal/model.ImprovedGKTo":            "Table 1's improved-GK overhead; the iso tests derive its isoefficiency from it",
+	"matscale/internal/model.DNSToExact":              "exact DNS overhead; the model and regions tests bound the asymptotic DNSTo against it",
+	"matscale/internal/model.Efficiency":              "E = W/(W + To) (Section 2); the model, iso and tech tests check solved W against it",
+	"matscale/internal/core.FoxPacketPipelined":       "mechanism check for the packet-pipelined broadcast charge behind Eq. (4)",
+	// References the tests compare a live path against.
+	"matscale/internal/simulator.Proc.Send":  "copying send; the pool tests compare the live SendOwned path against it",
+	"matscale/internal/simulator.Proc.Clock": "a rank's virtual clock mid-program; the charge tests assert it",
+	"matscale/internal/matrix.Add":           "reference for the live AddInPlace and the Mul distributivity property test",
+	"matscale/internal/matrix.Grid.Assemble": "inverse of Partition; the partition round-trip and blocked-product tests compare against it",
+	// Workload generators core/property_test.go multiplies.
+	"matscale/internal/matrix.Banded":    "structured input of the core property tests",
+	"matscale/internal/matrix.Bandwidth": "checks the banded product of the core property tests",
+	"matscale/internal/matrix.Symmetric": "structured input of the core property tests",
+	"matscale/internal/matrix.Hilbert":   "structured input of the core property tests",
+	"matscale/internal/matrix.Diagonal":  "structured input of the core property tests",
+	// Per-processor memory, the input to the memory-dependent
+	// communication lower bound (ROADMAP item 5).
+	"matscale/internal/model.SimpleMemoryPerProc":   "input to the memory-dependent lower-bound oracle",
+	"matscale/internal/model.CannonMemoryPerProc":   "input to the memory-dependent lower-bound oracle",
+	"matscale/internal/model.BerntsenMemoryPerProc": "input to the memory-dependent lower-bound oracle",
+	"matscale/internal/model.GKMemoryPerProc":       "input to the memory-dependent lower-bound oracle",
+	// Test infrastructure.
+	"matscale/internal/analysis/analyzertest.Run": "fixture harness every analyzer test runs on",
 }

@@ -42,12 +42,6 @@ func TestClassification(t *testing.T) {
 		if got := config.Deterministic(c.path); got != c.deterministic {
 			t.Errorf("Deterministic(%q) = %v, want %v", c.path, got, c.deterministic)
 		}
-		// The host-kernel exemption and the charging contract are
-		// mutually exclusive: a package cannot both run uncharged host
-		// parallelism and be bound to the ts + tw·m model.
-		if config.HostKernel(c.path) && c.charged {
-			t.Errorf("HostKernel(%q) and Charged(%q) are both true", c.path, c.path)
-		}
 		if got := config.Charged(c.path); got != c.charged {
 			t.Errorf("Charged(%q) = %v, want %v", c.path, got, c.charged)
 		}
@@ -62,31 +56,6 @@ func TestClassification(t *testing.T) {
 		}
 		if got := config.UnitInference(c.path); got != c.unitInfer {
 			t.Errorf("UnitInference(%q) = %v, want %v", c.path, got, c.unitInfer)
-		}
-	}
-}
-
-// TestHostKernel pins the documented cost-charging exemption: the host
-// matmul kernel runs real parallelism outside the simulator, while formulation packages must never inherit it.
-func TestHostKernel(t *testing.T) {
-	for _, path := range []string{
-		"matscale/internal/matrix",
-		"matscale/internal/matrix_test", // test variants classify like the base
-		"matscale/internal/matrix.test",
-	} {
-		if !config.HostKernel(path) {
-			t.Errorf("HostKernel(%q) = false, want true", path)
-		}
-	}
-	for _, path := range []string{
-		"matscale/internal/core",
-		"matscale/internal/collective",
-		"matscale/internal/simulator",
-		"matscale",
-		"matscale/vendor/matscale/internal/matrix", // vendored code is outside every table
-	} {
-		if config.HostKernel(path) {
-			t.Errorf("HostKernel(%q) = true, want false", path)
 		}
 	}
 }

@@ -1,7 +1,7 @@
 // Package costcharge defines an analyzer enforcing the cost-charging
 // contract: in the algorithm and collective packages every transfer
-// must flow through the simulator's charged Proc API (Send, Recv,
-// Exchange, SendMulti, ChargedSend, …) so it is accounted at ts + tw·m.
+// must flow through the simulator's charged Proc API (SendOwned, Recv,
+// ExchangeNeighbor, ChargedSend, …) so it is accounted at ts + tw·m.
 // A raw channel operation or sync primitive would move data or order
 // execution in ways the postal model never charges, silently corrupting
 // Tp, To = p·Tp − W, and every isoefficiency figure derived from them.

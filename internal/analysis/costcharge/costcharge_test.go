@@ -9,9 +9,9 @@ import (
 )
 
 func TestCostcharge(t *testing.T) {
-	// internal/matrix is the documented host-kernel exemption
-	// (config.HostKernel): its fixture uses goroutines, sync, and
-	// channels and must produce zero diagnostics.
+	// internal/matrix, the host matmul kernel, is outside the charged
+	// packages: its fixture uses goroutines, sync, and channels and
+	// must produce zero diagnostics.
 	analyzertest.Run(t, filepath.Join("testdata"), costcharge.Analyzer,
 		"matscale/internal/core", "matscale/internal/matrix", "clean")
 }

@@ -1,6 +1,6 @@
 // Fixture for the costcharge analyzer: package path matches the real
-// host matmul kernel, which config.HostKernel documents as exempt from
-// the cost-charging contract — it runs real computation on the host
+// host matmul kernel, which the config package leaves outside the
+// cost-charging contract — it runs real computation on the host
 // machine, not a paper formulation, so its goroutines and sync
 // primitives move no simulated data. Every construct below would be a
 // diagnostic in a charged package; here none may fire.

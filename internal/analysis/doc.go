@@ -24,6 +24,14 @@
 //     document its units.
 //   - suite: the assembled analyzer list shared by cmd/matscale-vet
 //     and the meta-test.
+//   - unused: the whole-module dead-code check behind
+//     `matscale-vet unused`. It reports every package-level
+//     declaration or method no non-test code reaches from the roots
+//     (the root package's API and the methods of the types it
+//     aliases, main and init functions, nested modules, and methods
+//     satisfying an interface). Declarations kept on purpose are
+//     listed with a reason in config.UnusedKeepers; a stale keeper
+//     fails the check. `make vet` runs it after the vettool pass.
 //   - analyzertest: a self-contained fixture harness (the vendored
 //     x/tools subset does not include analysistest).
 //

@@ -1,7 +1,7 @@
 // Package ownflow defines a control-flow-sensitive analyzer verifying
 // the pooled zero-copy messaging discipline of docs/PERFORMANCE.md: a
 // buffer handed to an *Owned send (or to Recycle/PutBuf) belongs to the
-// runtime afterwards, a buffer obtained from Recv/GetBuf/Exchange
+// runtime afterwards, a buffer obtained from Recv/GetBuf/ExchangeNeighbor
 // belongs to the caller and must eventually die into the pool or
 // escape, and a sub-slice of a still-used buffer must never travel the
 // ownership-transfer path (the pooled slice would alias live memory).
@@ -42,15 +42,14 @@ import (
 const Doc = `verify buffer ownership across the pooled zero-copy messaging API
 
 The simulator's ownership-transfer messaging (SendOwned, SendFreeOwned,
-SendNeighborOwned, ExchangeOwned, ExchangeNeighborOwned, Recycle,
-PutBuf) recycles message payloads through a buffer pool. Passing a
-buffer to one of these transfers its ownership: using it afterwards
-reads (or corrupts) pooled memory, recycling it twice poisons the pool,
-and transferring a sub-slice of a buffer that is still used aliases
-live memory into the pool. Buffers obtained from Recv/GetBuf/Exchange
-are caller-owned and must reach Recycle/PutBuf, an owned send, a
-return, or another escape, or the pool churns allocations on the hot
-path. ownflow tracks these states over the control-flow graph and
+SendNeighborOwned, Recycle, PutBuf) recycles message payloads through
+a buffer pool. Passing a buffer to one of these transfers its
+ownership: using it afterwards reads (or corrupts) pooled memory,
+recycling it twice poisons the pool, and transferring a sub-slice of a
+buffer that is still used aliases live memory into the pool. Buffers
+obtained from Recv/GetBuf/ExchangeNeighbor are caller-owned and must
+reach Recycle/PutBuf, an owned send, a return, or another escape, or
+the pool churns allocations on the hot path. ownflow tracks these states over the control-flow graph and
 reports violations; reviewed escapes are annotated '//ownflow:reviewed'.`
 
 // Analyzer is the ownflow analyzer.
@@ -68,24 +67,19 @@ const reviewedMarker = "//ownflow:reviewed"
 // pooled messaging API to the index of the argument whose ownership
 // transfers to the runtime.
 var consumeArg = map[string]int{
-	"SendOwned":             2,
-	"SendFreeOwned":         2,
-	"SendNeighborOwned":     2,
-	"ExchangeOwned":         2,
-	"ExchangeNeighborOwned": 2,
-	"Recycle":               0,
-	"PutBuf":                0,
+	"SendOwned":         2,
+	"SendFreeOwned":     2,
+	"SendNeighborOwned": 2,
+	"Recycle":           0,
+	"PutBuf":            0,
 }
 
 // producers are the methods whose []float64 result is an owned buffer
 // the caller is responsible for: it must die into the pool or escape.
 var producers = map[string]bool{
-	"Recv":                  true,
-	"GetBuf":                true,
-	"Exchange":              true,
-	"ExchangeOwned":         true,
-	"ExchangeNeighbor":      true,
-	"ExchangeNeighborOwned": true,
+	"Recv":             true,
+	"GetBuf":           true,
+	"ExchangeNeighbor": true,
 }
 
 func run(pass *analysis.Pass) (interface{}, error) {
@@ -355,8 +349,8 @@ func unparen(e ast.Expr) ast.Expr {
 }
 
 // ---------------------------------------------------------------------
-// Leak check: owned buffers produced by Recv/GetBuf/Exchange must die
-// into the pool or escape.
+// Leak check: owned buffers produced by Recv/GetBuf/ExchangeNeighbor
+// must die into the pool or escape.
 // ---------------------------------------------------------------------
 
 // checkLeaks flags producer calls whose buffer is dropped outright and
@@ -568,24 +562,6 @@ func (s state) join(o state) bool {
 		}
 	}
 	return changed
-}
-
-func (s state) equal(o state) bool {
-	if len(s) != len(o) {
-		return false
-	}
-	for v, sites := range s {
-		osites, ok := o[v]
-		if !ok || len(sites) != len(osites) {
-			return false
-		}
-		for t := range sites {
-			if !osites[t] {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // propagate runs the forward fixpoint and then the reporting pass.

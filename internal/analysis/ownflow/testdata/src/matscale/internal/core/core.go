@@ -102,15 +102,6 @@ func sendThenReplace(pr *simulator.Proc, steps int) {
 	pr.Recycle(buf)
 }
 
-// exchangeOwnedRoll consumes and rebinds in one statement.
-func exchangeOwnedRoll(pr *simulator.Proc) float64 {
-	buf := pr.GetBuf(8)
-	buf = pr.ExchangeOwned(1, 0, buf)
-	v := buf[0]
-	pr.Recycle(buf)
-	return v
-}
-
 // branchRecycle transfers on one path but rebinds before the merge, so
 // the final Recycle is single-consumption on every path.
 func branchRecycle(pr *simulator.Proc, cond bool) {

@@ -19,17 +19,8 @@ func (p *Proc) SendFreeOwned(dst, tag int, data []float64) {}
 // SendNeighborOwned transfers ownership of data to the runtime.
 func (p *Proc) SendNeighborOwned(dst, tag int, data []float64) {}
 
-// Exchange copies data and returns a caller-owned buffer.
-func (p *Proc) Exchange(partner, tag int, data []float64) []float64 { return nil }
-
 // ExchangeNeighbor copies data and returns a caller-owned buffer.
 func (p *Proc) ExchangeNeighbor(partner, tag int, data []float64) []float64 { return nil }
-
-// ExchangeOwned consumes data and returns a caller-owned buffer.
-func (p *Proc) ExchangeOwned(partner, tag int, data []float64) []float64 { return nil }
-
-// ExchangeNeighborOwned consumes data and returns a caller-owned buffer.
-func (p *Proc) ExchangeNeighborOwned(partner, tag int, data []float64) []float64 { return nil }
 
 // Recv returns a caller-owned buffer.
 func (p *Proc) Recv(src, tag int) []float64 { return nil }

@@ -7,6 +7,9 @@ import (
 	"runtime"
 	"strings"
 	"testing"
+
+	"matscale/internal/analysis/config"
+	"matscale/internal/analysis/unused"
 )
 
 // goTool returns the go command of the running toolchain.
@@ -63,5 +66,26 @@ func TestRepoIsVetClean(t *testing.T) {
 		t.Errorf("go vet -vettool=matscale-vet ./... failed: %v\n%s", err, out)
 	} else if s := strings.TrimSpace(string(out)); s != "" {
 		t.Logf("vet output (non-fatal): %s", s)
+	}
+}
+
+// TestRepoHasNoUnusedCode runs the whole-module unused check as
+// `make vet` does: no declaration outside config.UnusedKeepers may be
+// unreachable from the module's roots, and no keeper may be stale —
+// naming a declaration that is gone or that production code now
+// reaches.
+func TestRepoHasNoUnusedCode(t *testing.T) {
+	if testing.Short() {
+		t.Skip("meta-test loads the whole module; skipped in -short mode")
+	}
+	r, err := unused.Check(repoRoot(t), config.UnusedKeepers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, f := range r.Unused {
+		t.Errorf("%s:%d: %s is unreachable from non-test code", f.Pos.Filename, f.Pos.Line, f.Name)
+	}
+	for _, k := range r.Stale {
+		t.Errorf("stale keeper %s (%s)", k, config.UnusedKeepers[k])
 	}
 }

@@ -273,24 +273,6 @@ func (d *Decoder) take(n int) []byte {
 	return b
 }
 
-// U8 reads one byte.
-func (d *Decoder) U8() uint8 {
-	b := d.take(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
-// Bool reads a one-byte bool, failing on values other than 0 and 1.
-func (d *Decoder) Bool() bool {
-	v := d.U8()
-	if d.err == nil && v > 1 {
-		d.err = fmt.Errorf("checkpoint: invalid bool byte %d at offset %d", v, d.off-1)
-	}
-	return v == 1
-}
-
 // U32 reads a little-endian uint32.
 func (d *Decoder) U32() uint32 {
 	b := d.take(4)
@@ -309,12 +291,6 @@ func (d *Decoder) U64() uint64 {
 	return binary.LittleEndian.Uint64(b)
 }
 
-// I64 reads an int64.
-func (d *Decoder) I64() int64 { return int64(d.U64()) }
-
-// F64 reads a float64.
-func (d *Decoder) F64() float64 { return math.Float64frombits(d.U64()) }
-
 // Str reads a length-prefixed string.
 func (d *Decoder) Str() string {
 	n := d.U32()
@@ -330,33 +306,4 @@ func (d *Decoder) Blob() []byte {
 		return nil
 	}
 	return d.take(int(n))
-}
-
-// F64s reads a length-prefixed []float64.
-func (d *Decoder) F64s() []float64 {
-	n := d.U64()
-	if d.err == nil && n*8 > uint64(d.Len()) {
-		d.err = fmt.Errorf("%w: %d float64s at offset %d exceed %d remaining bytes", ErrTruncated, n, d.off, d.Len())
-		return nil
-	}
-	if d.err != nil || n == 0 {
-		return nil
-	}
-	out := make([]float64, n)
-	for i := range out {
-		out[i] = d.F64()
-	}
-	return out
-}
-
-// Done fails unless the input was consumed exactly: no prior error and
-// no unread bytes.
-func (d *Decoder) Done() error {
-	if d.err != nil {
-		return d.err
-	}
-	if d.Len() != 0 {
-		return fmt.Errorf("checkpoint: %d unread payload bytes", d.Len())
-	}
-	return nil
 }

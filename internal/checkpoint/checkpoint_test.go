@@ -141,26 +141,26 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 	e.F64s([]float64{1.5, -2.5, math.Pi})
 	e.F64s(nil)
 
-	d := NewDecoder(e.Data())
-	if v := d.U8(); v != 200 {
-		t.Fatalf("U8 = %d", v)
+	// The one-byte and float encodings have no decoder of their own
+	// (snapshot state is verified by re-encoding), so their bytes are
+	// checked through the fixed-width readers.
+	if b := e.Data()[:3]; b[0] != 200 || b[1] != 1 || b[2] != 0 {
+		t.Fatalf("U8/Bool bytes = %v", b)
 	}
-	if !d.Bool() || d.Bool() {
-		t.Fatal("Bool round trip")
-	}
+	d := NewDecoder(e.Data()[3:])
 	if v := d.U32(); v != 0xdeadbeef {
 		t.Fatalf("U32 = %x", v)
 	}
 	if v := d.U64(); v != 1<<60 {
 		t.Fatalf("U64 = %d", v)
 	}
-	if v := d.I64(); v != -12345 {
+	if v := int64(d.U64()); v != -12345 {
 		t.Fatalf("I64 = %d", v)
 	}
-	if v := d.F64(); math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
+	if v := math.Float64frombits(d.U64()); math.Float64bits(v) != math.Float64bits(math.Copysign(0, -1)) {
 		t.Fatalf("F64 -0 = %v", v)
 	}
-	if v := d.F64(); !math.IsInf(v, 1) {
+	if v := math.Float64frombits(d.U64()); !math.IsInf(v, 1) {
 		t.Fatalf("F64 +Inf = %v", v)
 	}
 	if v := d.Str(); v != "hello, 世界" {
@@ -173,20 +173,19 @@ func TestPrimitivesRoundTrip(t *testing.T) {
 		t.Fatalf("Blob = %v", v)
 	}
 	want := []float64{1.5, -2.5, math.Pi}
-	got := d.F64s()
-	if len(got) != len(want) {
-		t.Fatalf("F64s = %v", got)
+	if n := d.U64(); n != uint64(len(want)) {
+		t.Fatalf("F64s length = %d", n)
 	}
 	for i := range want {
-		if got[i] != want[i] {
-			t.Fatalf("F64s[%d] = %v want %v", i, got[i], want[i])
+		if got := math.Float64frombits(d.U64()); got != want[i] {
+			t.Fatalf("F64s[%d] = %v want %v", i, got, want[i])
 		}
 	}
-	if v := d.F64s(); v != nil {
-		t.Fatalf("nil F64s = %v", v)
+	if n := d.U64(); n != 0 {
+		t.Fatalf("nil F64s length = %d", n)
 	}
-	if err := d.Done(); err != nil {
-		t.Fatalf("Done: %v", err)
+	if d.Err() != nil || d.Len() != 0 {
+		t.Fatalf("after decoding: err %v, %d unread bytes", d.Err(), d.Len())
 	}
 }
 
@@ -198,7 +197,7 @@ func TestDecoderSticky(t *testing.T) {
 	}
 	first := d.Err()
 	_ = d.Str()
-	_ = d.F64s()
+	_ = d.Blob()
 	if !errors.Is(d.Err(), first) && d.Err() != first {
 		t.Fatalf("error not sticky: %v then %v", first, d.Err())
 	}
@@ -214,25 +213,12 @@ func TestHostileLengths(t *testing.T) {
 	e := &Encoder{}
 	e.U64(math.MaxUint64)
 	d := NewDecoder(e.Data())
-	if v := d.F64s(); v != nil || d.Err() == nil {
-		t.Fatal("F64s with absurd count must fail, not allocate")
-	}
-	d = NewDecoder(e.Data())
 	if v := d.Blob(); v != nil || d.Err() == nil {
 		t.Fatal("Blob with absurd count must fail, not allocate")
 	}
 	d = NewDecoder([]byte{255, 255, 255, 255})
 	if v := d.Str(); v != "" || d.Err() == nil {
 		t.Fatal("Str with absurd count must fail")
-	}
-}
-
-func TestDoneLeftover(t *testing.T) {
-	d := NewDecoder([]byte{1, 2, 3})
-	_ = d.U8()
-	err := d.Done()
-	if err == nil || !strings.Contains(err.Error(), "unread") {
-		t.Fatalf("Done with leftovers = %v", err)
 	}
 }
 

@@ -150,14 +150,6 @@ func BroadcastCharged(pr *simulator.Proc, group []int, rootIdx, tag int, data []
 	return pr.Recv(group[rootIdx], tag)
 }
 
-// BroadcastJohnssonHo distributes data from rootIdx to every group
-// member, charging the Johnsson–Ho closed-form cost (Section 5.4.1).
-func BroadcastJohnssonHo(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
-	log2Size(group)
-	cost := JohnssonHoTime(pr.Machine().Ts, pr.Machine().Tw, len(data), len(group))
-	return BroadcastCharged(pr, group, rootIdx, tag, data, cost)
-}
-
 // ReduceCharged sums the members' equal-length vectors at the member at
 // rootIdx, charging each contributor exactly cost virtual time units
 // (the root's completion is the latest contribution's arrival). It is
@@ -434,28 +426,4 @@ func AllGatherFree(pr *simulator.Proc, group []int, tag int, mine []float64) []f
 		pr.Recycle(got)
 	}
 	return buf
-}
-
-// GatherFree collects every member's contribution at the root at zero
-// virtual cost. It exists for assembling results for verification
-// after the timed portion of an algorithm has finished. The root
-// receives the contributions ordered by group index; other members
-// return nil.
-func GatherFree(pr *simulator.Proc, group []int, rootIdx, tag int, mine []float64) [][]float64 {
-	idx := indexIn(group, pr.Rank())
-	if idx != rootIdx {
-		pr.SendFree(group[rootIdx], tag, mine)
-		return nil
-	}
-	out := make([][]float64, len(group))
-	cp := make([]float64, len(mine))
-	copy(cp, mine)
-	out[rootIdx] = cp
-	for i, r := range group {
-		if i == rootIdx {
-			continue
-		}
-		out[i] = pr.Recv(r, tag)
-	}
-	return out
 }

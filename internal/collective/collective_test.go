@@ -126,6 +126,8 @@ func TestJohnssonHoTimeFormula(t *testing.T) {
 	}
 }
 
+// The Johnsson–Ho broadcast as GK's improved variant (§5.4.1) issues
+// it: BroadcastCharged at the JohnssonHoTime closed form.
 func TestBroadcastJohnssonHoDeliversAndCharges(t *testing.T) {
 	m := machine.Hypercube(8, 9, 1)
 	group := seq(8)
@@ -134,7 +136,7 @@ func TestBroadcastJohnssonHoDeliversAndCharges(t *testing.T) {
 		if pr.Rank() == 3 {
 			data = vec(16, 0)
 		}
-		got := BroadcastJohnssonHo(pr, group, 3, 2, data)
+		got := BroadcastCharged(pr, group, 3, 2, data, JohnssonHoTime(9, 1, 16, 8))
 		if got[15] != 15 {
 			t.Errorf("rank %d got tail %v", pr.Rank(), got[15])
 		}
@@ -150,7 +152,7 @@ func TestBroadcastJohnssonHoDeliversAndCharges(t *testing.T) {
 func TestBroadcastJohnssonHoSingleton(t *testing.T) {
 	m := machine.Hypercube(2, 1, 1)
 	_, err := simulator.Run(m, func(pr *simulator.Proc) {
-		got := BroadcastJohnssonHo(pr, []int{pr.Rank()}, 0, 0, []float64{9})
+		got := BroadcastCharged(pr, []int{pr.Rank()}, 0, 0, []float64{9}, JohnssonHoTime(1, 1, 1, 1))
 		if got[0] != 9 {
 			t.Errorf("singleton broadcast lost data")
 		}
@@ -347,29 +349,6 @@ func TestReduceScatterIndivisiblePanics(t *testing.T) {
 	})
 	if err == nil || !strings.Contains(err.Error(), "not divisible") {
 		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGatherFree(t *testing.T) {
-	m := machine.Hypercube(4, 100, 100)
-	group := seq(4)
-	res, err := simulator.Run(m, func(pr *simulator.Proc) {
-		parts := GatherFree(pr, group, 2, 40, []float64{float64(pr.Rank())})
-		if pr.Rank() == 2 {
-			for i, part := range parts {
-				if part[0] != float64(i) {
-					t.Errorf("part %d = %v", i, part)
-				}
-			}
-		} else if parts != nil {
-			t.Errorf("non-root got parts")
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tp != 0 {
-		t.Fatalf("GatherFree charged time: Tp = %v", res.Tp)
 	}
 }
 

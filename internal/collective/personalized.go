@@ -10,115 +10,9 @@ import (
 
 // Personalized communication operations on hypercube-embedded groups,
 // following Johnsson & Ho [20] (the reference the paper draws its
-// communication costs from). These complete the substrate: Scatter and
-// Gather move distinct data between a root and every member; AllToAll
-// performs a full personalized exchange (the transpose primitive);
-// AllReduce composes ReduceScatter with AllGather.
-
-// Scatter distributes distinct equal-length slices from the member at
-// rootIdx to every member: the root passes data of length m·g and each
-// member receives its m-word slice (ordered by group index). The
-// binomial "halving" tree costs ts·log g + tw·m·(g−1) on the critical
-// path.
-func Scatter(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
-	d := log2Size(group)
-	idx := indexIn(group, pr.Rank())
-	g := len(group)
-	if rootIdx < 0 || rootIdx >= g {
-		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, g))
-	}
-	if idx == rootIdx && len(data)%g != 0 {
-		panic(fmt.Sprintf("collective: Scatter length %d not divisible by group size %d", len(data), g))
-	}
-	// Work in root-relative index space: member rel = idx ^ rootIdx
-	// owns slice rel after the last round.
-	rel := idx ^ rootIdx
-	var buf []float64 // slices [lo, hi) in rel space, contiguous
-	lo, hi := 0, g
-	if rel == 0 {
-		// Reorder the root's data into rel space once (free local move).
-		m := len(data) / g
-		buf = make([]float64, len(data))
-		for r := 0; r < g; r++ {
-			src := r ^ rootIdx // rel r holds the slice of member idx = r^rootIdx
-			copy(buf[r*m:(r+1)*m], data[src*m:(src+1)*m])
-		}
-	}
-	for s := d - 1; s >= 0; s-- {
-		mask := (1 << (s + 1)) - 1
-		switch rel & mask {
-		case 0:
-			if buf == nil {
-				panic("collective: Scatter internal state lost")
-			}
-			m := len(buf) / (hi - lo)
-			mid := (lo + hi) / 2
-			pr.SendNeighbor(group[(rel|1<<s)^rootIdx], tag, buf[(mid-lo)*m:])
-			buf = buf[:(mid-lo)*m]
-			hi = mid
-		case 1 << s:
-			buf = pr.Recv(group[(rel^1<<s)^rootIdx], tag)
-			lo = rel
-			hi = rel + 1<<s
-		}
-	}
-	out := make([]float64, len(buf))
-	copy(out, buf)
-	pr.Recycle(buf)
-	return out
-}
-
-// ScatterTime is the critical-path cost of Scatter for per-member
-// slice length m.
-func ScatterTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
-	return ts*float64(d) + tw*float64(m)*float64(g-1)
-}
-
-// Gather is the mirror of Scatter: every member contributes an m-word
-// slice and the root receives the g·m-word concatenation ordered by
-// group index (nil elsewhere). Same cost as Scatter.
-func Gather(pr *simulator.Proc, group []int, rootIdx, tag int, mine []float64) []float64 {
-	d := log2Size(group)
-	idx := indexIn(group, pr.Rank())
-	g := len(group)
-	if rootIdx < 0 || rootIdx >= g {
-		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, g))
-	}
-	m := len(mine)
-	rel := idx ^ rootIdx
-	buf := make([]float64, m)
-	copy(buf, mine)
-	// buf holds the contiguous rel-space range [rel, rel + len(buf)/m).
-	for s := 0; s < d; s++ {
-		mask := (1 << (s + 1)) - 1
-		switch rel & mask {
-		case 1 << s:
-			// buf is this member's private accumulator and dies here,
-			// so it rides the ownership-transfer fast path.
-			pr.SendNeighborOwned(group[(rel^1<<s)^rootIdx], tag, buf)
-			return nil
-		case 0:
-			got := pr.Recv(group[(rel|1<<s)^rootIdx], tag)
-			buf = append(buf, got...)
-			pr.Recycle(got)
-		}
-	}
-	// Root: undo the rel-space ordering back to group-index order.
-	out := make([]float64, g*m)
-	for r := 0; r < g; r++ {
-		src := r ^ rootIdx
-		copy(out[src*m:(src+1)*m], buf[r*m:(r+1)*m])
-	}
-	pr.Recycle(buf)
-	return out
-}
-
-// GatherTime is the critical-path cost of Gather.
-func GatherTime(ts, tw float64, m, g int) float64 { return ScatterTime(ts, tw, m, g) }
+// communication costs from). AllToAll performs a full personalized
+// exchange (the transpose primitive); AllReduce composes ReduceScatter
+// with AllGather.
 
 // AllToAll performs the complete personalized exchange: every member
 // passes one m-word message per member (concatenated in group-index

@@ -9,105 +9,6 @@ import (
 	"matscale/internal/simulator"
 )
 
-func TestScatterDeliversOwnSlice(t *testing.T) {
-	m := machine.Hypercube(8, 5, 2)
-	group := seq(8)
-	for root := 0; root < 8; root++ {
-		res, err := simulator.Run(m, func(pr *simulator.Proc) {
-			var data []float64
-			if pr.Rank() == root {
-				data = vec(8*3, 0) // member j's slice is [3j, 3j+1, 3j+2]
-			}
-			got := Scatter(pr, group, root, 1, data)
-			for i, v := range got {
-				if v != float64(3*pr.Rank()+i) {
-					t.Errorf("root %d rank %d got %v", root, pr.Rank(), got)
-					return
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := ScatterTime(5, 2, 3, 8); res.Tp != want {
-			t.Fatalf("root %d: Tp = %v, want %v", root, res.Tp, want)
-		}
-	}
-}
-
-func TestScatterTimeFormula(t *testing.T) {
-	// ts·3 + tw·m·7 = 15 + 2·3·7 = 57.
-	if got := ScatterTime(5, 2, 3, 8); got != 57 {
-		t.Fatalf("ScatterTime = %v, want 57", got)
-	}
-}
-
-func TestScatterIndivisiblePanics(t *testing.T) {
-	m := machine.Hypercube(4, 0, 0)
-	_, err := simulator.Run(m, func(pr *simulator.Proc) {
-		var data []float64
-		if pr.Rank() == 0 {
-			data = vec(7, 0)
-		}
-		Scatter(pr, seq(4), 0, 1, data)
-	})
-	if err == nil || !strings.Contains(err.Error(), "not divisible") {
-		t.Fatalf("err = %v", err)
-	}
-}
-
-func TestGatherCollectsInOrder(t *testing.T) {
-	m := machine.Hypercube(8, 5, 2)
-	group := seq(8)
-	for root := 0; root < 8; root++ {
-		res, err := simulator.Run(m, func(pr *simulator.Proc) {
-			mine := []float64{float64(pr.Rank()), float64(pr.Rank() * 10)}
-			got := Gather(pr, group, root, 1, mine)
-			if pr.Rank() != root {
-				if got != nil {
-					t.Errorf("non-root got data")
-				}
-				return
-			}
-			for j := 0; j < 8; j++ {
-				if got[2*j] != float64(j) || got[2*j+1] != float64(j*10) {
-					t.Errorf("root %d: slice %d = %v", root, j, got[2*j:2*j+2])
-				}
-			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if want := GatherTime(5, 2, 2, 8); res.Tp != want {
-			t.Fatalf("root %d: Tp = %v, want %v", root, res.Tp, want)
-		}
-	}
-}
-
-func TestScatterGatherRoundTrip(t *testing.T) {
-	m := machine.Hypercube(16, 1, 1)
-	group := seq(16)
-	_, err := simulator.Run(m, func(pr *simulator.Proc) {
-		var data []float64
-		if pr.Rank() == 5 {
-			data = vec(16*4, 100)
-		}
-		mine := Scatter(pr, group, 5, 1, data)
-		back := Gather(pr, group, 5, 200, mine)
-		if pr.Rank() == 5 {
-			for i, v := range back {
-				if v != 100+float64(i) {
-					t.Errorf("round trip lost data at %d: %v", i, v)
-					return
-				}
-			}
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-}
-
 func TestAllToAllExchanges(t *testing.T) {
 	m := machine.Hypercube(8, 7, 2)
 	group := seq(8)
@@ -257,36 +158,6 @@ func TestQuickAllToAllTwiceIsIdentity(t *testing.T) {
 		return err == nil && ok
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 10}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// Property: Gather(Scatter(x)) == x for any root.
-func TestQuickScatterGatherIdentity(t *testing.T) {
-	m := machine.Hypercube(4, 1, 1)
-	group := seq(4)
-	f := func(rootRaw, seed uint8) bool {
-		root := int(rootRaw) % 4
-		ok := true
-		_, err := simulator.Run(m, func(pr *simulator.Proc) {
-			var data []float64
-			if pr.Rank() == root {
-				data = vec(8, float64(seed))
-			}
-			mine := Scatter(pr, group, root, 1, data)
-			back := Gather(pr, group, root, 50, mine)
-			if pr.Rank() == root {
-				for i, v := range back {
-					if v != float64(seed)+float64(i) {
-						ok = false
-						return
-					}
-				}
-			}
-		})
-		return err == nil && ok
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -222,9 +222,6 @@ func gatherGrid(pr *simulator.Proc, ranks []int, gr, gc int, tag int, mine *matr
 	*out = c
 }
 
-// Tag bases. Each algorithm phase uses a distinct tag range so that
-// concurrent collectives never collide.
-const (
-	tagGatherC = 1 << 20 // final verification gather
-	tagBarrier = 1 << 21 // phase barriers (callers add a phase index)
-)
+// tagGatherC is the tag of the final verification gather, above every
+// algorithm phase's tag range so it never collides with a collective.
+const tagGatherC = 1 << 20

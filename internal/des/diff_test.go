@@ -172,7 +172,7 @@ func TestBackendEquivalenceContention(t *testing.T) {
 func TestEventsBackendErrors(t *testing.T) {
 	m := machine.Hypercube(4, 5, 1).WithBackend(machine.BackendEvents)
 	if _, err := simulator.Run(m, func(p *simulator.Proc) {
-		p.Recv((p.Rank()+1)%p.P(), 0) // nobody ever sends
+		p.Recv((p.Rank()+1)%p.Machine().P(), 0) // nobody ever sends
 	}); err == nil {
 		t.Error("deadlock not detected on events backend")
 	}
@@ -185,7 +185,7 @@ func TestEventsBackendErrors(t *testing.T) {
 		t.Error("rank panic not reported on events backend")
 	}
 	if _, err := simulator.Run(m, func(p *simulator.Proc) {
-		p.Send((p.Rank()+1)%p.P(), 0, []float64{1}) // never received
+		p.Send((p.Rank()+1)%p.Machine().P(), 0, []float64{1}) // never received
 	}); err == nil {
 		t.Error("unconsumed messages not reported on events backend")
 	}

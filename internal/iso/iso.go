@@ -121,44 +121,6 @@ func GrowthExponent(w func(p float64) float64, pLo, pHi float64, samples int) fl
 	return (nf*sxy - sx*sy) / (nf*sxx - sx*sx)
 }
 
-// MemoryConstrainedN solves memPerProc(n, p) = capacity for n — the
-// largest matrix dimension a machine with fixed per-processor memory
-// (capacity in matrix words) can hold at p processors. memPerProc must
-// be strictly increasing in n.
-func MemoryConstrainedN(memPerProc func(n, p float64) float64, p, capacity float64) float64 {
-	lo, hi := 1.0, 2.0
-	for memPerProc(hi, p) < capacity {
-		hi *= 2
-		if hi > 1e30 {
-			panic("iso: memory bound never reached")
-		}
-	}
-	for i := 0; i < 200 && hi-lo > 1e-12*hi; i++ {
-		mid := (lo + hi) / 2
-		if memPerProc(mid, p) < capacity {
-			lo = mid
-		} else {
-			hi = mid
-		}
-	}
-	return (lo + hi) / 2
-}
-
-// MemoryConstrainedEfficiency is the efficiency delivered when the
-// problem grows as fast as a fixed per-processor memory allows —
-// Worley-style memory-constrained scaling applied to the paper's
-// algorithms. For matrix multiplication, memory-efficient formulations
-// (Cannon: n² ∝ p) grow W like p^1.5, exactly Cannon's isoefficiency,
-// so their efficiency approaches a machine-dependent constant; the
-// simple algorithm's O(n²/√p)-per-processor appetite only affords
-// W ∝ p^(3/4), below its p^1.5 isoefficiency, so its efficiency decays
-// — the scalability cost of memory inefficiency.
-func MemoryConstrainedEfficiency(to, memPerProc func(n, p float64) float64, p, capacity float64) float64 {
-	n := MemoryConstrainedN(memPerProc, p, capacity)
-	w := n * n * n
-	return w / (w + to(n, p))
-}
-
 // MaxEfficiencyDNS returns the efficiency ceiling of the DNS algorithm
 // (Section 5.3): the 2·(ts+tw)·n³ term of its overhead grows exactly
 // as fast as W, so E can never exceed 1/(1 + 2(ts+tw)) no matter how

@@ -206,13 +206,24 @@ func TestQuickSolveWMonotone(t *testing.T) {
 	}
 }
 
-func TestMemoryConstrainedN(t *testing.T) {
-	// Cannon stores 3n²/p words per processor: capacity M gives
-	// n = sqrt(M·p/3).
-	n := MemoryConstrainedN(model.CannonMemoryPerProc, 64, 3000)
-	if math.Abs(n-math.Sqrt(3000*64.0/3)) > 1e-6*n {
-		t.Fatalf("n = %v", n)
+// memoryConstrainedEfficiency is the efficiency delivered when the
+// problem grows as fast as a fixed per-processor memory allows
+// (Worley-style memory-constrained scaling): n solves
+// memPerProc(n, p) = capacity by bisection.
+func memoryConstrainedEfficiency(to, memPerProc func(n, p float64) float64, p, capacity float64) float64 {
+	lo, hi := 1.0, 2.0
+	for memPerProc(hi, p) < capacity {
+		hi *= 2
 	}
+	for i := 0; i < 200 && hi-lo > 1e-12*hi; i++ {
+		if mid := (lo + hi) / 2; memPerProc(mid, p) < capacity {
+			lo = mid
+		} else {
+			hi = mid
+		}
+	}
+	n := (lo + hi) / 2
+	return n * n * n / (n*n*n + to(n, p))
 }
 
 func TestMemoryConstrainedScalingSeparatesAlgorithms(t *testing.T) {
@@ -224,14 +235,14 @@ func TestMemoryConstrainedScalingSeparatesAlgorithms(t *testing.T) {
 	toCannon := func(n, p float64) float64 { return model.CannonTo(pr, n, p) }
 	toSimple := func(n, p float64) float64 { return model.SimpleTo(pr, n, p) }
 
-	eC1 := MemoryConstrainedEfficiency(toCannon, model.CannonMemoryPerProc, 1<<8, capacity)
-	eC2 := MemoryConstrainedEfficiency(toCannon, model.CannonMemoryPerProc, 1<<26, capacity)
+	eC1 := memoryConstrainedEfficiency(toCannon, model.CannonMemoryPerProc, 1<<8, capacity)
+	eC2 := memoryConstrainedEfficiency(toCannon, model.CannonMemoryPerProc, 1<<26, capacity)
 	if eC2 < 0.8*eC1 {
 		t.Fatalf("Cannon memory-constrained efficiency collapsed: %v -> %v", eC1, eC2)
 	}
 
-	eS1 := MemoryConstrainedEfficiency(toSimple, model.SimpleMemoryPerProc, 1<<8, capacity)
-	eS2 := MemoryConstrainedEfficiency(toSimple, model.SimpleMemoryPerProc, 1<<26, capacity)
+	eS1 := memoryConstrainedEfficiency(toSimple, model.SimpleMemoryPerProc, 1<<8, capacity)
+	eS2 := memoryConstrainedEfficiency(toSimple, model.SimpleMemoryPerProc, 1<<26, capacity)
 	if eS2 > 0.35*eS1 {
 		t.Fatalf("Simple memory-constrained efficiency did not decay: %v -> %v", eS1, eS2)
 	}

@@ -1,6 +1,7 @@
 package machine
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -205,5 +206,40 @@ func TestWithAllPortDerivesCopy(t *testing.T) {
 	}
 	if ap.Ts != m.Ts || ap.Tw != m.Tw || ap.Topo != m.Topo {
 		t.Fatal("WithAllPort must preserve cost constants and topology")
+	}
+}
+
+// Every preset name reports, without building a topology, the (ts, tw)
+// its machines carry — the constants sweep's prediction pre-pass
+// charges — and its constructor is the named preset function.
+func TestLookupPresetConstantsMatchMachine(t *testing.T) {
+	for _, c := range []struct {
+		name   string
+		ts, tw float64
+		ctor   func(int) *Machine
+	}{
+		{"ncube2", 150, 3, NCube2},
+		{"fast", 10, 3, FutureHypercube},
+		{"simd", 0.5, 3, SIMD},
+		{"cm5", CM5StartupMicros / CM5FlopMicros, CM5PerWordMicros / CM5FlopMicros, CM5},
+		{"custom", 17, 2, func(p int) *Machine { return Hypercube(p, 17, 2) }},
+	} {
+		build, ts, tw, ok := LookupPreset(c.name, 17, 2)
+		if !ok {
+			t.Fatalf("LookupPreset(%q) not found", c.name)
+		}
+		if ts != c.ts || tw != c.tw {
+			t.Errorf("%s: constants (%v, %v), want (%v, %v)", c.name, ts, tw, c.ts, c.tw)
+		}
+		m := build(64)
+		if m.Ts != ts || m.Tw != tw {
+			t.Errorf("%s: built machine carries (%v, %v), lookup reports (%v, %v)", c.name, m.Ts, m.Tw, ts, tw)
+		}
+		if want := c.ctor(64); !reflect.DeepEqual(m, want) {
+			t.Errorf("%s: built %+v, want %+v", c.name, m, want)
+		}
+	}
+	if _, _, _, ok := LookupPreset("cray", 1, 1); ok {
+		t.Error("LookupPreset accepted an unknown name")
 	}
 }

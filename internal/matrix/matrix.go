@@ -96,16 +96,6 @@ func Add(a, b *Dense) *Dense {
 	return out
 }
 
-// Sub returns a - b.
-func Sub(a, b *Dense) *Dense {
-	sameShape("Sub", a, b)
-	out := New(a.Rows, a.Cols)
-	for i, v := range a.Data {
-		out.Data[i] = v - b.Data[i]
-	}
-	return out
-}
-
 // AddInPlace accumulates b into a.
 func (m *Dense) AddInPlace(b *Dense) {
 	sameShape("AddInPlace", m, b)
@@ -264,15 +254,6 @@ func MaxAbsDiff(a, b *Dense) float64 {
 		}
 	}
 	return max
-}
-
-// EqualWithin reports whether every element of a and b differs by at
-// most eps.
-func EqualWithin(a, b *Dense, eps float64) bool {
-	if a.Rows != b.Rows || a.Cols != b.Cols {
-		return false
-	}
-	return MaxAbsDiff(a, b) <= eps
 }
 
 // FrobeniusNorm returns the Frobenius norm of m.

@@ -76,16 +76,6 @@ func TestCloneIndependent(t *testing.T) {
 	}
 }
 
-func TestAddSub(t *testing.T) {
-	a := Random(5, 3, 3)
-	b := Random(5, 3, 4)
-	s := Add(a, b)
-	d := Sub(s, b)
-	if diff := MaxAbsDiff(d, a); diff != 0 {
-		t.Fatalf("(a+b)-b differs from a by %v", diff)
-	}
-}
-
 func TestAddShapeMismatchPanics(t *testing.T) {
 	defer expectPanic(t, "shape mismatch")
 	Add(New(2, 2), New(2, 3))
@@ -193,21 +183,6 @@ func TestFrobeniusNorm(t *testing.T) {
 	a := FromRows([][]float64{{3, 0}, {0, 4}})
 	if n := a.FrobeniusNorm(); n != 5 {
 		t.Fatalf("FrobeniusNorm = %v, want 5", n)
-	}
-}
-
-func TestEqualWithin(t *testing.T) {
-	a := Random(3, 3, 40)
-	b := a.Clone()
-	b.Data[4] += 1e-9
-	if !EqualWithin(a, b, 1e-8) {
-		t.Fatal("EqualWithin(1e-8) = false, want true")
-	}
-	if EqualWithin(a, b, 1e-10) {
-		t.Fatal("EqualWithin(1e-10) = true, want false")
-	}
-	if EqualWithin(a, New(3, 4), 1) {
-		t.Fatal("EqualWithin across shapes = true, want false")
 	}
 }
 

@@ -38,14 +38,6 @@ func (g *Grid) Block(i, j int) *Dense {
 	return g.Blocks[i*g.GridCols+j]
 }
 
-// SetGridBlock replaces the sub-block at grid position (i, j).
-func (g *Grid) SetGridBlock(i, j int, b *Dense) {
-	if i < 0 || i >= g.GridRows || j < 0 || j >= g.GridCols {
-		panic(fmt.Sprintf("matrix: grid index (%d,%d) out of range %dx%d", i, j, g.GridRows, g.GridCols))
-	}
-	g.Blocks[i*g.GridCols+j] = b
-}
-
 // Assemble reconstitutes the full matrix from the grid of blocks.
 func (g *Grid) Assemble() *Dense {
 	if len(g.Blocks) == 0 {

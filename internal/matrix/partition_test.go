@@ -45,25 +45,9 @@ func TestGridIndexPanics(t *testing.T) {
 	g.Block(2, 0)
 }
 
-func TestSetGridBlock(t *testing.T) {
-	g := Partition(New(4, 4), 2, 2)
-	b := Identity(2)
-	g.SetGridBlock(0, 1, b)
-	m := g.Assemble()
-	if m.At(0, 2) != 1 || m.At(1, 3) != 1 {
-		t.Fatal("SetGridBlock did not land in assembled matrix")
-	}
-}
-
-func TestSetGridBlockPanics(t *testing.T) {
-	g := Partition(New(4, 4), 2, 2)
-	defer expectPanic(t, "out of range")
-	g.SetGridBlock(0, 2, Identity(2))
-}
-
 func TestAssembleRaggedPanics(t *testing.T) {
 	g := Partition(New(4, 4), 2, 2)
-	g.SetGridBlock(1, 1, New(1, 1))
+	g.Blocks[3] = New(1, 1)
 	defer expectPanic(t, "ragged block")
 	g.Assemble()
 }

@@ -1,7 +1,5 @@
 package matrix
 
-import "math"
-
 // Structured test workloads. The paper's experiments multiply dense
 // random matrices, but structured inputs catch indexing bugs random
 // data can mask (a transposed block produces the same norm but a very
@@ -57,21 +55,6 @@ func Symmetric(n int, seed uint64) *Dense {
 		}
 	}
 	return m
-}
-
-// IsSymmetric reports whether m equals its transpose within eps.
-func IsSymmetric(m *Dense, eps float64) bool {
-	if !m.IsSquare() {
-		return false
-	}
-	for i := 0; i < m.Rows; i++ {
-		for j := i + 1; j < m.Cols; j++ {
-			if math.Abs(m.Data[i*m.Cols+j]-m.Data[j*m.Cols+i]) > eps {
-				return false
-			}
-		}
-	}
-	return true
 }
 
 // Hilbert returns the n×n Hilbert matrix H[i][j] = 1/(i+j+1) — a

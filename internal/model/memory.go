@@ -40,15 +40,3 @@ func BerntsenMemoryPerProc(n, p float64) float64 {
 func GKMemoryPerProc(n, p float64) float64 {
 	return 3 * n * n / math.Pow(p, 2.0/3.0)
 }
-
-// TotalMemory returns p times the per-processor requirement.
-func TotalMemory(perProc func(n, p float64) float64, n, p float64) float64 {
-	return p * perProc(n, p)
-}
-
-// MemoryEfficient reports whether the formulation's total memory stays
-// within the given constant factor of the serial algorithm's 2n²
-// input storage as p grows (checked at the supplied operating point).
-func MemoryEfficient(perProc func(n, p float64) float64, n, p, factor float64) bool {
-	return TotalMemory(perProc, n, p) <= factor*2*n*n
-}

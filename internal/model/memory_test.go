@@ -5,6 +5,17 @@ import (
 	"testing"
 )
 
+// totalMemory returns p times the per-processor requirement.
+func totalMemory(perProc func(n, p float64) float64, n, p float64) float64 {
+	return p * perProc(n, p)
+}
+
+// memoryEfficient reports whether the formulation's total memory stays
+// within factor of the serial algorithm's 2n² input storage at (n, p).
+func memoryEfficient(perProc func(n, p float64) float64, n, p, factor float64) bool {
+	return totalMemory(perProc, n, p) <= factor*2*n*n
+}
+
 func TestMemoryPerProcKnownValues(t *testing.T) {
 	n, p := 64.0, 64.0 // √p=8, p^(2/3)=16
 	if got, want := SimpleMemoryPerProc(n, p), 64.0+2*8*64; got != want {
@@ -26,22 +37,22 @@ func TestMemoryEfficiencyClassification(t *testing.T) {
 	// any p. Sections 4.1/4.4/4.6: the others are not.
 	n := 1024.0
 	for _, p := range []float64{64, 4096, 1 << 18} {
-		if !MemoryEfficient(CannonMemoryPerProc, n, p, 2) {
+		if !memoryEfficient(CannonMemoryPerProc, n, p, 2) {
 			t.Errorf("Cannon not memory efficient at p=%v", p)
 		}
 	}
 	// Simple's total grows like √p: inefficient at large p.
-	if MemoryEfficient(SimpleMemoryPerProc, n, 1<<18, 4) {
+	if memoryEfficient(SimpleMemoryPerProc, n, 1<<18, 4) {
 		t.Error("Simple classified memory efficient at p=2^18")
 	}
 	// GK's total grows like p^(1/3).
-	if MemoryEfficient(GKMemoryPerProc, n, 1<<18, 4) {
+	if memoryEfficient(GKMemoryPerProc, n, 1<<18, 4) {
 		t.Error("GK classified memory efficient at p=2^18")
 	}
 	// Berntsen: total = 2n² + n²·p^(1/3) — also inefficient, as the
 	// paper notes ("like the one in Section 4.1 is not memory
 	// efficient").
-	if MemoryEfficient(BerntsenMemoryPerProc, n, 1<<18, 4) {
+	if memoryEfficient(BerntsenMemoryPerProc, n, 1<<18, 4) {
 		t.Error("Berntsen classified memory efficient at p=2^18")
 	}
 }
@@ -51,7 +62,7 @@ func TestMemoryGrowthRates(t *testing.T) {
 	// GK/Berntsen 1/3, Cannon 0.
 	n := 4096.0
 	rate := func(f func(n, p float64) float64) float64 {
-		lo, hi := TotalMemory(f, n, 1<<12), TotalMemory(f, n, 1<<24)
+		lo, hi := totalMemory(f, n, 1<<12), totalMemory(f, n, 1<<24)
 		return math.Log2(hi/lo) / 12
 	}
 	if r := rate(CannonMemoryPerProc); math.Abs(r) > 1e-9 {

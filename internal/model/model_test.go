@@ -90,12 +90,6 @@ func TestEfficiencyHelpers(t *testing.T) {
 	if e := Efficiency(100, 100); e != 0.5 {
 		t.Fatalf("Efficiency = %v", e)
 	}
-	if e := EfficiencyFromTp(1000, 10, 200); e != 0.5 {
-		t.Fatalf("EfficiencyFromTp = %v", e)
-	}
-	if w := W(10); w != 1000 {
-		t.Fatalf("W = %v", w)
-	}
 }
 
 func TestSpecsShape(t *testing.T) {
@@ -269,8 +263,8 @@ func TestQuickEfficiencyBounds(t *testing.T) {
 		p := math.Pow(2, float64(2+pe%12))
 		n := math.Pow(2, float64(4+ne%8))
 		for _, s := range []func(Params, float64, float64) float64{CannonTo, GKTo, SimpleTo} {
-			e := Efficiency(W(n), s(pr, n, p))
-			e2 := Efficiency(W(2*n), s(pr, 2*n, p))
+			e := Efficiency(n*n*n, s(pr, n, p))
+			e2 := Efficiency(8*n*n*n, s(pr, 2*n, p))
 			if e <= 0 || e > 1 || e2 < e {
 				return false
 			}

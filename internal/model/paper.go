@@ -23,10 +23,6 @@ type Params struct {
 	Ts, Tw float64
 }
 
-// W returns the problem size W = n³ (Section 2): the serial operation
-// count in flop units.
-func W(n float64) float64 { return n * n * n }
-
 // log2 is a shorthand; the paper's "log" is base 2 throughout.
 func log2(x float64) float64 { return math.Log2(x) }
 
@@ -140,9 +136,6 @@ func GKAllPortTo(pr Params, n, p float64) float64 {
 
 // Efficiency returns E = W/(W + To) for a given overhead function value.
 func Efficiency(w, to float64) float64 { return w / (w + to) }
-
-// EfficiencyFromTp returns the efficiency E = W/(p·Tp).
-func EfficiencyFromTp(w, p, tp float64) float64 { return w / (p * tp) }
 
 // Spec describes one of the algorithms compared in Section 6 of the
 // paper: its Table 1 overhead function, its region letter in

@@ -73,42 +73,6 @@ func Compute(pr model.Params, pMaxExp, nMaxExp int) *Map {
 	return m
 }
 
-// At returns the letter for the cell with n = 2^nExp, p = 2^pExp.
-func (m *Map) At(nExp, pExp int) byte {
-	for i, ne := range m.NExp {
-		if ne != nExp {
-			continue
-		}
-		for j, pe := range m.PExp {
-			if pe == pExp {
-				return m.Cells[i][j]
-			}
-		}
-	}
-	panic(fmt.Sprintf("regions: cell (n=2^%d, p=2^%d) outside map", nExp, pExp))
-}
-
-// Fraction returns the share of feasible parallel cells labeled with
-// letter (infeasible and p=1 cells are excluded from the denominator).
-func (m *Map) Fraction(letter byte) float64 {
-	var total, hit int
-	for _, row := range m.Cells {
-		for _, c := range row {
-			if c == Infeasible || c == Serial {
-				continue
-			}
-			total++
-			if c == letter {
-				hit++
-			}
-		}
-	}
-	if total == 0 {
-		return 0
-	}
-	return float64(hit) / float64(total)
-}
-
 // Render draws the map with n increasing upward and p rightward, in
 // the paper's lettering.
 func (m *Map) Render() string {

@@ -8,6 +8,28 @@ import (
 	"matscale/internal/model"
 )
 
+// fraction returns the share of feasible parallel cells labeled with
+// letter (infeasible and p=1 cells are excluded from the denominator).
+// Compute's exponents start at 0, so the tests read the cell for
+// n = 2^i, p = 2^j as m.Cells[i][j].
+func (m *Map) fraction(letter byte) float64 {
+	var total, hit int
+	for _, row := range m.Cells {
+		for _, c := range row {
+			if c != Infeasible && c != Serial {
+				total++
+				if c == letter {
+					hit++
+				}
+			}
+		}
+	}
+	if total == 0 {
+		return 0
+	}
+	return float64(hit) / float64(total)
+}
+
 var (
 	ncube = model.Params{Ts: 150, Tw: 3} // Figure 1
 	fast  = model.Params{Ts: 10, Tw: 3}  // Figure 2
@@ -33,24 +55,24 @@ func TestFigure1Regions(t *testing.T) {
 
 	// Spot checks along the paper's axes:
 	// p between n^(3/2) and n²: GK beats Cannon for this machine.
-	if got := m.At(10, 16); got != 'a' { // n=2^10, p=2^16: n^1.5=2^15 < p < n²=2^20
+	if got := m.Cells[10][16]; got != 'a' { // n=2^10, p=2^16: n^1.5=2^15 < p < n²=2^20
 		t.Fatalf("Figure 1 (n=2^10, p=2^16) = %c, want a", got)
 	}
 	// p between n² and n³: only GK and DNS apply; GK wins for ts=150.
-	if got := m.At(8, 20); got != 'a' { // n=2^8: n²=2^16, n³=2^24
+	if got := m.Cells[8][20]; got != 'a' { // n=2^8: n²=2^16, n³=2^24
 		t.Fatalf("Figure 1 (n=2^8, p=2^20) = %c, want a", got)
 	}
 	// p < n^(3/2): Berntsen.
-	if got := m.At(12, 10); got != 'b' {
+	if got := m.Cells[12][10]; got != 'b' {
 		t.Fatalf("Figure 1 (n=2^12, p=2^10) = %c, want b", got)
 	}
 	// Infeasible corner.
-	if got := m.At(2, 20); got != Infeasible {
+	if got := m.Cells[2][20]; got != Infeasible {
 		t.Fatalf("Figure 1 (n=4, p=2^20) = %c, want x", got)
 	}
 	// DNS should win nowhere on this machine (Section 6: the high ts
 	// pushes any DNS advantage far beyond the practical range).
-	if f := m.Fraction('d'); f != 0 {
+	if f := m.fraction('d'); f != 0 {
 		t.Fatalf("Figure 1: DNS region fraction = %v, want 0", f)
 	}
 	// Cannon wins nowhere for p ≥ 16 (it picks up a sliver at p ∈ {4,8}
@@ -66,7 +88,7 @@ func TestFigure1Regions(t *testing.T) {
 	}
 	// Berntsen and GK split essentially the whole feasible plane (the
 	// remainder is the p ≤ 8 sliver above).
-	if f := m.Fraction('b') + m.Fraction('a'); f < 0.9 {
+	if f := m.fraction('b') + m.fraction('a'); f < 0.9 {
 		t.Fatalf("Figure 1: a+b fractions = %v, want ≈1", f)
 	}
 }
@@ -77,7 +99,7 @@ func TestFigure2AllFourRegionsExist(t *testing.T) {
 	// practical values of p and n".
 	m := Compute(fast, 30, 16)
 	for _, letter := range []byte{'a', 'b', 'c', 'd'} {
-		if m.Fraction(letter) == 0 {
+		if m.fraction(letter) == 0 {
 			t.Errorf("Figure 2: algorithm %c has no region", letter)
 		}
 	}
@@ -88,13 +110,13 @@ func TestFigure3SIMDRegions(t *testing.T) {
 	// n^(3/2) ≤ p ≤ n², Berntsen for p < n^(3/2); GK inferior in the
 	// practical range (it only wins beyond p ≈ 1.3·10^8 — footnote 4).
 	m := Compute(simd, 26, 16)
-	if got := m.At(8, 20); got != 'd' { // n² = 2^16 ≤ p = 2^20 ≤ n³ = 2^24
+	if got := m.Cells[8][20]; got != 'd' { // n² = 2^16 ≤ p = 2^20 ≤ n³ = 2^24
 		t.Fatalf("Figure 3 (n=2^8, p=2^20) = %c, want d", got)
 	}
-	if got := m.At(10, 17); got != 'c' { // n^1.5 = 2^15 ≤ p ≤ n² = 2^20
+	if got := m.Cells[10][17]; got != 'c' { // n^1.5 = 2^15 ≤ p ≤ n² = 2^20
 		t.Fatalf("Figure 3 (n=2^10, p=2^17) = %c, want c", got)
 	}
-	if got := m.At(12, 10); got != 'b' {
+	if got := m.Cells[12][10]; got != 'b' {
 		t.Fatalf("Figure 3 (n=2^12, p=2^10) = %c, want b", got)
 	}
 	// GK only beyond ~1.3e8 processors in the interior: nothing in
@@ -196,16 +218,6 @@ func TestRenderContainsLegendAndAxes(t *testing.T) {
 			t.Errorf("Render missing %q:\n%s", frag, s)
 		}
 	}
-}
-
-func TestAtOutsideMapPanics(t *testing.T) {
-	m := Compute(ncube, 4, 4)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic")
-		}
-	}()
-	m.At(99, 0)
 }
 
 func TestMapCSV(t *testing.T) {

@@ -23,7 +23,7 @@ func faultedMachine(p int, f *faults.Config) *machine.Machine {
 // followed by a ring shift.
 func ringProgram(rounds, words int) func(*Proc) {
 	return func(pr *Proc) {
-		p := pr.P()
+		p := pr.Machine().P()
 		for r := 0; r < rounds; r++ {
 			pr.Compute(100)
 			pr.Send((pr.Rank()+1)%p, r, make([]float64, words))

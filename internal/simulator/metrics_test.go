@@ -99,49 +99,6 @@ func TestMetricsLinksChargedOnly(t *testing.T) {
 	}
 }
 
-func TestMetricsSendMultiChargesEachLink(t *testing.T) {
-	// All-port: sender is charged max individual cost, but each link
-	// records its own transfer time.
-	m := metricsMachine(4, 10, 2)
-	m.AllPort = true
-	res, err := Run(m, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			p.SendMulti([]Transfer{
-				{Dst: 1, Tag: 1, Data: []float64{1}},
-				{Dst: 2, Tag: 1, Data: []float64{1, 2, 3}},
-			})
-		case 1:
-			p.Recv(0, 1)
-		case 2:
-			p.Recv(0, 1)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	r0 := res.Metrics.Ranks[0]
-	if r0.Send != 16 { // max(10+2, 10+6)
-		t.Fatalf("all-port SendMulti charge = %v, want 16", r0.Send)
-	}
-	var l01, l02 *LinkMetrics
-	for i := range res.Metrics.Links {
-		l := &res.Metrics.Links[i]
-		if l.From == 0 && l.To == 1 {
-			l01 = l
-		}
-		if l.From == 0 && l.To == 2 {
-			l02 = l
-		}
-	}
-	if l01 == nil || l02 == nil {
-		t.Fatalf("links = %+v", res.Metrics.Links)
-	}
-	if l01.Busy != 12 || l02.Busy != 16 {
-		t.Fatalf("link busy = %v, %v; want 12, 16", l01.Busy, l02.Busy)
-	}
-}
-
 func TestMetricsDerivedQuantities(t *testing.T) {
 	res, err := Run(metricsMachine(2, 0, 1), func(p *Proc) {
 		if p.Rank() == 0 {

@@ -143,8 +143,9 @@ func TestOwnedSendsVirtualTimeIdentical(t *testing.T) {
 	}
 }
 
-// TestExchangeOwnedMatchesExchange checks the owned exchange delivers
-// the partner's data with the exact virtual time of the copying one.
+// TestExchangeOwnedMatchesExchange checks an exchange through SendOwned
+// delivers the partner's data with the exact virtual time of one
+// through the copying Send.
 func TestExchangeOwnedMatchesExchange(t *testing.T) {
 	m := twoProc(10, 2)
 	run := func(owned bool) *Result {
@@ -152,10 +153,11 @@ func TestExchangeOwnedMatchesExchange(t *testing.T) {
 			data := []float64{float64(p.Rank()), 7}
 			var got []float64
 			if owned {
-				got = p.ExchangeOwned(1-p.Rank(), 3, data)
+				p.SendOwned(1-p.Rank(), 3, data)
 			} else {
-				got = p.Exchange(1-p.Rank(), 3, data)
+				p.Send(1-p.Rank(), 3, data)
 			}
+			got = p.Recv(1-p.Rank(), 3)
 			if got[0] != float64(1-p.Rank()) || got[1] != 7 {
 				t.Errorf("rank %d received %v", p.Rank(), got)
 			}
@@ -167,7 +169,7 @@ func TestExchangeOwnedMatchesExchange(t *testing.T) {
 	}
 	base, owned := run(false), run(true)
 	if base.Tp != owned.Tp || base.TotalComm != owned.TotalComm {
-		t.Errorf("Exchange/ExchangeOwned timing differs: (%v, %v) vs (%v, %v)",
+		t.Errorf("Send/SendOwned exchange timing differs: (%v, %v) vs (%v, %v)",
 			base.Tp, base.TotalComm, owned.Tp, owned.TotalComm)
 	}
 }

@@ -138,7 +138,8 @@ func TestExchangeChargesOnce(t *testing.T) {
 	// both finish at 14, modeling one shift step.
 	res, err := Run(twoProc(10, 1), func(p *Proc) {
 		other := 1 - p.Rank()
-		got := p.Exchange(other, 3, []float64{float64(p.Rank()), 0, 0, 0})
+		p.Send(other, 3, []float64{float64(p.Rank()), 0, 0, 0})
+		got := p.Recv(other, 3)
 		if got[0] != float64(other) {
 			t.Errorf("rank %d received %v", p.Rank(), got)
 		}
@@ -159,7 +160,8 @@ func TestExchangeSynchronizesLaggard(t *testing.T) {
 		if p.Rank() == 1 {
 			p.Compute(50)
 		}
-		p.Exchange(1-p.Rank(), 0, []float64{1})
+		p.Send(1-p.Rank(), 0, []float64{1})
+		p.Recv(1-p.Rank(), 0)
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -217,49 +219,6 @@ func TestStoreAndForwardMultiHopCharge(t *testing.T) {
 	}
 	if res.Tp != 36 {
 		t.Fatalf("Tp = %v, want 36", res.Tp)
-	}
-}
-
-func TestSendMultiOnePortSums(t *testing.T) {
-	m := machine.Hypercube(4, 10, 1)
-	res, err := Run(m, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			p.SendMulti([]Transfer{
-				{Dst: 1, Tag: 0, Data: []float64{1}},    // 11
-				{Dst: 2, Tag: 0, Data: []float64{1, 2}}, // 12
-			})
-		case 1, 2:
-			p.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProcClocks[0] != 23 {
-		t.Fatalf("one-port sender clock = %v, want 23", res.ProcClocks[0])
-	}
-}
-
-func TestSendMultiAllPortTakesMax(t *testing.T) {
-	m := machine.Hypercube(4, 10, 1)
-	m.AllPort = true
-	res, err := Run(m, func(p *Proc) {
-		switch p.Rank() {
-		case 0:
-			p.SendMulti([]Transfer{
-				{Dst: 1, Tag: 0, Data: []float64{1}},
-				{Dst: 2, Tag: 0, Data: []float64{1, 2}},
-			})
-		case 1, 2:
-			p.Recv(0, 0)
-		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.ProcClocks[0] != 12 {
-		t.Fatalf("all-port sender clock = %v, want 12 (max of 11, 12)", res.ProcClocks[0])
 	}
 }
 
@@ -429,8 +388,8 @@ func TestResultDerivedMetrics(t *testing.T) {
 func TestProcAccessors(t *testing.T) {
 	m := twoProc(1, 1)
 	_, err := Run(m, func(p *Proc) {
-		if p.P() != 2 {
-			t.Errorf("P() = %d", p.P())
+		if p.Machine().P() != 2 {
+			t.Errorf("P() = %d", p.Machine().P())
 		}
 		if p.Machine() != m {
 			t.Error("Machine() mismatch")
@@ -450,8 +409,8 @@ func TestProcAccessors(t *testing.T) {
 func TestDeterministicVirtualTime(t *testing.T) {
 	prog := func(p *Proc) {
 		// Ring shift of 64 words, then a reduction to rank 0.
-		next := (p.Rank() + 1) % p.P()
-		prev := (p.Rank() + p.P() - 1) % p.P()
+		next := (p.Rank() + 1) % p.Machine().P()
+		prev := (p.Rank() + p.Machine().P() - 1) % p.Machine().P()
 		data := make([]float64, 64)
 		p.Send(next, 0, data)
 		p.Recv(prev, 0)
@@ -459,7 +418,7 @@ func TestDeterministicVirtualTime(t *testing.T) {
 		if p.Rank() != 0 {
 			p.Send(0, 1, []float64{p.Clock()})
 		} else {
-			for i := 1; i < p.P(); i++ {
+			for i := 1; i < p.Machine().P(); i++ {
 				p.Recv(i, 1)
 			}
 		}
@@ -494,8 +453,9 @@ func TestManyProcessorsDimensionExchange(t *testing.T) {
 	h := topology.NewHypercube(p)
 	res, err := Run(m, func(pr *Proc) {
 		for d := 0; d < h.Dim; d++ {
-			partner := h.NeighborAcross(pr.Rank(), d)
-			got := pr.Exchange(partner, d, []float64{float64(pr.Rank())})
+			partner := pr.Rank() ^ (1 << d)
+			pr.Send(partner, d, []float64{float64(pr.Rank())})
+			got := pr.Recv(partner, d)
 			if got[0] != float64(partner) {
 				t.Errorf("rank %d dim %d: got %v", pr.Rank(), d, got)
 			}
@@ -543,7 +503,8 @@ func TestOverheadDecomposition(t *testing.T) {
 	res, err := Run(twoProc(5, 1), func(p *Proc) {
 		p.Compute(100)
 		other := 1 - p.Rank()
-		p.Exchange(other, 0, make([]float64, 8))
+		p.Send(other, 0, make([]float64, 8))
+		p.Recv(other, 0)
 		if p.Rank() == 0 {
 			p.Compute(50) // imbalance → idle time on rank 1
 		}

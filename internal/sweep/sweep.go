@@ -203,40 +203,11 @@ func AlgorithmNames() []string {
 	return names
 }
 
-// machineFor builds the machine a cell runs on. The preset names match
-// cmd/matscale's -machine flag.
-func machineFor(name string, p int, ts, tw float64) (*machine.Machine, error) {
-	switch name {
-	case "ncube2":
-		return machine.NCube2(p), nil
-	case "fast":
-		return machine.FutureHypercube(p), nil
-	case "simd":
-		return machine.SIMD(p), nil
-	case "cm5":
-		return machine.CM5(p), nil
-	case "custom":
-		return machine.Hypercube(p, ts, tw), nil
-	default:
-		return nil, fmt.Errorf("sweep: unknown machine preset %q", name)
-	}
-}
-
-// presetCost returns the ts/tw constants of a preset without building
-// its topology, for the prediction pre-pass.
-func presetCost(name string, ts, tw float64) (float64, float64) {
-	switch name {
-	case "ncube2":
-		return 150, 3
-	case "fast":
-		return 10, 3
-	case "simd":
-		return 0.5, 3
-	case "cm5":
-		return machine.CM5StartupMicros / machine.CM5FlopMicros, machine.CM5PerWordMicros / machine.CM5FlopMicros
-	default: // custom
-		return ts, tw
-	}
+// LookupAlgorithm returns the formulation registered under name, the
+// names the CLI and sweep specs use.
+func LookupAlgorithm(name string) (core.Algorithm, bool) {
+	alg, ok := algorithms[name]
+	return alg, ok
 }
 
 // Validate checks the spec's names, ranges and fault grammar without
@@ -254,8 +225,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: spec names no machines")
 	}
 	for _, m := range s.Machines {
-		if _, err := machineFor(m, 1, s.Ts, s.Tw); err != nil {
-			return err
+		if _, _, _, ok := machine.LookupPreset(m, s.Ts, s.Tw); !ok {
+			return fmt.Errorf("sweep: unknown machine preset %q", m)
 		}
 	}
 	if len(s.Ps) == 0 || len(s.Ns) == 0 {
@@ -357,7 +328,7 @@ func (s *Spec) scenarios() ([]string, map[string]*faults.Config, error) {
 // of caution — the backends are byte-equivalent (docs/BACKENDS.md), so
 // this only costs duplicate entries, never a wrong hit.
 func (s *Spec) CellKey(c Cell, backend machine.Backend) string {
-	ts, tw := presetCost(c.Machine, s.Ts, s.Tw)
+	_, ts, tw, _ := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
 	return strings.Join([]string{
 		"cell", "v1",
 		c.Algorithm, c.Machine,
@@ -450,7 +421,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 	preds := make([]float64, len(cells))
 	cache := map[predKey]float64{}
 	for i, c := range cells {
-		ts, tw := presetCost(c.Machine, s.Ts, s.Tw)
+		_, ts, tw, _ := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
 		k := predKey{alg: c.Algorithm, mach: c.Machine, ts: ts, tw: tw, n: c.N, p: c.P}
 		v, ok := cache[k]
 		if ok {
@@ -562,11 +533,12 @@ func Run(s *Spec, opt Options) (*Result, error) {
 // either the measurements or the formulation's rejection.
 func runCell(s *Spec, c Cell, fc *faults.Config, mats [2]*matrix.Dense, backend machine.Backend) CellResult {
 	r := CellResult{Cell: c}
-	m, err := machineFor(c.Machine, c.P, s.Ts, s.Tw)
-	if err != nil {
-		r.Err = err.Error()
+	build, _, _, ok := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
+	if !ok {
+		r.Err = fmt.Sprintf("sweep: unknown machine preset %q", c.Machine)
 		return r
 	}
+	m := build(c.P)
 	m.Backend = backend
 	if fc != nil {
 		m = m.WithFaults(fc)

@@ -19,16 +19,6 @@ func NewGrid3D(q int) Grid3D {
 	return Grid3D{Q: q}
 }
 
-// NewGrid3DFromProcs returns the grid with p = q³ processors, panicking
-// if p is not a perfect cube.
-func NewGrid3DFromProcs(p int) Grid3D {
-	q := IntCbrt(p)
-	if q*q*q != p {
-		panic(fmt.Sprintf("topology: %d processors do not form a cube", p))
-	}
-	return NewGrid3D(q)
-}
-
 func (g Grid3D) Size() int    { return g.Q * g.Q * g.Q }
 func (g Grid3D) Name() string { return fmt.Sprintf("grid3d(%d^3)", g.Q) }
 

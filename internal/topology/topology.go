@@ -59,15 +59,6 @@ func (h Hypercube) Neighbors(r int) []int {
 	return out
 }
 
-// NeighborAcross returns the rank adjacent to r across dimension d.
-func (h Hypercube) NeighborAcross(r, d int) int {
-	h.checkRank(r)
-	if d < 0 || d >= h.Dim {
-		panic(fmt.Sprintf("topology: hypercube dimension %d out of range [0,%d)", d, h.Dim))
-	}
-	return r ^ (1 << d)
-}
-
 func (h Hypercube) checkRank(r int) {
 	if r < 0 || r >= h.Size() {
 		panic(fmt.Sprintf("topology: rank %d out of range for %s", r, h.Name()))

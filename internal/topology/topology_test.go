@@ -43,9 +43,6 @@ func TestHypercubeBasics(t *testing.T) {
 			t.Fatalf("neighbor %d of 5 at distance %d", n, h.Distance(5, n))
 		}
 	}
-	if h.NeighborAcross(5, 1) != 7 {
-		t.Fatalf("NeighborAcross(5,1) = %d, want 7", h.NeighborAcross(5, 1))
-	}
 }
 
 func TestHypercubePanics(t *testing.T) {
@@ -57,11 +54,6 @@ func TestHypercubePanics(t *testing.T) {
 		h := NewHypercube(4)
 		defer expectPanic(t, "out of range")
 		h.Distance(0, 4)
-	})
-	t.Run("dim", func(t *testing.T) {
-		h := NewHypercube(4)
-		defer expectPanic(t, "dimension")
-		h.NeighborAcross(0, 2)
 	})
 }
 
@@ -78,37 +70,6 @@ func TestFullyConnected(t *testing.T) {
 	}
 	defer expectPanic(t, "must be positive")
 	NewFullyConnected(0)
-}
-
-func TestGrayAdjacency(t *testing.T) {
-	h := NewHypercube(32)
-	for i := 0; i < 32; i++ {
-		a, b := Gray(i), Gray((i+1)%32)
-		if h.Distance(a, b) != 1 {
-			t.Fatalf("Gray(%d)=%d and Gray(%d)=%d are not hypercube neighbors", i, a, (i+1)%32, b)
-		}
-	}
-}
-
-func TestGrayInverseRoundTrip(t *testing.T) {
-	f := func(x uint16) bool {
-		i := int(x)
-		return GrayInverse(Gray(i)) == i
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestGrayIsPermutation(t *testing.T) {
-	seen := map[int]bool{}
-	for i := 0; i < 64; i++ {
-		g := Gray(i)
-		if g < 0 || g >= 64 || seen[g] {
-			t.Fatalf("Gray not a permutation at i=%d (g=%d)", i, g)
-		}
-		seen[g] = true
-	}
 }
 
 func TestTorusCoordsRoundTrip(t *testing.T) {
@@ -291,10 +252,6 @@ func TestGrid3DPanics(t *testing.T) {
 		defer expectPanic(t, "must be positive")
 		NewGrid3D(0)
 	})
-	t.Run("cube", func(t *testing.T) {
-		defer expectPanic(t, "do not form a cube")
-		NewGrid3DFromProcs(10)
-	})
 	t.Run("axis", func(t *testing.T) {
 		g := NewGrid3D(2)
 		defer expectPanic(t, "axis")
@@ -379,43 +336,6 @@ func expectPanic(t *testing.T, substr string) {
 	if !strings.Contains(msg, substr) {
 		t.Fatalf("panic %q does not contain %q", msg, substr)
 	}
-}
-
-func TestEmbedTorusInHypercubeIsBijection(t *testing.T) {
-	tr := NewTorus2D(8, 4)
-	emb := EmbedTorusInHypercube(tr)
-	seen := map[int]bool{}
-	for _, phys := range emb {
-		if phys < 0 || phys >= tr.Size() || seen[phys] {
-			t.Fatalf("embedding not a bijection: %v", emb)
-		}
-		seen[phys] = true
-	}
-}
-
-func TestEmbedTorusNeighborsAreHypercubeNeighbors(t *testing.T) {
-	// The property the simulator's neighbor-charging contract rests on:
-	// every torus edge (including wraparound) maps to a hypercube edge.
-	for _, dims := range [][2]int{{2, 2}, {4, 4}, {8, 8}, {4, 16}} {
-		tr := NewTorus2D(dims[0], dims[1])
-		emb := EmbedTorusInHypercube(tr)
-		h := NewHypercube(tr.Size())
-		for r := 0; r < tr.Size(); r++ {
-			for _, nb := range []int{tr.Left(r), tr.Right(r), tr.Up(r), tr.Down(r)} {
-				if nb == r {
-					continue // degenerate side of length 1 or 2
-				}
-				if d := h.Distance(emb[r], emb[nb]); d != 1 {
-					t.Fatalf("%dx%d: torus edge %d-%d maps to hypercube distance %d", dims[0], dims[1], r, nb, d)
-				}
-			}
-		}
-	}
-}
-
-func TestEmbedTorusNonPow2Panics(t *testing.T) {
-	defer expectPanic(t, "powers of two")
-	EmbedTorusInHypercube(NewTorus2D(3, 4))
 }
 
 // The DNS/GK axis-line groups are bit-field subcubes: binomial-tree
