@@ -39,7 +39,7 @@ bench-gate:
 # Result/Metrics/CSV/Chrome-trace output (docs/BACKENDS.md).
 backend-equivalence:
 	$(GO) test -race -count=1 ./internal/des
-	$(GO) test -race -count=1 -run 'TestWithBackend' .
+	$(GO) test -race -count=1 -run 'TestBackend(Run|Sweep)' ./internal/sweep
 
 # The checkpoint/resume differential suites under the race detector: a
 # resumed run/sweep/job must produce byte-identical output to an

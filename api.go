@@ -52,46 +52,8 @@ type (
 // docs/FAULTS.md for the full grammar.
 var ParseFaults = faults.Parse
 
-// Backend selects the simulation engine that executes the rank
-// programs of a Run, RunAuto or Sweep call. Both backends produce
-// byte-identical results — Tp, metrics, traces, CSV — for a fixed
-// configuration, because the cost model is schedule-independent; the
-// choice only affects host performance and scale. See docs/BACKENDS.md
-// for the model and the determinism argument.
-type Backend = machine.Backend
-
-const (
-	// Events is the default engine: a central virtual-time event loop
-	// resuming rank coroutines one at a time, with a native fast path
-	// for systolic programs (internal/des). It reaches p = 2^20 ranks
-	// in seconds, and it is the only engine that can checkpoint.
-	Events = machine.BackendEvents
-	// Goroutines is the opt-in concurrent engine: one host goroutine
-	// per simulated rank with blocking mailboxes. Fine up to a few
-	// thousand ranks.
-	Goroutines = machine.BackendGoroutines
-)
-
-// ParseBackend parses the textual backend names the CLI accepts:
-// "goroutines" and "events".
-var ParseBackend = machine.ParseBackend
-
-// UnsupportedBackendError is the typed error Run, RunAuto and Sweep
-// return when the requested backend cannot serve the call — today,
-// when the Backend value itself is not one of the defined constants;
-// a future backend supporting only a subset of the options would
-// report the offending combination the same way.
-type UnsupportedBackendError struct {
-	Backend Backend
-	Reason  string
-}
-
-func (e *UnsupportedBackendError) Error() string {
-	return fmt.Sprintf("matscale: backend %v unsupported: %s", e.Backend, e.Reason)
-}
-
 // Checkpoint is an encoded snapshot of a suspended Run: the state of
-// the Events engine at a consistent cut, wrapped in a versioned,
+// the event engine at a consistent cut, wrapped in a versioned,
 // integrity-hashed container. Write one with WithCheckpoint +
 // WithSuspendAfter, reload it with Restore, and feed it back with
 // WithResume; the resumed run's Result, Metrics, CSV and trace bytes
@@ -139,9 +101,8 @@ type (
 	// program, or build, caught either by the snapshot fingerprint or
 	// by the byte-for-byte verification of the restored state.
 	ResumeMismatchError = simulator.ResumeMismatchError
-	// UnsupportedCapabilityError reports an option demanded of a
-	// backend that does not implement it — asking the Goroutines engine
-	// for a checkpoint, or a Sweep call for run-level suspension. The
+	// UnsupportedCapabilityError reports an option a call cannot
+	// honor — today, a Sweep call asked for run-level suspension. The
 	// API returns it instead of silently ignoring the option.
 	UnsupportedCapabilityError = simulator.UnsupportedCapabilityError
 )
@@ -224,7 +185,7 @@ const (
 // can return — one enum in place of per-type matching. Each kind value
 // is itself an error, so it works directly as an errors.Is target:
 //
-//	if _, err := srv.Submit(spec, backend); errors.Is(err, matscale.ServerKindQueueFull) {
+//	if _, err := srv.Submit(spec, -1); errors.Is(err, matscale.ServerKindQueueFull) {
 //	        // back off and retry
 //	}
 //
@@ -265,8 +226,6 @@ type runConfig struct {
 	workers      int
 	faults       *faults.Config
 	progress     func(done, total int, c SweepCell)
-	backend      Backend
-	backendSet   bool
 	suspendAfter uint64
 	ckptSink     io.Writer
 	resume       *Checkpoint
@@ -342,22 +301,6 @@ func WithProgress(fn func(done, total int, c SweepCell)) Option {
 	return func(c *runConfig) { c.progress = fn }
 }
 
-// WithBackend selects the simulation engine a Run, RunAuto or Sweep
-// call executes on: Events (the default) or Goroutines. The result is
-// byte-identical either way — backend-equivalence is asserted by the
-// cross-backend differential suite — and Events is the faster engine
-// on the measured grid (docs/BACKENDS.md), so Goroutines is an
-// explicit opt-in:
-//
-//	res, err := matscale.Run(matscale.Cannon, matscale.NCube2(64), a, b,
-//	        matscale.WithBackend(matscale.Goroutines))
-//
-// An undefined Backend value makes the call fail with an
-// *UnsupportedBackendError. The caller's machine is never mutated.
-func WithBackend(b Backend) Option {
-	return func(c *runConfig) { c.backend, c.backendSet = b, true }
-}
-
 // WithFaults runs the algorithm on a deterministically perturbed
 // machine: f's stragglers slow per-rank compute, its link factors and
 // jitter scale transfer costs, and its loss rate forces timeout +
@@ -390,10 +333,8 @@ func WithFaults(f *Faults) Option {
 //	res, err := matscale.Run(matscale.Cannon, m, a, b, matscale.WithResume(ck))
 //	// res is byte-identical to an uninterrupted run.
 //
-// Checkpointing requires the Events backend, the default (the
-// Goroutines engine has no deterministic consistent cut), and an
-// explicit algorithm; an unsupported combination fails with a typed
-// error instead of being ignored.
+// Checkpointing requires an explicit algorithm; an unsupported
+// combination fails with a typed error instead of being ignored.
 func WithCheckpoint(sink io.Writer) Option {
 	return func(c *runConfig) { c.ckptSink = sink }
 }
@@ -407,7 +348,7 @@ func WithSuspendAfter(events uint64) Option {
 }
 
 // WithResume continues a run from a checkpoint loaded with Restore.
-// The machine, matrices, algorithm and backend must match the
+// The machine, matrices and algorithm must match the
 // suspended run's exactly — the engine verifies the restored state
 // byte-for-byte and rejects divergence with a *ResumeMismatchError.
 // Combine with WithCheckpoint + WithSuspendAfter to suspend again
@@ -416,20 +357,8 @@ func WithResume(ck *Checkpoint) Option {
 	return func(c *runConfig) { c.resume = ck }
 }
 
-// validateBackend rejects WithBackend values outside the defined
-// constants with the typed error.
-func (c runConfig) validateBackend() error {
-	if c.backendSet && !c.backend.Known() {
-		return &UnsupportedBackendError{Backend: c.backend, Reason: "not a defined Backend value"}
-	}
-	return nil
-}
-
 // validateCheckpoint rejects meaningless checkpoint option
-// combinations up front. Backend capability itself is checked by the
-// engine dispatch (a non-capable backend returns the same typed
-// *UnsupportedCapabilityError), so the effective backend — whether
-// from WithBackend or the machine — is validated in one place.
+// combinations up front.
 func (c runConfig) validateCheckpoint() error {
 	if c.suspendAfter > 0 && c.ckptSink == nil {
 		return fmt.Errorf("matscale: WithSuspendAfter requires WithCheckpoint (the snapshot needs a destination)")
@@ -441,12 +370,12 @@ func (c runConfig) validateCheckpoint() error {
 }
 
 // machineFor returns the machine the algorithm should run on: m
-// itself when no observability, faults or backend were requested,
-// otherwise a copy with the collection flags raised, the fault
-// scenario attached and the backend selected, so the caller's machine
-// is never mutated.
+// itself when no observability, faults or checkpointing were
+// requested, otherwise a copy with the collection flags raised, the
+// fault scenario and checkpoint control attached, so the caller's
+// machine is never mutated.
 func (c runConfig) machineFor(m *Machine) *Machine {
-	if !c.metrics && c.traceSink == nil && c.faults == nil && !c.backendSet && !c.checkpointing() {
+	if !c.metrics && c.traceSink == nil && c.faults == nil && !c.checkpointing() {
 		return m
 	}
 	mm := *m
@@ -454,9 +383,6 @@ func (c runConfig) machineFor(m *Machine) *Machine {
 	mm.CollectTrace = mm.CollectTrace || c.traceSink != nil
 	if c.faults != nil {
 		mm.Faults = c.faults
-	}
-	if c.backendSet {
-		mm.Backend = c.backend
 	}
 	if c.checkpointing() {
 		ctl := &machine.CheckpointControl{StopAfter: c.suspendAfter}
@@ -502,9 +428,6 @@ func (c runConfig) export(res *Result) error {
 // any measured quantity.
 func Run(alg Algorithm, m *Machine, a, b *Matrix, opts ...Option) (*Result, error) {
 	cfg := newRunConfig(opts)
-	if err := cfg.validateBackend(); err != nil {
-		return nil, err
-	}
 	if err := cfg.validateCheckpoint(); err != nil {
 		return nil, err
 	}
@@ -599,9 +522,6 @@ func RunAuto(m *Machine, a, b *Matrix, opts ...Option) (*Result, Selection, erro
 }
 
 func runAuto(cfg runConfig, m *Machine, a, b *Matrix) (*Result, Selection, error) {
-	if err := cfg.validateBackend(); err != nil {
-		return nil, Selection{}, err
-	}
 	if cfg.checkpointing() {
 		// Auto-selection falls back across algorithms on error, which
 		// would misread a SuspendedError as a failure and could resume a
@@ -651,30 +571,25 @@ func runAuto(cfg runConfig, m *Machine, a, b *Matrix) (*Result, Selection, error
 //	// res.Cells holds one SweepCell per grid point, sorted;
 //	// res.CSV() / res.WriteJSON(w) / res.Render() export it.
 //
-// WithWorkers selects the pool size (default all CPUs), WithProgress
-// observes cells as they complete, and WithBackend selects the
-// simulation engine every cell executes on. The checkpoint options are
-// rejected with a typed *UnsupportedCapabilityError — a sweep's
+// WithWorkers selects the pool size (default all CPUs) and
+// WithProgress observes cells as they complete. The checkpoint options
+// are rejected with a typed *UnsupportedCapabilityError — a sweep's
 // suspension granularity is the cell, exposed through the SweepServer
 // job-control API, not the run-level cut. The remaining options are
 // ignored — per-cell fault scenarios come from spec.Faults, so that
 // clean-vs-faulted grids are part of the declarative spec. For a fixed
 // spec the result — including its CSV, JSON and rendered forms — is
-// byte-identical at every worker count and under either backend; see
-// docs/SWEEP.md and docs/BACKENDS.md.
+// byte-identical at every worker count; see docs/SWEEP.md.
 func Sweep(spec *SweepSpec, opts ...Option) (*SweepResult, error) {
 	cfg := newRunConfig(opts)
-	if err := cfg.validateBackend(); err != nil {
-		return nil, err
-	}
 	if cfg.checkpointing() {
 		return nil, &UnsupportedCapabilityError{
-			Backend:    cfg.backend,
+			Backend:    machine.BackendEvents,
 			Capability: "run-level checkpoint/resume",
 			Reason:     "sweeps checkpoint at cell granularity; use the SweepServer job-control API (suspend/resume)",
 		}
 	}
-	return sweep.Run(spec, sweep.Options{Workers: cfg.workers, Progress: cfg.progress, Backend: cfg.backend})
+	return sweep.Run(spec, sweep.Options{Workers: cfg.workers, Progress: cfg.progress})
 }
 
 // RunAll regenerates the full paper reproduction — every table, figure

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"encoding/json"
 	"errors"
-	"reflect"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -151,100 +150,6 @@ func TestRunAutoSelection(t *testing.T) {
 	}
 	if res.Metrics == nil {
 		t.Fatal("RunAuto dropped the WithMetrics option")
-	}
-}
-
-func TestWithBackendRunEquivalence(t *testing.T) {
-	m := matscale.NCube2(64)
-	a := matscale.RandomMatrix(16, 16, 1)
-	b := matscale.RandomMatrix(16, 16, 2)
-	g, err := matscale.Run(matscale.Cannon, m, a, b,
-		matscale.WithMetrics(), matscale.WithBackend(matscale.Goroutines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, err := matscale.Run(matscale.Cannon, m, a, b,
-		matscale.WithMetrics(), matscale.WithBackend(matscale.Events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if m.Backend != matscale.Events {
-		t.Fatal("WithBackend mutated the caller's machine")
-	}
-	if !reflect.DeepEqual(g.Sim, e.Sim) {
-		t.Fatalf("backends differ: goroutines Tp=%v, events Tp=%v", g.Sim.Tp, e.Sim.Tp)
-	}
-}
-
-func TestWithBackendRunAutoAndSweep(t *testing.T) {
-	m := matscale.NCube2(64)
-	a := matscale.RandomMatrix(16, 16, 1)
-	b := matscale.RandomMatrix(16, 16, 2)
-	g, gsel, err := matscale.RunAuto(m, a, b, matscale.WithBackend(matscale.Goroutines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	e, esel, err := matscale.RunAuto(m, a, b, matscale.WithBackend(matscale.Events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gsel.Name != esel.Name || !reflect.DeepEqual(g.Sim, e.Sim) {
-		t.Fatalf("RunAuto diverges across backends: %q vs %q", gsel.Name, esel.Name)
-	}
-	spec := &matscale.SweepSpec{
-		Algorithms: []string{"cannon", "gk"},
-		Machines:   []string{"ncube2"},
-		Ps:         []int{16, 64},
-		Ns:         []int{16},
-	}
-	gs, err := matscale.Sweep(spec, matscale.WithBackend(matscale.Goroutines))
-	if err != nil {
-		t.Fatal(err)
-	}
-	es, err := matscale.Sweep(spec, matscale.WithBackend(matscale.Events))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if gs.CSV() != es.CSV() {
-		t.Fatal("sweep CSV differs between backends")
-	}
-}
-
-func TestWithBackendUnknownValue(t *testing.T) {
-	m := matscale.NCube2(16)
-	a := matscale.RandomMatrix(16, 16, 1)
-	bad := matscale.WithBackend(matscale.Backend(99))
-	var ube *matscale.UnsupportedBackendError
-	if _, err := matscale.Run(matscale.Cannon, m, a, a, bad); !errors.As(err, &ube) {
-		t.Fatalf("Run err = %v, want *UnsupportedBackendError", err)
-	}
-	if ube.Backend != matscale.Backend(99) || ube.Error() == "" {
-		t.Fatalf("error carries %v: %q", ube.Backend, ube.Error())
-	}
-	if _, _, err := matscale.RunAuto(m, a, a, bad); !errors.As(err, &ube) {
-		t.Fatalf("RunAuto err = %v, want *UnsupportedBackendError", err)
-	}
-	spec := &matscale.SweepSpec{Algorithms: []string{"cannon"}, Machines: []string{"ncube2"}, Ps: []int{16}, Ns: []int{16}}
-	if _, err := matscale.Sweep(spec, bad); !errors.As(err, &ube) {
-		t.Fatalf("Sweep err = %v, want *UnsupportedBackendError", err)
-	}
-}
-
-func TestParseBackend(t *testing.T) {
-	for name, want := range map[string]matscale.Backend{
-		"goroutines": matscale.Goroutines,
-		"events":     matscale.Events,
-	} {
-		got, err := matscale.ParseBackend(name)
-		if err != nil || got != want {
-			t.Fatalf("ParseBackend(%q) = %v, %v", name, got, err)
-		}
-		if got.String() != name {
-			t.Fatalf("Backend %v renders as %q", got, got.String())
-		}
-	}
-	if _, err := matscale.ParseBackend("quantum"); err == nil {
-		t.Fatal("want error for unknown backend name")
 	}
 }
 
@@ -563,7 +468,7 @@ func TestSweepServerPublicSurface(t *testing.T) {
 		Ps:         []int{16},
 		Ns:         []int{16},
 	}
-	job, err := srv.Submit(spec, matscale.Goroutines)
+	job, err := srv.Submit(spec, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -579,7 +484,7 @@ func TestSweepServerPublicSurface(t *testing.T) {
 	// A second identical submission is served from the cell cache and
 	// must export the same bytes — the library-level statement of the
 	// hit-vs-miss identity docs/SERVER.md promises over HTTP.
-	job2, err := srv.Submit(spec, matscale.Goroutines)
+	job2, err := srv.Submit(spec, -1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -597,7 +502,7 @@ func TestSweepServerPublicSurface(t *testing.T) {
 	}
 
 	// Typed rejections match their exported kind.
-	if _, err := srv.Submit(&matscale.SweepSpec{}, matscale.Goroutines); !errors.Is(err, matscale.ServerKindBadSpec) {
+	if _, err := srv.Submit(&matscale.SweepSpec{}, -1); !errors.Is(err, matscale.ServerKindBadSpec) {
 		t.Fatalf("empty spec error = %v, want ServerKindBadSpec", err)
 	}
 }

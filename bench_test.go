@@ -266,7 +266,8 @@ func BenchmarkEngineGrid(b *testing.B) {
 		a := matrix.Random(c.n, c.n, 1)
 		bm := matrix.Random(c.n, c.n, 2)
 		for _, eng := range []machine.Backend{machine.BackendGoroutines, machine.BackendEvents} {
-			m := machine.CM5(c.p).WithBackend(eng)
+			m := machine.CM5(c.p)
+			m.Backend = eng
 			b.Run(fmt.Sprintf("%s/p=%d/n=%d/%s", c.alg, c.p, c.n, eng), func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
 					if _, err := c.f(m, a, bm); err != nil {

@@ -7,16 +7,17 @@ import (
 	"testing"
 
 	"matscale"
+	"matscale/internal/machine"
 	"matscale/internal/server"
 )
 
-// suspendRun runs Cannon on the Events backend with a cut at the given
+// suspendRun runs Cannon on the default events backend with a cut at the given
 // event count and returns the snapshot buffer plus the SuspendedError.
 func suspendRun(t *testing.T, m *matscale.Machine, a, b *matscale.Matrix, cut uint64) *bytes.Buffer {
 	t.Helper()
 	var buf bytes.Buffer
 	_, err := matscale.Run(matscale.Cannon, m, a, b,
-		matscale.WithBackend(matscale.Events), matscale.WithMetrics(),
+		matscale.WithMetrics(),
 		matscale.WithCheckpoint(&buf), matscale.WithSuspendAfter(cut))
 	var se *matscale.SuspendedError
 	if !errors.As(err, &se) {
@@ -41,7 +42,7 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 	a := matscale.RandomMatrix(16, 16, 1)
 	b := matscale.RandomMatrix(16, 16, 2)
 	base, err := matscale.Run(matscale.Cannon, m, a, b,
-		matscale.WithBackend(matscale.Events), matscale.WithMetrics())
+		matscale.WithMetrics())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +58,7 @@ func TestCheckpointRoundTripPublicAPI(t *testing.T) {
 	}
 
 	res, err := matscale.Run(matscale.Cannon, m, a, b,
-		matscale.WithBackend(matscale.Events), matscale.WithMetrics(),
+		matscale.WithMetrics(),
 		matscale.WithResume(ck))
 	if err != nil {
 		t.Fatal(err)
@@ -129,7 +130,7 @@ func TestResumeMismatchTyped(t *testing.T) {
 	}
 	var rme *matscale.ResumeMismatchError
 	if _, err := matscale.Run(matscale.GK, m, a, a,
-		matscale.WithBackend(matscale.Events), matscale.WithResume(ck)); !errors.As(err, &rme) {
+		matscale.WithResume(ck)); !errors.As(err, &rme) {
 		t.Fatalf("resume under GK err = %v, want *ResumeMismatchError", err)
 	}
 }
@@ -142,28 +143,29 @@ func TestCheckpointOptionValidation(t *testing.T) {
 	var sink bytes.Buffer
 
 	if _, err := matscale.Run(matscale.Cannon, m, a, a,
-		matscale.WithBackend(matscale.Events), matscale.WithSuspendAfter(5)); err == nil {
+		matscale.WithSuspendAfter(5)); err == nil {
 		t.Fatal("WithSuspendAfter without WithCheckpoint accepted")
 	}
 	if _, err := matscale.Run(matscale.Cannon, m, a, a,
-		matscale.WithBackend(matscale.Events), matscale.WithCheckpoint(&sink)); err == nil {
+		matscale.WithCheckpoint(&sink)); err == nil {
 		t.Fatal("WithCheckpoint without WithSuspendAfter accepted")
 	}
 
-	// The Goroutines engine has no deterministic cut: asking it for a
+	// The goroutine engine has no deterministic cut: asking it for a
 	// checkpoint is a typed capability error.
 	var uce *matscale.UnsupportedCapabilityError
-	if _, err := matscale.Run(matscale.Cannon, m, a, a, matscale.WithBackend(matscale.Goroutines),
+	gm := *m
+	gm.Backend = machine.BackendGoroutines
+	if _, err := matscale.Run(matscale.Cannon, &gm, a, a,
 		matscale.WithCheckpoint(&sink), matscale.WithSuspendAfter(5)); !errors.As(err, &uce) {
 		t.Fatalf("goroutines checkpoint err = %v, want *UnsupportedCapabilityError", err)
 	}
-	if uce.Backend != matscale.Goroutines {
+	if uce.Backend != machine.BackendGoroutines {
 		t.Fatalf("capability error names backend %v", uce.Backend)
 	}
 
 	// Auto-selection cannot guarantee the resumed program matches.
 	if _, _, err := matscale.RunAuto(m, a, a,
-		matscale.WithBackend(matscale.Events),
 		matscale.WithCheckpoint(&sink), matscale.WithSuspendAfter(5)); err == nil {
 		t.Fatal("RunAuto accepted checkpoint options")
 	}

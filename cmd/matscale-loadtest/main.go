@@ -39,7 +39,6 @@ import (
 	"sync"
 	"time"
 
-	"matscale/internal/machine"
 	"matscale/internal/server"
 	"matscale/internal/sweep"
 )
@@ -61,7 +60,6 @@ type options struct {
 	concurrency int
 	jobs        int
 	cacheCells  int
-	backend     machine.Backend
 	watchers    int
 	poll        time.Duration
 	bench       bool
@@ -77,16 +75,11 @@ func main() {
 	concurrency := fs.Int("concurrency", 0, "in-process server concurrent jobs (0 = GOMAXPROCS)")
 	jobs := fs.Int("jobs", 1, "in-process server sweep workers per job")
 	cacheCells := fs.Int("cache", server.DefaultCacheCells, "in-process server cell cache capacity")
-	backendName := fs.String("backend", "events", "in-process server backend: events|goroutines")
 	watchers := fs.Int("watchers", 64, "clients that follow progress over SSE instead of polling")
 	poll := fs.Duration("poll", 10*time.Millisecond, "status poll interval for non-SSE clients")
 	bench := fs.Bool("bench", false, "emit the report in go-bench text format on stdout")
 	fs.Parse(os.Args[1:])
 
-	backend, err := machine.ParseBackend(*backendName)
-	if err != nil {
-		log.Fatalf("matscale-loadtest: %v", err)
-	}
 	opts := options{
 		clients:     *clients,
 		overlap:     math.Min(1, math.Max(0, *overlap)),
@@ -96,7 +89,6 @@ func main() {
 		concurrency: *concurrency,
 		jobs:        *jobs,
 		cacheCells:  *cacheCells,
-		backend:     backend,
 		watchers:    *watchers,
 		poll:        *poll,
 		bench:       *bench,
@@ -210,7 +202,6 @@ func run(o options) (*report, error) {
 			MaxConcurrent: conc,
 			SweepWorkers:  o.jobs,
 			CacheCells:    o.cacheCells,
-			Backend:       o.backend,
 			RetainJobs:    o.clients + 16,
 			Clock:         realClock{},
 		})

@@ -4,7 +4,6 @@ import (
 	"testing"
 	"time"
 
-	"matscale/internal/machine"
 	"matscale/internal/server"
 )
 
@@ -20,7 +19,6 @@ func TestRunInProcess(t *testing.T) {
 		concurrency: 1, // jobs run one at a time, so a repeated spec hits the cache
 		jobs:        1,
 		cacheCells:  server.DefaultCacheCells,
-		backend:     machine.BackendEvents,
 		watchers:    2,
 		poll:        time.Millisecond,
 	})

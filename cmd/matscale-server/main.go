@@ -8,7 +8,7 @@
 //
 //	matscale-server [-addr 127.0.0.1:8080] [-queue 256] [-concurrency 4]
 //	                [-jobs 0] [-rate 0] [-burst 0] [-timeout 0]
-//	                [-cache 65536] [-backend events|goroutines]
+//	                [-cache 65536]
 //	                [-checkpoint-dir DIR] [-suspend-on-timeout=true]
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,
@@ -34,7 +34,6 @@ import (
 	"syscall"
 	"time"
 
-	"matscale/internal/machine"
 	"matscale/internal/server"
 )
 
@@ -56,15 +55,10 @@ func main() {
 	burst := fs.Int("burst", 0, "rate-limit burst (0 = derived from -rate)")
 	timeout := fs.Duration("timeout", 0, "per-job wall-clock timeout (0 = none)")
 	cache := fs.Int("cache", server.DefaultCacheCells, "cell cache capacity in cells (-1 disables)")
-	backendName := fs.String("backend", "events", "default simulation backend: events|goroutines")
 	ckptDir := fs.String("checkpoint-dir", "", "persist suspended-job checkpoints here and restore them on startup (empty = in-memory only)")
 	suspendOnTimeout := fs.Bool("suspend-on-timeout", true, "suspend jobs that exceed -timeout with a resumable checkpoint instead of failing them")
 	fs.Parse(os.Args[1:])
 
-	backend, err := machine.ParseBackend(*backendName)
-	if err != nil {
-		log.Fatalf("matscale-server: %v", err)
-	}
 	srv, err := server.New(server.Config{
 		QueueDepth:    *queue,
 		MaxConcurrent: *concurrency,
@@ -73,7 +67,6 @@ func main() {
 		Burst:         *burst,
 		JobTimeout:    *timeout,
 		CacheCells:    *cache,
-		Backend:       backend,
 		Clock:         realClock{},
 
 		SuspendOnTimeout: *suspendOnTimeout,
@@ -99,8 +92,8 @@ func main() {
 		srv.Shutdown() // waits for every admitted job
 	}()
 
-	log.Printf("matscale-server: listening on %s (queue %d, concurrency %d, backend %s)",
-		*addr, *queue, *concurrency, backend)
+	log.Printf("matscale-server: listening on %s (queue %d, concurrency %d)",
+		*addr, *queue, *concurrency)
 	if err := hs.ListenAndServe(); err != nil && !errors.Is(err, http.ErrServerClosed) {
 		log.Fatalf("matscale-server: %v", err)
 	}

@@ -13,11 +13,9 @@
 //	                    [-a A.csv -b B.csv -out C.csv]
 //	                    [-metrics] [-trace out.json] [-grid q]
 //	                    [-faults 'straggler=3@rank7,loss=0.01,seed=42']
-//	                    [-backend events|goroutines]
 //	                    [-checkpoint ck.bin -suspend-after 1000] [-resume ck.bin]
 //	matscale robust     [-n 16 -p 64 -machine ncube2]
 //	                    [-faults 'straggler=2@rank0,seed=42']
-//	                    [-backend events|goroutines]
 //	matscale isoeff     [-ts 150 -tw 3 -e 0.5]
 //	matscale compare    [-ts 150 -tw 3]
 //	matscale allport    [-ts 10 -tw 3]
@@ -28,7 +26,6 @@
 //	matscale sweep      [-alg cannon,gk -machine ncube2 -n 16,32 -p 16,64]
 //	                    [-faults 'scenario1;scenario2'] [-seed 1]
 //	                    [-jobs 0] [-csv out.csv] [-json out.json] [-progress]
-//	                    [-backend events|goroutines]
 //	matscale millionrank [-n 1024]
 //	matscale tssweep    [-n 64 -p 64 -tw 3]
 //	matscale saturation [-n 64 -ts 150 -tw 3]
@@ -207,7 +204,6 @@ func cmdRun(args []string) error {
 	traceFile := fs.String("trace", "", "write a Chrome trace_event JSON to this file (chrome://tracing, Perfetto)")
 	grid := fs.Int("grid", 0, "DNS block-grid side (runs DNS with WithDNSGrid; requires -alg dns)")
 	faultSpec := fs.String("faults", "", "fault scenario, e.g. 'straggler=3@rank7,loss=0.01,seed=42' (see docs/FAULTS.md)")
-	backendName := fs.String("backend", "events", "simulation engine: events, goroutines (see docs/BACKENDS.md)")
 	ckptFile := fs.String("checkpoint", "", "write the snapshot of a suspended run to this file (requires -suspend-after)")
 	suspendAfter := fs.Uint64("suspend-after", 0, "suspend at the consistent cut after this many event dispatches (requires -checkpoint)")
 	resumeFile := fs.String("resume", "", "resume from a snapshot written by an earlier -checkpoint run (same -alg, -n, -p, -machine flags)")
@@ -215,10 +211,6 @@ func cmdRun(args []string) error {
 	fs.Parse(args)
 
 	m, err := machineForPreset(*machineName, *p, *ts, *tw)
-	if err != nil {
-		return err
-	}
-	backend, err := matscale.ParseBackend(*backendName)
 	if err != nil {
 		return err
 	}
@@ -242,7 +234,7 @@ func cmdRun(args []string) error {
 		}
 	}
 
-	opts := []matscale.Option{matscale.WithBackend(backend)}
+	var opts []matscale.Option
 	if *metrics {
 		opts = append(opts, matscale.WithMetrics())
 	}
@@ -387,14 +379,9 @@ func cmdRobust(args []string) error {
 	ts, tw := paramFlags(fs, 150, 3)
 	seed := fs.Uint64("seed", 1, "matrix seed")
 	faultSpec := fs.String("faults", "straggler=2@rank0,seed=42", "fault scenario to inject (see docs/FAULTS.md)")
-	backendName := fs.String("backend", "events", "simulation engine: events, goroutines (see docs/BACKENDS.md)")
 	fs.Parse(args)
 
 	m, err := machineForPreset(*machineName, *p, *ts, *tw)
-	if err != nil {
-		return err
-	}
-	backend, err := matscale.ParseBackend(*backendName)
 	if err != nil {
 		return err
 	}
@@ -427,13 +414,13 @@ func cmdRobust(args []string) error {
 		{"gk", matscale.GK, nil},
 	} {
 		clean, err := matscale.Run(c.alg, m, a, b,
-			append(c.opts, matscale.WithMetrics(), matscale.WithBackend(backend))...)
+			append(c.opts, matscale.WithMetrics())...)
 		if err != nil {
 			fmt.Printf("%-10s %12s\n", c.name, "n/a: "+err.Error())
 			continue
 		}
 		faulted, err := matscale.Run(c.alg, m, a, b,
-			append(c.opts, matscale.WithFaults(fc), matscale.WithMetrics(), matscale.WithBackend(backend))...)
+			append(c.opts, matscale.WithFaults(fc), matscale.WithMetrics())...)
 		if err != nil {
 			return fmt.Errorf("%s under faults: %w", c.name, err)
 		}

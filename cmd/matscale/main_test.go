@@ -497,7 +497,7 @@ func TestCmdRobust(t *testing.T) {
 func TestCmdRunCheckpointResume(t *testing.T) {
 	dir := t.TempDir()
 	ck := dir + "/run.ckpt"
-	base := []string{"-alg", "cannon", "-n", "16", "-p", "64", "-backend", "events"}
+	base := []string{"-alg", "cannon", "-n", "16", "-p", "64"}
 
 	full, err := capture(t, func() error { return cmdRun(base) })
 	if err != nil {
@@ -537,17 +537,11 @@ func TestCmdRunCheckpointResume(t *testing.T) {
 	}); err == nil {
 		t.Error("-suspend-after without -checkpoint accepted")
 	}
-	if _, err := capture(t, func() error {
-		return cmdRun([]string{"-alg", "cannon", "-n", "16", "-p", "64", "-backend", "goroutines",
-			"-checkpoint", ck, "-suspend-after", "50"})
-	}); err == nil {
-		t.Error("checkpoint on the goroutines backend accepted")
-	}
 }
 
-// With no -backend flag the run command simulates on the events
-// engine, so checkpointing needs no extra flag: the run suspends, and
-// resuming it prints exactly what an uninterrupted run prints.
+// The run command simulates on the events engine, so checkpointing
+// needs no extra flag: the run suspends, and resuming it prints exactly
+// what an uninterrupted run prints.
 func TestCmdRunCheckpointDefaultBackend(t *testing.T) {
 	ck := t.TempDir() + "/run.ckpt"
 	base := []string{"-alg", "gk", "-n", "16", "-p", "64", "-metrics"}

@@ -26,7 +26,6 @@ func cmdGridSweep(args []string) error {
 	seed := fs.Uint64("seed", 1, "matrix seed")
 	ts, tw := paramFlags(fs, 150, 3)
 	jobs := fs.Int("jobs", 0, "host worker goroutines (0 = all CPUs); never changes the output bytes")
-	backendName := fs.String("backend", "events", "simulation engine: events, goroutines; never changes the output bytes (docs/BACKENDS.md)")
 	csvPath := fs.String("csv", "", "write the cells as CSV to this file ('-' for stdout)")
 	jsonPath := fs.String("json", "", "write the full result as JSON to this file ('-' for stdout)")
 	progress := fs.Bool("progress", false, "print each cell to stderr as it completes")
@@ -51,12 +50,7 @@ func cmdGridSweep(args []string) error {
 		}
 	}
 
-	backend, err := matscale.ParseBackend(*backendName)
-	if err != nil {
-		return err
-	}
-
-	opts := []matscale.Option{matscale.WithWorkers(*jobs), matscale.WithBackend(backend)}
+	opts := []matscale.Option{matscale.WithWorkers(*jobs)}
 	if *progress {
 		opts = append(opts, matscale.WithProgress(func(done, total int, c matscale.SweepCell) {
 			status := fmt.Sprintf("Tp=%.1f", c.Tp)

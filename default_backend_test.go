@@ -48,20 +48,9 @@ func (c *keyRecorder) assertBackend(t *testing.T, who string, want string) {
 
 // TestDefaultBackendIsEvents pins the zero-value engine: presets, sweep
 // options, server configs and matscale.Sweep all simulate on the event
-// engine unless the goroutine engine is asked for, while the backend
-// names on the wire (checkpoints, cell keys, snapshot fingerprints)
-// keep their meaning.
+// engine, and cell keys and snapshot fingerprints say backend=events.
+// machine's TestParseBackend covers the names themselves.
 func TestDefaultBackendIsEvents(t *testing.T) {
-	for _, b := range []machine.Backend{machine.BackendEvents, machine.BackendGoroutines} {
-		got, err := machine.ParseBackend(b.String())
-		if err != nil || got != b {
-			t.Fatalf("ParseBackend(%q) = %v, %v; want %v", b.String(), got, err, b)
-		}
-	}
-	if machine.BackendEvents.String() != "events" || machine.BackendGoroutines.String() != "goroutines" {
-		t.Fatalf("backend names changed: %q, %q", machine.BackendEvents, machine.BackendGoroutines)
-	}
-
 	for name, m := range map[string]*machine.Machine{
 		"ncube2": machine.NCube2(64), "future": machine.FutureHypercube(64), "simd": machine.SIMD(64),
 		"cm5": machine.CM5(64), "hypercube": machine.Hypercube(64, 1, 1), "mesh": machine.Mesh(64, 1, 1),
@@ -101,7 +90,9 @@ func TestDefaultBackendIsEvents(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	g, err := simulator.Run(hc.WithBackend(machine.BackendGoroutines), body)
+	gm := *hc
+	gm.Backend = machine.BackendGoroutines
+	g, err := simulator.Run(&gm, body)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -137,25 +128,25 @@ func TestDefaultBackendIsEvents(t *testing.T) {
 	}
 	cfg.assertBackend(t, "server.Config{}", "events")
 
-	// matscale.Sweep without WithBackend: the typed error of a rejected
-	// option names the backend the sweep would have run on, and the
-	// output equals an explicit Events sweep.
+	// matscale.Sweep: the typed error of a rejected option names the
+	// backend the sweep would have run on, and the output equals an
+	// explicit events sweep.
 	var uce *matscale.UnsupportedCapabilityError
 	if _, err := matscale.Sweep(spec, matscale.WithCheckpoint(&buf), matscale.WithSuspendAfter(1)); !errors.As(err, &uce) {
 		t.Fatalf("Sweep with checkpoint options: err = %v", err)
 	}
-	if uce.Backend != matscale.Events {
+	if uce.Backend != machine.BackendEvents {
 		t.Fatalf("matscale.Sweep defaults to backend %v", uce.Backend)
 	}
 	def, err := matscale.Sweep(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
-	ev, err := matscale.Sweep(spec, matscale.WithBackend(matscale.Events))
+	ev, err := sweep.Run(spec, sweep.Options{Backend: machine.BackendEvents})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if def.CSV() != ev.CSV() {
-		t.Fatal("default sweep differs from an explicit Events sweep")
+		t.Fatal("default sweep differs from an explicit events sweep")
 	}
 }

@@ -67,31 +67,6 @@ func ExampleSelect() {
 	// ts=0.5: DNS
 }
 
-// WithBackend swaps the simulation engine under a run. The two
-// backends are byte-equivalent — same Tp, same product, same metrics —
-// so the choice only changes host cost: the default events backend
-// simulates Cannon's algorithm at a million ranks in seconds, where
-// the goroutine backend cannot go.
-func ExampleWithBackend() {
-	m := matscale.Hypercube(16, 17, 3)
-	a := matscale.Identity(16)
-	g, err := matscale.Run(matscale.Cannon, m, a, a,
-		matscale.WithBackend(matscale.Goroutines))
-	if err != nil {
-		panic(err)
-	}
-	e, err := matscale.Run(matscale.Cannon, m, a, a,
-		matscale.WithBackend(matscale.Events))
-	if err != nil {
-		panic(err)
-	}
-	fmt.Printf("goroutines Tp = %.0f\n", g.Sim.Tp)
-	fmt.Printf("events     Tp = %.0f\n", e.Sim.Tp)
-	// Output:
-	// goroutines Tp = 776
-	// events     Tp = 776
-}
-
 // HostMul is the real (non-simulated) parallel multiply for the host
 // machine.
 func ExampleHostMul() {

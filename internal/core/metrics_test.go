@@ -96,7 +96,9 @@ func TestPerRankTimeBudget(t *testing.T) {
 // the goroutine engine, the one whose schedule varies run to run.
 func TestMetricsDeterministic(t *testing.T) {
 	run := func() []byte {
-		res, err := GK(observed(64).WithBackend(machine.BackendGoroutines), matrix.RandomInts(16, 16, 1), matrix.RandomInts(16, 16, 2))
+		m := observed(64)
+		m.Backend = machine.BackendGoroutines
+		res, err := GK(m, matrix.RandomInts(16, 16, 1), matrix.RandomInts(16, 16, 2))
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -46,7 +46,9 @@ func TestAllFormulationsStressP64(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			t.Parallel() // formulations stress the pools against each other too
 			for r := 0; r < rounds; r++ {
-				runCase(t, c.name, c.alg, machine.Hypercube(c.p, 17, 3).WithBackend(machine.BackendGoroutines), c.n)
+				m := machine.Hypercube(c.p, 17, 3)
+				m.Backend = machine.BackendGoroutines
+				runCase(t, c.name, c.alg, m, c.n)
 			}
 		})
 	}

@@ -19,7 +19,7 @@ func BenchmarkDESMillionRank(b *testing.B) {
 	const p, n = 1 << 20, 1 << 10
 	a := matrix.Random(n, n, 1)
 	bm := matrix.Random(n, n, 2)
-	m := machine.NCube2(p).WithBackend(machine.BackendEvents)
+	m := machine.NCube2(p)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Cannon(m, a, bm)
@@ -39,7 +39,7 @@ func BenchmarkEventsFiberCannon(b *testing.B) {
 	const p, n = 256, 64
 	a := matrix.Random(n, n, 1)
 	bm := matrix.Random(n, n, 2)
-	m := machine.NCube2(p).WithBackend(machine.BackendEvents)
+	m := machine.NCube2(p)
 	m.CollectMetrics = true
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -54,7 +54,7 @@ func BenchmarkEventsFiberCannon(b *testing.B) {
 // of every fiber-tier simulation.
 func BenchmarkEventsFiberExchange(b *testing.B) {
 	const p, rounds = 64, 32
-	m := machine.Hypercube(p, 5, 1).WithBackend(machine.BackendEvents)
+	m := machine.Hypercube(p, 5, 1)
 	payload := make([]float64, 16)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -27,7 +27,7 @@ func (l *lcg) next(bound uint64) uint64 {
 // events wires a formulation's machine for the events backend with
 // full observability, mirroring the differential suite.
 func events(mk func() *machine.Machine, fc *faults.Config) *machine.Machine {
-	return observe(mk()).WithFaults(fc).WithBackend(machine.BackendEvents)
+	return observe(mk()).WithFaults(fc)
 }
 
 // suspendAt runs alg with a StopAfter cut and returns either the
@@ -221,7 +221,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 		expectMismatch(t, err)
 	})
 	t.Run("DifferentObservability", func(t *testing.T) {
-		m := hyper().WithBackend(machine.BackendEvents) // no metrics/trace
+		m := hyper() // no metrics/trace
 		m.Checkpoint = &machine.CheckpointControl{Resume: snap}
 		_, err := core.Cannon(m, a, b)
 		expectMismatch(t, err)
@@ -256,7 +256,7 @@ func TestResumeRejectsMismatch(t *testing.T) {
 // rejects a checkpoint control with a typed capability error instead
 // of silently ignoring it.
 func TestCheckpointUnsupportedOnGoroutines(t *testing.T) {
-	m := machine.Hypercube(4, 5, 1).WithBackend(machine.BackendGoroutines)
+	m := onEngine(machine.Hypercube(4, 5, 1), machine.BackendGoroutines)
 	m.Checkpoint = &machine.CheckpointControl{StopAfter: 1}
 	_, err := simulator.Run(m, func(p *simulator.Proc) {})
 	var ue *simulator.UnsupportedCapabilityError
@@ -271,7 +271,7 @@ func TestCheckpointUnsupportedOnGoroutines(t *testing.T) {
 // TestEmptyCheckpointControlRejected asserts a control with neither
 // StopAfter nor Resume fails validation rather than being ignored.
 func TestEmptyCheckpointControlRejected(t *testing.T) {
-	m := machine.Hypercube(4, 5, 1).WithBackend(machine.BackendEvents)
+	m := machine.Hypercube(4, 5, 1)
 	m.Checkpoint = &machine.CheckpointControl{}
 	if _, err := simulator.Run(m, func(p *simulator.Proc) {}); err == nil {
 		t.Fatal("empty CheckpointControl passed validation")

@@ -62,18 +62,25 @@ func observe(m *machine.Machine) *machine.Machine {
 	return m
 }
 
+// onEngine returns a copy of m that runs on engine b.
+func onEngine(m *machine.Machine, b machine.Backend) *machine.Machine {
+	mm := *m
+	mm.Backend = b
+	return &mm
+}
+
 // runBoth runs one formulation on both backends with identical
 // configuration and returns the two results.
 func runBoth(t *testing.T, alg core.Algorithm, mk func() *machine.Machine, n int, fc *faults.Config) (g, e *core.Result) {
 	t.Helper()
 	a := matrix.RandomInts(n, n, 71)
 	b := matrix.RandomInts(n, n, 72)
-	gm := observe(mk()).WithFaults(fc).WithBackend(machine.BackendGoroutines)
+	gm := onEngine(observe(mk()).WithFaults(fc), machine.BackendGoroutines)
 	g, err := alg(gm, a, b)
 	if err != nil {
 		t.Fatalf("goroutines backend: %v", err)
 	}
-	em := observe(mk()).WithFaults(fc).WithBackend(machine.BackendEvents)
+	em := onEngine(observe(mk()).WithFaults(fc), machine.BackendEvents)
 	e, err = alg(em, a, b)
 	if err != nil {
 		t.Fatalf("events backend: %v", err)
@@ -170,7 +177,7 @@ func TestBackendEquivalenceContention(t *testing.T) {
 // events backend just as on the goroutine backend: deadlock, a
 // panicking rank, and messages left unconsumed at exit.
 func TestEventsBackendErrors(t *testing.T) {
-	m := machine.Hypercube(4, 5, 1).WithBackend(machine.BackendEvents)
+	m := machine.Hypercube(4, 5, 1)
 	if _, err := simulator.Run(m, func(p *simulator.Proc) {
 		p.Recv((p.Rank()+1)%p.Machine().P(), 0) // nobody ever sends
 	}); err == nil {

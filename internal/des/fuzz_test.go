@@ -56,8 +56,8 @@ func FuzzBackendEquivalence(f *testing.F) {
 			}
 			return m
 		}
-		g, gerr := simulator.Run(mk().WithBackend(machine.BackendGoroutines), randomProgram(seed, p, rounds))
-		e, eerr := simulator.Run(mk().WithBackend(machine.BackendEvents), randomProgram(seed, p, rounds))
+		g, gerr := simulator.Run(onEngine(mk(), machine.BackendGoroutines), randomProgram(seed, p, rounds))
+		e, eerr := simulator.Run(onEngine(mk(), machine.BackendEvents), randomProgram(seed, p, rounds))
 		if (gerr == nil) != (eerr == nil) {
 			t.Fatalf("backends disagree on outcome: goroutines err=%v, events err=%v", gerr, eerr)
 		}

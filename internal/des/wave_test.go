@@ -33,11 +33,11 @@ func runCannonBoth(t *testing.T, p, n int, fc *faults.Config) (g, e *core.Result
 	t.Helper()
 	a := matrix.Random(n, n, 91)
 	b := matrix.Random(n, n, 92)
-	g, err := core.Cannon(machine.NCube2(p).WithFaults(fc).WithBackend(machine.BackendGoroutines), a, b)
+	g, err := core.Cannon(onEngine(machine.NCube2(p).WithFaults(fc), machine.BackendGoroutines), a, b)
 	if err != nil {
 		t.Fatalf("goroutines: %v", err)
 	}
-	em := machine.NCube2(p).WithFaults(fc).WithBackend(machine.BackendEvents)
+	em := onEngine(machine.NCube2(p).WithFaults(fc), machine.BackendEvents)
 	if !des.SystolicEligible(em) {
 		t.Fatal("expected machine to be eligible for the systolic tier")
 	}
@@ -94,11 +94,11 @@ func TestNativeCannonFaultedMatchesGoroutines(t *testing.T) {
 // per-message feature must route the events backend through the
 // general fiber engine instead.
 func TestSystolicEligibility(t *testing.T) {
-	base := func() *machine.Machine { return machine.NCube2(16).WithBackend(machine.BackendEvents) }
+	base := func() *machine.Machine { return onEngine(machine.NCube2(16), machine.BackendEvents) }
 	if !des.SystolicEligible(base()) {
 		t.Error("plain events machine should be eligible")
 	}
-	if des.SystolicEligible(machine.NCube2(16).WithBackend(machine.BackendGoroutines)) {
+	if des.SystolicEligible(onEngine(machine.NCube2(16), machine.BackendGoroutines)) {
 		t.Error("goroutines machine must not be eligible")
 	}
 	withMetrics := base()
@@ -124,11 +124,11 @@ func TestSystolicEligibility(t *testing.T) {
 // TestRunSystolicRejectsMismatch pins the error paths of the exported
 // entry point.
 func TestRunSystolicRejectsMismatch(t *testing.T) {
-	m := machine.NCube2(16).WithBackend(machine.BackendGoroutines)
+	m := onEngine(machine.NCube2(16), machine.BackendGoroutines)
 	if _, err := des.RunSystolic(m, des.SystolicSpec{P: 16, GatherRoot: -1}); err == nil {
 		t.Error("want error for non-events machine")
 	}
-	em := m.WithBackend(machine.BackendEvents)
+	em := onEngine(m, machine.BackendEvents)
 	if _, err := des.RunSystolic(em, des.SystolicSpec{P: 8, GatherRoot: -1}); err == nil {
 		t.Error("want error for rank-count mismatch")
 	}

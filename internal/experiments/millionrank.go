@@ -15,15 +15,16 @@ import (
 // up to p = n², one matrix element per processor, which is 2^20 ranks
 // at the default n = 1024 — on the paper's nCUBE-2-like hypercube and
 // a wraparound mesh with the same cost constants. Every run executes
-// on machine.BackendEvents and reports the usual virtual-time
-// quantities, so the table extends the paper's fixed-problem-size
-// speedup analysis (Section 3) into the million-rank regime: Cannon's
-// efficiency collapses as 2·ts·√p + 2·tw·n²/√p overwhelms n³/p, and
-// GK holds on longer at its p = q³ sizes. Results and the wall-clock
-// story are discussed in docs/BACKENDS.md.
+// on the events backend, the presets' default, and reports the usual
+// virtual-time quantities, so the table extends the paper's
+// fixed-problem-size speedup analysis (Section 3) into the
+// million-rank regime: Cannon's efficiency collapses as
+// 2·ts·√p + 2·tw·n²/√p overwhelms n³/p, and GK holds on longer at its
+// p = q³ sizes. Results and the wall-clock story are discussed in
+// docs/BACKENDS.md.
 //
 // The output is deterministic for a fixed n: matrices are seeded, and
-// the events backend is byte-equivalent to the goroutine backend.
+// virtual time is independent of the event schedule.
 func MillionRankStudy(w io.Writer, n int) error {
 	if n < 4 || n&(n-1) != 0 {
 		return fmt.Errorf("experiments: million-rank study needs a power-of-two n ≥ 4, got %d", n)
@@ -71,7 +72,7 @@ func MillionRankStudy(w io.Writer, n int) error {
 		case "mesh":
 			m = machine.Mesh(r.p, 150, 3)
 		}
-		res, err := r.run(m.WithBackend(machine.BackendEvents), a, b)
+		res, err := r.run(m, a, b)
 		if err != nil {
 			fmt.Fprintf(w, "%-8s %-7s %9d n/a: %v\n", r.alg, r.mach, r.p, err)
 			continue

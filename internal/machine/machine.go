@@ -46,14 +46,15 @@ func (r Routing) String() string {
 
 // Backend selects the simulation engine that executes rank programs on
 // a machine: the discrete-event engine (a central virtual-time event
-// loop resuming rank coroutines one at a time, the default) or the
-// goroutine engine (one OS-scheduled goroutine per rank, blocking
-// mailboxes). The two produce byte-identical results for a fixed
-// configuration — the cost model is schedule-independent — so the
-// choice is purely about host performance and scale; see
-// docs/BACKENDS.md. The selection rides on the Machine for the same
-// reason the observability flags do: it is the one context every
-// algorithm entry point receives, and it changes no measured quantity.
+// loop resuming rank coroutines one at a time, the default and the
+// only engine any user surface runs) or the goroutine engine (one
+// OS-scheduled goroutine per rank, blocking mailboxes), which remains
+// only as the reference the differential tests and the benchmark
+// compare against until its deletion (docs/BACKENDS.md). The two
+// produce byte-identical results for a fixed configuration — the cost
+// model is schedule-independent — so the choice changes host time
+// only. The name String emits ("events") is part of cell keys,
+// snapshot fingerprints and sweep checkpoints.
 type Backend int
 
 const (
@@ -62,8 +63,8 @@ const (
 	// the goroutine engine's reach and is the only engine that can
 	// checkpoint.
 	BackendEvents Backend = iota
-	// BackendGoroutines is the concurrent engine, an explicit opt-in:
-	// one free-running host goroutine per rank.
+	// BackendGoroutines is the concurrent engine, one free-running host
+	// goroutine per rank, kept as a test and benchmark reference.
 	BackendGoroutines
 	// backendCount bounds the valid Backend values for Validate.
 	backendCount
@@ -85,8 +86,8 @@ func (b Backend) Known() bool {
 	return b >= 0 && b < backendCount
 }
 
-// ParseBackend parses the textual backend names the CLI accepts:
-// "goroutines" and "events".
+// ParseBackend parses the names String emits, "goroutines" and
+// "events"; sweep checkpoints decode their backend field through it.
 func ParseBackend(s string) (Backend, error) {
 	switch s {
 	case "goroutines":
@@ -177,16 +178,6 @@ type CheckpointControl struct {
 func (m *Machine) WithFaults(f *faults.Config) *Machine {
 	mm := *m
 	mm.Faults = f
-	return &mm
-}
-
-// WithBackend returns a copy of m whose rank programs execute on the
-// given simulation backend. The receiver is not mutated; results are
-// byte-identical across backends, so the copy changes host behavior
-// only.
-func (m *Machine) WithBackend(b Backend) *Machine {
-	mm := *m
-	mm.Backend = b
 	return &mm
 }
 

@@ -243,3 +243,46 @@ func TestLookupPresetConstantsMatchMachine(t *testing.T) {
 		t.Error("LookupPreset accepted an unknown name")
 	}
 }
+
+// TestParseBackend round-trips every Backend through the names String
+// emits, the names cell keys, snapshot fingerprints and sweep
+// checkpoints carry, and rejects an unknown name.
+func TestParseBackend(t *testing.T) {
+	for name, want := range map[string]Backend{
+		"goroutines": BackendGoroutines,
+		"events":     BackendEvents,
+	} {
+		got, err := ParseBackend(name)
+		if err != nil || got != want {
+			t.Fatalf("ParseBackend(%q) = %v, %v", name, got, err)
+		}
+		if got.String() != name {
+			t.Fatalf("Backend %v renders as %q", got, got.String())
+		}
+	}
+	if _, err := ParseBackend("quantum"); err == nil {
+		t.Fatal("want error for unknown backend name")
+	}
+}
+
+// TestBackendUnknownValue: a Backend outside the defined constants is
+// not Known, renders with its number, and fails Validate, which every
+// simulated run passes through.
+func TestBackendUnknownValue(t *testing.T) {
+	for _, b := range []Backend{-1, 99} {
+		if b.Known() {
+			t.Fatalf("%v reports Known", b)
+		}
+		m := Hypercube(16, 150, 3)
+		m.Backend = b
+		if err := m.Validate(); err == nil || !strings.Contains(err.Error(), "unknown backend") {
+			t.Fatalf("Validate with backend %d = %v, want unknown backend", int(b), err)
+		}
+	}
+	if s := Backend(99).String(); s != "Backend(99)" {
+		t.Fatalf("Backend(99) renders as %q", s)
+	}
+	if !BackendEvents.Known() || !BackendGoroutines.Known() {
+		t.Fatal("a defined Backend is not Known")
+	}
+}

@@ -7,16 +7,13 @@ import (
 	"net/http"
 	"strconv"
 
-	"matscale/internal/machine"
 	"matscale/internal/sweep"
 )
 
-// SubmitRequest is the POST /v1/jobs body: the sweep spec plus an
-// optional backend name ("events" or "goroutines"; the server's
-// Config.Backend — events unless configured otherwise — when empty).
+// SubmitRequest is the POST /v1/jobs body. Jobs run on the server's
+// Config.Backend; any field besides spec is rejected as bad_request.
 type SubmitRequest struct {
-	Spec    sweep.Spec `json:"spec"`
-	Backend string     `json:"backend,omitempty"`
+	Spec sweep.Spec `json:"spec"`
 }
 
 // SubmitResponse acknowledges an admitted job.
@@ -114,16 +111,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		writeError(w, kindError{KindBadRequest, "malformed request body: " + err.Error()})
 		return
 	}
-	backend := machine.Backend(-1) // server default
-	if req.Backend != "" {
-		b, err := machine.ParseBackend(req.Backend)
-		if err != nil {
-			writeError(w, kindError{KindBadRequest, err.Error()})
-			return
-		}
-		backend = b
-	}
-	j, err := s.Submit(&req.Spec, backend)
+	j, err := s.Submit(&req.Spec, -1)
 	if err != nil {
 		writeError(w, err)
 		return

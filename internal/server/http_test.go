@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"matscale/internal/machine"
 )
 
 // httpServer spins up a Server behind httptest and tears both down
@@ -340,7 +342,7 @@ func TestHTTPErrorMapping(t *testing.T) {
 		{"malformed body", `{not json`, http.StatusBadRequest, "bad_request"},
 		{"oversize body", `{"spec":{"algorithms":["` + strings.Repeat("a", 2<<20) + `"]}}`, http.StatusBadRequest, "bad_request"},
 		{"bad spec", `{"spec":{"algorithms":["nope"],"machines":["ncube2"],"ps":[16],"ns":[16]}}`, http.StatusBadRequest, "bad_spec"},
-		{"bad backend", `{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"abacus"}`, http.StatusBadRequest, "bad_request"},
+		{"backend field", `{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"events"}`, http.StatusBadRequest, "bad_request"},
 		{"valid spec", `{"spec":{"algorithms":["gk"],"machines":["ncube2"],"ps":[16],"ns":[16]}}`, http.StatusAccepted, ""},
 	} {
 		if code, ae := post(c.body); code != c.code || ae.Kind != c.kind {
@@ -407,21 +409,27 @@ func TestHTTPResultNotDone(t *testing.T) {
 	awaitDone(t, ts.URL, ack.ID)
 }
 
-// TestHTTPBackendSelection runs the same spec on both engines and —
-// backend equivalence — expects identical cells.
+// TestHTTPBackendSelection runs the same spec on a server configured
+// with each engine and — backend equivalence — expects identical cells.
 func TestHTTPBackendSelection(t *testing.T) {
-	_, ts := httpServer(t, Config{SweepWorkers: 2})
-	goro := submitHTTP(t, ts.URL, `{"spec":{"algorithms":["cannon"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"goroutines"}`)
-	events := submitHTTP(t, ts.URL, `{"spec":{"algorithms":["cannon"],"machines":["ncube2"],"ps":[16],"ns":[16]},"backend":"events"}`)
-	awaitDone(t, ts.URL, goro.ID)
-	awaitDone(t, ts.URL, events.ID)
+	const body = `{"spec":{"algorithms":["cannon"],"machines":["ncube2"],"ps":[16],"ns":[16]}}`
+	_, gts := httpServer(t, Config{SweepWorkers: 2, Backend: machine.BackendGoroutines})
+	_, ets := httpServer(t, Config{SweepWorkers: 2})
+	goro := submitHTTP(t, gts.URL, body)
+	events := submitHTTP(t, ets.URL, body)
+	if st := awaitDone(t, gts.URL, goro.ID); st.Backend != "goroutines" {
+		t.Fatalf("goroutines server ran the job on %q", st.Backend)
+	}
+	if st := awaitDone(t, ets.URL, events.ID); st.Backend != "events" {
+		t.Fatalf("default server ran the job on %q", st.Backend)
+	}
 	var a, b struct {
 		Cells json.RawMessage `json:"cells"`
 	}
-	if err := json.Unmarshal(fetchResult(t, ts.URL, goro.ID), &a); err != nil {
+	if err := json.Unmarshal(fetchResult(t, gts.URL, goro.ID), &a); err != nil {
 		t.Fatal(err)
 	}
-	if err := json.Unmarshal(fetchResult(t, ts.URL, events.ID), &b); err != nil {
+	if err := json.Unmarshal(fetchResult(t, ets.URL, events.ID), &b); err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(a.Cells, b.Cells) {

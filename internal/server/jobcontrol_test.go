@@ -343,6 +343,41 @@ func TestRestoreRejectsCorruptCheckpoint(t *testing.T) {
 	}
 }
 
+// A crash between writing a checkpoint's temp file and renaming it
+// leaves <id>.ckpt.tmp behind: startup ignores its contents, restores
+// the complete checkpoints, and deletes the leftover.
+func TestRestoreRemovesLeftoverTempFile(t *testing.T) {
+	dir := t.TempDir()
+	data, err := (&sweep.Checkpoint{Spec: *testSpec()}).Encode()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.WriteFile(filepath.Join(dir, "job-3.ckpt"), data, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	tmp := filepath.Join(dir, "job-4.ckpt.tmp")
+	if err := os.WriteFile(tmp, []byte("torn write"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := New(Config{CheckpointDir: dir})
+	if err != nil {
+		t.Fatalf("leftover temp file blocked startup: %v", err)
+	}
+	defer s.Shutdown()
+	if st := s.Stats(); st.Suspended != 1 {
+		t.Fatalf("restored %d suspended jobs, want 1", st.Suspended)
+	}
+	if j, ok := s.Job("job-3"); !ok || j.State() != StateSuspended {
+		t.Fatal("job-3 not restored as suspended")
+	}
+	if _, ok := s.Job("job-4"); ok {
+		t.Fatal("a temp file was restored as a job")
+	}
+	if _, err := os.Stat(tmp); !os.IsNotExist(err) {
+		t.Fatalf("leftover temp file not removed (stat: %v)", err)
+	}
+}
+
 func TestErrorKindTable(t *testing.T) {
 	cases := []struct {
 		err    error

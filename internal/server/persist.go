@@ -20,8 +20,12 @@ import (
 // corruption.
 
 // ckptExt is the checkpoint file suffix; files without it are ignored
-// by the restore scan.
-const ckptExt = ".ckpt"
+// by the restore scan. tmpExt marks a checkpoint still being written:
+// one left behind by a crash before its rename is deleted at startup.
+const (
+	ckptExt = ".ckpt"
+	tmpExt  = ".tmp"
+)
 
 // ckptPath returns the checkpoint file for a job ID.
 func (s *Server) ckptPath(id string) string {
@@ -29,26 +33,57 @@ func (s *Server) ckptPath(id string) string {
 }
 
 // persistCheckpoint writes a suspended job's checkpoint durably: the
-// bytes go to a temp file first and land under the final name via
-// rename, so readers (and a restarted server) only ever see a complete
-// file. A no-op without a CheckpointDir.
+// bytes go to a temp file, which is synced before it lands under the
+// final name via rename, and the directory is synced after, so a crash
+// at any point leaves either the previous file or the complete new one
+// (plus, at worst, a temp file the next startup deletes). A no-op
+// without a CheckpointDir.
 func (s *Server) persistCheckpoint(id string, ck *sweep.Checkpoint) error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
 	}
 	data, err := ck.Encode()
+	if err == nil {
+		err = writeDurable(s.ckptPath(id), data)
+	}
 	if err != nil {
 		return fmt.Errorf("server: persist checkpoint for %s: %w", id, err)
 	}
-	path := s.ckptPath(id)
-	tmp := path + ".tmp"
-	if err := os.WriteFile(tmp, data, 0o644); err != nil {
-		return fmt.Errorf("server: persist checkpoint for %s: %w", id, err)
-	}
-	if err := os.Rename(tmp, path); err != nil {
-		return fmt.Errorf("server: persist checkpoint for %s: %w", id, err)
-	}
 	return nil
+}
+
+// writeDurable replaces path with data through a synced temp file and
+// a rename, then syncs the parent directory so the rename itself
+// survives a crash.
+func writeDurable(path string, data []byte) error {
+	tmp := path + tmpExt
+	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
+	if err != nil {
+		return err
+	}
+	_, err = f.Write(data)
+	if err == nil {
+		err = f.Sync()
+	}
+	if cerr := f.Close(); err == nil {
+		err = cerr
+	}
+	if err == nil {
+		err = os.Rename(tmp, path)
+	}
+	if err != nil {
+		_ = os.Remove(tmp) // best-effort: the next startup deletes it too
+		return err
+	}
+	dir, err := os.Open(filepath.Dir(path))
+	if err != nil {
+		return err
+	}
+	err = dir.Sync()
+	if cerr := dir.Close(); err == nil {
+		err = cerr
+	}
+	return err
 }
 
 // removeCheckpoint deletes a job's persisted checkpoint once it is no
@@ -65,10 +100,11 @@ func (s *Server) removeCheckpoint(id string) {
 // restoreCheckpoints scans CheckpointDir (creating it if absent) and
 // rebuilds each persisted checkpoint as a suspended job under its
 // original ID, advancing the ID counter past the restored ones so new
-// submissions never collide. Called by New before the workers start; a
-// checkpoint that fails to decode or validate aborts construction with
-// a typed error naming the file — the operator decides whether to
-// remove it.
+// submissions never collide. Temp files a crash left mid-write are
+// deleted: their checkpoint never landed. Called by New before the
+// workers start; a checkpoint that fails to decode or validate aborts
+// construction with a typed error naming the file — the operator
+// decides whether to remove it.
 func (s *Server) restoreCheckpoints() error {
 	if s.cfg.CheckpointDir == "" {
 		return nil
@@ -82,6 +118,12 @@ func (s *Server) restoreCheckpoints() error {
 	}
 	for _, ent := range entries {
 		name := ent.Name()
+		if !ent.IsDir() && strings.HasSuffix(name, ckptExt+tmpExt) {
+			if err := os.Remove(filepath.Join(s.cfg.CheckpointDir, name)); err != nil {
+				return fmt.Errorf("server: remove leftover %s: %w", name, err)
+			}
+			continue
+		}
 		if ent.IsDir() || !strings.HasSuffix(name, ckptExt) {
 			continue
 		}

@@ -82,8 +82,9 @@ type Config struct {
 	// one cache across servers. Cache stats are then absent from
 	// Stats.
 	Cache sweep.CellCache
-	// Backend is the default simulation engine for jobs that don't
-	// request one; the zero value is the events engine.
+	// Backend is the simulation engine jobs run on when Submit is not
+	// given one; the zero value is the events engine, which every
+	// binary and HTTP submit uses.
 	Backend machine.Backend
 	// RetainJobs bounds how many terminal jobs stay queryable; the
 	// oldest-finished are evicted beyond it (0: DefaultRetainJobs).
@@ -289,9 +290,9 @@ func New(cfg Config) (*Server, error) {
 }
 
 // Submit validates and admits one sweep job. backend < 0 means the
-// server's default. The returned Job is queued (or already running by
-// the time the caller looks); rejections are the typed errors above
-// and never block.
+// server's Config.Backend, which is what HTTP submits pass. The
+// returned Job is queued (or already running by the time the caller
+// looks); rejections are the typed errors above and never block.
 func (s *Server) Submit(spec *sweep.Spec, backend machine.Backend) (*Job, error) {
 	if backend < 0 {
 		backend = s.cfg.Backend

@@ -1,9 +1,11 @@
-// Checkpoint/resume for the discrete-event engine (fiber.go), plus the
-// typed errors the capability surfaces and the Proc state encoding its
-// snapshots embed. The goroutine engine deliberately cannot
+// Checkpoint/resume for the discrete-event engine (fiber.go), the
+// engine every run uses unless a test pins the goroutine reference
+// engine, plus the typed errors the capability surfaces and the Proc
+// state encoding its snapshots embed. The goroutine engine cannot
 // checkpoint: its mailboxes and buffer pool are scheduled by the host
-// and have no deterministic cut (sweeps over it checkpoint at cell
-// granularity instead — see internal/sweep).
+// and have no deterministic cut, so dispatch rejects a checkpoint on it
+// with an UnsupportedCapabilityError. Sweeps checkpoint at cell
+// granularity instead (internal/sweep).
 //
 // Consistent cut. Under strict handoff, whenever the event loop holds
 // control every fiber is parked and no message is "on the wire":
@@ -48,9 +50,10 @@ import (
 )
 
 // UnsupportedCapabilityError reports an option demanded of a backend
-// that does not implement it. It replaces silently ignoring the
-// option: a caller that asked for a checkpoint must not believe it is
-// getting one.
+// or entry point that does not implement it: a checkpoint on the
+// goroutine engine, or run-level suspension of a sweep. It replaces
+// silently ignoring the option: a caller that asked for a checkpoint
+// must not believe it is getting one.
 type UnsupportedCapabilityError struct {
 	Backend    machine.Backend
 	Capability string

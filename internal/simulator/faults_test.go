@@ -298,10 +298,12 @@ func TestCriticalRankShift(t *testing.T) {
 // A faulted machine behind the same topology still deadlock-detects.
 func TestFaultsPreserveDeadlockDetection(t *testing.T) {
 	f := &faults.Config{Seed: 1, Loss: 0.01}
-	_, err := Run(goroutines(faultedMachine(2, f)), func(pr *Proc) {
-		pr.Recv((pr.Rank()+1)%2, 0) // everyone receives, nobody sends
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("want deadlock error, got %v", err)
+	for _, b := range engines {
+		_, err := Run(onEngine(faultedMachine(2, f), b), func(pr *Proc) {
+			pr.Recv((pr.Rank()+1)%2, 0) // everyone receives, nobody sends
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%v: want deadlock error, got %v", b, err)
+		}
 	}
 }

@@ -174,14 +174,12 @@ func TestExchangeOwnedMatchesExchange(t *testing.T) {
 	}
 }
 
-// pingPongAllocs measures the average host allocations of a run whose
-// two ranks ping-pong msgs messages of 256 words with recycling. It is
-// pinned to the goroutine engine, whose pool tiers and mailboxes the
-// allocation test and the gated Deliver benchmarks have always
-// measured.
-func pingPongAllocs(t testing.TB, msgs int) float64 {
+// pingPongAllocs measures the average host allocations of a run on
+// engine b whose two ranks ping-pong msgs messages of 256 words with
+// recycling.
+func pingPongAllocs(t testing.TB, b machine.Backend, msgs int) float64 {
 	t.Helper()
-	m := twoProc(0, 0).WithBackend(machine.BackendGoroutines)
+	m := onEngine(twoProc(0, 0), b)
 	return testing.AllocsPerRun(5, func() {
 		_, err := Run(m, func(p *Proc) {
 			buf := make([]float64, 256)
@@ -204,21 +202,23 @@ func pingPongAllocs(t testing.TB, msgs int) float64 {
 }
 
 // TestSteadyStateMessagingAllocationFree asserts the pooled message
-// path allocates nothing per message once warm: the allocation count of
-// a run is independent of how many messages it moves. Fixed per-run
-// overhead (goroutines, mailboxes, first-delivery pool fills) cancels
-// in the difference.
+// path allocates nothing per message once warm, on either engine: the
+// allocation count of a run is independent of how many messages it
+// moves. Fixed per-run overhead (goroutines or fibers, mailboxes,
+// first-delivery pool fills) cancels in the difference.
 func TestSteadyStateMessagingAllocationFree(t *testing.T) {
 	if testing.Short() {
 		t.Skip("allocation measurement is slow under -short")
 	}
-	small := pingPongAllocs(t, 16)
-	large := pingPongAllocs(t, 1040)
-	extra := large - small
-	perMsg := extra / float64(2*(1040-16))
-	if perMsg > 0.1 {
-		t.Errorf("steady-state message path allocates %.3f allocs/message (runs: %v small, %v large); want amortized zero",
-			perMsg, small, large)
+	for _, b := range engines {
+		small := pingPongAllocs(t, b, 16)
+		large := pingPongAllocs(t, b, 1040)
+		extra := large - small
+		perMsg := extra / float64(2*(1040-16))
+		if perMsg > 0.1 {
+			t.Errorf("%v: steady-state message path allocates %.3f allocs/message (runs: %v small, %v large); want amortized zero",
+				b, perMsg, small, large)
+		}
 	}
 }
 
@@ -227,7 +227,7 @@ func TestSteadyStateMessagingAllocationFree(t *testing.T) {
 // ownership-transfer path, on the goroutine engine (pinned so the gated
 // benchmark keeps comparing like with like).
 func benchDeliver(b *testing.B, words int, owned bool) {
-	m := twoProc(0, 0).WithBackend(machine.BackendGoroutines)
+	m := onEngine(twoProc(0, 0), machine.BackendGoroutines)
 	b.SetBytes(int64(words * 8))
 	b.ReportAllocs()
 	b.ResetTimer()
@@ -270,10 +270,10 @@ func BenchmarkDeliverOwned256(b *testing.B) { benchDeliver(b, 256, true) }
 // -benchtime; the difference of a long and a short run cancels it, so
 // allocs/msg reports the steady state regardless of b.N.
 func BenchmarkDeliverSteadyStateAllocs(b *testing.B) {
-	small := pingPongAllocs(b, 16)
+	small := pingPongAllocs(b, machine.BackendGoroutines, 16)
 	var large float64
 	for i := 0; i < b.N; i++ {
-		large = pingPongAllocs(b, 1040)
+		large = pingPongAllocs(b, machine.BackendGoroutines, 1040)
 	}
 	b.ReportMetric((large-small)/float64(2*(1040-16)), "allocs/msg")
 }
@@ -284,7 +284,7 @@ func BenchmarkDeliverSteadyStateAllocs(b *testing.B) {
 // global queue.
 func BenchmarkDeliverRing16(b *testing.B) {
 	const p, words = 16, 256
-	m := machine.Hypercube(p, 0, 0).WithBackend(machine.BackendGoroutines)
+	m := onEngine(machine.Hypercube(p, 0, 0), machine.BackendGoroutines)
 	b.SetBytes(int64(p * words * 8))
 	b.ReportAllocs()
 	b.ResetTimer()

@@ -222,45 +222,55 @@ func TestStoreAndForwardMultiHopCharge(t *testing.T) {
 	}
 }
 
-// goroutines pins m to the goroutine engine. The deadlock-scan tests
-// use it: the scan, its lock ordering and its exit-triggered path are
-// that engine's code (the event engine finds deadlock by an empty
-// event heap, covered by TestEngineErrorTexts).
-func goroutines(m *machine.Machine) *machine.Machine {
-	return m.WithBackend(machine.BackendGoroutines)
+// engines lists both simulation engines. The tests that loop over it
+// make the same assertion on each: the goroutine engine finds deadlock
+// with its blocked-rank scan, the event engine by an empty event heap.
+var engines = []machine.Backend{machine.BackendEvents, machine.BackendGoroutines}
+
+// onEngine returns a copy of m that runs on engine b.
+func onEngine(m *machine.Machine, b machine.Backend) *machine.Machine {
+	mm := *m
+	mm.Backend = b
+	return &mm
 }
 
 func TestDeadlockDetected(t *testing.T) {
-	_, err := Run(goroutines(twoProc(0, 0)), func(p *Proc) {
-		p.Recv(1-p.Rank(), 0) // both wait forever
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want deadlock", err)
+	for _, b := range engines {
+		_, err := Run(onEngine(twoProc(0, 0), b), func(p *Proc) {
+			p.Recv(1-p.Rank(), 0) // both wait forever
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%v: err = %v, want deadlock", b, err)
+		}
 	}
 }
 
 func TestDeadlockAfterExitDetected(t *testing.T) {
-	_, err := Run(goroutines(twoProc(0, 0)), func(p *Proc) {
-		if p.Rank() == 1 {
-			p.Recv(0, 0) // rank 0 exits immediately; rank 1 starves
+	for _, b := range engines {
+		_, err := Run(onEngine(twoProc(0, 0), b), func(p *Proc) {
+			if p.Rank() == 1 {
+				p.Recv(0, 0) // rank 0 exits immediately; rank 1 starves
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%v: err = %v, want deadlock", b, err)
 		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want deadlock", err)
 	}
 }
 
 func TestWrongTagDeadlocks(t *testing.T) {
-	_, err := Run(goroutines(twoProc(0, 0)), func(p *Proc) {
-		if p.Rank() == 0 {
-			p.SendFree(1, 1, []float64{1})
-			p.Recv(1, 0)
-		} else {
-			p.Recv(0, 2) // tag mismatch: message queued but unwanted
+	for _, b := range engines {
+		_, err := Run(onEngine(twoProc(0, 0), b), func(p *Proc) {
+			if p.Rank() == 0 {
+				p.SendFree(1, 1, []float64{1})
+				p.Recv(1, 0)
+			} else {
+				p.Recv(0, 2) // tag mismatch: message queued but unwanted
+			}
+		})
+		if err == nil || !strings.Contains(err.Error(), "deadlock") {
+			t.Fatalf("%v: err = %v, want deadlock", b, err)
 		}
-	})
-	if err == nil || !strings.Contains(err.Error(), "deadlock") {
-		t.Fatalf("err = %v, want deadlock", err)
 	}
 }
 
@@ -314,9 +324,9 @@ func TestEngineErrorTexts(t *testing.T) {
 		}, "simulator: 1 messages left unconsumed at exit"},
 	}
 	for _, tc := range cases {
-		for _, b := range []machine.Backend{machine.BackendEvents, machine.BackendGoroutines} {
+		for _, b := range engines {
 			t.Run(tc.name+"/"+b.String(), func(t *testing.T) {
-				_, err := Run(machine.Hypercube(tc.p, 0, 0).WithBackend(b), tc.body)
+				_, err := Run(onEngine(machine.Hypercube(tc.p, 0, 0), b), tc.body)
 				if err == nil || err.Error() != tc.want {
 					t.Fatalf("err = %v, want %q", err, tc.want)
 				}
@@ -404,8 +414,8 @@ func TestProcAccessors(t *testing.T) {
 }
 
 // Determinism: running the same program many times must produce the
-// same virtual times regardless of goroutine scheduling (pinned to the
-// goroutine engine, the one whose schedule varies run to run).
+// same virtual times on either engine, whatever the goroutine
+// schedule (the goroutine engine's varies run to run).
 func TestDeterministicVirtualTime(t *testing.T) {
 	prog := func(p *Proc) {
 		// Ring shift of 64 words, then a reduction to rank 0.
@@ -423,22 +433,24 @@ func TestDeterministicVirtualTime(t *testing.T) {
 			}
 		}
 	}
-	m := goroutines(machine.Hypercube(16, 5, 2))
-	first, err := Run(m, prog)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for trial := 0; trial < 20; trial++ {
-		res, err := Run(m, prog)
+	for _, b := range engines {
+		m := onEngine(machine.Hypercube(16, 5, 2), b)
+		first, err := Run(m, prog)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if res.Tp != first.Tp {
-			t.Fatalf("trial %d: Tp = %v, want %v", trial, res.Tp, first.Tp)
-		}
-		for i := range res.ProcClocks {
-			if res.ProcClocks[i] != first.ProcClocks[i] {
-				t.Fatalf("trial %d: clock[%d] differs", trial, i)
+		for trial := 0; trial < 20; trial++ {
+			res, err := Run(m, prog)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Tp != first.Tp {
+				t.Fatalf("%v trial %d: Tp = %v, want %v", b, trial, res.Tp, first.Tp)
+			}
+			for i := range res.ProcClocks {
+				if res.ProcClocks[i] != first.ProcClocks[i] {
+					t.Fatalf("%v trial %d: clock[%d] differs", b, trial, i)
+				}
 			}
 		}
 	}

@@ -14,14 +14,13 @@ import (
 // Cell-boundary checkpoints. A sweep's cells are independent pure
 // functions of their canonical keys, so the sweep engine has a natural
 // consistent cut of its own: between cells. Suspension lets in-flight
-// cells finish (a cell is the granularity — the goroutine backend has
-// no mid-simulation cut, and the events backend's mid-run cuts are a
-// per-cell concern, see internal/simulator), then snapshots the completed
-// CellResults keyed by cell identity. Resuming seeds those results
-// back in and simulates only the remainder; because every cell is
-// deterministic, the resumed Result renders byte-identically to an
-// uninterrupted run's. Both backends participate — this layer never
-// looks inside a simulation.
+// cells finish (a cell is the granularity — the events backend's
+// mid-run cuts are a per-cell concern, see internal/simulator), then
+// snapshots the completed CellResults keyed by cell identity. Resuming
+// seeds those results back in and simulates only the remainder;
+// because every cell is deterministic, the resumed Result renders
+// byte-identically to an uninterrupted run's. This layer never looks
+// inside a simulation, so it works on either engine.
 
 // sweepSnapKind and sweepSnapVersion identify the sweep checkpoint
 // payload inside the container. The payload is JSON (the sweep layer

@@ -131,8 +131,9 @@ type Options struct {
 	// that need determinism must consume the Result instead.
 	Progress func(done, total int, r CellResult)
 	// Backend is the simulation engine every cell executes on
-	// (events by default). Like Workers it never changes the
-	// Result: the backends are byte-equivalent for a fixed spec.
+	// (events by default; only tests and the benchmark set it). Like
+	// Workers it never changes the Result: the backends are
+	// byte-equivalent for a fixed spec.
 	Backend machine.Backend
 	// Cache, when non-nil, memoizes measured cell results across
 	// sweeps keyed by Spec.CellKey. Because a cell's measurement is a
