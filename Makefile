@@ -32,13 +32,17 @@ bench-json:
 BENCH_OLD ?= bench_main.txt
 BENCH_NEW ?= bench_pr.txt
 bench-gate:
-	$(GO) run ./scripts/benchgate -old $(BENCH_OLD) -new $(BENCH_NEW) -pkg 'internal/(simulator|des|matrix)' -max 0.10
+	$(GO) run ./scripts/benchgate -old $(BENCH_OLD) -new $(BENCH_NEW) -pkg 'internal/(simulator|matrix)' -max 0.10
+
+SIM_DIFF_TESTS = TestNativeCannon|TestSystolicEligibility|TestRunSystolicRejectsMismatch|FuzzBackendEquivalence
 
 # The cross-backend differential suite under the race detector: the
-# goroutine and discrete-event engines must produce byte-identical
-# Result/Metrics/CSV/Chrome-trace output (docs/BACKENDS.md).
+# goroutine engine and the discrete-event engine's fiber and wave tiers
+# must produce byte-identical Result/Metrics/CSV/Chrome-trace output,
+# fresh and resumed (docs/BACKENDS.md).
 backend-equivalence:
 	$(GO) test -race -count=1 ./internal/des
+	$(GO) test -race -count=1 -run '$(SIM_DIFF_TESTS)' ./internal/simulator
 	$(GO) test -race -count=1 -run 'TestBackend(Run|Sweep)' ./internal/sweep
 
 # The checkpoint/resume differential suites under the race detector: a
@@ -97,7 +101,7 @@ fuzz:
 	$(GO) test -fuzz=FuzzParse -fuzztime=$(FUZZTIME) -run='^$$' ./internal/faults
 	$(GO) test -fuzz=FuzzRandomPrograms -fuzztime=$(FUZZTIME) -run='^$$' ./internal/simulator
 	$(GO) test -fuzz=FuzzFaultedPrograms -fuzztime=$(FUZZTIME) -run='^$$' ./internal/simulator
-	$(GO) test -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/des
+	$(GO) test -fuzz=FuzzBackendEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/simulator
 	$(GO) test -fuzz=FuzzCheckpointRoundTrip -fuzztime=$(FUZZTIME) -run='^$$' ./internal/checkpoint
 	$(GO) test -fuzz=FuzzKernelWorkerEquivalence -fuzztime=$(FUZZTIME) -run='^$$' ./internal/matrix
 

@@ -5,6 +5,7 @@ import (
 	"io"
 	"reflect"
 	"strconv"
+	"strings"
 
 	"matscale/internal/checkpoint"
 	"matscale/internal/core"
@@ -17,6 +18,7 @@ import (
 	"matscale/internal/server"
 	"matscale/internal/simulator"
 	"matscale/internal/sweep"
+	"matscale/internal/topology"
 )
 
 // Observability types, re-exported.
@@ -489,26 +491,11 @@ func Select(m *Machine, n int) Selection {
 }
 
 // predictedTp evaluates the paper's closed-form parallel time of the
-// named algorithm (Eqs. 2–7) for n×n matrices on m; 0 when the model
-// has no equation for the name.
+// named algorithm for n×n matrices on m (model.PaperTp); 0 when the
+// model has no equation for the name.
 func predictedTp(name string, m *Machine, n int) float64 {
-	pr := Params{Ts: m.Ts, Tw: m.Tw}
-	nf, pf := float64(n), float64(m.P())
-	switch name {
-	case "Simple":
-		return model.PaperSimpleTp(pr, nf, pf)
-	case "Cannon":
-		return model.PaperCannonTp(pr, nf, pf)
-	case "Fox":
-		return model.PaperFoxTp(pr, nf, pf)
-	case "Berntsen":
-		return model.PaperBerntsenTp(pr, nf, pf)
-	case "DNS":
-		return model.PaperDNSTp(pr, nf, pf)
-	case "GK":
-		return model.PaperGKTp(pr, nf, pf)
-	}
-	return 0
+	_, full := m.Topo.(topology.FullyConnected)
+	return model.PaperTp(strings.ToLower(name), Params{Ts: m.Ts, Tw: m.Tw}, float64(n), float64(m.P()), full)
 }
 
 // RunAuto picks the predicted-fastest applicable algorithm for (m, n)

@@ -45,6 +45,7 @@ func cmdTrace(args []string) error {
 	}
 
 	m := machine.Hypercube(*p, *ts, *tw)
+	m.CollectTrace = true
 	group := make([]int, *p)
 	for i := range group {
 		group[i] = i
@@ -84,10 +85,11 @@ func cmdTrace(args []string) error {
 		// Trace the paper's algorithm itself: its three-stage structure
 		// (distribute A and B, multiply, reduce) shows in the timeline.
 		n := 4 * topology.IntCbrt(*p)
-		res, tr, err := core.GKTraced(m, matrix.RandomInts(n, n, 1), matrix.RandomInts(n, n, 2))
+		res, err := core.GK(m, matrix.RandomInts(n, n, 1), matrix.RandomInts(n, n, 2))
 		if err != nil {
 			return err
 		}
+		tr := res.Sim.Trace
 		fmt.Printf("GK algorithm, n=%d, %s\n", n, m)
 		fmt.Print(tr.Timeline(*width))
 		fmt.Printf("Tp = %.1f   messages = %d   words moved = %d\n", res.Sim.Tp, res.Sim.Messages, res.Sim.Words)
@@ -96,12 +98,12 @@ func cmdTrace(args []string) error {
 		return fmt.Errorf("unknown operation %q", *op)
 	}
 
-	res, tr, err := simulator.RunTraced(m, body)
+	res, err := simulator.Run(m, body)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("%s over %d processors, %d words, %s\n", *op, *p, *words, m)
-	fmt.Print(tr.Timeline(*width))
+	fmt.Print(res.Trace.Timeline(*width))
 	fmt.Printf("Tp = %.1f   messages = %d   words moved = %d\n", res.Tp, res.Messages, res.Words)
-	return exportChrome(tr)
+	return exportChrome(res.Trace)
 }

@@ -11,6 +11,7 @@ import (
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
+	"matscale/internal/topology"
 )
 
 func cmdIsoVal(args []string) error {
@@ -144,7 +145,7 @@ func cmdSaturation(args []string) error {
 	pr := model.Params{Ts: *ts, Tw: *tw}
 	var ps []int
 	for p := 1; p <= (*n)*(*n); p *= 4 {
-		if *n%intSqrt(p) == 0 {
+		if *n%topology.IntSqrt(p) == 0 {
 			ps = append(ps, p)
 		}
 	}
@@ -154,14 +155,6 @@ func cmdSaturation(args []string) error {
 	}
 	fmt.Print(experiments.RenderSpeedup(*n, pts))
 	return nil
-}
-
-func intSqrt(p int) int {
-	q := 1
-	for (q+1)*(q+1) <= p {
-		q++
-	}
-	return q
 }
 
 func cmdAll(args []string) error {

@@ -53,11 +53,13 @@ func main() {
 	fmt.Println()
 
 	fmt.Println("2. The GK algorithm's schedule (C = compute, S = send, . = wait):")
-	res, tr, err := core.GKTraced(machine.Hypercube(8, 17, 3), matrix.RandomInts(8, 8, 3), matrix.RandomInts(8, 8, 4))
+	traced := machine.Hypercube(8, 17, 3)
+	traced.CollectTrace = true
+	res, err := core.GK(traced, matrix.RandomInts(8, 8, 3), matrix.RandomInts(8, 8, 4))
 	if err != nil {
 		log.Fatal(err)
 	}
-	fmt.Print(tr.Timeline(64))
+	fmt.Print(res.Sim.Trace.Timeline(64))
 	fmt.Println()
 
 	fmt.Println("3. Overhead decomposition (Section 2): To = communication + idle")

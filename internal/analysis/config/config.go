@@ -42,7 +42,6 @@ import (
 const (
 	MachinePath   = "matscale/internal/machine"
 	SimulatorPath = "matscale/internal/simulator"
-	DesPath       = "matscale/internal/des"
 )
 
 // deterministicPkgs lists the packages whose behavior must be
@@ -53,11 +52,10 @@ const (
 // server whose cached responses must be byte-identical to cold ones —
 // its only wall-clock access is the injected server.Clock, so job
 // results stay a pure function of (spec, seed, backend) — and the
-// checkpoint container, whose canonical encodings the des backend's
+// checkpoint container, whose canonical encodings the event engine's
 // verified restore byte-compares.
 var deterministicPkgs = map[string]bool{
 	SimulatorPath:                   true,
-	DesPath:                         true,
 	"matscale/internal/faults":      true,
 	"matscale/internal/core":        true,
 	"matscale/internal/collective":  true,
@@ -81,13 +79,11 @@ var chargedPkgs = map[string]bool{
 }
 
 // clockOwnerPkgs are the packages allowed to mutate machine cost
-// constants and simulator measurement fields. internal/des is an
-// engine like the simulator itself: its native systolic tier assembles
-// Result values directly from its wave clocks.
+// constants and simulator measurement fields. The simulator's wave
+// tier assembles Result values directly from its wave clocks.
 var clockOwnerPkgs = map[string]bool{
 	MachinePath:   true,
 	SimulatorPath: true,
-	DesPath:       true,
 }
 
 // costDocPkgs expose the paper's measured quantities; their exported
@@ -100,7 +96,7 @@ var costDocPkgs = map[string]bool{
 
 // ownershipPkgs consume the pooled zero-copy messaging API
 // (SendOwned/Recycle/…); ownflow verifies their buffer dataflow. The
-// simulator and des packages own the pool itself and are excluded —
+// simulator package owns the pool itself and is excluded —
 // the contract binds the API's clients, not its implementation.
 var ownershipPkgs = map[string]bool{
 	"matscale/internal/core":       true,

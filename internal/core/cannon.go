@@ -1,7 +1,6 @@
 package core
 
 import (
-	"matscale/internal/des"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/simulator"
@@ -36,8 +35,8 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	if des.SystolicEligible(m) {
-		return cannonSystolic(m, a, b, n, q)
+	if res, ok, err := cannonSystolic(m, a, b, n, q); ok || err != nil {
+		return res, err
 	}
 	mesh := topology.NewTorus2D(q, q)
 	ga := matrix.Partition(a, q, q)
@@ -57,24 +56,25 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	return newResult("Cannon", product, sim, n, p), nil
 }
 
-// cannonSystolic runs Cannon on the discrete-event backend's native
-// systolic tier: the timed skeleton (align at zero cost, then q steps
-// of compute + roll-A-left + roll-B-up, then the zero-cost gather) is
-// simulated as synchronous waves with no goroutine per rank, and the
-// product is computed directly in the same multiply-accumulate order
-// the rolled blocks would visit. Byte-identical to the other engines
-// (asserted by internal/des's native differential suite), it reaches
-// p = 2^20 ranks in seconds.
-func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (*Result, error) {
+// cannonSystolic runs Cannon on the event engine's wave tier: the
+// timed skeleton (align at zero cost, then q steps of compute +
+// roll-A-left + roll-B-up, then the zero-cost gather) is simulated as
+// synchronous waves with no goroutine per rank, and the product is
+// computed directly in the same multiply-accumulate order the rolled
+// blocks would visit. Byte-identical to the other engine paths
+// (asserted by the simulator's native differential suite), it reaches
+// p = 2^20 ranks in seconds. ok is false when the simulator declines
+// the machine for the wave tier; the caller then runs the rank program.
+func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (res *Result, ok bool, err error) {
 	p := q * q
 	blk := n / q
 	mesh := topology.NewTorus2D(q, q)
-	spec := des.SystolicSpec{
+	spec := simulator.SystolicSpec{
 		P:     p,
 		Steps: q,
 		Flops: float64(blk) * float64(blk) * float64(blk),
 		Words: blk * blk,
-		Shifts: []des.Shift{
+		Shifts: []simulator.Shift{
 			{Dst: mesh.Left, Src: mesh.Right},
 			{Dst: mesh.Up, Src: mesh.Down},
 		},
@@ -82,11 +82,11 @@ func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (*Result, 
 		PrologueWords: 2 * blk * blk,
 		GatherRoot:    0,
 	}
-	sim, err := des.RunSystolic(m, spec)
-	if err != nil {
-		return nil, err
+	sim, ok, err := simulator.RunSystolic(m, spec)
+	if !ok || err != nil {
+		return nil, ok, err
 	}
-	return newResult("Cannon", cannonProduct(a, b, q), sim, n, p), nil
+	return newResult("Cannon", cannonProduct(a, b, q), sim, n, p), true, nil
 }
 
 // cannonProduct multiplies a and b in Cannon's accumulation order:

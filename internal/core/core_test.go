@@ -381,10 +381,16 @@ func TestMemEfficientAllPortRejectsNonPow2Mesh(t *testing.T) {
 func TestGKTraced(t *testing.T) {
 	a := matrix.RandomInts(8, 8, 1)
 	b := matrix.RandomInts(8, 8, 2)
-	res, tr, err := GKTraced(testHypercube(8), a, b)
+	traced := func(p int) *machine.Machine {
+		m := testHypercube(p)
+		m.CollectTrace = true
+		return m
+	}
+	res, err := GK(traced(8), a, b)
 	if err != nil {
 		t.Fatal(err)
 	}
+	tr := res.Sim.Trace
 	if d := matrix.MaxAbsDiff(res.C, matrix.Mul(a, b)); d != 0 {
 		t.Fatalf("traced GK product differs by %v", d)
 	}
@@ -404,7 +410,7 @@ func TestGKTraced(t *testing.T) {
 			t.Fatalf("rank %d has %d compute events, want 1", r, computes)
 		}
 	}
-	if _, _, err := GKTraced(testHypercube(16), a, b); err == nil {
+	if _, err := GK(traced(16), a, b); err == nil {
 		t.Fatal("non-cube p accepted")
 	}
 }

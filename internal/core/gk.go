@@ -77,45 +77,16 @@ func GKAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	return gkImpl(m, a, b, gkAllPort)
 }
 
-// GKTraced runs the GK algorithm with event tracing enabled, returning
-// the per-processor virtual-time schedule alongside the result — the
-// paper's three-stage structure (distribute, multiply, reduce) is
-// visible in the trace timeline (`matscale trace -op gk`).
-func GKTraced(m *machine.Machine, a, b *matrix.Dense) (*Result, *simulator.Trace, error) {
-	body, finish, err := gkBody(m, a, b, gkNaive)
-	if err != nil {
-		return nil, nil, err
-	}
-	sim, tr, err := simulator.RunTraced(m, body)
-	if err != nil {
-		return nil, nil, err
-	}
-	return finish(sim), tr, nil
-}
-
+// gkImpl runs the GK algorithm with the broadcast scheme variant.
 func gkImpl(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (*Result, error) {
-	body, finish, err := gkBody(m, a, b, variant)
-	if err != nil {
-		return nil, err
-	}
-	sim, err := simulator.Run(m, body)
-	if err != nil {
-		return nil, err
-	}
-	return finish(sim), nil
-}
-
-// gkBody builds the per-processor program and a finisher that
-// assembles the Result once the simulation has run.
-func gkBody(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (func(*simulator.Proc), func(*simulator.Result) *Result, error) {
 	n, err := checkInputs(m, a, b)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	p := m.P()
 	q3, err := cubeSide(n, p)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 	bs := n / q3
 	grid := topology.NewGrid3D(q3)
@@ -156,7 +127,7 @@ func gkBody(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (func(*si
 	}
 
 	var product *matrix.Dense
-	body := func(pr *simulator.Proc) {
+	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
 		i, j, k := grid.Coords(pr.Rank())
 		barrier := 0
 		sync := func() {
@@ -220,6 +191,9 @@ func gkBody(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (func(*si
 		if i == 0 {
 			gatherGrid(pr, holders, q3, q3, tagGatherC, blockFrom(sum, bs, bs), &product)
 		}
+	})
+	if err != nil {
+		return nil, err
 	}
 	name := "GK"
 	switch variant {
@@ -228,10 +202,7 @@ func gkBody(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (func(*si
 	case gkAllPort:
 		name = "GKAllPort"
 	}
-	finish := func(sim *simulator.Result) *Result {
-		return newResult(name, product, sim, n, p)
-	}
-	return body, finish, nil
+	return newResult(name, product, sim, n, p), nil
 }
 
 // gkAllPortComm is the communication total of Eq. (17):

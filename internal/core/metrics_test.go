@@ -135,12 +135,14 @@ func TestMetricsDoNotPerturbRun(t *testing.T) {
 // TestGKChromeTraceValid asserts the Chrome trace_event export of a GK
 // run is valid JSON in the trace_event envelope format.
 func TestGKChromeTraceValid(t *testing.T) {
-	_, tr, err := GKTraced(machine.NCube2(64), matrix.RandomInts(16, 16, 1), matrix.RandomInts(16, 16, 2))
+	m := machine.NCube2(64)
+	m.CollectTrace = true
+	res, err := GK(m, matrix.RandomInts(16, 16, 1), matrix.RandomInts(16, 16, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := res.Sim.Trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc map[string]json.RawMessage

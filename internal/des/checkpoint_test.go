@@ -256,7 +256,8 @@ func TestResumeRejectsMismatch(t *testing.T) {
 // rejects a checkpoint control with a typed capability error instead
 // of silently ignoring it.
 func TestCheckpointUnsupportedOnGoroutines(t *testing.T) {
-	m := onEngine(machine.Hypercube(4, 5, 1), machine.BackendGoroutines)
+	m := machine.Hypercube(4, 5, 1)
+	m.Backend = machine.BackendGoroutines
 	m.Checkpoint = &machine.CheckpointControl{StopAfter: 1}
 	_, err := simulator.Run(m, func(p *simulator.Proc) {})
 	var ue *simulator.UnsupportedCapabilityError

@@ -1,3 +1,9 @@
+// Package des_test holds the cross-engine differential suites: every
+// algorithm formulation in internal/core runs on the goroutine engine
+// and on the discrete-event engine of internal/simulator, fresh
+// (diff_test.go) and suspended/resumed at every cut
+// (checkpoint_test.go), and the results must be byte-identical. It has
+// no non-test code; the engines themselves live in internal/simulator.
 package des_test
 
 import (
@@ -62,25 +68,20 @@ func observe(m *machine.Machine) *machine.Machine {
 	return m
 }
 
-// onEngine returns a copy of m that runs on engine b.
-func onEngine(m *machine.Machine, b machine.Backend) *machine.Machine {
-	mm := *m
-	mm.Backend = b
-	return &mm
-}
-
 // runBoth runs one formulation on both backends with identical
 // configuration and returns the two results.
 func runBoth(t *testing.T, alg core.Algorithm, mk func() *machine.Machine, n int, fc *faults.Config) (g, e *core.Result) {
 	t.Helper()
 	a := matrix.RandomInts(n, n, 71)
 	b := matrix.RandomInts(n, n, 72)
-	gm := onEngine(observe(mk()).WithFaults(fc), machine.BackendGoroutines)
+	gm := observe(mk()).WithFaults(fc)
+	gm.Backend = machine.BackendGoroutines
 	g, err := alg(gm, a, b)
 	if err != nil {
 		t.Fatalf("goroutines backend: %v", err)
 	}
-	em := onEngine(observe(mk()).WithFaults(fc), machine.BackendEvents)
+	em := observe(mk()).WithFaults(fc)
+	em.Backend = machine.BackendEvents
 	e, err = alg(em, a, b)
 	if err != nil {
 		t.Fatalf("events backend: %v", err)

@@ -16,6 +16,7 @@ package experiments
 import (
 	"fmt"
 	"math"
+	"sort"
 	"strings"
 
 	"matscale/internal/core"
@@ -330,16 +331,8 @@ func sortedGridKeys(grid map[int][2]float64) []int {
 	for n := range grid { //nodetbreak:ordered — sorted immediately below
 		ns = append(ns, n)
 	}
-	sortInts(ns)
+	sort.Ints(ns)
 	return ns
-}
-
-func sortInts(s []int) {
-	for i := 1; i < len(s); i++ {
-		for j := i; j > 0 && s[j] < s[j-1]; j-- {
-			s[j], s[j-1] = s[j-1], s[j]
-		}
-	}
 }
 
 // Plot renders the figure as an ASCII chart, the way the paper plots

@@ -79,6 +79,33 @@ func PaperGKCM5Tp(pr Params, n, p float64) float64 {
 	return n*n*n/p + pr.Ts*(log2(p)+2) + pr.Tw*n*n/math.Pow(p, 2.0/3.0)*(log2(p)+2)
 }
 
+// PaperTp evaluates the paper's closed-form parallel time of the
+// formulation named alg (lower case: "simple", "cannon", "fox",
+// "foxpipe", "berntsen", "dns", "gk") for n×n matrices on p
+// processors; 0 when the model has no equation for the name. GK on a
+// fully connected network uses Eq. (18), whose routing steps are
+// single hops; everything else uses the hypercube equations (Eqs. 2–7).
+func PaperTp(alg string, pr Params, n, p float64, fullyConnected bool) float64 {
+	switch alg {
+	case "simple":
+		return PaperSimpleTp(pr, n, p)
+	case "cannon":
+		return PaperCannonTp(pr, n, p)
+	case "fox", "foxpipe":
+		return PaperFoxTp(pr, n, p)
+	case "berntsen":
+		return PaperBerntsenTp(pr, n, p)
+	case "dns":
+		return PaperDNSTp(pr, n, p)
+	case "gk":
+		if fullyConnected {
+			return PaperGKCM5Tp(pr, n, p)
+		}
+		return PaperGKTp(pr, n, p)
+	}
+	return 0
+}
+
 // Overhead functions of Table 1 (To = p·Tp − W).
 
 // BerntsenTo is 2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3).

@@ -1,4 +1,4 @@
-package des_test
+package simulator_test
 
 import (
 	"testing"

@@ -180,9 +180,9 @@ type eventSnapshot struct {
 // flags — metrics and tracing change the encoded state (trace events,
 // link aggregates), so a snapshot taken with them differs from one
 // taken without.
-func fingerprint(m *machine.Machine, collectTrace bool) string {
+func fingerprint(m *machine.Machine) string {
 	return fmt.Sprintf("%s|p=%d|backend=%s|metrics=%t|trace=%t|contention=%t",
-		m.String(), m.P(), m.Backend, m.CollectMetrics, collectTrace, m.TrackContention)
+		m.String(), m.P(), m.Backend, m.CollectMetrics, m.CollectTrace, m.TrackContention)
 }
 
 // encodeState serializes the complete engine state at a consistent
@@ -266,12 +266,12 @@ func encodeState(e *eventRun, procs []*Proc) []byte {
 }
 
 // encodeSnapshot wraps the cut's state in the versioned container.
-func encodeSnapshot(e *eventRun, procs []*Proc, m *machine.Machine, collectTrace bool) []byte {
+func encodeSnapshot(e *eventRun, procs []*Proc, m *machine.Machine) []byte {
 	s := &checkpoint.Snapshot{
 		Kind:    snapKind,
 		Version: snapVersion,
 		Meta: map[string]string{
-			"machine": fingerprint(m, collectTrace),
+			"machine": fingerprint(m),
 			"events":  strconv.FormatUint(e.popped, 10),
 			"p":       strconv.Itoa(m.P()),
 		},
@@ -284,7 +284,7 @@ func encodeSnapshot(e *eventRun, procs []*Proc, m *machine.Machine, collectTrace
 // configuration, before any replay: container integrity, kind and
 // version, then the machine fingerprint. The state payload itself is
 // verified later, at the cut.
-func decodeSnapshot(data []byte, m *machine.Machine, collectTrace bool) (*eventSnapshot, error) {
+func decodeSnapshot(data []byte, m *machine.Machine) (*eventSnapshot, error) {
 	s, err := checkpoint.Decode(data)
 	if err != nil {
 		return nil, err
@@ -292,7 +292,7 @@ func decodeSnapshot(data []byte, m *machine.Machine, collectTrace bool) (*eventS
 	if err := s.Expect(snapKind, snapVersion); err != nil {
 		return nil, err
 	}
-	if got, want := s.Meta["machine"], fingerprint(m, collectTrace); got != want {
+	if got, want := s.Meta["machine"], fingerprint(m); got != want {
 		return nil, &ResumeMismatchError{Reason: fmt.Sprintf(
 			"snapshot was taken on %q, resuming on %q", got, want)}
 	}

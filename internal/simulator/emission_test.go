@@ -34,14 +34,15 @@ func emissionRun(t *testing.T) (*Result, *Trace) {
 	t.Helper()
 	m := machine.Hypercube(4, 10, 2)
 	m.CollectMetrics = true
-	res, tr, err := RunTraced(m, emissionProgram)
+	m.CollectTrace = true
+	res, err := Run(m, emissionProgram)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if res.Metrics == nil || tr == nil {
+	if res.Metrics == nil || res.Trace == nil {
 		t.Fatal("run produced no metrics or trace")
 	}
-	return res, tr
+	return res, res.Trace
 }
 
 // TestEmissionByteIdentical runs the same configuration twice and

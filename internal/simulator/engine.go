@@ -26,8 +26,9 @@ type Message struct {
 // (simulator.go — one free-running goroutine per rank, blocking
 // mailboxes). Because every virtual-time quantity is computed by the
 // shared Proc code, the two produce byte-identical results for a fixed
-// configuration; the differential suite in internal/des asserts this
-// for all formulations (see docs/BACKENDS.md).
+// configuration; the differential suite (internal/des/diff_test.go)
+// asserts this for all formulations (see docs/BACKENDS.md). The event engine's wave
+// tier (wave.go) runs systolic specs without a Proc at all.
 type Engine interface {
 	// Deliver enqueues msg from src under the matching key (dst, tag).
 	// Ownership of msg.Data passes to the engine and ultimately to the
@@ -105,13 +106,42 @@ func errUnconsumed(n int) error {
 	return fmt.Errorf("simulator: %d messages left unconsumed at exit", n)
 }
 
-// dispatch routes a validated run to the engine the machine selects.
-// The goroutine engine has no deterministic consistent cut, so a
-// machine carrying a CheckpointControl is rejected there with a typed
+// tier is the engine path a run takes.
+type tier int
+
+const (
+	tierFiber      tier = iota // the event engine's coroutine tier (fiber.go)
+	tierWave                   // the event engine's wave tier (wave.go), systolic specs only
+	tierGoroutines             // the goroutine reference engine (simulator.go)
+)
+
+// tierOf is the one decision of which tier runs on m. The wave tier
+// takes a systolic spec when nothing needs per-event bookkeeping:
+// observability off (metrics and traces record every event), no
+// link-contention tracking, no message loss (the retry layer draws per
+// individual send) and no checkpoint control (a wave has no event
+// count to cut at). Stragglers and link ts/tw perturbations are
+// supported — they only vary the per-rank wave coefficients. A rank
+// program that is not a systolic spec runs on the fiber tier wherever
+// the wave tier would take it.
+func tierOf(m *machine.Machine) tier {
+	switch {
+	case m.Backend == machine.BackendGoroutines:
+		return tierGoroutines
+	case m.Checkpoint != nil, m.CollectMetrics, m.CollectTrace, m.TrackContention,
+		m.Faults != nil && m.Faults.Loss > 0:
+		return tierFiber
+	}
+	return tierWave
+}
+
+// dispatch routes a validated rank program to the engine the machine
+// selects. The goroutine engine has no deterministic consistent cut, so
+// a machine carrying a CheckpointControl is rejected there with a typed
 // error rather than silently ignoring the control.
-func dispatch(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result, error) {
-	if m.Backend != machine.BackendGoroutines {
-		return runEvents(m, body, collectTrace)
+func dispatch(m *machine.Machine, body func(*Proc)) (*Result, error) {
+	if tierOf(m) != tierGoroutines {
+		return runEvents(m, body)
 	}
 	if m.Checkpoint != nil {
 		return nil, &UnsupportedCapabilityError{
@@ -120,7 +150,7 @@ func dispatch(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result,
 			Reason:     "its state has no deterministic consistent cut; use the events backend, or checkpoint at sweep-cell granularity",
 		}
 	}
-	return runGoroutines(m, body, collectTrace)
+	return runGoroutines(m, body)
 }
 
 // advanceRoute advances a transfer of words over route (starting at
@@ -171,10 +201,9 @@ func advanceRoute(m *machine.Machine, links map[[2]int]float64, src int, route [
 
 // newProc builds the processor handle for one rank running on eng,
 // wiring the rank's straggler factor, link metrics aggregation and
-// tracing. Engines create one Proc per rank and pass the same tracing
-// flag to buildResult.
-func newProc(eng Engine, rank int, m *machine.Machine, tracing bool) *Proc {
-	pr := &Proc{rank: rank, eng: eng, mach: m, np: m.P(), tracing: tracing, computeFactor: 1}
+// tracing.
+func newProc(eng Engine, rank int, m *machine.Machine) *Proc {
+	pr := &Proc{rank: rank, eng: eng, mach: m, np: m.P(), tracing: m.CollectTrace, computeFactor: 1}
 	if m.Faults != nil {
 		pr.computeFactor = m.Faults.ComputeFactor(rank)
 	}
@@ -204,7 +233,7 @@ func isAbort(v any) bool {
 // processor handles, in rank order — the float64 summation order is
 // part of the byte-identity contract between engines. procs must be
 // indexed by rank.
-func buildResult(m *machine.Machine, procs []*Proc, collectTrace bool) *Result {
+func buildResult(m *machine.Machine, procs []*Proc) *Result {
 	p := len(procs)
 	res := &Result{
 		P:           p,
@@ -231,7 +260,7 @@ func buildResult(m *machine.Machine, procs []*Proc, collectTrace bool) *Result {
 	if m.CollectMetrics {
 		res.Metrics = buildMetrics(procs, res.Tp, m)
 	}
-	if collectTrace {
+	if m.CollectTrace {
 		events := make([]Event, 0)
 		for _, pr := range procs {
 			events = append(events, pr.trace...)

@@ -26,7 +26,7 @@ import (
 // code and message matching is FIFO per (source, tag), the simulated
 // results are independent of the order ready ranks are resumed in; the
 // event loop's least-time order is the canonical one. The differential
-// suite in internal/des asserts byte-identical Result, Metrics, CSV
+// suite (diff_test.go) asserts byte-identical Result, Metrics, CSV
 // and Chrome-trace output against the goroutine engine for every
 // formulation. See docs/BACKENDS.md for the event model, the
 // determinism argument, and guidance on choosing an engine.
@@ -190,12 +190,12 @@ func (e *eventRun) PutBuf(b []float64) {
 // runEvents is the discrete-event engine: m is already validated. The
 // machine's CheckpointControl (nil for plain runs) selects suspension
 // and resume behavior; see checkpoint.go for the cut and its encoding.
-func runEvents(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result, error) {
+func runEvents(m *machine.Machine, body func(*Proc)) (*Result, error) {
 	ck := m.Checkpoint
 	var snap *eventSnapshot
 	if ck != nil && ck.Resume != nil {
 		var err error
-		snap, err = decodeSnapshot(ck.Resume, m, collectTrace)
+		snap, err = decodeSnapshot(ck.Resume, m)
 		if err != nil {
 			return nil, err
 		}
@@ -215,7 +215,7 @@ func runEvents(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result
 		f := &fiber{
 			rank:   i,
 			eng:    e,
-			proc:   newProc(e, i, m, collectTrace),
+			proc:   newProc(e, i, m),
 			resume: make(chan struct{}),
 			queues: make(map[srcTag]*msgQueue),
 			state:  stateParked,
@@ -299,7 +299,7 @@ func runEvents(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result
 			snap = nil
 		}
 		if ck != nil && ck.StopAfter > 0 && e.popped == ck.StopAfter {
-			data := encodeSnapshot(e, procs, m, collectTrace)
+			data := encodeSnapshot(e, procs, m)
 			e.aborted = true
 			e.failed = errSuspendDrain
 			drain()
@@ -354,5 +354,5 @@ func runEvents(m *machine.Machine, body func(*Proc), collectTrace bool) (*Result
 	if unconsumed != 0 {
 		return nil, errUnconsumed(unconsumed)
 	}
-	return buildResult(m, procs, collectTrace), nil
+	return buildResult(m, procs), nil
 }

@@ -159,7 +159,8 @@ func TestMetricsCSV(t *testing.T) {
 
 func TestChromeTraceRoundTrips(t *testing.T) {
 	m := machine.Hypercube(2, 10, 2)
-	res, tr, err := RunTraced(m, func(p *Proc) {
+	m.CollectTrace = true
+	res, err := Run(m, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Compute(5)
 			p.Send(1, 1, []float64{1, 2})
@@ -171,7 +172,7 @@ func TestChromeTraceRoundTrips(t *testing.T) {
 		t.Fatal(err)
 	}
 	var buf bytes.Buffer
-	if err := tr.WriteChromeTrace(&buf); err != nil {
+	if err := res.Trace.WriteChromeTrace(&buf); err != nil {
 		t.Fatal(err)
 	}
 	var doc struct {
@@ -198,7 +199,7 @@ func TestChromeTraceRoundTrips(t *testing.T) {
 		t.Fatalf("missing complete/metadata events; phases seen: %v", kinds)
 	}
 	if res.Trace == nil {
-		t.Fatal("RunTraced result did not retain the trace")
+		t.Fatal("traced result did not retain the trace")
 	}
 }
 

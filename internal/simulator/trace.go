@@ -4,8 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-
-	"matscale/internal/machine"
 )
 
 // EventKind classifies a traced processor event.
@@ -134,17 +132,4 @@ func (t *Trace) Timeline(width int) string {
 		fmt.Fprintf(&sb, "p%-4d |%s|\n", r, lane)
 	}
 	return sb.String()
-}
-
-// RunTraced is Run with event tracing enabled; it additionally returns
-// the ordered trace. Tracing changes no virtual time.
-func RunTraced(m *machine.Machine, body func(*Proc)) (*Result, *Trace, error) {
-	if err := m.Validate(); err != nil {
-		return nil, nil, err
-	}
-	res, err := dispatch(m, body, true)
-	if err != nil {
-		return nil, nil, err
-	}
-	return res, res.Trace, nil
 }

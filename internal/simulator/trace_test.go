@@ -9,7 +9,9 @@ import (
 
 func tracedPingPong(t *testing.T) (*Result, *Trace) {
 	t.Helper()
-	res, tr, err := RunTraced(twoProc(10, 1), func(p *Proc) {
+	m := twoProc(10, 1)
+	m.CollectTrace = true
+	res, err := Run(m, func(p *Proc) {
 		if p.Rank() == 0 {
 			p.Compute(5)
 			p.Send(1, 3, []float64{1, 2}) // 5 → 17
@@ -23,7 +25,7 @@ func tracedPingPong(t *testing.T) (*Result, *Trace) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	return res, tr
+	return res, res.Trace
 }
 
 func TestTraceEventsStructure(t *testing.T) {
@@ -76,7 +78,9 @@ func TestTraceIntervalsConsistent(t *testing.T) {
 }
 
 func TestTraceDurationsMatchAccounting(t *testing.T) {
-	res, tr, err := RunTraced(machine.Hypercube(4, 7, 2), func(p *Proc) {
+	m := machine.Hypercube(4, 7, 2)
+	m.CollectTrace = true
+	res, err := Run(m, func(p *Proc) {
 		p.Compute(float64(10 * (p.Rank() + 1)))
 		next := (p.Rank() + 1) % 4
 		prev := (p.Rank() + 3) % 4
@@ -87,7 +91,7 @@ func TestTraceDurationsMatchAccounting(t *testing.T) {
 		t.Fatal(err)
 	}
 	var compute, comm, idle float64
-	for _, e := range tr.Events {
+	for _, e := range res.Trace.Events {
 		switch e.Kind {
 		case EventCompute:
 			compute += e.End - e.Start
@@ -136,12 +140,6 @@ func TestRunWithoutTraceRecordsNothing(t *testing.T) {
 	}
 	if res.Tp != 10 {
 		t.Fatalf("Tp = %v", res.Tp)
-	}
-}
-
-func TestRunTracedInvalidMachine(t *testing.T) {
-	if _, _, err := RunTraced(&machine.Machine{}, func(p *Proc) {}); err == nil {
-		t.Fatal("invalid machine accepted")
 	}
 }
 

@@ -1,17 +1,16 @@
-// Package des is the native systolic tier of the discrete-event
-// backend: a wave scheduler for systolic programs — the regular
-// compute/shift/shift structure of Cannon's algorithm — that needs no
-// coroutine, no mailbox and no per-message event at all. In a systolic step every
-// rank performs the same sequence (compute, then for each shift send
-// to a fixed partner and receive from the opposite one), so the whole
-// step is one synchronous wave: arrival times for a shift are a pure
-// function of the senders' clocks after their send, and the event
-// loop's least-time ordering collapses into array passes over the
-// ranks. The charging below replays, add for add and in the same
-// order, exactly what the shared simulator.Proc code charges the
-// event engine's fiber tier for the same program, so the Result is
-// byte-identical to both other engines — the native differential suite
-// asserts this.
+// The wave tier of the event engine: a scheduler for systolic
+// programs — the regular compute/shift/shift structure of Cannon's
+// algorithm — that needs no coroutine, no mailbox and no per-message
+// event at all. In a systolic step every rank performs the same
+// sequence (compute, then for each shift send to a fixed partner and
+// receive from the opposite one), so the whole step is one synchronous
+// wave: arrival times for a shift are a pure function of the senders'
+// clocks after their send, and the event loop's least-time ordering
+// collapses into array passes over the ranks. The charging below
+// replays, add for add and in the same order, exactly what Proc
+// charges the fiber tier (fiber.go) for the same program, so the
+// Result is byte-identical to both other engine paths — the native
+// differential suite (wave_test.go) asserts this.
 //
 // On a healthy machine (no fault configuration) every rank's per-step
 // charges are identical, all clocks stay equal by induction, and the
@@ -20,19 +19,13 @@
 // costs O(√p) clock arithmetic plus the real block arithmetic the
 // caller performs. Under stragglers or link jitter the engine runs the
 // full per-rank wave passes instead.
-//
-// The general fiber tier that runs any rank program is the event
-// engine inside internal/simulator (the default engine). This
-// package's tests hold the cross-engine suites for both tiers: the
-// differential, checkpoint/resume and fuzz comparisons against the
-// goroutine engine.
-package des
+
+package simulator
 
 import (
 	"fmt"
 
 	"matscale/internal/machine"
-	"matscale/internal/simulator"
 )
 
 // Shift is one nearest-neighbor exchange within a systolic step: every
@@ -58,8 +51,9 @@ type Shift struct {
 //
 // The spec carries no payload: the caller performs the real data
 // movement and arithmetic itself (it is independent of virtual time),
-// and the engine reproduces the virtual-time accounting the fiber or
-// goroutine engines would measure running the equivalent rank bodies.
+// and the wave tier reproduces the virtual-time accounting the fiber
+// tier or the goroutine engine would measure running the equivalent
+// rank bodies.
 type SystolicSpec struct {
 	P      int
 	Steps  int
@@ -72,35 +66,22 @@ type SystolicSpec struct {
 	GatherRoot    int // -1 for no gather
 }
 
-// SystolicEligible reports whether machine m can run on the native
-// systolic tier: observability off (metrics and traces need the
-// per-event bookkeeping of the general engines), no link-contention
-// tracking, and no message loss (the retry layer draws per individual
-// send). Stragglers and link ts/tw perturbations are supported — they
-// only vary the per-rank wave coefficients.
-func SystolicEligible(m *machine.Machine) bool {
-	return m.Backend == machine.BackendEvents && m.Checkpoint == nil &&
-		!m.CollectMetrics && !m.CollectTrace && !m.TrackContention &&
-		(m.Faults == nil || m.Faults.Loss == 0)
-}
-
-// RunSystolic simulates spec on m and returns the same Result the
-// general engines measure for the equivalent rank program.
-func RunSystolic(m *machine.Machine, spec SystolicSpec) (*simulator.Result, error) {
-	if err := m.Validate(); err != nil {
-		return nil, err
+// RunSystolic simulates spec on m on the wave tier and returns the
+// same Result the fiber tier measures for the equivalent rank program.
+// ok is false, with no error, when m's run must take another tier
+// (see tierOf); the caller then runs the rank program through Run. m
+// must already be valid.
+func RunSystolic(m *machine.Machine, spec SystolicSpec) (res *Result, ok bool, err error) {
+	if tierOf(m) != tierWave {
+		return nil, false, nil
 	}
-	if !SystolicEligible(m) {
-		return nil, fmt.Errorf("des: machine not eligible for the systolic tier (needs events backend, no metrics/trace/contention/loss/checkpoint)")
-	}
-	p := spec.P
-	if p != m.P() {
-		return nil, fmt.Errorf("des: spec for %d ranks on a %d-processor machine", p, m.P())
+	if spec.P != m.P() {
+		return nil, false, fmt.Errorf("simulator: systolic spec for %d ranks on a %d-processor machine", spec.P, m.P())
 	}
 	if m.Faults == nil && uniformShifts(spec) {
-		return runSystolicUniform(m, spec), nil
+		return runSystolicUniform(m, spec), true, nil
 	}
-	return runSystolicWave(m, spec), nil
+	return runSystolicWave(m, spec), true, nil
 }
 
 // uniformShifts reports whether every shift is homogeneously self or
@@ -122,7 +103,7 @@ func uniformShifts(spec SystolicSpec) bool {
 // runSystolicUniform is the million-rank path: on a healthy machine
 // all ranks charge identically, so one representative clock replays
 // the per-step sequence and the per-rank arrays are filled with it.
-func runSystolicUniform(m *machine.Machine, spec SystolicSpec) *simulator.Result {
+func runSystolicUniform(m *machine.Machine, spec SystolicSpec) *Result {
 	costs := make([]float64, len(spec.Shifts))
 	for k, s := range spec.Shifts {
 		if dst := s.Dst(0); dst != 0 {
@@ -153,7 +134,7 @@ func runSystolicUniform(m *machine.Machine, spec SystolicSpec) *simulator.Result
 // runSystolicWave is the general tier: per-rank clock arrays advanced
 // in synchronous passes, one per program point of the step, supporting
 // per-rank straggler factors and per-link cost perturbations.
-func runSystolicWave(m *machine.Machine, spec SystolicSpec) *simulator.Result {
+func runSystolicWave(m *machine.Machine, spec SystolicSpec) *Result {
 	p := spec.P
 	nsh := len(spec.Shifts)
 	// Precompute the per-rank coefficients: the charged compute, each
@@ -225,12 +206,12 @@ func runSystolicWave(m *machine.Machine, spec SystolicSpec) *simulator.Result {
 }
 
 // assembleSystolic folds per-rank quantities into a Result exactly as
-// the simulator's buildResult folds Proc accumulators: rank-ascending float
+// buildResult folds Proc accumulators: rank-ascending float
 // summation (the byte-identity contract) and integer message counts
 // derived from the spec's shape.
-func assembleSystolic(spec SystolicSpec, clock, compT, commT, sx func(int) float64) *simulator.Result {
+func assembleSystolic(spec SystolicSpec, clock, compT, commT, sx func(int) float64) *Result {
 	p := spec.P
-	res := &simulator.Result{
+	res := &Result{
 		P:           p,
 		ProcClocks:  make([]float64, p),
 		ProcCompute: make([]float64, p),

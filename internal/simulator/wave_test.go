@@ -1,15 +1,22 @@
-package des_test
+package simulator_test
 
 import (
 	"reflect"
 	"testing"
 
 	"matscale/internal/core"
-	"matscale/internal/des"
 	"matscale/internal/faults"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
+	"matscale/internal/simulator"
 )
+
+// systolicEligible reports whether the simulator takes a systolic run
+// on m on the wave tier, probing RunSystolic with an empty spec.
+func systolicEligible(m *machine.Machine) bool {
+	_, ok, err := simulator.RunSystolic(m, simulator.SystolicSpec{P: m.P(), GatherRoot: -1})
+	return ok && err == nil
+}
 
 // nativeCases exercises both data paths of the systolic tier: blk > 1
 // (blocked multiply) and blk == 1 (one element per processor, the
@@ -33,12 +40,12 @@ func runCannonBoth(t *testing.T, p, n int, fc *faults.Config) (g, e *core.Result
 	t.Helper()
 	a := matrix.Random(n, n, 91)
 	b := matrix.Random(n, n, 92)
-	g, err := core.Cannon(onEngine(machine.NCube2(p).WithFaults(fc), machine.BackendGoroutines), a, b)
+	g, err := core.Cannon(simulator.OnEngine(machine.NCube2(p).WithFaults(fc), machine.BackendGoroutines), a, b)
 	if err != nil {
 		t.Fatalf("goroutines: %v", err)
 	}
-	em := onEngine(machine.NCube2(p).WithFaults(fc), machine.BackendEvents)
-	if !des.SystolicEligible(em) {
+	em := simulator.OnEngine(machine.NCube2(p).WithFaults(fc), machine.BackendEvents)
+	if !systolicEligible(em) {
 		t.Fatal("expected machine to be eligible for the systolic tier")
 	}
 	e, err = core.Cannon(em, a, b)
@@ -94,11 +101,11 @@ func TestNativeCannonFaultedMatchesGoroutines(t *testing.T) {
 // per-message feature must route the events backend through the
 // general fiber engine instead.
 func TestSystolicEligibility(t *testing.T) {
-	base := func() *machine.Machine { return onEngine(machine.NCube2(16), machine.BackendEvents) }
-	if !des.SystolicEligible(base()) {
+	base := func() *machine.Machine { return simulator.OnEngine(machine.NCube2(16), machine.BackendEvents) }
+	if !systolicEligible(base()) {
 		t.Error("plain events machine should be eligible")
 	}
-	if des.SystolicEligible(onEngine(machine.NCube2(16), machine.BackendGoroutines)) {
+	if systolicEligible(simulator.OnEngine(machine.NCube2(16), machine.BackendGoroutines)) {
 		t.Error("goroutines machine must not be eligible")
 	}
 	withMetrics := base()
@@ -111,25 +118,25 @@ func TestSystolicEligibility(t *testing.T) {
 	for name, m := range map[string]*machine.Machine{
 		"metrics": withMetrics, "trace": withTrace, "contention": withContention, "loss": lossy,
 	} {
-		if des.SystolicEligible(m) {
+		if systolicEligible(m) {
 			t.Errorf("%s machine must not be eligible for the systolic tier", name)
 		}
 	}
 	straggled := base().WithFaults(&faults.Config{Seed: 1, Stragglers: map[int]float64{0: 2}})
-	if !des.SystolicEligible(straggled) {
+	if !systolicEligible(straggled) {
 		t.Error("straggler-only faults are supported by the wave path and should stay eligible")
 	}
 }
 
-// TestRunSystolicRejectsMismatch pins the error paths of the exported
-// entry point.
+// TestRunSystolicRejectsMismatch pins the decline and error paths of
+// the exported entry point.
 func TestRunSystolicRejectsMismatch(t *testing.T) {
-	m := onEngine(machine.NCube2(16), machine.BackendGoroutines)
-	if _, err := des.RunSystolic(m, des.SystolicSpec{P: 16, GatherRoot: -1}); err == nil {
-		t.Error("want error for non-events machine")
+	m := simulator.OnEngine(machine.NCube2(16), machine.BackendGoroutines)
+	if _, ok, err := simulator.RunSystolic(m, simulator.SystolicSpec{P: 16, GatherRoot: -1}); ok || err != nil {
+		t.Errorf("non-events machine: ok=%v err=%v, want a decline without error", ok, err)
 	}
-	em := onEngine(m, machine.BackendEvents)
-	if _, err := des.RunSystolic(em, des.SystolicSpec{P: 8, GatherRoot: -1}); err == nil {
+	em := simulator.OnEngine(m, machine.BackendEvents)
+	if _, _, err := simulator.RunSystolic(em, simulator.SystolicSpec{P: 8, GatherRoot: -1}); err == nil {
 		t.Error("want error for rank-count mismatch")
 	}
 }

@@ -15,6 +15,7 @@ import (
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
+	"matscale/internal/topology"
 )
 
 // Spec declares an experiment grid: the cross product of formulations,
@@ -348,33 +349,6 @@ type predKey struct {
 	n, p      int
 }
 
-// predictTp evaluates the paper's closed-form parallel time for a cell
-// (0 when the model has no equation for the formulation). The GK
-// algorithm on the CM-5 uses Eq. (18); everything else uses the
-// general hypercube equations (Eqs. 2–7).
-func predictTp(k predKey) float64 {
-	pr := model.Params{Ts: k.ts, Tw: k.tw}
-	nf, pf := float64(k.n), float64(k.p)
-	if k.alg == "gk" && k.mach == "cm5" {
-		return model.PaperGKCM5Tp(pr, nf, pf)
-	}
-	switch k.alg {
-	case "simple":
-		return model.PaperSimpleTp(pr, nf, pf)
-	case "cannon":
-		return model.PaperCannonTp(pr, nf, pf)
-	case "fox", "foxpipe":
-		return model.PaperFoxTp(pr, nf, pf)
-	case "berntsen":
-		return model.PaperBerntsenTp(pr, nf, pf)
-	case "dns":
-		return model.PaperDNSTp(pr, nf, pf)
-	case "gk":
-		return model.PaperGKTp(pr, nf, pf)
-	}
-	return 0
-}
-
 // Run executes the grid: it expands and sorts the cells, memoizes the
 // closed-form predictions in a serial pre-pass (so the hit count is
 // deterministic), fans the simulations out over the worker pool, and
@@ -422,13 +396,16 @@ func Run(s *Spec, opt Options) (*Result, error) {
 	preds := make([]float64, len(cells))
 	cache := map[predKey]float64{}
 	for i, c := range cells {
-		_, ts, tw, _ := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
+		build, ts, tw, _ := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
 		k := predKey{alg: c.Algorithm, mach: c.Machine, ts: ts, tw: tw, n: c.N, p: c.P}
 		v, ok := cache[k]
 		if ok {
 			res.PredCacheHits++
 		} else {
-			v = predictTp(k)
+			// A preset's network kind does not depend on p, so a
+			// one-processor instance answers for every cell.
+			_, full := build(1).Topo.(topology.FullyConnected)
+			v = model.PaperTp(k.alg, model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), full)
 			cache[k] = v
 		}
 		preds[i] = v

@@ -61,6 +61,34 @@ func TestSelectPerMachine(t *testing.T) {
 	}
 }
 
+// TestSelectPredictsEq18OnCM5 pins the fully connected prediction:
+// GK on the CM-5 follows Eq. (18), so Select's PredictedTp must equal
+// the sweep's prediction for the same cell exactly, and GK's measured
+// Tp up to float summation order.
+func TestSelectPredictsEq18OnCM5(t *testing.T) {
+	const p, n = 512, 32
+	sel := matscale.Select(matscale.CM5(p), n)
+	if sel.Name != "GK" {
+		t.Fatalf("CM5 p=%d n=%d: chose %s, want GK", p, n, sel.Name)
+	}
+	sw, err := matscale.Sweep(&matscale.SweepSpec{
+		Algorithms: []string{"gk"}, Machines: []string{"cm5"}, Ps: []int{p}, Ns: []int{n},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := sw.Cells[0].PredictedTp; sel.PredictedTp != got {
+		t.Errorf("Select PredictedTp = %v, sweep gk|cm5|p%d|n%d predicts %v", sel.PredictedTp, p, n, got)
+	}
+	res, err := matscale.GK(matscale.CM5(p), matscale.RandomMatrix(n, n, 1), matscale.RandomMatrix(n, n, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if math.Abs(sel.PredictedTp-res.Sim.Tp) > 1e-9*sel.PredictedTp {
+		t.Errorf("Select PredictedTp = %v, GK measures Tp = %v", sel.PredictedTp, res.Sim.Tp)
+	}
+}
+
 func TestRunAutoRunsChosenAlgorithm(t *testing.T) {
 	m := matscale.SIMD(64)
 	a := matscale.RandomMatrix(48, 48, 5)

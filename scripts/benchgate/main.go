@@ -28,10 +28,11 @@ import (
 )
 
 // defaultPkgPat is the package scope gated when -pkg is not given: the
-// two simulator backends plus the host matmul kernel. internal/matrix
-// joined the scope when the parallel host kernel landed — a kernel
-// regression is as much a shipped slowdown as a simulator one.
-const defaultPkgPat = "internal/(simulator|des|matrix)"
+// simulator (both engines, with the event engine's fiber and wave
+// tiers) plus the host matmul kernel. internal/matrix joined the scope
+// when the parallel host kernel landed — a kernel regression is as much
+// a shipped slowdown as a simulator one.
+const defaultPkgPat = "internal/(simulator|matrix)"
 
 // sample accumulates the ns/op values of one benchmark across -count
 // repeats; the gate compares per-benchmark means.

@@ -79,13 +79,13 @@ func TestGateCatchesRegression(t *testing.T) {
 }
 
 // TestDefaultScopeCoversKernelAndBothBackends pins the default -pkg
-// regexp: the gate must watch both simulator backends AND the host
-// matmul kernel, and must not silently widen to unrelated packages.
+// regexp: the gate must watch the simulator (both backends, and the
+// event engine's wave-tier benchmarks) AND the host matmul kernel, and
+// must not silently widen to unrelated packages.
 func TestDefaultScopeCoversKernelAndBothBackends(t *testing.T) {
 	re := regexp.MustCompile(defaultPkgPat)
 	for _, pkg := range []string{
 		"matscale/internal/simulator",
-		"matscale/internal/des",
 		"matscale/internal/matrix",
 	} {
 		if !re.MatchString(pkg) {
@@ -107,6 +107,16 @@ func TestDefaultScopeCoversKernelAndBothBackends(t *testing.T) {
 	}
 	if _, ok := o["matscale/internal/matrix.BenchmarkMulAddInto/n=256-8"]; !ok {
 		t.Errorf("default scope did not pick up the matrix kernel benchmark: %v", o)
+	}
+	wave, err := parse(strings.NewReader(`
+pkg: matscale/internal/simulator
+BenchmarkDESMillionRank-8   1   2500000000 ns/op
+`), re, regexp.MustCompile("."))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, ok := wave["matscale/internal/simulator.BenchmarkDESMillionRank-8"]; !ok {
+		t.Errorf("default scope did not pick up the wave-tier benchmark: %v", wave)
 	}
 }
 
