@@ -5,7 +5,6 @@ import (
 	"io"
 	"reflect"
 	"strconv"
-	"strings"
 
 	"matscale/internal/checkpoint"
 	"matscale/internal/core"
@@ -266,7 +265,7 @@ func WithTrace(sink io.Writer) Option {
 // WithDNSGrid runs the DNS algorithm on a gridSide × gridSide block
 // grid coarser than one element per processor, letting the DNS
 // communication structure run with p < n² processors. It may only be
-// combined with a nil or DNS algorithm argument to Run.
+// combined with the DNS algorithm argument to Run.
 func WithDNSGrid(gridSide int) Option {
 	return func(c *runConfig) { c.dnsGrid = gridSide }
 }
@@ -423,28 +422,26 @@ func (c runConfig) export(res *Result) error {
 //	// res.C is the verified product, res.Sim.Tp the virtual time,
 //	// res.Metrics the per-rank/per-link breakdown.
 //
-// A nil alg auto-selects the predicted-fastest applicable algorithm
-// (see RunAuto, which additionally reports the Selection). The
-// algorithm package variables (GK, Cannon, ...) remain callable
-// directly; Run adds the observability options on top without changing
-// any measured quantity.
+// alg must not be nil; RunAuto auto-selects the predicted-fastest
+// applicable algorithm. The algorithm package variables (GK, Cannon,
+// ...) remain callable directly; Run adds the observability options on
+// top without changing any measured quantity.
 func Run(alg Algorithm, m *Machine, a, b *Matrix, opts ...Option) (*Result, error) {
+	if alg == nil {
+		return nil, fmt.Errorf("matscale: Run needs an algorithm; use RunAuto to auto-select one")
+	}
 	cfg := newRunConfig(opts)
 	if err := cfg.validateCheckpoint(); err != nil {
 		return nil, err
 	}
 	if cfg.dnsGrid > 0 {
-		if alg != nil && !sameAlgorithm(alg, DNS) {
-			return nil, fmt.Errorf("matscale: WithDNSGrid requires the DNS algorithm (or nil)")
+		if !sameAlgorithm(alg, DNS) {
+			return nil, fmt.Errorf("matscale: WithDNSGrid requires the DNS algorithm")
 		}
 		g := cfg.dnsGrid
 		alg = func(m *Machine, a, b *Matrix) (*Result, error) {
 			return core.DNSWithGrid(m, a, b, g)
 		}
-	}
-	if alg == nil {
-		res, _, err := runAuto(cfg, m, a, b)
-		return res, err
 	}
 	res, err := alg(cfg.machineFor(m), a, b)
 	if err != nil {
@@ -475,28 +472,28 @@ type Selection struct {
 // of the applicable algorithms without running anything.
 func Select(m *Machine, n int) Selection {
 	letter := regions.Best(Params{Ts: m.Ts, Tw: m.Tw}, float64(n), float64(m.P()))
-	var name string
-	var alg Algorithm
-	switch letter {
-	case 'b':
-		name, alg = "Berntsen", core.Berntsen
-	case 'c':
-		name, alg = "Cannon", core.Cannon
-	case 'd':
-		name, alg = "DNS", core.DNS
-	default: // 'a', serial (p=1, any algorithm degenerates), infeasible
-		name, alg = "GK", core.GK
+	name := "GK" // also on serial (p=1, any algorithm degenerates) and infeasible cells
+	for _, s := range model.Specs() {
+		if s.Letter == letter {
+			name = s.Name
+		}
 	}
-	return Selection{Name: name, Algorithm: alg, PredictedTp: predictedTp(name, m, n)}
+	f, _ := sweep.ByName(name)
+	return selection(f, m, n)
 }
 
-// predictedTp evaluates the paper's closed-form parallel time of the
-// named algorithm for n×n matrices on m (model.PaperTp); 0 when the
-// model has no equation for the name.
-func predictedTp(name string, m *Machine, n int) float64 {
+// selection pairs formulation f with the parallel time its paper
+// equation predicts for n×n matrices on m. Every formulation Select
+// and RunAuto consider has an equation.
+func selection(f sweep.Formulation, m *Machine, n int) Selection {
 	_, full := m.Topo.(topology.FullyConnected)
-	return model.PaperTp(strings.ToLower(name), Params{Ts: m.Ts, Tw: m.Tw}, float64(n), float64(m.P()), full)
+	tp := f.PaperTp(Params{Ts: m.Ts, Tw: m.Tw}, float64(n), float64(m.P()), full)
+	return Selection{Name: f.Name, Algorithm: f.Run, PredictedTp: tp}
 }
+
+// autoFallback is the order RunAuto tries formulations in after the
+// selected one, by formulation key.
+var autoFallback = []string{"gk", "berntsen", "cannon", "simple", "dns", "fox"}
 
 // RunAuto picks the predicted-fastest applicable algorithm for (m, n)
 // and runs it with the given options, falling back along the overhead
@@ -505,10 +502,7 @@ func predictedTp(name string, m *Machine, n int) float64 {
 // this exact configuration. The returned Selection identifies what
 // actually ran.
 func RunAuto(m *Machine, a, b *Matrix, opts ...Option) (*Result, Selection, error) {
-	return runAuto(newRunConfig(opts), m, a, b)
-}
-
-func runAuto(cfg runConfig, m *Machine, a, b *Matrix) (*Result, Selection, error) {
+	cfg := newRunConfig(opts)
 	if cfg.checkpointing() {
 		// Auto-selection falls back across algorithms on error, which
 		// would misread a SuspendedError as a failure and could resume a
@@ -520,15 +514,9 @@ func runAuto(cfg runConfig, m *Machine, a, b *Matrix) (*Result, Selection, error
 	}
 	first := Select(m, a.Rows)
 	candidates := []Selection{first}
-	for _, c := range []struct {
-		name string
-		alg  Algorithm
-	}{
-		{"GK", core.GK}, {"Berntsen", core.Berntsen}, {"Cannon", core.Cannon},
-		{"Simple", core.Simple}, {"DNS", core.DNS}, {"Fox", core.Fox},
-	} {
-		if c.name != first.Name {
-			candidates = append(candidates, Selection{Name: c.name, Algorithm: c.alg, PredictedTp: predictedTp(c.name, m, a.Rows)})
+	for _, key := range autoFallback {
+		if f, _ := sweep.Lookup(key); f.Name != first.Name {
+			candidates = append(candidates, selection(f, m, a.Rows))
 		}
 	}
 	mm := cfg.machineFor(m)

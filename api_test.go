@@ -102,14 +102,6 @@ func TestWithDNSGridMatchesDeprecatedFunction(t *testing.T) {
 	if old.Sim.Tp != viaOpt.Sim.Tp || old.Sim.Messages != viaOpt.Sim.Messages {
 		t.Fatalf("WithDNSGrid diverges from core.DNSWithGrid: Tp %v vs %v", old.Sim.Tp, viaOpt.Sim.Tp)
 	}
-	// nil algorithm with the grid option also runs DNS.
-	viaNil, err := matscale.Run(nil, m, a, b, matscale.WithDNSGrid(4))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if viaNil.Sim.Tp != old.Sim.Tp {
-		t.Fatalf("Run(nil, WithDNSGrid) Tp = %v, want %v", viaNil.Sim.Tp, old.Sim.Tp)
-	}
 }
 
 func TestWithDNSGridRejectsOtherAlgorithms(t *testing.T) {
@@ -122,13 +114,14 @@ func TestWithDNSGridRejectsOtherAlgorithms(t *testing.T) {
 }
 
 func TestRunNilAutoSelects(t *testing.T) {
-	res, err := matscale.Run(nil, matscale.NCube2(64),
-		matscale.RandomMatrix(16, 16, 1), matscale.RandomMatrix(16, 16, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Algorithm == "" {
-		t.Fatal("auto-selected result has no algorithm name")
+	// RunAuto is the one auto-selection entry point: Run(nil) is an
+	// error that names it, with or without WithDNSGrid.
+	for _, opts := range [][]matscale.Option{nil, {matscale.WithDNSGrid(4)}} {
+		res, err := matscale.Run(nil, matscale.NCube2(64),
+			matscale.RandomMatrix(16, 16, 1), matscale.RandomMatrix(16, 16, 2), opts...)
+		if err == nil || res != nil || !strings.Contains(err.Error(), "RunAuto") {
+			t.Fatalf("Run(nil) = %v, %v; want an error naming RunAuto", res, err)
+		}
 	}
 }
 

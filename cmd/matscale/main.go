@@ -290,14 +290,15 @@ func cmdRun(args []string) error {
 			fmt.Printf("predicted:  Tp = %.1f (model)\n", sel.PredictedTp)
 		}
 	} else {
-		// "auto" reaches here only with -grid, where a nil algorithm
-		// selects DNS on the coarse grid.
-		var alg matscale.Algorithm
+		// "auto" reaches here only with -grid, which selects DNS on the
+		// coarse grid.
+		alg := matscale.DNS
 		if name != "auto" {
-			var ok bool
-			if alg, ok = sweep.LookupAlgorithm(name); !ok {
+			f, ok := sweep.Lookup(name)
+			if !ok {
 				return fmt.Errorf("unknown algorithm %q", name)
 			}
+			alg = f.Run
 		}
 		res, err = matscale.Run(alg, m, a, b, opts...)
 		if err == nil {
@@ -403,33 +404,29 @@ func cmdRobust(args []string) error {
 		dnsOpts = append(dnsOpts, matscale.WithDNSGrid(q))
 	}
 	ran := 0
-	for _, c := range []struct {
-		name string
-		alg  matscale.Algorithm
-		opts []matscale.Option
-	}{
-		{"simple", matscale.Simple, nil}, {"cannon", matscale.Cannon, nil},
-		{"fox", matscale.Fox, nil}, {"foxpipe", matscale.FoxPipelined, nil},
-		{"berntsen", matscale.Berntsen, nil}, {"dns", matscale.DNS, dnsOpts},
-		{"gk", matscale.GK, nil},
-	} {
-		clean, err := matscale.Run(c.alg, m, a, b,
-			append(c.opts, matscale.WithMetrics())...)
+	for _, key := range []string{"simple", "cannon", "fox", "foxpipe", "berntsen", "dns", "gk"} {
+		f, _ := sweep.Lookup(key)
+		var opts []matscale.Option
+		if key == "dns" {
+			opts = dnsOpts
+		}
+		clean, err := matscale.Run(f.Run, m, a, b,
+			append(opts, matscale.WithMetrics())...)
 		if err != nil {
-			fmt.Printf("%-10s %12s\n", c.name, "n/a: "+err.Error())
+			fmt.Printf("%-10s %12s\n", key, "n/a: "+err.Error())
 			continue
 		}
-		faulted, err := matscale.Run(c.alg, m, a, b,
-			append(c.opts, matscale.WithFaults(fc), matscale.WithMetrics())...)
+		faulted, err := matscale.Run(f.Run, m, a, b,
+			append(opts, matscale.WithFaults(fc), matscale.WithMetrics())...)
 		if err != nil {
-			return fmt.Errorf("%s under faults: %w", c.name, err)
+			return fmt.Errorf("%s under faults: %w", key, err)
 		}
 		shift := fmt.Sprintf("%d", faulted.Metrics.CriticalRank)
 		if from, to, moved := faulted.Metrics.CriticalRankShift(clean.Metrics.Metrics); moved {
 			shift = fmt.Sprintf("%d→%d", from, to)
 		}
 		fmt.Printf("%-10s %12.1f %12.1f %8.2fx %8d %11.1f %9s\n",
-			c.name, clean.Sim.Tp, faulted.Sim.Tp, faulted.Sim.Tp/clean.Sim.Tp,
+			key, clean.Sim.Tp, faulted.Sim.Tp, faulted.Sim.Tp/clean.Sim.Tp,
 			faulted.Sim.Retries, faulted.Sim.RetryTime, shift)
 		ran++
 	}

@@ -19,7 +19,6 @@ import (
 	"sort"
 	"strings"
 
-	"matscale/internal/core"
 	"matscale/internal/iso"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
@@ -50,25 +49,6 @@ func FigureParams(fig int) (model.Params, error) {
 // exponents obtained from the Equation (1) solver as a check on the
 // asymptotic column.
 func Table1(pr model.Params) string {
-	overhead := map[string]string{
-		"Berntsen": "2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3)",
-		"Cannon":   "2·ts·p^(3/2) + 2·tw·n²·√p",
-		"GK":       "(5/3)·ts·p·log p + (5/3)·tw·n²·p^(1/3)·log p",
-		"DNS":      "(ts + tw)·((5/3)·p·log p + 2·n³)",
-	}
-	ranges := map[string]string{
-		"Berntsen": "1 ≤ p ≤ n^(3/2)",
-		"Cannon":   "1 ≤ p ≤ n²",
-		"GK":       "1 ≤ p ≤ n³",
-		"DNS":      "n² ≤ p ≤ n³",
-	}
-	concurrency := map[string]func(n float64) float64{
-		"Berntsen": func(n float64) float64 { return math.Pow(n, 1.5) },
-		"Cannon":   func(n float64) float64 { return n * n },
-		"GK":       func(n float64) float64 { return n * n * n },
-		"DNS":      func(n float64) float64 { return n * n * n },
-	}
-
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table 1 — overheads, scalability and applicability (ts=%g, tw=%g)\n", pr.Ts, pr.Tw)
 	fmt.Fprintf(&sb, "%-10s %-55s %-18s %-16s %s\n", "Algorithm", "Total overhead To", "Asymptotic isoeff.", "Fitted exponent", "Applicability")
@@ -79,14 +59,14 @@ func Table1(pr model.Params) string {
 			e = iso.MaxEfficiencyDNS(pr.Ts, pr.Tw) / 2
 		}
 		w := func(p float64) float64 {
-			v, ok := iso.OverallW(func(n, q float64) float64 { return s.To(pr, n, q) }, concurrency[s.Name], p, e)
+			v, ok := iso.OverallW(func(n, q float64) float64 { return s.To(pr, n, q) }, s.Concurrency, p, e)
 			if !ok {
 				return math.NaN()
 			}
 			return v
 		}
 		x := iso.GrowthExponent(w, 1<<20, 1<<34, 24)
-		fmt.Fprintf(&sb, "%-10s %-55s %-18s %-16.3f %s\n", s.Name, overhead[s.Name], s.Isoefficiency, x, ranges[s.Name])
+		fmt.Fprintf(&sb, "%-10s %-55s %-18s %-16.3f %s\n", s.Name, s.Overhead, s.Isoefficiency, x, s.Range)
 	}
 	return sb.String()
 }
@@ -167,11 +147,11 @@ func EfficiencyFigure(fig, workers int) (*FigureEfficiency, error) {
 
 	out := &FigureEfficiency{Figure: fig}
 	var err error
-	out.Cannon, err = runCurve("Cannon", core.Cannon, pCannon, stepCannon, nMax, workers)
+	out.Cannon, err = runCurve("cannon", pCannon, stepCannon, nMax, workers)
 	if err != nil {
 		return nil, err
 	}
-	out.GK, err = runCurve("GK", core.GK, pGK, stepGK, nMax, workers)
+	out.GK, err = runCurve("gk", pGK, stepGK, nMax, workers)
 	if err != nil {
 		return nil, err
 	}
@@ -181,12 +161,13 @@ func EfficiencyFigure(fig, workers int) (*FigureEfficiency, error) {
 	return out, nil
 }
 
-// runCurve simulates one algorithm on the CM-5 preset over a sweep of
-// matrix sizes. The cells fan out over the engine's worker pool; each
-// point lands in its own slot, so the curve is identical for every
-// worker count.
-func runCurve(name string, alg core.Algorithm, p, step, nMax, workers int) (EfficiencyCurve, error) {
-	c := EfficiencyCurve{Algorithm: name, P: p}
+// runCurve simulates the formulation under key on the CM-5 preset over
+// a sweep of matrix sizes. The cells fan out over the engine's worker
+// pool; each point lands in its own slot, so the curve is identical for
+// every worker count.
+func runCurve(key string, p, step, nMax, workers int) (EfficiencyCurve, error) {
+	f, _ := sweep.Lookup(key)
+	c := EfficiencyCurve{Algorithm: f.Name, P: p}
 	var ns []int
 	for n := step; n <= nMax; n += step {
 		ns = append(ns, n)
@@ -196,9 +177,9 @@ func runCurve(name string, alg core.Algorithm, p, step, nMax, workers int) (Effi
 		n := ns[i]
 		a := matrix.Random(n, n, uint64(n))
 		b := matrix.Random(n, n, uint64(n)+1)
-		res, err := alg(machine.CM5(p), a, b)
+		res, err := f.Run(machine.CM5(p), a, b)
 		if err != nil {
-			return fmt.Errorf("%s n=%d p=%d: %w", name, n, p, err)
+			return fmt.Errorf("%s n=%d p=%d: %w", f.Name, n, p, err)
 		}
 		pts[i] = EfficiencyPoint{N: n, E: res.Efficiency(), Tp: res.Sim.Tp}
 		return nil

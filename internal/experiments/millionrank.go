@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"io"
 
-	"matscale/internal/core"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
+	"matscale/internal/sweep"
 )
 
 // MillionRankStudy renders the strong-scaling study the events backend
@@ -33,8 +33,7 @@ func MillionRankStudy(w io.Writer, n int) error {
 	b := matrix.Random(n, n, 2)
 
 	type row struct {
-		alg  string
-		run  core.Algorithm
+		alg  string // formulation key
 		mach string
 		p    int
 	}
@@ -42,22 +41,22 @@ func MillionRankStudy(w io.Writer, n int) error {
 	// Cannon strong-scales on √p × √p grids from p = (n/32)² up to the
 	// one-element-per-processor limit p = n².
 	for q := max(2, n/32); q <= n; q *= 2 {
-		rows = append(rows, row{"cannon", core.Cannon, "ncube2", q * q})
+		rows = append(rows, row{"cannon", "ncube2", q * q})
 	}
 	for q := max(2, n/32); q <= n; q *= 2 {
-		rows = append(rows, row{"cannon", core.Cannon, "mesh", q * q})
+		rows = append(rows, row{"cannon", "mesh", q * q})
 	}
 	// GK runs at its structural sizes p = q³ (q | n); the mesh preset
 	// additionally needs p to be a perfect square (a √p × √p torus), so
 	// only q values that are themselves squares qualify there.
 	for _, q := range []int{8, 16, 32} {
 		if n%q == 0 && q*q*q <= n*n {
-			rows = append(rows, row{"gk", core.GK, "ncube2", q * q * q})
+			rows = append(rows, row{"gk", "ncube2", q * q * q})
 		}
 	}
 	for _, q := range []int{4, 16} {
 		if n%q == 0 && q*q*q <= n*n {
-			rows = append(rows, row{"gk", core.GK, "mesh", q * q * q})
+			rows = append(rows, row{"gk", "mesh", q * q * q})
 		}
 	}
 
@@ -72,7 +71,8 @@ func MillionRankStudy(w io.Writer, n int) error {
 		case "mesh":
 			m = machine.Mesh(r.p, 150, 3)
 		}
-		res, err := r.run(m, a, b)
+		f, _ := sweep.Lookup(r.alg)
+		res, err := f.Run(m, a, b)
 		if err != nil {
 			fmt.Fprintf(w, "%-8s %-7s %9d n/a: %v\n", r.alg, r.mach, r.p, err)
 			continue

@@ -5,7 +5,6 @@ import (
 	"math"
 	"strings"
 
-	"matscale/internal/core"
 	"matscale/internal/iso"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
@@ -36,20 +35,16 @@ type IsoPoint struct {
 // The per-p cells run on workers host goroutines (≤ 0: all CPUs); the
 // points are identical for every worker count.
 func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int, workers int) ([]IsoPoint, error) {
-	var (
-		alg  core.Algorithm
-		side func(p int) int // structural divisor of n
-	)
+	var side func(p int) int // structural divisor of n
 	switch algorithm {
 	case "cannon":
-		alg = core.Cannon
 		side = topology.IntSqrt
 	case "gk":
-		alg = core.GK
 		side = topology.IntCbrt
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q", algorithm)
 	}
+	f, _ := sweep.Lookup(algorithm)
 
 	out := make([]IsoPoint, len(ps))
 	err := sweep.ForEach(workers, len(ps), func(i int) error {
@@ -68,7 +63,7 @@ func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, 
 		}
 		a := matrix.Random(n, n, uint64(p))
 		b := matrix.Random(n, n, uint64(p)+1)
-		res, err := alg(machine.Hypercube(p, pr.Ts, pr.Tw), a, b)
+		res, err := f.Run(machine.Hypercube(p, pr.Ts, pr.Tw), a, b)
 		if err != nil {
 			return err
 		}
@@ -129,17 +124,7 @@ func (o PredictionOutcome) Regret() float64 { return o.PredictedTp / o.BestTp }
 // outcomes are identical for every worker count — cells land in grid
 // order and skipped cells are filtered in that same order.
 func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]PredictionOutcome, error) {
-	named := []struct {
-		name string
-		alg  core.Algorithm
-	}{
-		{"Berntsen", core.Berntsen},
-		{"Cannon", core.Cannon},
-		{"GK", core.GK},
-		{"DNS", core.DNS},
-	}
-	letterName := map[byte]string{'b': "Berntsen", 'c': "Cannon", 'a': "GK", 'd': "DNS"}
-
+	specs := model.Specs()
 	type gridCell struct{ n, p int }
 	var cells []gridCell
 	for _, p := range ps {
@@ -155,35 +140,36 @@ func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]Predictio
 		a := matrix.Random(n, n, uint64(n*p))
 		b := matrix.Random(n, n, uint64(n*p)+1)
 		tps := map[string]float64{}
-		for _, c := range named {
-			res, err := c.alg(mach, a, b)
+		for _, s := range specs {
+			f, _ := sweep.ByName(s.Name)
+			res, err := f.Run(mach, a, b)
 			if err != nil {
 				continue // structurally inapplicable here
 			}
-			tps[c.name] = res.Sim.Tp
+			tps[s.Name] = res.Sim.Tp
 		}
 		if len(tps) < 2 {
 			return nil // nothing to predict between
 		}
-		// Scan in the fixed order of the named table, not over the
-		// tps map: when two algorithms tie on Tp the winner must not
-		// depend on map iteration order (caught by nodetbreak).
+		// Scan in the fixed order of Table 1, not over the tps map:
+		// when two algorithms tie on Tp the winner must not depend on
+		// map iteration order (caught by nodetbreak).
 		best, bestTp := "", math.Inf(1)
-		for _, c := range named {
-			if tp, ran := tps[c.name]; ran && tp < bestTp {
-				best, bestTp = c.name, tp
-			}
-		}
+		pred := "" // no prediction on serial or infeasible cells
 		predLetter := regions.Best(pr, float64(n), float64(p))
-		pred, ok := letterName[predLetter]
-		if !ok {
-			return nil // serial or infeasible cell
+		for _, s := range specs {
+			if tp, ran := tps[s.Name]; ran && tp < bestTp {
+				best, bestTp = s.Name, tp
+			}
+			if s.Letter == predLetter {
+				pred = s.Name
+			}
 		}
 		predTp, ran := tps[pred]
 		if !ran {
-			// The predicted algorithm can't run this exact
-			// configuration (divisibility); skip the cell, matching
-			// how a real chooser would fall back.
+			// No prediction, or the predicted algorithm can't run this
+			// exact configuration (divisibility); skip the cell,
+			// matching how a real chooser would fall back.
 			return nil
 		}
 		slots[i] = &PredictionOutcome{

@@ -100,7 +100,8 @@ func TestSpecsShape(t *testing.T) {
 	letters := map[byte]bool{}
 	for _, s := range specs {
 		letters[s.Letter] = true
-		if s.To == nil || s.Tp == nil || s.Applicable == nil || s.Isoefficiency == "" {
+		if s.To == nil || s.Overhead == "" || s.Applicable == nil || s.Range == "" ||
+			s.Concurrency == nil || s.Isoefficiency == "" {
 			t.Errorf("%s: incomplete spec", s.Name)
 		}
 	}

@@ -1,14 +1,19 @@
 // Package model provides the paper's closed-form performance
 // expressions in two families:
 //
-//   - the Paper* functions and the Spec table reproduce the equations
-//     exactly as printed (Eqs. 2–7, 16–18 and the overhead functions of
-//     Table 1), including the paper's habit of dropping lower-order
-//     terms; the Section 6 figures and crossover analyses use these;
+//   - the Paper* functions reproduce the equations exactly as printed
+//     (Eqs. 2–7 and 16–18), including the paper's habit of dropping
+//     lower-order terms, and the Spec table holds the rows of Table 1
+//     (overhead function and its printed form, applicability,
+//     isoefficiency); the Section 6 figures and crossover analyses use
+//     these;
 //   - the Exact* functions (exact.go) give the virtual time the
 //     implementations in internal/core measure, term for term — the
 //     equation-validation tests assert bitwise equality between a
 //     simulator run and these.
+//
+// Which Paper* equation predicts which implementation is recorded in
+// one place, the formulation table of internal/sweep.
 //
 // All functions take n and p as float64 because the region analyses
 // sweep p to 2^30 and beyond.
@@ -79,33 +84,6 @@ func PaperGKCM5Tp(pr Params, n, p float64) float64 {
 	return n*n*n/p + pr.Ts*(log2(p)+2) + pr.Tw*n*n/math.Pow(p, 2.0/3.0)*(log2(p)+2)
 }
 
-// PaperTp evaluates the paper's closed-form parallel time of the
-// formulation named alg (lower case: "simple", "cannon", "fox",
-// "foxpipe", "berntsen", "dns", "gk") for n×n matrices on p
-// processors; 0 when the model has no equation for the name. GK on a
-// fully connected network uses Eq. (18), whose routing steps are
-// single hops; everything else uses the hypercube equations (Eqs. 2–7).
-func PaperTp(alg string, pr Params, n, p float64, fullyConnected bool) float64 {
-	switch alg {
-	case "simple":
-		return PaperSimpleTp(pr, n, p)
-	case "cannon":
-		return PaperCannonTp(pr, n, p)
-	case "fox", "foxpipe":
-		return PaperFoxTp(pr, n, p)
-	case "berntsen":
-		return PaperBerntsenTp(pr, n, p)
-	case "dns":
-		return PaperDNSTp(pr, n, p)
-	case "gk":
-		if fullyConnected {
-			return PaperGKCM5Tp(pr, n, p)
-		}
-		return PaperGKTp(pr, n, p)
-	}
-	return 0
-}
-
 // Overhead functions of Table 1 (To = p·Tp − W).
 
 // BerntsenTo is 2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3).
@@ -164,21 +142,26 @@ func GKAllPortTo(pr Params, n, p float64) float64 {
 // Efficiency returns E = W/(W + To) for a given overhead function value.
 func Efficiency(w, to float64) float64 { return w / (w + to) }
 
-// Spec describes one of the algorithms compared in Section 6 of the
-// paper: its Table 1 overhead function, its region letter in
+// Spec is one row of the paper's Table 1: an algorithm compared in
+// Section 6, with its overhead function, its region letter in
 // Figures 1–3, and its range of applicability.
 type Spec struct {
 	Name string
 	// Letter marks the algorithm's regions in the paper's figures:
 	// a = GK, b = Berntsen, c = Cannon, d = DNS.
 	Letter byte
-	// To is the Table 1 total overhead function.
-	To func(Params, float64, float64) float64
-	// Tp is the paper's parallel execution time equation.
-	Tp func(Params, float64, float64) float64
+	// To is the Table 1 total overhead function, and Overhead its
+	// printed form.
+	To       func(Params, float64, float64) float64
+	Overhead string
 	// Applicable reports whether the algorithm can run at all for the
-	// given n and p (Table 1's "range of applicability").
+	// given n and p (Table 1's "range of applicability"); Range is its
+	// printed form.
 	Applicable func(n, p float64) bool
+	Range      string
+	// Concurrency is the largest processor count the algorithm can use
+	// on n×n matrices, the cap of the isoefficiency solver.
+	Concurrency func(n float64) float64
 	// Isoefficiency is the asymptotic isoefficiency function as printed
 	// in Table 1.
 	Isoefficiency string
@@ -189,28 +172,40 @@ func Specs() []Spec {
 	return []Spec{
 		{
 			Name: "Berntsen", Letter: 'b',
-			To: BerntsenTo, Tp: PaperBerntsenTp,
+			To:       BerntsenTo,
+			Overhead: "2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3)",
 			// p ≤ n^(3/2) written as p² ≤ n³, which is exact in floating
 			// point for power-of-two grids (math.Pow(n, 1.5) is not).
 			Applicable:    func(n, p float64) bool { return p >= 1 && p*p <= n*n*n },
+			Range:         "1 ≤ p ≤ n^(3/2)",
+			Concurrency:   func(n float64) float64 { return math.Pow(n, 1.5) },
 			Isoefficiency: "O(p^2)",
 		},
 		{
 			Name: "Cannon", Letter: 'c',
-			To: CannonTo, Tp: PaperCannonTp,
+			To:            CannonTo,
+			Overhead:      "2·ts·p^(3/2) + 2·tw·n²·√p",
 			Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n },
+			Range:         "1 ≤ p ≤ n²",
+			Concurrency:   func(n float64) float64 { return n * n },
 			Isoefficiency: "O(p^1.5)",
 		},
 		{
 			Name: "GK", Letter: 'a',
-			To: GKTo, Tp: PaperGKTp,
+			To:            GKTo,
+			Overhead:      "(5/3)·ts·p·log p + (5/3)·tw·n²·p^(1/3)·log p",
 			Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n*n },
+			Range:         "1 ≤ p ≤ n³",
+			Concurrency:   func(n float64) float64 { return n * n * n },
 			Isoefficiency: "O(p (log p)^3)",
 		},
 		{
 			Name: "DNS", Letter: 'd',
-			To: DNSTo, Tp: PaperDNSTp,
+			To:            DNSTo,
+			Overhead:      "(ts + tw)·((5/3)·p·log p + 2·n³)",
 			Applicable:    func(n, p float64) bool { return p >= n*n && p <= n*n*n },
+			Range:         "n² ≤ p ≤ n³",
+			Concurrency:   func(n float64) float64 { return n * n * n },
 			Isoefficiency: "O(p log p)",
 		},
 	}

@@ -439,8 +439,8 @@ func TestHTTPJobControlRoutes(t *testing.T) {
 		return resp.StatusCode, body
 	}
 
-	// Submit through the deprecated alias and the canonical route; both
-	// must serve the same resource.
+	// Submit twice through /v1/jobs: the first job blocks the single
+	// worker, so the second (the target) stays queued.
 	blocker := submitHTTP(t, ts.URL, specJSON)
 	<-gate.entered
 	resp, err := http.Post(ts.URL+"/v1/jobs", "application/json", strings.NewReader(specJSON))

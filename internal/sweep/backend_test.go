@@ -16,10 +16,11 @@ var engines = []machine.Backend{machine.BackendGoroutines, machine.BackendEvents
 // and expects identical simulation results, metrics included.
 func TestBackendRunEquivalence(t *testing.T) {
 	for _, name := range []string{"cannon", "gk"} {
-		alg, ok := LookupAlgorithm(name)
+		f, ok := Lookup(name)
 		if !ok {
 			t.Fatalf("unknown algorithm %q", name)
 		}
+		alg := f.Run
 		a, b := matrix.Random(16, 16, 1), matrix.Random(16, 16, 2)
 		var sims []*simulator.Result
 		for _, e := range engines {
@@ -41,7 +42,8 @@ func TestBackendRunEquivalence(t *testing.T) {
 // TestBackendRunCannonTp runs Cannon's algorithm on identity operands
 // on a 16-node hypercube and expects the same Tp on both engines.
 func TestBackendRunCannonTp(t *testing.T) {
-	alg, _ := LookupAlgorithm("cannon")
+	f, _ := Lookup("cannon")
+	alg := f.Run
 	a := matrix.Identity(16)
 	for _, e := range engines {
 		m := machine.Hypercube(16, 17, 3)

@@ -181,35 +181,75 @@ type CellCache interface {
 // wrapping.
 var ErrCanceled = errors.New("sweep: canceled")
 
-// algorithms is the formulation registry of the grid layer, keyed by
-// the names the CLI uses.
-var algorithms = map[string]core.Algorithm{
-	"simple":     core.Simple,
-	"cannon":     core.Cannon,
-	"fox":        core.Fox,
-	"foxpipe":    core.FoxPipelined,
-	"berntsen":   core.Berntsen,
-	"dns":        core.DNS,
-	"gk":         core.GK,
-	"gkimproved": core.GKImprovedBroadcast,
+// Formulation is one row of the formulation table: the one place a
+// formulation's key, its name, its implementation and its paper
+// equation meet. Sweeps, Select/RunAuto, the experiment drivers and
+// the CLI all look formulations up here.
+type Formulation struct {
+	// Key names the formulation in spec JSON, -alg flags and cell keys.
+	Key string
+	// Name is the Result.Algorithm stamp of Run, also used as
+	// Selection.Name and in report rows.
+	Name string
+	Run  core.Algorithm
+	// PaperTp is the paper's closed-form parallel time for n×n matrices
+	// on p processors (Eqs. 2–7; GK on a fully connected network uses
+	// Eq. 18). nil when the paper prints no equation.
+	PaperTp func(pr model.Params, n, p float64, fullyConnected bool) float64
 }
 
-// AlgorithmNames returns the formulation names the grid layer accepts,
+// formulations is the formulation table, sorted by key.
+var formulations = []Formulation{
+	{"berntsen", "Berntsen", core.Berntsen, hypercubeTp(model.PaperBerntsenTp)},
+	{"cannon", "Cannon", core.Cannon, hypercubeTp(model.PaperCannonTp)},
+	{"dns", "DNS", core.DNS, hypercubeTp(model.PaperDNSTp)},
+	{"fox", "Fox", core.Fox, hypercubeTp(model.PaperFoxTp)},
+	{"foxpipe", "FoxPipelined", core.FoxPipelined, hypercubeTp(model.PaperFoxTp)},
+	{"gk", "GK", core.GK, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
+		if fullyConnected {
+			return model.PaperGKCM5Tp(pr, n, p)
+		}
+		return model.PaperGKTp(pr, n, p)
+	}},
+	{"gkimproved", "GKImprovedBroadcast", core.GKImprovedBroadcast, nil},
+	{"simple", "Simple", core.Simple, hypercubeTp(model.PaperSimpleTp)},
+}
+
+// hypercubeTp adapts a hypercube equation (Eqs. 2–6) that the paper
+// applies on every network.
+func hypercubeTp(tp func(model.Params, float64, float64) float64) func(model.Params, float64, float64, bool) float64 {
+	return func(pr model.Params, n, p float64, _ bool) float64 { return tp(pr, n, p) }
+}
+
+// AlgorithmNames returns the formulation keys the grid layer accepts,
 // sorted.
 func AlgorithmNames() []string {
-	names := make([]string, 0, len(algorithms))
-	for name := range algorithms { //nodetbreak:ordered — sorted immediately below
-		names = append(names, name)
+	keys := make([]string, len(formulations))
+	for i, f := range formulations {
+		keys[i] = f.Key
 	}
-	sort.Strings(names)
-	return names
+	return keys
 }
 
-// LookupAlgorithm returns the formulation registered under name, the
-// names the CLI and sweep specs use.
-func LookupAlgorithm(name string) (core.Algorithm, bool) {
-	alg, ok := algorithms[name]
-	return alg, ok
+// Lookup returns the formulation registered under key, the names the
+// CLI and sweep specs use.
+func Lookup(key string) (Formulation, bool) {
+	for _, f := range formulations {
+		if f.Key == key {
+			return f, true
+		}
+	}
+	return Formulation{}, false
+}
+
+// ByName returns the formulation whose results carry name.
+func ByName(name string) (Formulation, bool) {
+	for _, f := range formulations {
+		if f.Name == name {
+			return f, true
+		}
+	}
+	return Formulation{}, false
 }
 
 // Validate checks the spec's names, ranges and fault grammar without
@@ -219,7 +259,7 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("sweep: spec names no algorithms (have: %s)", strings.Join(AlgorithmNames(), ", "))
 	}
 	for _, a := range s.Algorithms {
-		if _, ok := algorithms[a]; !ok {
+		if _, ok := Lookup(a); !ok {
 			return fmt.Errorf("sweep: unknown algorithm %q (have: %s)", a, strings.Join(AlgorithmNames(), ", "))
 		}
 	}
@@ -405,7 +445,9 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			// A preset's network kind does not depend on p, so a
 			// one-processor instance answers for every cell.
 			_, full := build(1).Topo.(topology.FullyConnected)
-			v = model.PaperTp(k.alg, model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), full)
+			if f, _ := Lookup(k.alg); f.PaperTp != nil {
+				v = f.PaperTp(model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), full)
+			}
 			cache[k] = v
 		}
 		preds[i] = v
@@ -521,7 +563,8 @@ func runCell(s *Spec, c Cell, fc *faults.Config, mats [2]*matrix.Dense, backend 
 	if fc != nil {
 		m = m.WithFaults(fc)
 	}
-	res, err := algorithms[c.Algorithm](m, mats[0], mats[1])
+	f, _ := Lookup(c.Algorithm)
+	res, err := f.Run(m, mats[0], mats[1])
 	if err != nil {
 		r.Err = err.Error()
 		return r

@@ -8,7 +8,10 @@ import (
 	"sync"
 	"testing"
 
+	"matscale/internal/machine"
+	"matscale/internal/matrix"
 	"matscale/internal/model"
+	"matscale/internal/topology"
 )
 
 func gridSpec() *Spec {
@@ -279,6 +282,82 @@ func TestAlgorithmNamesSorted(t *testing.T) {
 	for i := 1; i < len(names); i++ {
 		if names[i-1] >= names[i] {
 			t.Fatalf("names not sorted: %v", names)
+		}
+	}
+	want := []string{"berntsen", "cannon", "dns", "fox", "foxpipe", "gk", "gkimproved", "simple"}
+	if strings.Join(names, ",") != strings.Join(want, ",") {
+		t.Fatalf("keys = %v, want %v", names, want)
+	}
+}
+
+// TestFormulationTable checks every row of the formulation table
+// against the implementation it names and the paper equation it
+// predicts with.
+func TestFormulationTable(t *testing.T) {
+	type tp = func(model.Params, float64, float64) float64
+	// The paper equation of each key on a hypercube and on the fully
+	// connected CM-5; nil where the paper prints none.
+	equations := map[string][2]tp{
+		"berntsen":   {model.PaperBerntsenTp, model.PaperBerntsenTp},
+		"cannon":     {model.PaperCannonTp, model.PaperCannonTp},
+		"dns":        {model.PaperDNSTp, model.PaperDNSTp},
+		"fox":        {model.PaperFoxTp, model.PaperFoxTp},
+		"foxpipe":    {model.PaperFoxTp, model.PaperFoxTp},
+		"gk":         {model.PaperGKTp, model.PaperGKCM5Tp},
+		"gkimproved": {nil, nil},
+		"simple":     {model.PaperSimpleTp, model.PaperSimpleTp},
+	}
+	if len(formulations) != len(equations) {
+		t.Fatalf("table has %d rows, want %d", len(formulations), len(equations))
+	}
+	for _, f := range formulations {
+		eq, ok := equations[f.Key]
+		if !ok {
+			t.Errorf("unexpected key %q", f.Key)
+			continue
+		}
+		if g, ok := ByName(f.Name); !ok || g.Key != f.Key {
+			t.Errorf("%s: ByName(%q) = %q, %v", f.Key, f.Name, g.Key, ok)
+		}
+		// Run stamps the row's name on a geometry it accepts.
+		ran := false
+		for _, g := range []struct{ n, p int }{{16, 64}, {8, 64}, {16, 16}} {
+			res, err := f.Run(machine.NCube2(g.p), matrix.Random(g.n, g.n, 1), matrix.Random(g.n, g.n, 2))
+			if err != nil {
+				continue
+			}
+			if res.Algorithm != f.Name {
+				t.Errorf("%s: Result.Algorithm = %q, want %q", f.Key, res.Algorithm, f.Name)
+			}
+			ran = true
+			break
+		}
+		if !ran {
+			t.Errorf("%s: no test geometry accepted", f.Key)
+		}
+		// PaperTp matches the equation on a hypercube and on the CM-5.
+		for i, preset := range []string{"ncube2", "cm5"} {
+			build, ts, tw, _ := machine.LookupPreset(preset, 0, 0)
+			_, full := build(1).Topo.(topology.FullyConnected)
+			if full != (i == 1) {
+				t.Fatalf("%s: fully connected = %v", preset, full)
+			}
+			pr := model.Params{Ts: ts, Tw: tw}
+			if (f.PaperTp == nil) != (eq[i] == nil) {
+				t.Errorf("%s: PaperTp nil = %v, want %v", f.Key, f.PaperTp == nil, eq[i] == nil)
+				continue
+			}
+			if f.PaperTp == nil {
+				continue
+			}
+			if got, want := f.PaperTp(pr, 64, 512, full), eq[i](pr, 64, 512); got != want {
+				t.Errorf("%s on %s: PaperTp = %v, want %v", f.Key, preset, got, want)
+			}
+		}
+	}
+	for _, s := range model.Specs() {
+		if _, ok := ByName(s.Name); !ok {
+			t.Errorf("Table 1 row %q has no formulation", s.Name)
 		}
 	}
 }
