@@ -36,6 +36,7 @@
 package main
 
 import (
+	"bytes"
 	"errors"
 	"flag"
 	"fmt"
@@ -268,13 +269,11 @@ func cmdRun(args []string) error {
 		}
 		opts = append(opts, matscale.WithResume(ck))
 	}
+	// The snapshot reaches the file only when a cut is taken, so a run
+	// that completes first leaves no empty checkpoint behind.
+	var snapshot bytes.Buffer
 	if *ckptFile != "" {
-		f, err := os.Create(*ckptFile)
-		if err != nil {
-			return err
-		}
-		defer f.Close()
-		opts = append(opts, matscale.WithCheckpoint(f))
+		opts = append(opts, matscale.WithCheckpoint(&snapshot))
 	}
 	if *suspendAfter > 0 {
 		opts = append(opts, matscale.WithSuspendAfter(*suspendAfter))
@@ -308,7 +307,10 @@ func cmdRun(args []string) error {
 	var se *matscale.SuspendedError
 	if errors.As(err, &se) {
 		// Not a failure: the run stopped at its requested cut and the
-		// snapshot is on disk. Exit cleanly with the resume recipe.
+		// snapshot goes to disk. Exit cleanly with the resume recipe.
+		if err := os.WriteFile(*ckptFile, snapshot.Bytes(), 0o666); err != nil {
+			return err
+		}
 		fmt.Printf("suspended:  at event %d (%d-byte snapshot)\n", se.Events, len(se.Snapshot))
 		fmt.Printf("checkpoint: written to %s; rerun with -resume %s to finish\n", *ckptFile, *ckptFile)
 		return nil

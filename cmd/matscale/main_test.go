@@ -539,6 +539,24 @@ func TestCmdRunCheckpointResume(t *testing.T) {
 	}
 }
 
+// A run that completes before its cut writes no checkpoint file: an
+// empty one would only fail a later -resume.
+func TestCmdRunCheckpointNoCut(t *testing.T) {
+	ck := t.TempDir() + "/run.ckpt"
+	out, err := capture(t, func() error {
+		return cmdRun([]string{"-alg", "simple", "-n", "16", "-p", "16", "-checkpoint", ck, "-suspend-after", "1000000"})
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if strings.Contains(out, "suspended:") {
+		t.Fatalf("run suspended before its cut:\n%s", out)
+	}
+	if _, err := os.Stat(ck); !os.IsNotExist(err) {
+		t.Fatalf("checkpoint file exists after a run that took no cut (stat: %v)", err)
+	}
+}
+
 // The run command simulates on the events engine, so checkpointing
 // needs no extra flag: the run suspends, and resuming it prints exactly
 // what an uninterrupted run prints.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"testing"
 
+	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
 )
@@ -39,30 +40,37 @@ func TestCannonTotalCommMatchesModel(t *testing.T) {
 	}
 }
 
+// accountingCases is every formulation at a geometry it accepts; the
+// mesh-only Fox variants run on a wraparound mesh, the rest on a
+// hypercube.
+var accountingCases = []struct {
+	name string
+	alg  Algorithm
+	n, p int
+	mk   func(p int) *machine.Machine
+}{
+	{"Simple", Simple, 16, 16, testHypercube},
+	{"SimpleAllPort", SimpleAllPort, 16, 16, testHypercube},
+	{"SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, 16, 16, testHypercube},
+	{"Cannon", Cannon, 16, 16, testHypercube},
+	{"Fox", Fox, 16, 16, testHypercube},
+	{"FoxPipelined", FoxPipelined, 16, 16, testHypercube},
+	{"FoxAsync", FoxAsync, 16, 16, testHypercube},
+	{"FoxMesh", FoxMesh, 16, 16, testMesh},
+	{"FoxPacketPipelined", FoxPacketPipelined, 16, 16, testMesh},
+	{"Berntsen", Berntsen, 16, 64, testHypercube},
+	{"GK", GK, 16, 64, testHypercube},
+	{"GKImproved", GKImprovedBroadcast, 16, 64, testHypercube},
+	{"GKAllPort", GKAllPort, 16, 64, testHypercube},
+	{"DNS", DNS, 8, 128, testHypercube},
+}
+
 // TotalCompute must equal W = n³ exactly for every algorithm: the
 // parallel formulations perform no redundant arithmetic (under the
 // paper's unit-cost convention where reduction additions are pre-paid).
 func TestTotalComputeEqualsW(t *testing.T) {
-	cases := []struct {
-		name string
-		alg  Algorithm
-		n, p int
-	}{
-		{"Simple", Simple, 16, 16},
-		{"Cannon", Cannon, 16, 16},
-		{"Fox", Fox, 16, 16},
-		{"FoxPipelined", FoxPipelined, 16, 16},
-		{"FoxMesh", FoxMesh, 16, 16},
-		{"Berntsen", Berntsen, 16, 64},
-		{"GK", GK, 16, 64},
-		{"GKImproved", GKImprovedBroadcast, 16, 64},
-	}
-	for _, c := range cases {
-		m := testHypercube(c.p)
-		if c.name == "FoxMesh" {
-			m = testMesh(c.p)
-		}
-		res := runCase(t, c.name, c.alg, m, c.n)
+	for _, c := range accountingCases {
+		res := runCase(t, c.name, c.alg, c.mk(c.p), c.n)
 		w := float64(c.n) * float64(c.n) * float64(c.n)
 		if res.Sim.TotalCompute != w {
 			t.Errorf("%s: TotalCompute = %v, want W = %v", c.name, res.Sim.TotalCompute, w)
@@ -73,16 +81,8 @@ func TestTotalComputeEqualsW(t *testing.T) {
 // The overhead decomposition To = TotalComm + IdleTime holds for every
 // algorithm (with W = TotalCompute = n³).
 func TestOverheadDecomposesIntoCommAndIdle(t *testing.T) {
-	for _, c := range []struct {
-		name string
-		alg  Algorithm
-		n, p int
-	}{
-		{"Cannon", Cannon, 16, 16},
-		{"GK", GK, 16, 64},
-		{"Berntsen", Berntsen, 16, 64},
-	} {
-		res := runCase(t, c.name, c.alg, testHypercube(c.p), c.n)
+	for _, c := range accountingCases {
+		res := runCase(t, c.name, c.alg, c.mk(c.p), c.n)
 		to := res.Overhead()
 		sum := res.Sim.TotalComm + res.Sim.IdleTime()
 		if math.Abs(to-sum) > 1e-6*math.Max(1, to) {

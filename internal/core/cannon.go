@@ -38,22 +38,11 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	if res, ok, err := cannonSystolic(m, a, b, n, q); ok || err != nil {
 		return res, err
 	}
-	mesh := topology.NewTorus2D(q, q)
-	ga := matrix.Partition(a, q, q)
-	gb := matrix.Partition(b, q, q)
 	identity := func(r int) int { return r }
 	tags := cannonTags{alignA: tagCannonAlignA, alignB: tagCannonAlignB, shiftA: tagCannonShiftA, shiftB: tagCannonShiftB}
-
-	var product *matrix.Dense
-	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
-		i, j := mesh.Coords(pr.Rank())
-		c := cannonRoll(pr, mesh, identity, i, j, ga.Block(i, j), gb.Block(i, j), tags)
-		gatherGrid(pr, allRanks(p), q, q, tagGatherC, c, &product)
+	return onMesh(m, a, b, "Cannon", "", func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
+		return cannonRoll(r.pr, r.mesh, identity, r.i, r.j, myA, myB, tags)
 	})
-	if err != nil {
-		return nil, err
-	}
-	return newResult("Cannon", product, sim, n, p), nil
 }
 
 // cannonSystolic runs Cannon on the event engine's wave tier: the

@@ -2,18 +2,29 @@
 // algorithms analyzed by the paper, running them for real on the
 // virtual-time multicomputer of internal/simulator:
 //
-//   - Simple     — the all-to-all broadcast algorithm of Section 4.1
+//   - Simple     — the all-to-all broadcast algorithm of Section 4.1,
+//     with the all-port SimpleAllPort of Section 7.1 (Eq. 16) and its
+//     memory-efficient counterpart SimpleMemEfficientAllPort
 //   - Cannon     — Cannon's algorithm, Section 4.2 (Eq. 3)
-//   - Fox        — Fox's algorithm, Section 4.3, binomial-broadcast and
-//     pipelined variants (Eq. 4)
+//   - Fox        — Fox's algorithm, Section 4.3, in five executions:
+//     binomial broadcast (Fox), charged pipeline (FoxPipelined, Eq. 4),
+//     mesh relay (FoxMesh), real packet pipeline (FoxPacketPipelined)
+//     and asynchronous (FoxAsync)
 //   - Berntsen   — Berntsen's subcube algorithm, Section 4.4 (Eq. 5)
 //   - DNS        — the Dekel–Nassimi–Sahni algorithm with more than one
 //     element per processor, Section 4.5.2 (Eq. 6)
-//   - GK         — the paper's own contribution, Section 4.6 (Eq. 7),
-//     plus the improved-broadcast variant of Section 5.4.1 and the
-//     CM-5 variant of Section 9 (Eq. 18)
-//   - SimpleAllPort, GKAllPort — the all-port variants of Section 7
-//     (Eqs. 16–17)
+//   - GK         — the paper's own contribution, Section 4.6 (Eq. 7, and
+//     Eq. 18 on the CM-5 of Section 9), with the improved-broadcast
+//     GKImprovedBroadcast of Section 5.4.1 and the all-port GKAllPort of
+//     Section 7.2 (Eq. 17)
+//
+// A family's variants differ only in data. Each Fox execution is a
+// foxVariant row (its row delivery of A, tags and barrier) run by the
+// one foxImpl loop; each GK variant is a gkVariant row (its per-stage
+// charge, nil for binomial trees) run by gkImpl. Every 2-D mesh
+// formulation — Simple, SimpleMemEfficientAllPort, the Fox loop and
+// Cannon's rank-program fallback — runs through onMesh, which
+// validates, partitions, runs and gathers.
 //
 // Every algorithm distributes the input blocks (untimed setup),
 // executes the timed communication and computation phases, and gathers
@@ -137,6 +148,53 @@ func squareMeshSide(n, p int) (int, error) {
 		return 0, fmt.Errorf("core: mesh side %d does not divide n = %d", q, n)
 	}
 	return q, nil
+}
+
+// meshRank is one rank's place on the √p × √p mesh onMesh runs.
+type meshRank struct {
+	pr       *simulator.Proc
+	mesh     topology.Torus2D
+	i, j     int   // mesh coordinates
+	q, bs    int   // mesh side and block side
+	row, col []int // the ranks of mesh row i and of mesh column j
+	everyone []int // every rank, for barriers
+}
+
+// onMesh runs a formulation on a √p × √p processor mesh: it validates
+// the inputs, requires a power-of-two mesh side when pow2Err (the error
+// format, given the side) is not empty, runs body on every rank with
+// its resident blocks A_ij and B_ij, and gathers the C blocks body
+// returns into the product at rank 0. body owns the resident blocks;
+// gatherGrid consumes the block it returns.
+func onMesh(m *machine.Machine, a, b *matrix.Dense, name, pow2Err string, body func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense) (*Result, error) {
+	n, err := checkInputs(m, a, b)
+	if err != nil {
+		return nil, err
+	}
+	p := m.P()
+	q, err := squareMeshSide(n, p)
+	if err != nil {
+		return nil, err
+	}
+	if _, ok := topology.Log2(q); !ok && pow2Err != "" {
+		return nil, fmt.Errorf(pow2Err, q)
+	}
+	mesh := topology.NewTorus2D(q, q)
+	ga := matrix.Partition(a, q, q)
+	gb := matrix.Partition(b, q, q)
+	everyone := allRanks(p)
+
+	var product *matrix.Dense
+	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
+		i, j := mesh.Coords(pr.Rank())
+		r := meshRank{pr: pr, mesh: mesh, i: i, j: j, q: q, bs: n / q, row: mesh.RowRanks(i), col: mesh.ColRanks(j), everyone: everyone}
+		c := body(r, ga.Block(i, j), gb.Block(i, j))
+		gatherGrid(pr, everyone, q, q, tagGatherC, c, &product)
+	})
+	if err != nil {
+		return nil, err
+	}
+	return newResult(name, product, sim, n, p), nil
 }
 
 // cubeSide returns p^(1/3) for algorithms on the 3-D processor grid,

@@ -1,20 +1,42 @@
 package core
 
 import (
-	"fmt"
-
 	"matscale/internal/collective"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
-	"matscale/internal/simulator"
-	"matscale/internal/topology"
 )
 
 const (
-	tagFoxBcast   = 400
-	tagFoxShift   = 450
-	tagFoxBarrier = 460
+	tagFoxBcast       = 400
+	tagFoxShift       = 450
+	tagFoxBarrier     = 460
+	tagFoxAsyncRelay  = 440
+	tagFoxAsyncShift  = 445
+	tagFoxMeshRelay   = 470
+	tagFoxMeshShift   = 480
+	tagFoxMeshBarrier = 490
+	tagFoxPktBase     = 4000
+	tagFoxPktShift    = 3900
+	tagFoxPktBarrier  = 3950
 )
+
+// foxVariant is one row of the Fox family: the parts in which the
+// Section 4.3 variants differ. The iteration they share is foxImpl's.
+type foxVariant struct {
+	name string
+	// broadcast marks the hypercube-broadcast variants (Fox and
+	// FoxPipelined): they need a power-of-two mesh side, and B rolls
+	// even on a single processor, where the relay variants skip it.
+	broadcast bool
+	// rowA delivers iteration t's A block from mesh column root to
+	// every rank of r's row. payload is the root's block on the root
+	// and nil elsewhere; a non-root gets a received copy back.
+	rowA     func(r meshRank, t, root int, payload []float64) []float64
+	shiftTag int
+	// barrierTag is the tag of iteration t's closing barrier; nil lets
+	// the iterations overlap across processors (FoxAsync).
+	barrierTag func(t int) int
+}
 
 // Fox implements Fox's algorithm (Section 4.3) on a √p × √p mesh. The
 // algorithm runs in √p iterations; in iteration t, processor
@@ -31,7 +53,15 @@ const (
 // which is worse than Cannon's algorithm by the log factor, as the
 // paper observes.
 func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return foxImpl(m, a, b, false)
+	return foxImpl(m, a, b, foxVariant{
+		name:      "Fox",
+		broadcast: true,
+		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
+			return collective.Broadcast(r.pr, r.row, root, tagFoxBcast+t, payload)
+		},
+		shiftTag:   tagFoxShift,
+		barrierTag: func(int) int { return tagFoxBarrier },
+	})
 }
 
 // FoxPipelined is the pipelined variant whose run time the paper cites
@@ -43,73 +73,140 @@ func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 //
 // (Eq. (4) drops the lower-order ts·√p contributed by the shifts.)
 func FoxPipelined(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return foxImpl(m, a, b, true)
+	return foxImpl(m, a, b, foxVariant{
+		name:      "FoxPipelined",
+		broadcast: true,
+		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
+			// Pipeline fill plus transmission: ts·√p + tw·n²/p.
+			cost := m.Ts*float64(r.q) + m.Tw*float64(r.bs*r.bs)
+			return collective.BroadcastCharged(r.pr, r.row, root, tagFoxBcast+t, payload, cost)
+		},
+		shiftTag:   tagFoxShift,
+		barrierTag: func(int) int { return tagFoxBarrier },
+	})
 }
 
-func foxImpl(m *machine.Machine, a, b *matrix.Dense, pipelined bool) (*Result, error) {
-	n, err := checkInputs(m, a, b)
-	if err != nil {
-		return nil, err
-	}
-	p := m.P()
-	q, err := squareMeshSide(n, p)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := topology.Log2(q); !ok {
-		return nil, fmt.Errorf("core: Fox needs a power-of-two mesh side, got %d", q)
-	}
-	bs := n / q
-	mesh := topology.NewTorus2D(q, q)
-	ga := matrix.Partition(a, q, q)
-	gb := matrix.Partition(b, q, q)
-	everyone := allRanks(p)
+// FoxMesh is Fox's algorithm on a wraparound mesh without any
+// broadcast hardware assist (the first variant Section 4.3 analyzes):
+// in each of the √p iterations the root's A block is relayed processor
+// to processor along the mesh row — √p−1 store-and-forward hops — and
+// B rolls one step north. With lockstep iterations the measured time
+// is exactly the expression the paper derives for the mesh,
+//
+//	Tp = n³/p + tw·n² + ts·p
+//
+// (per iteration: (√p−1)·(ts + tw·n²/p) for the relay plus one shift,
+// i.e. √p·(ts + tw·n²/p), times √p iterations).
+func FoxMesh(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+	return foxImpl(m, a, b, foxVariant{
+		name:       "FoxMesh",
+		rowA:       foxRelay(tagFoxMeshRelay),
+		shiftTag:   tagFoxMeshShift,
+		barrierTag: func(int) int { return tagFoxMeshBarrier },
+	})
+}
 
-	var product *matrix.Dense
-	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
-		i, j := mesh.Coords(pr.Rank())
-		row := mesh.RowRanks(i)
-		myA := blockData(ga.Block(i, j))
-		myB := blockData(gb.Block(i, j))
+// FoxAsync is the asynchronous execution of Fox's algorithm that
+// Section 4.3 describes: "in every iteration, a processor starts
+// performing its computation as soon as it has all the required data,
+// and does not wait for the entire broadcast to finish." Each
+// processor forwards the relayed A block onward *before* multiplying,
+// and no barrier separates the iterations, so the row relay pipelines
+// across iterations and computation overlaps the broadcast chain
+// downstream.
+//
+// The paper claims this brings Fox's algorithm "to almost a factor of
+// two of Cannon's algorithm"; the tests verify that the measured time
+// lands between Cannon's and twice Cannon's for compute-dominated
+// configurations, far below the synchronized mesh relay.
+func FoxAsync(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+	return foxImpl(m, a, b, foxVariant{
+		name:     "FoxAsync",
+		rowA:     foxRelay(tagFoxAsyncRelay),
+		shiftTag: tagFoxAsyncShift,
+	})
+}
 
+// FoxPacketPipelined is Fox's pipelined variant realized with genuine
+// packet pipelining (no closed-form charging): in each iteration the
+// root streams its A block along the mesh row in optimally sized
+// packets (collective.BroadcastPipelinedChain), each relay forwarding
+// every packet on receipt — the mechanism behind Eq. (4)'s bound. B
+// rolls north as usual. Its measured time sits between Cannon's and
+// the synchronized relay's, tracking the charged FoxPipelined model.
+func FoxPacketPipelined(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+	return foxImpl(m, a, b, foxVariant{
+		name: "FoxPacketPipelined",
+		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
+			// The chain runs root, root+1, ..., around the row.
+			chain := make([]int, r.q)
+			for x := range chain {
+				chain[x] = r.row[(root+x)%r.q]
+			}
+			packets := collective.OptimalPackets(m.Ts, m.Tw, r.bs*r.bs, r.q)
+			return collective.BroadcastPipelinedChain(r.pr, chain, tagFoxPktBase+t*64, payload, packets)
+		},
+		shiftTag:   tagFoxPktShift,
+		barrierTag: func(t int) int { return tagFoxPktBarrier + t },
+	})
+}
+
+// foxRelay returns the row delivery of the relay variants: the root's
+// A block travels processor to processor, root → root+1 → ... →
+// root+q−1 (mod q), each rank forwarding it before it multiplies, so
+// the relay races ahead of the computation wave.
+func foxRelay(tag int) func(r meshRank, t, root int, payload []float64) []float64 {
+	return func(r meshRank, t, root int, payload []float64) []float64 {
+		ablk := payload
+		if r.j != root {
+			ablk = r.pr.Recv(r.row[(r.j+r.q-1)%r.q], tag+t)
+		}
+		if (r.j+1)%r.q != root {
+			// Copy semantics: ablk is still consumed by the multiply.
+			r.pr.SendNeighbor(r.row[(r.j+1)%r.q], tag+t, ablk)
+		}
+		return ablk
+	}
+}
+
+// foxImpl runs the Fox iteration shared by every variant: in iteration
+// t, mesh column (i+t) mod √p delivers its A block along row i, every
+// processor multiplies it into its C block, B rolls one step north, and
+// the variant's barrier closes the iteration.
+func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, error) {
+	pow2Err := ""
+	if v.broadcast {
+		pow2Err = "core: Fox needs a power-of-two mesh side, got %d"
+	}
+	return onMesh(m, a, b, v.name, pow2Err, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
+		pr, bs := r.pr, r.bs
+		myA, myB := blockData(blkA), blockData(blkB)
 		c := matrix.New(bs, bs)
-		for t := 0; t < q; t++ {
-			rootCol := (i + t) % q
+		for t := 0; t < r.q; t++ {
+			root := (r.i + t) % r.q
 			var payload []float64
-			if j == rootCol {
+			if r.j == root {
 				payload = myA
 			}
-			var ablk []float64
-			if pipelined {
-				// Pipeline fill plus transmission: ts·√p + tw·n²/p.
-				cost := m.Ts*float64(q) + m.Tw*float64(len(myA))
-				ablk = collective.BroadcastCharged(pr, row, rootCol, tagFoxBcast+t, payload, cost)
-			} else {
-				ablk = collective.Broadcast(pr, row, rootCol, tagFoxBcast+t, payload)
-			}
+			ablk := v.rowA(r, t, root, payload)
 			matrix.MulAddInto(c, blockFrom(ablk, bs, bs), blockFrom(myB, bs, bs))
 			pr.Compute(float64(bs) * float64(bs) * float64(bs))
-			if j != rootCol {
-				pr.Recycle(ablk) // received broadcast copy, consumed above
+			if r.j != root {
+				pr.Recycle(ablk) // received copy, consumed above
 			}
 
-			// Roll B one step north; the outgoing block dies here, so it
-			// rides the ownership-transfer fast path.
-			pr.SendNeighborOwned(mesh.Up(pr.Rank()), tagFoxShift, myB)
-			myB = pr.Recv(mesh.Down(pr.Rank()), tagFoxShift)
+			if v.broadcast || r.q > 1 {
+				// Roll B one step north; the outgoing block dies here, so
+				// it rides the ownership-transfer fast path.
+				pr.SendNeighborOwned(r.mesh.Up(pr.Rank()), v.shiftTag, myB)
+				myB = pr.Recv(r.mesh.Down(pr.Rank()), v.shiftTag)
+			}
 
-			// The paper's accounting treats iterations as lockstep.
-			collective.BarrierFree(pr, everyone, tagFoxBarrier)
+			if v.barrierTag != nil {
+				// The paper's accounting treats iterations as lockstep.
+				collective.BarrierFree(pr, r.everyone, v.barrierTag(t))
+			}
 		}
-
-		gatherGrid(pr, everyone, q, q, tagGatherC, c, &product)
+		return c
 	})
-	if err != nil {
-		return nil, err
-	}
-	name := "Fox"
-	if pipelined {
-		name = "FoxPipelined"
-	}
-	return newResult(name, product, sim, n, p), nil
 }

@@ -19,14 +19,15 @@ const (
 	tagGKBarrier = 680
 )
 
-// gkVariant selects the broadcast scheme used by the GK algorithm.
-type gkVariant int
-
-const (
-	gkNaive    gkVariant = iota // simple binomial trees (Eq. 7 / Eq. 18)
-	gkImproved                  // Johnsson–Ho broadcast (Section 5.4.1)
-	gkAllPort                   // all-port communication (Section 7.2, Eq. 17)
-)
+// gkVariant is one row of the GK family: its name and the scheme of
+// its five communication stages.
+type gkVariant struct {
+	name string
+	// stageCost is the closed-form charge of each stage on a q3-sided
+	// cube; nil runs the stages as plain binomial trees (Eq. 7 /
+	// Eq. 18).
+	stageCost func(m *machine.Machine, n, q3 int) float64
+}
 
 // GK implements the paper's own contribution (Section 4.6): the
 // Gupta–Kumar variant of the DNS algorithm that works for any
@@ -53,7 +54,7 @@ const (
 //
 //	Tp = n³/p + ts·(log₂p + 2) + tw·(n²/p^(2/3))·(log₂p + 2)
 func GK(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return gkImpl(m, a, b, gkNaive)
+	return gkImpl(m, a, b, gkVariant{name: "GK"})
 }
 
 // GKImprovedBroadcast is the Section 5.4.1 variant: all five
@@ -65,7 +66,13 @@ func GK(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 //
 // (transport 4/5 of it, gather/sum the rest).
 func GKImprovedBroadcast(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return gkImpl(m, a, b, gkImproved)
+	return gkImpl(m, a, b, gkVariant{
+		name: "GKImprovedBroadcast",
+		stageCost: func(m *machine.Machine, n, q3 int) float64 {
+			bs := n / q3
+			return collective.JohnssonHoTime(m.Ts, m.Tw, bs*bs, q3)
+		},
+	})
 }
 
 // GKAllPort is the Section 7.2 variant on a hypercube with simultaneous
@@ -74,11 +81,16 @@ func GKImprovedBroadcast(m *machine.Machine, a, b *matrix.Dense) (*Result, error
 //
 //	Tp = n³/p + ts·log₂p + 9·tw·n²/(p^(2/3)·log₂p) + 6·(n/p^(1/3))·sqrt(ts·tw)
 func GKAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return gkImpl(m, a, b, gkAllPort)
+	return gkImpl(m, a, b, gkVariant{
+		name: "GKAllPort",
+		stageCost: func(m *machine.Machine, n, q3 int) float64 {
+			return gkAllPortComm(m.Ts, m.Tw, n, q3*q3*q3) / 5
+		},
+	})
 }
 
-// gkImpl runs the GK algorithm with the broadcast scheme variant.
-func gkImpl(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (*Result, error) {
+// gkImpl runs the GK algorithm with variant v's stage scheme.
+func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error) {
 	n, err := checkInputs(m, a, b)
 	if err != nil {
 		return nil, err
@@ -94,34 +106,27 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (*Result,
 	gb := matrix.Partition(b, q3, q3)
 	everyone := allRanks(p)
 
-	// Per-stage closed-form charge for the non-naive variants.
-	var stageCost float64
-	switch variant {
-	case gkImproved:
-		stageCost = collective.JohnssonHoTime(m.Ts, m.Tw, bs*bs, q3)
-	case gkAllPort:
-		stageCost = gkAllPortComm(m.Ts, m.Tw, n, p) / 5
-	}
-
-	bcast := func(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
-		switch variant {
-		case gkNaive:
-			return collective.Broadcast(pr, group, rootIdx, tag, data)
-		default:
-			return collective.BroadcastCharged(pr, group, rootIdx, tag, data, stageCost)
-		}
-	}
+	// The stage primitives: binomial trees, or each stage charged the
+	// variant's closed form.
+	bcast, reduce := collective.Broadcast, collective.Reduce
 	route := func(pr *simulator.Proc, dst, tag int, data []float64) {
-		switch variant {
-		case gkNaive:
-			// Each grid block is routed by exactly one face rank, so it
-			// is given away on the zero-copy send path.
-			pr.SendOwned(dst, tag, data)
-		default:
+		// Each grid block is routed by exactly one face rank, so it is
+		// given away on the zero-copy send path.
+		pr.SendOwned(dst, tag, data)
+	}
+	if v.stageCost != nil {
+		cost := v.stageCost(m, n, q3)
+		bcast = func(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
+			return collective.BroadcastCharged(pr, group, rootIdx, tag, data, cost)
+		}
+		reduce = func(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
+			return collective.ReduceCharged(pr, group, rootIdx, tag, data, cost)
+		}
+		route = func(pr *simulator.Proc, dst, tag int, data []float64) {
 			if dst == pr.Rank() {
 				pr.SendFree(dst, tag, data)
 			} else {
-				pr.ChargedSend(dst, tag, data, stageCost)
+				pr.ChargedSend(dst, tag, data, cost)
 			}
 		}
 	}
@@ -172,13 +177,7 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (*Result,
 		sync()
 
 		// Stage 3: sum the q₃ partials along the first axis into i=0.
-		var sum []float64
-		switch variant {
-		case gkNaive:
-			sum = collective.Reduce(pr, grid.AxisLine(0, j, k), 0, tagGKReduce, blockData(c))
-		default:
-			sum = collective.ReduceCharged(pr, grid.AxisLine(0, j, k), 0, tagGKReduce, blockData(c), stageCost)
-		}
+		sum := reduce(pr, grid.AxisLine(0, j, k), 0, tagGKReduce, blockData(c))
 		releaseBlock(pr, c) // the reduction copied it; the partial is dead
 
 		// Verification gather from the i=0 face.
@@ -195,14 +194,7 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, variant gkVariant) (*Result,
 	if err != nil {
 		return nil, err
 	}
-	name := "GK"
-	switch variant {
-	case gkImproved:
-		name = "GKImprovedBroadcast"
-	case gkAllPort:
-		name = "GKAllPort"
-	}
-	return newResult(name, product, sim, n, p), nil
+	return newResult(v.name, product, sim, n, p), nil
 }
 
 // gkAllPortComm is the communication total of Eq. (17):

@@ -1,12 +1,9 @@
 package core
 
 import (
-	"fmt"
-
 	"matscale/internal/collective"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
-	"matscale/internal/simulator"
 	"matscale/internal/topology"
 )
 
@@ -37,35 +34,14 @@ const (
 // of bandwidth, exactly the "somewhat higher execution time" trade the
 // paper describes.
 func SimpleMemEfficientAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	n, err := checkInputs(m, a, b)
-	if err != nil {
-		return nil, err
-	}
-	p := m.P()
-	q, err := squareMeshSide(n, p)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := topology.Log2(q); !ok {
-		return nil, errNonPow2Mesh(q)
-	}
-	bs := n / q
-	mesh := topology.NewTorus2D(q, q)
-	ga := matrix.Partition(a, q, q)
-	gb := matrix.Partition(b, q, q)
-	everyone := allRanks(p)
-	cost := allPortBcastCost(m, bs*bs, q)
-
-	var product *matrix.Dense
-	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
-		i, j := mesh.Coords(pr.Rank())
-		row := mesh.RowRanks(i)
-		col := mesh.ColRanks(j)
-		myA := blockData(ga.Block(i, j))
-		myB := blockData(gb.Block(i, j))
+	pow2Err := "core: all-port broadcasts need a power-of-two mesh side, got %d"
+	return onMesh(m, a, b, "SimpleMemEfficientAllPort", pow2Err, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
+		pr, i, j, bs := r.pr, r.i, r.j, r.bs
+		myA, myB := blockData(blkA), blockData(blkB)
+		cost := allPortBcastCost(m, bs*bs, r.q)
 
 		c := matrix.New(bs, bs)
-		for k := 0; k < q; k++ {
+		for k := 0; k < r.q; k++ {
 			var aPayload, bPayload []float64
 			if j == k {
 				aPayload = myA
@@ -75,8 +51,8 @@ func SimpleMemEfficientAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result,
 			}
 			// A's broadcast is charged; B's proceeds simultaneously on
 			// the remaining ports (Section 7.1's simultaneity).
-			ablk := collective.BroadcastCharged(pr, row, k, tagMemEffBcastA+k, aPayload, cost)
-			bblk := collective.BroadcastCharged(pr, col, k, tagMemEffBcastB+k, bPayload, 0)
+			ablk := collective.BroadcastCharged(pr, r.row, k, tagMemEffBcastA+k, aPayload, cost)
+			bblk := collective.BroadcastCharged(pr, r.col, k, tagMemEffBcastB+k, bPayload, 0)
 			matrix.MulAddInto(c, blockFrom(ablk, bs, bs), blockFrom(bblk, bs, bs))
 			pr.Compute(float64(bs) * float64(bs) * float64(bs))
 			// Streaming is the point of this variant: received blocks are
@@ -88,15 +64,10 @@ func SimpleMemEfficientAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result,
 			if i != k {
 				pr.Recycle(bblk)
 			}
-			collective.BarrierFree(pr, everyone, tagMemEffBarrier+k)
+			collective.BarrierFree(pr, r.everyone, tagMemEffBarrier+k)
 		}
-
-		gatherGrid(pr, everyone, q, q, tagGatherC, c, &product)
+		return c
 	})
-	if err != nil {
-		return nil, err
-	}
-	return newResult("SimpleMemEfficientAllPort", product, sim, n, p), nil
 }
 
 // allPortBcastCost is the all-port one-to-all broadcast cost for m
@@ -107,8 +78,4 @@ func allPortBcastCost(mach *machine.Machine, m, g int) float64 {
 		return 0
 	}
 	return mach.Ts*float64(d) + mach.Tw*float64(m)/float64(d)
-}
-
-func errNonPow2Mesh(q int) error {
-	return fmt.Errorf("core: all-port broadcasts need a power-of-two mesh side, got %d", q)
 }

@@ -5,7 +5,6 @@ import (
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/simulator"
-	"matscale/internal/topology"
 )
 
 const (
@@ -23,7 +22,7 @@ const (
 //
 //	Tp = n³/p + 2·( ts·log₂√p + tw·(n²/p)·(√p − 1) )
 func Simple(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return simpleImpl(m, a, b, false)
+	return simpleImpl(m, a, b, "Simple", collective.AllGather, collective.AllGather)
 }
 
 // SimpleAllPort is the Section 7.1 variant on a hypercube with
@@ -31,42 +30,19 @@ func Simple(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 // cost ts·log√p + tw·(n²/p)·√p/log√p each, and the broadcasts of A and
 // B proceed simultaneously so only one is charged (Eq. 16).
 func SimpleAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return simpleImpl(m, a, b, true)
+	return simpleImpl(m, a, b, "SimpleAllPort", collective.AllGatherAllPort, collective.AllGatherFree)
 }
 
-func simpleImpl(m *machine.Machine, a, b *matrix.Dense, allPort bool) (*Result, error) {
-	n, err := checkInputs(m, a, b)
-	if err != nil {
-		return nil, err
-	}
-	p := m.P()
-	q, err := squareMeshSide(n, p)
-	if err != nil {
-		return nil, err
-	}
-	bs := n / q // block side
-	mesh := topology.NewTorus2D(q, q)
-	ga := matrix.Partition(a, q, q)
-	gb := matrix.Partition(b, q, q)
-
-	var product *matrix.Dense
-	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
-		i, j := mesh.Coords(pr.Rank())
-		myA := ga.Block(i, j)
-		myB := gb.Block(i, j)
-		row := mesh.RowRanks(i)
-		col := mesh.ColRanks(j)
+// simpleImpl runs the simple algorithm with the all-gathers of the A
+// block row and the B block column.
+func simpleImpl(m *machine.Machine, a, b *matrix.Dense, name string, gatherRow, gatherCol func(*simulator.Proc, []int, int, []float64) []float64) (*Result, error) {
+	return onMesh(m, a, b, name, "", func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
+		pr, q, bs := r.pr, r.q, r.bs
 
 		// Phase 1: every processor acquires the full block row of A and
 		// block column of B it needs.
-		var rowA, colB []float64
-		if allPort {
-			rowA = collective.AllGatherAllPort(pr, row, tagSimpleRowGather, blockData(myA))
-			colB = collective.AllGatherFree(pr, col, tagSimpleColGather, blockData(myB))
-		} else {
-			rowA = collective.AllGather(pr, row, tagSimpleRowGather, blockData(myA))
-			colB = collective.AllGather(pr, col, tagSimpleColGather, blockData(myB))
-		}
+		rowA := gatherRow(pr, r.row, tagSimpleRowGather, blockData(myA))
+		colB := gatherCol(pr, r.col, tagSimpleColGather, blockData(myB))
 
 		// Phase 2: C_ij = Σ_k A_ik · B_kj, √p block multiplications of
 		// bs³ unit operations each.
@@ -79,15 +55,6 @@ func simpleImpl(m *machine.Machine, a, b *matrix.Dense, allPort bool) (*Result, 
 		}
 		pr.Recycle(rowA)
 		pr.Recycle(colB)
-
-		gatherGrid(pr, allRanks(p), q, q, tagGatherC, c, &product)
+		return c
 	})
-	if err != nil {
-		return nil, err
-	}
-	name := "Simple"
-	if allPort {
-		name = "SimpleAllPort"
-	}
-	return newResult(name, product, sim, n, p), nil
 }

@@ -36,11 +36,14 @@ type IsoPoint struct {
 // points are identical for every worker count.
 func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int, workers int) ([]IsoPoint, error) {
 	var side func(p int) int // structural divisor of n
+	// The overhead To(n, p): for both algorithms the Table 1 form equals
+	// the implementation's exact overhead, smooth in continuous n.
+	var to func(pr model.Params, n, p float64) float64
 	switch algorithm {
 	case "cannon":
-		side = topology.IntSqrt
+		side, to = topology.IntSqrt, model.CannonTo
 	case "gk":
-		side = topology.IntCbrt
+		side, to = topology.IntCbrt, model.GKTo
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q", algorithm)
 	}
@@ -49,9 +52,7 @@ func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, 
 	out := make([]IsoPoint, len(ps))
 	err := sweep.ForEach(workers, len(ps), func(i int) error {
 		p := ps[i]
-		// The implementation-exact overheads extended to continuous n
-		// (the closed forms are smooth in n at fixed p).
-		cont := func(n, q float64) float64 { return toCont(pr, algorithm, n, q) }
+		cont := func(n, q float64) float64 { return to(pr, n, q) }
 		nReal, ok := iso.SolveN(cont, float64(p), target)
 		if !ok {
 			return fmt.Errorf("experiments: no isoefficiency fixed point at p=%d", p)
@@ -74,20 +75,6 @@ func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, 
 		return nil, err
 	}
 	return out, nil
-}
-
-// toCont is the continuous-n overhead of the exact implementation
-// formulas, used by the isoefficiency solver.
-func toCont(pr model.Params, algorithm string, n, p float64) float64 {
-	switch algorithm {
-	case "cannon":
-		q := math.Sqrt(p)
-		return 2 * p * q * (pr.Ts + pr.Tw*n*n/p)
-	case "gk":
-		d := math.Log2(math.Cbrt(p))
-		return 5 * p * d * (pr.Ts + pr.Tw*n*n/math.Pow(p, 2.0/3.0))
-	}
-	panic("experiments: unknown algorithm " + algorithm)
 }
 
 // RenderIso formats an isoefficiency validation run.
