@@ -246,9 +246,9 @@ func BenchmarkSimDNSN16P256(b *testing.B) {
 // BenchmarkEngineGrid runs four cells of the paper's CM-5 grid
 // (Figures 4-5) like for like on each simulation engine: the same
 // formulation, n, p and operands, with sub-benchmarks named
-// alg/p/n/engine. On the events engine the Cannon cells take the
-// native systolic tier and the GK cells the fiber tier, as they do in
-// a sweep. Compare the engines across host parallelism with
+// alg/p/n/engine. On the events engine every cell takes the wave tier,
+// as it does in a sweep. Compare the engines across host parallelism
+// with
 //
 //	go test -run '^$' -bench EngineGrid -cpu 1,2 .
 func BenchmarkEngineGrid(b *testing.B) {

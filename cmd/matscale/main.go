@@ -367,7 +367,7 @@ func machineForPreset(name string, p int, ts, tw float64) (*matscale.Machine, er
 	if !ok {
 		return nil, fmt.Errorf("unknown machine %q", name)
 	}
-	return build(p), nil
+	return build(p)
 }
 
 // cmdRobust answers "how robust is each formulation to this fault

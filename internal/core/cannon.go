@@ -46,32 +46,40 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 }
 
 // cannonSystolic runs Cannon on the event engine's wave tier: the
-// timed skeleton (align at zero cost, then q steps of compute +
-// roll-A-left + roll-B-up, then the zero-cost gather) is simulated as
-// synchronous waves with no goroutine per rank, and the product is
-// computed directly in the same multiply-accumulate order the rolled
-// blocks would visit. Byte-identical to the other engine paths
-// (asserted by the simulator's native differential suite), it reaches
-// p = 2^20 ranks in seconds. ok is false when the simulator declines
-// the machine for the wave tier; the caller then runs the rank program.
+// timed skeleton (the alignment as two zero-cost permutation sends,
+// then q steps of compute + roll-A-left + roll-B-up, then the zero-cost
+// gather) is simulated as synchronous waves with no goroutine per rank,
+// and the product is computed directly in the same multiply-accumulate
+// order the rolled blocks would visit. Byte-identical to the other
+// engine paths (asserted by the simulator's native differential suite),
+// it reaches p = 2^20 ranks in seconds. ok is false when the simulator
+// declines the machine for the wave tier; the caller then runs the rank
+// program.
 func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (res *Result, ok bool, err error) {
 	p := q * q
 	blk := n / q
+	words := blk * blk
 	mesh := topology.NewTorus2D(q, q)
-	spec := simulator.SystolicSpec{
-		P:     p,
-		Steps: q,
-		Flops: float64(blk) * float64(blk) * float64(blk),
-		Words: blk * blk,
-		Shifts: []simulator.Shift{
-			{Dst: mesh.Left, Src: mesh.Right},
-			{Dst: mesh.Up, Src: mesh.Down},
-		},
-		PrologueMsgs:  2,
-		PrologueWords: 2 * blk * blk,
-		GatherRoot:    0,
-	}
-	sim, ok, err := simulator.RunSystolic(m, spec)
+	free := simulator.Charged(0)
+	sk := simulator.Skeleton{P: p, Steps: []simulator.Step{
+		// Skew: A_ij to (i, j−i), B_ij to (i−j, j). Every clock is still
+		// zero, so sending both before receiving either is immaterial.
+		simulator.Send{Words: words, Cost: free, Dst: func(r int) int {
+			i, j := mesh.Coords(r)
+			return mesh.RankAt(i, j-i)
+		}},
+		simulator.Send{Words: words, Cost: free, Dst: func(r int) int {
+			i, j := mesh.Coords(r)
+			return mesh.RankAt(i-j, j)
+		}},
+		simulator.Repeat{Times: q, Body: []simulator.Step{
+			simulator.Compute{Flops: float64(blk) * float64(blk) * float64(blk)},
+			simulator.Shift{Words: words, Dst: mesh.Left},
+			simulator.Shift{Words: words, Dst: mesh.Up},
+		}},
+		simulator.Gather{Words: words},
+	}}
+	sim, ok, err := simulator.RunSkeleton(m, sk)
 	if !ok || err != nil {
 		return nil, ok, err
 	}

@@ -21,7 +21,10 @@
 // A family's variants differ only in data. Each Fox execution is a
 // foxVariant row (its row delivery of A, tags and barrier) run by the
 // one foxImpl loop; each GK variant is a gkVariant row (its per-stage
-// charge, nil for binomial trees) run by gkImpl. Every 2-D mesh
+// charge, nil for binomial trees) run by gkImpl. Cannon and gkImpl also
+// describe their timed skeleton, which the simulator's wave tier runs
+// without a rank program when the machine allows it; the product is
+// then built on the host in the formulation's own addition order. Every 2-D mesh
 // formulation — Simple, SimpleMemEfficientAllPort, the Fox loop and
 // Cannon's rank-program fallback — runs through onMesh, which
 // validates, partitions, runs and gathers.

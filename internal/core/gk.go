@@ -89,7 +89,9 @@ func GKAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	})
 }
 
-// gkImpl runs the GK algorithm with variant v's stage scheme.
+// gkImpl runs the GK algorithm with variant v's stage scheme: on the
+// event engine's wave tier when the simulator takes its skeleton, as a
+// rank program otherwise.
 func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error) {
 	n, err := checkInputs(m, a, b)
 	if err != nil {
@@ -102,6 +104,25 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error
 	}
 	bs := n / q3
 	grid := topology.NewGrid3D(q3)
+	// The verification gather's holders: the i=0 face, block (j,k) at
+	// index j·q₃+k.
+	holders := make([]int, q3*q3)
+	for j := 0; j < q3; j++ {
+		for k := 0; k < q3; k++ {
+			holders[j*q3+k] = grid.RankOf(0, j, k)
+		}
+	}
+	var cost simulator.Cost // zero: MsgTime routes and binomial trees
+	if v.stageCost != nil {
+		cost = simulator.Charged(v.stageCost(m, n, q3))
+	}
+	sim, ok, err := simulator.RunSkeleton(m, gkSkeleton(grid, bs, holders, cost))
+	if err != nil {
+		return nil, err
+	}
+	if ok {
+		return newResult(v.name, gkProduct(a, b, q3, v.stageCost == nil), sim, n, p), nil
+	}
 	ga := matrix.Partition(a, q3, q3)
 	gb := matrix.Partition(b, q3, q3)
 	everyone := allRanks(p)
@@ -132,7 +153,7 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error
 	}
 
 	var product *matrix.Dense
-	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
+	sim, err = simulator.Run(m, func(pr *simulator.Proc) {
 		i, j, k := grid.Coords(pr.Rank())
 		barrier := 0
 		sync := func() {
@@ -181,12 +202,6 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error
 		releaseBlock(pr, c) // the reduction copied it; the partial is dead
 
 		// Verification gather from the i=0 face.
-		holders := make([]int, q3*q3)
-		for jj := 0; jj < q3; jj++ {
-			for kk := 0; kk < q3; kk++ {
-				holders[jj*q3+kk] = grid.RankOf(0, jj, kk)
-			}
-		}
 		if i == 0 {
 			gatherGrid(pr, holders, q3, q3, tagGatherC, blockFrom(sum, bs, bs), &product)
 		}
@@ -195,6 +210,100 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error
 		return nil, err
 	}
 	return newResult(v.name, product, sim, n, p), nil
+}
+
+// gkSkeleton is the timed skeleton of gkImpl's rank program on grid
+// with bs×bs blocks: the four transport stages, each followed by a
+// barrier, the multiplication and its barrier, the reduction along the
+// first axis, and the verification gather from holders. Every route,
+// broadcast and reduction charges cost.
+func gkSkeleton(grid topology.Grid3D, bs int, holders []int, cost simulator.Cost) simulator.Skeleton {
+	q3 := grid.Q
+	words := bs * bs
+	// lines returns every line of the grid along axis, indexed by its
+	// two fixed coordinates (c1, c2) at c1·q₃+c2, and the index within
+	// each line of its root: the line's c1-th member, or member 0.
+	lines := func(axis int, rootAtC1 bool) ([][]int, []int) {
+		groups := make([][]int, 0, q3*q3)
+		roots := make([]int, 0, q3*q3)
+		for c1 := 0; c1 < q3; c1++ {
+			for c2 := 0; c2 < q3; c2++ {
+				groups = append(groups, grid.AxisLine(axis, c1, c2))
+				root := 0
+				if rootAtC1 {
+					root = c1
+				}
+				roots = append(roots, root)
+			}
+		}
+		return groups, roots
+	}
+	// route sends each i=0 face block (j,k) to the rank dst(j,k) names.
+	route := func(dst func(j, k int) int) simulator.Send {
+		return simulator.Send{Words: words, Cost: cost, Dst: func(r int) int {
+			i, j, k := grid.Coords(r)
+			if i != 0 {
+				return -1
+			}
+			return dst(j, k)
+		}}
+	}
+	aLines, aRoots := lines(2, true)  // (i,j,*) rooted at (i,j,i)
+	bLines, bRoots := lines(1, true)  // (i,*,k) rooted at (i,i,k)
+	cLines, cRoots := lines(0, false) // (*,j,k) rooted at (0,j,k)
+	return simulator.Skeleton{P: grid.Size(), Steps: []simulator.Step{
+		route(func(j, k int) int { return grid.RankOf(k, j, k) }),
+		simulator.Barrier{},
+		simulator.Broadcast{Words: words, Groups: aLines, Roots: aRoots, Cost: cost},
+		simulator.Barrier{},
+		route(func(j, k int) int { return grid.RankOf(j, j, k) }),
+		simulator.Barrier{},
+		simulator.Broadcast{Words: words, Groups: bLines, Roots: bRoots, Cost: cost},
+		simulator.Barrier{},
+		simulator.Compute{Flops: float64(bs) * float64(bs) * float64(bs)},
+		simulator.Barrier{},
+		simulator.Reduce{Words: words, Groups: cLines, Roots: cRoots, Cost: cost},
+		simulator.Gather{Words: words, Holders: holders},
+	}}
+}
+
+// gkProduct multiplies a and b in GK's own addition order on a q3-sided
+// cube: block (j,k) of the product is Σᵢ A(j,i)·B(i,k), each partial a
+// fresh product (processor (i,j,k)'s stage 2), summed along the first
+// axis pairwise as the binomial Reduce's tree adds them (pairwise), or
+// left to right as ReduceCharged's root adds them. The element values
+// equal what the message-passing run gathers, bit for bit.
+func gkProduct(a, b *matrix.Dense, q3 int, pairwise bool) *matrix.Dense {
+	bs := a.Rows / q3
+	ga := matrix.Partition(a, q3, q3)
+	gb := matrix.Partition(b, q3, q3)
+	c := matrix.New(a.Rows, a.Rows)
+	partial := make([]*matrix.Dense, q3)
+	for i := range partial {
+		partial[i] = matrix.New(bs, bs)
+	}
+	for j := 0; j < q3; j++ {
+		for k := 0; k < q3; k++ {
+			for i, part := range partial {
+				clear(part.Data)
+				matrix.MulAddInto(part, ga.Block(j, i), gb.Block(i, k))
+			}
+			if pairwise {
+				// Round s: member i (bits 0..s clear) adds member i+2^s.
+				for step := 1; step < q3; step *= 2 {
+					for i := 0; i+step < q3; i += 2 * step {
+						partial[i].AddInPlace(partial[i+step])
+					}
+				}
+			} else {
+				for _, part := range partial[1:] {
+					partial[0].AddInPlace(part)
+				}
+			}
+			c.SetBlock(j*bs, k*bs, partial[0])
+		}
+	}
+	return c
 }
 
 // gkAllPortComm is the communication total of Eq. (17):

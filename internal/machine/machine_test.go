@@ -231,7 +231,10 @@ func TestLookupPresetConstantsMatchMachine(t *testing.T) {
 		if ts != c.ts || tw != c.tw {
 			t.Errorf("%s: constants (%v, %v), want (%v, %v)", c.name, ts, tw, c.ts, c.tw)
 		}
-		m := build(64)
+		m, err := build(64)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
 		if m.Ts != ts || m.Tw != tw {
 			t.Errorf("%s: built machine carries (%v, %v), lookup reports (%v, %v)", c.name, m.Ts, m.Tw, ts, tw)
 		}

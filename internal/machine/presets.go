@@ -1,6 +1,10 @@
 package machine
 
-import "matscale/internal/topology"
+import (
+	"fmt"
+
+	"matscale/internal/topology"
+)
 
 // Presets for the machines the paper analyzes. The figures of Section 6
 // use three (ts, tw) pairs; Section 9 normalizes CM-5 measurements to
@@ -15,37 +19,54 @@ const (
 )
 
 // preset is a named machine of the paper: its cost constants and the
-// constructor of the network they run on.
+// network they run on, a store-and-forward hypercube or the fully
+// connected cut-through network of the CM-5.
 type preset struct {
-	ts, tw float64
-	build  func(p int, ts, tw float64) *Machine
+	ts, tw    float64
+	hypercube bool
 }
 
-func (pr preset) new(p int) *Machine { return pr.build(p, pr.ts, pr.tw) }
+func (pr preset) new(p int) *Machine {
+	if pr.hypercube {
+		return Hypercube(p, pr.ts, pr.tw)
+	}
+	return fullyConnected(p, pr.ts, pr.tw)
+}
 
 // presets maps the names the CLI's -machine flag and sweep specs
 // accept to their machines.
 var presets = map[string]preset{
-	"ncube2": {150, 3, Hypercube},
-	"fast":   {10, 3, Hypercube},
-	"simd":   {0.5, 3, Hypercube},
-	"cm5":    {CM5StartupMicros / CM5FlopMicros, CM5PerWordMicros / CM5FlopMicros, fullyConnected},
+	"ncube2": {150, 3, true},
+	"fast":   {10, 3, true},
+	"simd":   {0.5, 3, true},
+	"cm5":    {CM5StartupMicros / CM5FlopMicros, CM5PerWordMicros / CM5FlopMicros, false},
 }
 
 // LookupPreset resolves a machine preset name: "ncube2", "fast",
 // "simd", "cm5", or "custom" (a store-and-forward hypercube with the
 // caller's ts and tw). It returns the preset's constructor and the ts
 // and tw, in flop units, its machines carry — without building a
-// topology. ok is false for an unknown name.
-func LookupPreset(name string, ts, tw float64) (build func(p int) *Machine, pts, ptw float64, ok bool) {
+// topology. ok is false for an unknown name. The constructor returns
+// an error naming the preset for a processor count its network cannot
+// have: below one, or not a power of two on a hypercube.
+func LookupPreset(name string, ts, tw float64) (build func(p int) (*Machine, error), pts, ptw float64, ok bool) {
 	pr, ok := presets[name]
 	if name == "custom" {
-		pr, ok = preset{ts, tw, Hypercube}, true
+		pr, ok = preset{ts, tw, true}, true
 	}
 	if !ok {
 		return nil, 0, 0, false
 	}
-	return pr.new, pr.ts, pr.tw, true
+	build = func(p int) (*Machine, error) {
+		if p < 1 {
+			return nil, fmt.Errorf("machine: preset %q needs p ≥ 1, got p = %d", name, p)
+		}
+		if _, pow2 := topology.Log2(p); pr.hypercube && !pow2 {
+			return nil, fmt.Errorf("machine: preset %q is a hypercube, and p = %d is not a power of two", name, p)
+		}
+		return pr.new(p), nil
+	}
+	return build, pr.ts, pr.tw, true
 }
 
 // NCube2 returns a hypercube with tw = 3 and ts = 150, the

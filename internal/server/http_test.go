@@ -138,6 +138,37 @@ func TestHTTPCacheHitByteIdenticalToMiss(t *testing.T) {
 	}
 }
 
+// TestHTTPSubmitNonPowerOfTwoHypercube pins the submit path for a
+// spec whose processor counts a hypercube preset cannot have: the job
+// completes, and each such cell carries a rejection naming the preset
+// and p, as a formulation's own rejection does.
+func TestHTTPSubmitNonPowerOfTwoHypercube(t *testing.T) {
+	_, ts := httpServer(t, Config{SweepWorkers: 2})
+	ack := submitHTTP(t, ts.URL, `{"spec":{"algorithms":["cannon","gk"],"machines":["ncube2","custom"],"ts":17,"tw":3,"ps":[9,27],"ns":[18]}}`)
+	if st := awaitDone(t, ts.URL, ack.ID); st.State != "done" {
+		t.Fatalf("job: %+v", st)
+	}
+	var res struct {
+		Cells []struct {
+			Algorithm, Machine string
+			P                  int
+			Err                string `json:"error"`
+		} `json:"cells"`
+	}
+	if err := json.Unmarshal(fetchResult(t, ts.URL, ack.ID), &res); err != nil {
+		t.Fatal(err)
+	}
+	if len(res.Cells) != 8 {
+		t.Fatalf("%d cells, want 8", len(res.Cells))
+	}
+	for _, c := range res.Cells {
+		want := fmt.Sprintf("preset %q is a hypercube, and p = %d is not a power of two", c.Machine, c.P)
+		if !strings.Contains(c.Err, want) {
+			t.Errorf("%s/%s/p%d: error %q, want it to contain %q", c.Algorithm, c.Machine, c.P, c.Err, want)
+		}
+	}
+}
+
 // TestHTTPCacheSharedAcrossServers proves the cache key is canonical
 // beyond one process's lifetime: a second server sharing the first's
 // cache serves the identical bytes without recomputing.

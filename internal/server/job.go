@@ -126,7 +126,9 @@ func (j *Job) Backend() machine.Backend { return j.backend }
 func (j *Job) Finished() <-chan struct{} { return j.finished }
 
 // Result returns the sweep result and error of a terminal job; (nil,
-// nil) while it is still queued or running.
+// nil) while it is still queued or running. Finished jobs of the same
+// spec and backend may share one Result, so callers must not modify
+// it.
 func (j *Job) Result() (*sweep.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()

@@ -161,6 +161,7 @@ func TestTimeoutSuspendsWhenConfigured(t *testing.T) {
 	<-clock.armed
 	<-gate.entered
 	clock.Fire()
+	awaitStopRequested(t, j)
 	close(gate.release)
 	awaitState(t, j, StateSuspended)
 	if ck := j.Checkpoint(); ck == nil || len(ck.Done) == 0 {

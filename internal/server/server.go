@@ -17,6 +17,7 @@
 package server
 
 import (
+	"crypto/sha256"
 	"errors"
 	"fmt"
 	"strconv"
@@ -214,6 +215,12 @@ type Server struct {
 	lastRefill time.Time
 	refilled   bool
 
+	// shared holds the results of the most recent distinct specs that
+	// finished, keyed by a hash of spec and backend; sharedOrder lists
+	// the keys oldest first. See shareResult.
+	shared      map[[sha256.Size]byte]*sweep.Result
+	sharedOrder [][sha256.Size]byte
+
 	running     int
 	suspended   int // jobs currently in StateSuspended
 	submitted   int
@@ -262,9 +269,10 @@ func New(cfg Config) (*Server, error) {
 		return nil, fmt.Errorf("server: unknown default backend %v", cfg.Backend)
 	}
 	s := &Server{
-		cfg:   cfg,
-		queue: make(chan *Job, cfg.QueueDepth),
-		jobs:  map[string]*Job{},
+		cfg:    cfg,
+		queue:  make(chan *Job, cfg.QueueDepth),
+		jobs:   map[string]*Job{},
+		shared: map[[sha256.Size]byte]*sweep.Result{},
 	}
 	if cfg.Cache != nil {
 		s.cache = cfg.Cache
@@ -574,7 +582,7 @@ func (s *Server) settle(j *Job, res *sweep.Result, err error, timedOut bool) {
 	switch {
 	case err == nil:
 		s.bump(func() { s.completed++; s.cellsServed += j.total })
-		j.finish(StateDone, res, nil)
+		j.finish(StateDone, s.shareResult(j, res), nil)
 		s.retire(j.id)
 	case errors.As(err, &se):
 		if perr := s.persistCheckpoint(j.id, se.Checkpoint); perr != nil {
@@ -600,6 +608,33 @@ func (s *Server) settle(j *Job, res *sweep.Result, err error, timedOut bool) {
 		j.finish(StateFailed, nil, err)
 		s.retire(j.id)
 	}
+}
+
+// sharedResults bounds how many distinct specs' results shareResult
+// remembers.
+const sharedResults = 256
+
+// shareResult returns the result a finished job with the same spec and
+// backend as j already holds, or remembers res as that result. A
+// grid's Result is a pure function of its spec and backend (the cell
+// cache's contract, whole grids at a time), so the jobs of a spec that
+// clients resubmit retain one Result between them instead of a copy
+// each; retained jobs otherwise dominate the server's memory. Only the
+// most recent sharedResults distinct specs are remembered.
+func (s *Server) shareResult(j *Job, res *sweep.Result) *sweep.Result {
+	key := sha256.Sum256(fmt.Appendf(nil, "%#v|%d", *j.spec, j.backend))
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if r, ok := s.shared[key]; ok {
+		return r
+	}
+	if len(s.sharedOrder) == sharedResults {
+		delete(s.shared, s.sharedOrder[0])
+		s.sharedOrder = s.sharedOrder[1:]
+	}
+	s.shared[key] = res
+	s.sharedOrder = append(s.sharedOrder, key)
+	return res
 }
 
 // bump runs one counter update under the server lock.

@@ -88,6 +88,24 @@ func (b *blockingCache) Get(key string) (sweep.CellResult, bool) {
 
 func (b *blockingCache) Put(string, sweep.CellResult) {}
 
+// awaitStopRequested blocks until the job's running attempt has been
+// asked to stop, by suspension or cancellation. A test that fires the
+// job's timeout waits here before releasing the in-flight cell, so the
+// sweep sees the request at the next cell boundary however fast the
+// remaining cells run.
+func awaitStopRequested(t *testing.T, j *Job) {
+	t.Helper()
+	j.mu.Lock()
+	suspend, cancel := j.suspendCh, j.cancelCh
+	j.mu.Unlock()
+	select {
+	case <-suspend:
+	case <-cancel:
+	case <-time.After(30 * time.Second):
+		t.Fatalf("job %s was never asked to stop", j.ID())
+	}
+}
+
 func waitJob(t *testing.T, j *Job) {
 	t.Helper()
 	select {
@@ -148,6 +166,42 @@ func TestJobLifecycleAndResult(t *testing.T) {
 	}
 	if st := s.Stats(); st.Completed != 1 || st.CellsServed != 8 {
 		t.Fatalf("stats = %+v", st)
+	}
+}
+
+// TestResubmittedSpecSharesResult pins the result sharing that keeps
+// retained jobs small: jobs of the same spec and backend finish with
+// one shared Result, byte-identical to a fresh run, and a different
+// spec keeps its own.
+func TestResubmittedSpecSharesResult(t *testing.T) {
+	s, err := New(Config{SweepWorkers: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	run := func(spec *sweep.Spec) *sweep.Result {
+		j, err := s.Submit(spec, -1)
+		if err != nil {
+			t.Fatal(err)
+		}
+		waitJob(t, j)
+		res, jerr := j.Result()
+		if jerr != nil {
+			t.Fatal(jerr)
+		}
+		return res
+	}
+	first, second := run(testSpec()), run(testSpec())
+	if first != second {
+		t.Error("two jobs of one spec retain separate results")
+	}
+	if second.CSV() != freshCSV(t, testSpec()) {
+		t.Error("shared result differs from a fresh run")
+	}
+	other := testSpec()
+	other.Ts++
+	if run(other) == first {
+		t.Error("a different spec shares another spec's result")
 	}
 }
 
@@ -240,6 +294,7 @@ func TestJobTimeoutTypedError(t *testing.T) {
 	<-clock.armed  // the job's timeout timer is armed
 	<-gate.entered // and its first cell is in flight
 	clock.Fire()
+	awaitStopRequested(t, j)
 	close(gate.release) // the in-flight cell finishes; the rest are canceled
 	waitJob(t, j)
 	res, jerr := j.Result()

@@ -12,7 +12,7 @@ import (
 // BenchmarkDESMillionRank is the acceptance benchmark of the events
 // backend: Cannon's algorithm at p = 2^20 ranks (a 1024×1024 torus,
 // one matrix element per processor, n = 1024) on the NCube2 preset.
-// The systolic tier simulates the 2^30 rank-steps and the real product
+// The wave tier simulates the 2^30 rank-steps and the real product
 // is computed in Cannon's accumulation order; the whole run must stay
 // in single-digit seconds.
 func BenchmarkDESMillionRank(b *testing.B) {
@@ -23,6 +23,27 @@ func BenchmarkDESMillionRank(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		res, err := core.Cannon(m, a, bm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Sim.Tp <= 0 {
+			b.Fatal("degenerate Tp")
+		}
+	}
+}
+
+// BenchmarkDESGKWave is GK's wave-tier path on the slowest cell of the
+// paper's CM-5 grid (Figures 4-5): p = 512, n = 352. The skeleton's
+// per-rank waves cost microseconds; the host product, built in GK's
+// own addition order, is nearly all of it.
+func BenchmarkDESGKWave(b *testing.B) {
+	const p, n = 512, 352
+	a := matrix.Random(n, n, 1)
+	bm := matrix.Random(n, n, 2)
+	m := machine.CM5(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.GK(m, a, bm)
 		if err != nil {
 			b.Fatal(err)
 		}

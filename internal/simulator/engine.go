@@ -28,7 +28,7 @@ type Message struct {
 // shared Proc code, the two produce byte-identical results for a fixed
 // configuration; the differential suite (internal/des/diff_test.go)
 // asserts this for all formulations (see docs/BACKENDS.md). The event engine's wave
-// tier (wave.go) runs systolic specs without a Proc at all.
+// tier (wave.go) runs timed skeletons without a Proc at all.
 type Engine interface {
 	// Deliver enqueues msg from src under the matching key (dst, tag).
 	// Ownership of msg.Data passes to the engine and ultimately to the
@@ -111,19 +111,19 @@ type tier int
 
 const (
 	tierFiber      tier = iota // the event engine's coroutine tier (fiber.go)
-	tierWave                   // the event engine's wave tier (wave.go), systolic specs only
+	tierWave                   // the event engine's wave tier (wave.go), skeletons only
 	tierGoroutines             // the goroutine reference engine (simulator.go)
 )
 
 // tierOf is the one decision of which tier runs on m. The wave tier
-// takes a systolic spec when nothing needs per-event bookkeeping:
+// takes a skeleton when nothing needs per-event bookkeeping:
 // observability off (metrics and traces record every event), no
 // link-contention tracking, no message loss (the retry layer draws per
 // individual send) and no checkpoint control (a wave has no event
 // count to cut at). Stragglers and link ts/tw perturbations are
 // supported — they only vary the per-rank wave coefficients. A rank
-// program that is not a systolic spec runs on the fiber tier wherever
-// the wave tier would take it.
+// program without a skeleton runs on the fiber tier wherever the wave
+// tier would take it.
 func tierOf(m *machine.Machine) tier {
 	switch {
 	case m.Backend == machine.BackendGoroutines:

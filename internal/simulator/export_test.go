@@ -1,5 +1,6 @@
 package simulator
 
-// OnEngine exposes onEngine to the external test package, whose
-// suites import internal/core and so cannot live in package simulator.
-var OnEngine = onEngine
+// WaveRuns returns how many runs the wave tier has taken in this
+// process, so the external suites, which import internal/core and so
+// cannot live in package simulator, can pin a formulation to it.
+func WaveRuns() int64 { return waveRuns.Load() }

@@ -234,6 +234,15 @@ func onEngine(m *machine.Machine, b machine.Backend) *machine.Machine {
 	return &mm
 }
 
+// TestSkeletonDeclinesGoroutines pins that the wave tier never takes a
+// run the machine assigns to the goroutine engine.
+func TestSkeletonDeclinesGoroutines(t *testing.T) {
+	m := onEngine(machine.NCube2(16), machine.BackendGoroutines)
+	if _, ok, err := RunSkeleton(m, Skeleton{P: 16}); ok || err != nil {
+		t.Errorf("goroutines machine: ok=%v err=%v, want a decline without error", ok, err)
+	}
+}
+
 func TestDeadlockDetected(t *testing.T) {
 	for _, b := range engines {
 		_, err := Run(onEngine(twoProc(0, 0), b), func(p *Proc) {

@@ -1,6 +1,7 @@
 package simulator_test
 
 import (
+	"fmt"
 	"reflect"
 	"testing"
 
@@ -11,20 +12,21 @@ import (
 	"matscale/internal/simulator"
 )
 
-// systolicEligible reports whether the simulator takes a systolic run
-// on m on the wave tier, probing RunSystolic with an empty spec.
-func systolicEligible(m *machine.Machine) bool {
-	_, ok, err := simulator.RunSystolic(m, simulator.SystolicSpec{P: m.P(), GatherRoot: -1})
+// waveEligible reports whether the simulator takes a skeleton run
+// on m on the wave tier, probing RunSkeleton with an empty skeleton.
+func waveEligible(m *machine.Machine) bool {
+	_, ok, err := simulator.RunSkeleton(m, simulator.Skeleton{P: m.P()})
 	return ok && err == nil
 }
 
-// nativeCases exercises both data paths of the systolic tier: blk > 1
-// (blocked multiply) and blk == 1 (one element per processor, the
-// million-rank shape).
+// nativeCases exercises both data paths of Cannon's wave-tier product:
+// blk > 1 (blocked multiply) and blk == 1 (one element per processor,
+// the million-rank shape), from a single rank up.
 var nativeCases = []struct {
 	name string
 	p, n int
 }{
+	{"blocked/p1", 1, 4},
 	{"blocked/p16", 16, 16},
 	{"blocked/p64", 64, 32},
 	{"element/p16", 16, 4},
@@ -32,48 +34,57 @@ var nativeCases = []struct {
 	{"element/p1024", 1024, 32},
 }
 
-// runCannonBoth runs Cannon on the goroutine backend and on the
-// events backend's native systolic tier (observability off makes the
-// events machine eligible) with real-valued matrices, so any
-// accumulation-order divergence shows up bitwise.
-func runCannonBoth(t *testing.T, p, n int, fc *faults.Config) (g, e *core.Result) {
+// stragglersAndJitter is the faulted configuration of the native
+// suites: two stragglers and link jitter, no loss (a lossy machine
+// takes the fiber tier).
+func stragglersAndJitter() *faults.Config {
+	return &faults.Config{
+		Seed:       42,
+		Stragglers: map[int]float64{5: 1.7, 11: 1.2},
+		Jitter:     0.3,
+	}
+}
+
+// assertWaveMatchesFiber runs alg on m, which must be eligible for the
+// wave tier, and on its fiber-tier reference: the same machine with
+// metrics on, whose Metrics are then dropped, since the wave tier
+// collects none. The Results must be deeply equal and the products
+// bitwise equal; the operands are real-valued, so any accumulation-
+// order divergence shows up.
+func assertWaveMatchesFiber(t *testing.T, alg core.Algorithm, m *machine.Machine, n int) {
 	t.Helper()
 	a := matrix.Random(n, n, 91)
 	b := matrix.Random(n, n, 92)
-	g, err := core.Cannon(simulator.OnEngine(machine.NCube2(p).WithFaults(fc), machine.BackendGoroutines), a, b)
+	fm := *m
+	fm.CollectMetrics = true
+	fiber, err := alg(&fm, a, b)
 	if err != nil {
-		t.Fatalf("goroutines: %v", err)
+		t.Fatalf("fiber: %v", err)
 	}
-	em := simulator.OnEngine(machine.NCube2(p).WithFaults(fc), machine.BackendEvents)
-	if !systolicEligible(em) {
-		t.Fatal("expected machine to be eligible for the systolic tier")
+	fiber.Sim.Metrics = nil
+	if !waveEligible(m) {
+		t.Fatal("expected machine to be eligible for the wave tier")
 	}
-	e, err = core.Cannon(em, a, b)
+	wave, err := alg(m, a, b)
 	if err != nil {
-		t.Fatalf("events native: %v", err)
+		t.Fatalf("wave: %v", err)
 	}
-	return g, e
-}
-
-func assertNativeIdentical(t *testing.T, g, e *core.Result) {
-	t.Helper()
-	if !reflect.DeepEqual(g.Sim, e.Sim) {
-		t.Errorf("Result differs: goroutines Tp=%v msgs=%d words=%d, native Tp=%v msgs=%d words=%d",
-			g.Sim.Tp, g.Sim.Messages, g.Sim.Words, e.Sim.Tp, e.Sim.Messages, e.Sim.Words)
+	if !reflect.DeepEqual(fiber.Sim, wave.Sim) {
+		t.Errorf("Result differs: fiber Tp=%v msgs=%d words=%d, wave Tp=%v msgs=%d words=%d",
+			fiber.Sim.Tp, fiber.Sim.Messages, fiber.Sim.Words, wave.Sim.Tp, wave.Sim.Messages, wave.Sim.Words)
 	}
-	if matrix.MaxAbsDiff(g.C, e.C) != 0 {
+	if matrix.MaxAbsDiff(fiber.C, wave.C) != 0 {
 		t.Error("product differs bitwise between message-passing and native accumulation")
 	}
 }
 
-// TestNativeCannonMatchesGoroutines asserts the systolic tier's
-// uniform (clean-machine) path is byte-identical to the goroutine
-// backend across block shapes and rank counts.
+// TestNativeCannonMatchesGoroutines asserts the wave tier's lockstep
+// (clean-machine) path is byte-identical to the fiber tier across block
+// shapes and rank counts.
 func TestNativeCannonMatchesGoroutines(t *testing.T) {
 	for _, tc := range nativeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, e := runCannonBoth(t, tc.p, tc.n, nil)
-			assertNativeIdentical(t, g, e)
+			assertWaveMatchesFiber(t, core.Cannon, machine.NCube2(tc.p), tc.n)
 		})
 	}
 }
@@ -82,31 +93,108 @@ func TestNativeCannonMatchesGoroutines(t *testing.T) {
 // path: stragglers and link jitter make clocks diverge, so the wave
 // passes must reproduce every rank's idle alignment exactly.
 func TestNativeCannonFaultedMatchesGoroutines(t *testing.T) {
-	fc := func() *faults.Config {
-		return &faults.Config{
-			Seed:       42,
-			Stragglers: map[int]float64{5: 1.7, 11: 1.2},
-			Jitter:     0.3,
-		}
-	}
 	for _, tc := range nativeCases {
 		t.Run(tc.name, func(t *testing.T) {
-			g, e := runCannonBoth(t, tc.p, tc.n, fc())
-			assertNativeIdentical(t, g, e)
+			m := machine.NCube2(tc.p).WithFaults(stragglersAndJitter())
+			assertWaveMatchesFiber(t, core.Cannon, m, tc.n)
 		})
 	}
 }
 
-// TestSystolicEligibility pins the gate: every observability or
-// per-message feature must route the events backend through the
-// general fiber engine instead.
-func TestSystolicEligibility(t *testing.T) {
-	base := func() *machine.Machine { return simulator.OnEngine(machine.NCube2(16), machine.BackendEvents) }
-	if !systolicEligible(base()) {
-		t.Error("plain events machine should be eligible")
+// gkMachines lists, per GK variant, the machines the wave ≡ fiber suite
+// runs it on: the ones the CLI's verify command checks it on (ts = 17,
+// tw = 3), the CM-5 preset and a custom hypercube.
+var gkMachines = []struct {
+	alg      string
+	f        core.Algorithm
+	machines map[string]func(p int) *machine.Machine
+}{
+	{"GK", core.GK, map[string]func(int) *machine.Machine{
+		"hypercube": func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3) },
+		"cm5-17-3":  func(p int) *machine.Machine { return machine.CM5(p).WithCost(17, 3) },
+	}},
+	{"GKImprovedBroadcast", core.GKImprovedBroadcast, map[string]func(int) *machine.Machine{
+		"hypercube": func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3) },
+	}},
+	{"GKAllPort", core.GKAllPort, map[string]func(int) *machine.Machine{
+		"allport": func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3).WithAllPort(true) },
+	}},
+}
+
+// TestNativeGKFamilyMatchesFiber asserts the GK family's wave-tier
+// runs — MsgTime routes and binomial trees for GK, charged stages for
+// its two variants — are byte-identical to the fiber tier, clean and
+// under stragglers plus jitter, from one rank to 512.
+func TestNativeGKFamilyMatchesFiber(t *testing.T) {
+	for _, v := range gkMachines {
+		machines := map[string]func(int) *machine.Machine{
+			"cm5":    machine.CM5,
+			"custom": func(p int) *machine.Machine { return machine.Hypercube(p, 40, 0.5) },
+		}
+		for name, mk := range v.machines {
+			machines[name] = mk
+		}
+		for name, mk := range machines {
+			for _, p := range []int{1, 8, 64, 512} {
+				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
+					label := "clean"
+					if fc != nil {
+						label = "faulted"
+					}
+					t.Run(fmt.Sprintf("%s/%s/p%d/%s", v.alg, name, p, label), func(t *testing.T) {
+						assertWaveMatchesFiber(t, v.f, mk(p).WithFaults(fc), 16)
+					})
+				}
+			}
+		}
 	}
-	if systolicEligible(simulator.OnEngine(machine.NCube2(16), machine.BackendGoroutines)) {
-		t.Error("goroutines machine must not be eligible")
+}
+
+// TestGKTakesWaveTier fails if a formulation with a skeleton silently
+// falls back to the fiber tier on an eligible machine: each run must
+// count exactly one wave-tier run, and a run on a metrics machine none.
+func TestGKTakesWaveTier(t *testing.T) {
+	a := matrix.Random(16, 16, 1)
+	b := matrix.Random(16, 16, 2)
+	for _, tc := range []struct {
+		name string
+		f    core.Algorithm
+		p    int
+	}{
+		{"Cannon", core.Cannon, 64},
+		{"GK", core.GK, 64},
+		{"GKImprovedBroadcast", core.GKImprovedBroadcast, 64},
+		{"GKAllPort", core.GKAllPort, 64},
+	} {
+		for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
+			m := machine.CM5(tc.p).WithFaults(fc)
+			before := simulator.WaveRuns()
+			if _, err := tc.f(m, a, b); err != nil {
+				t.Fatalf("%s: %v", tc.name, err)
+			}
+			if got := simulator.WaveRuns() - before; got != 1 {
+				t.Errorf("%s (faults %v): %d wave-tier runs, want 1", tc.name, fc != nil, got)
+			}
+			observed := *m
+			observed.CollectMetrics = true
+			before = simulator.WaveRuns()
+			if _, err := tc.f(&observed, a, b); err != nil {
+				t.Fatalf("%s with metrics: %v", tc.name, err)
+			}
+			if got := simulator.WaveRuns() - before; got != 0 {
+				t.Errorf("%s with metrics: %d wave-tier runs, want 0", tc.name, got)
+			}
+		}
+	}
+}
+
+// TestSystolicEligibility pins the gate: every observability or
+// per-message feature, and checkpoint control, must route the run
+// through the general fiber tier instead.
+func TestSystolicEligibility(t *testing.T) {
+	base := func() *machine.Machine { return machine.NCube2(16) }
+	if !waveEligible(base()) {
+		t.Error("plain events machine should be eligible")
 	}
 	withMetrics := base()
 	withMetrics.CollectMetrics = true
@@ -115,28 +203,51 @@ func TestSystolicEligibility(t *testing.T) {
 	withContention := base()
 	withContention.TrackContention = true
 	lossy := base().WithFaults(&faults.Config{Seed: 1, Loss: 0.1})
+	checkpointed := base()
+	checkpointed.Checkpoint = &machine.CheckpointControl{StopAfter: 1}
 	for name, m := range map[string]*machine.Machine{
 		"metrics": withMetrics, "trace": withTrace, "contention": withContention, "loss": lossy,
+		"checkpoint": checkpointed,
 	} {
-		if systolicEligible(m) {
-			t.Errorf("%s machine must not be eligible for the systolic tier", name)
+		if waveEligible(m) {
+			t.Errorf("%s machine must not be eligible for the wave tier", name)
 		}
 	}
 	straggled := base().WithFaults(&faults.Config{Seed: 1, Stragglers: map[int]float64{0: 2}})
-	if !systolicEligible(straggled) {
+	if !waveEligible(straggled) {
 		t.Error("straggler-only faults are supported by the wave path and should stay eligible")
 	}
 }
 
 // TestRunSystolicRejectsMismatch pins the decline and error paths of
-// the exported entry point.
+// RunSkeleton: a declined machine returns no error, and a skeleton
+// that does not fit the machine or names ranks badly is an error, not
+// a panic or a wrong answer.
 func TestRunSystolicRejectsMismatch(t *testing.T) {
-	m := simulator.OnEngine(machine.NCube2(16), machine.BackendGoroutines)
-	if _, ok, err := simulator.RunSystolic(m, simulator.SystolicSpec{P: 16, GatherRoot: -1}); ok || err != nil {
-		t.Errorf("non-events machine: ok=%v err=%v, want a decline without error", ok, err)
+	observed := machine.NCube2(16)
+	observed.CollectMetrics = true
+	if _, ok, err := simulator.RunSkeleton(observed, simulator.Skeleton{P: 16}); ok || err != nil {
+		t.Errorf("metrics machine: ok=%v err=%v, want a decline without error", ok, err)
 	}
-	em := simulator.OnEngine(m, machine.BackendEvents)
-	if _, _, err := simulator.RunSystolic(em, simulator.SystolicSpec{P: 8, GatherRoot: -1}); err == nil {
+	m := machine.NCube2(16)
+	if _, _, err := simulator.RunSkeleton(m, simulator.Skeleton{P: 8}); err == nil {
 		t.Error("want error for rank-count mismatch")
+	}
+	pair := [][]int{{0, 1}}
+	for name, step := range map[string]simulator.Step{
+		"shift out of range":  simulator.Shift{Words: 1, Dst: func(r int) int { return r + 1 }},
+		"send out of range":   simulator.Send{Words: 1, Dst: func(r int) int { return 16 }},
+		"negative compute":    simulator.Compute{Flops: -1},
+		"roots mismatch":      simulator.Broadcast{Words: 1, Groups: pair},
+		"root out of range":   simulator.Reduce{Words: 1, Groups: pair, Roots: []int{2}},
+		"overlapping groups":  simulator.Broadcast{Words: 1, Groups: [][]int{{0, 1}, {1, 2}}, Roots: []int{0, 0}},
+		"tree not power of 2": simulator.Reduce{Words: 1, Groups: [][]int{{0, 1, 2}}, Roots: []int{0}},
+		"negative charge":     simulator.Broadcast{Words: 1, Groups: pair, Roots: []int{0}, Cost: simulator.Charged(-1)},
+		"gather out of range": simulator.Gather{Words: 1, Holders: []int{0, 16}},
+		"negative repeat":     simulator.Repeat{Times: -1},
+	} {
+		if _, _, err := simulator.RunSkeleton(m, simulator.Skeleton{P: 16, Steps: []simulator.Step{step}}); err == nil {
+			t.Errorf("%s: want an error", name)
+		}
 	}
 }

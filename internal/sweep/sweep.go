@@ -443,8 +443,10 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			res.PredCacheHits++
 		} else {
 			// A preset's network kind does not depend on p, so a
-			// one-processor instance answers for every cell.
-			_, full := build(1).Topo.(topology.FullyConnected)
+			// one-processor instance, valid on every network, answers
+			// for every cell.
+			one, _ := build(1)
+			_, full := one.Topo.(topology.FullyConnected)
 			if f, _ := Lookup(k.alg); f.PaperTp != nil {
 				v = f.PaperTp(model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), full)
 			}
@@ -558,7 +560,11 @@ func runCell(s *Spec, c Cell, fc *faults.Config, mats [2]*matrix.Dense, backend 
 		r.Err = fmt.Sprintf("sweep: unknown machine preset %q", c.Machine)
 		return r
 	}
-	m := build(c.P)
+	m, err := build(c.P)
+	if err != nil {
+		r.Err = err.Error()
+		return r
+	}
 	m.Backend = backend
 	if fc != nil {
 		m = m.WithFaults(fc)

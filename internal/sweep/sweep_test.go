@@ -3,6 +3,7 @@ package sweep
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"sync"
@@ -182,6 +183,42 @@ func TestRunRecordsInapplicableCells(t *testing.T) {
 	}
 }
 
+// TestRunRejectsNonPowerOfTwoHypercubeCells pins that a processor
+// count a hypercube preset cannot have rejects its own cells, naming
+// the preset and p, instead of failing the sweep: every other cell of
+// the grid still runs.
+func TestRunRejectsNonPowerOfTwoHypercubeCells(t *testing.T) {
+	s := &Spec{
+		Algorithms: []string{"cannon", "gk"},
+		Machines:   []string{"ncube2", "custom", "cm5"},
+		Ts:         17, Tw: 3,
+		Ps: []int{9, 27}, Ns: []int{18},
+	}
+	r, err := Run(s, Options{Workers: 2})
+	if err != nil {
+		t.Fatalf("sweep failed: %v", err)
+	}
+	if len(r.Cells) != 12 || r.Ran != 1 || r.Skipped != 11 {
+		t.Fatalf("cells=%d ran=%d skipped=%d, want 12/1/11", len(r.Cells), r.Ran, r.Skipped)
+	}
+	for _, c := range r.Cells {
+		hypercube := c.Machine != "cm5"
+		if !hypercube {
+			// The CM-5 is fully connected, so Cannon runs p = 9; the
+			// other cells are the formulations' own rejections (GK
+			// needs a power-of-two cube side).
+			if ran := c.Err == ""; ran != (c.Algorithm == "cannon" && c.P == 9) {
+				t.Errorf("%s: err %q", c.Key(), c.Err)
+			}
+			continue
+		}
+		want := fmt.Sprintf("preset %q is a hypercube, and p = %d is not a power of two", c.Machine, c.P)
+		if !strings.Contains(c.Err, want) {
+			t.Errorf("%s: err %q, want it to contain %q", c.Key(), c.Err, want)
+		}
+	}
+}
+
 func TestPredictionMemoizationAcrossFaultScenarios(t *testing.T) {
 	s := gridSpec()
 	s.Faults = []string{"", "straggler=3@rank0,seed=7"}
@@ -338,7 +375,11 @@ func TestFormulationTable(t *testing.T) {
 		// PaperTp matches the equation on a hypercube and on the CM-5.
 		for i, preset := range []string{"ncube2", "cm5"} {
 			build, ts, tw, _ := machine.LookupPreset(preset, 0, 0)
-			_, full := build(1).Topo.(topology.FullyConnected)
+			one, err := build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, full := one.Topo.(topology.FullyConnected)
 			if full != (i == 1) {
 				t.Fatalf("%s: fully connected = %v", preset, full)
 			}
