@@ -56,9 +56,12 @@ checkpoint-equivalence:
 # The host-kernel differential suite under the race detector: the
 # parallel matmul kernel must be byte-identical to the serial kernel at
 # workers ∈ {1, 2, 4, NumCPU}, on both partition axes
-# (docs/PERFORMANCE.md). Mirrors sweep-determinism for the kernel.
+# (docs/PERFORMANCE.md). Mirrors sweep-determinism for the kernel. The
+# purego build then runs the portable tile kernel everywhere, against
+# the naive oracle and the golden digests.
 kernel-equivalence:
 	$(GO) test -race -count=1 -run 'TestKernelWorkerEquivalence|TestMulAddIntoParallel' ./internal/matrix
+	$(GO) test -count=1 -tags purego ./internal/matrix ./internal/core
 
 # The CI determinism check: the same sweep spec must emit byte-identical
 # CSV at 1 and 8 host workers, under the race detector (docs/SWEEP.md).

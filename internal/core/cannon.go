@@ -126,17 +126,14 @@ func cannonProduct(a, b *matrix.Dense, q int) *matrix.Dense {
 		return c
 	}
 	blk := n / q
-	ga := matrix.Partition(a, q, q)
-	gb := matrix.Partition(b, q, q)
 	c := matrix.New(n, n)
 	for i := 0; i < q; i++ {
 		for j := 0; j < q; j++ {
-			cblk := matrix.New(blk, blk)
-			for t := 0; t < q; t++ {
-				w := (i + j + t) % q
-				matrix.MulAddInto(cblk, ga.Block(i, w), gb.Block(w, j))
-			}
-			c.SetBlock(i*blk, j*blk, cblk)
+			// Blocks w = (i+j) … q−1 then 0 … (i+j)−1 roll past (i, j):
+			// depth [s, n) then [0, s), each one in-place block product.
+			ci, cj, s := i*blk, j*blk, (i+j)%q*blk
+			matrix.MulAddBlock(c, ci, cj, a, ci, s, b, s, cj, blk, blk, n-s)
+			matrix.MulAddBlock(c, ci, cj, a, ci, 0, b, 0, cj, blk, blk, s)
 		}
 	}
 	return c

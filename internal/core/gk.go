@@ -269,14 +269,13 @@ func gkSkeleton(grid topology.Grid3D, bs int, holders []int, cost simulator.Cost
 
 // gkProduct multiplies a and b in GK's own addition order on a q3-sided
 // cube: block (j,k) of the product is Σᵢ A(j,i)·B(i,k), each partial a
-// fresh product (processor (i,j,k)'s stage 2), summed along the first
-// axis pairwise as the binomial Reduce's tree adds them (pairwise), or
-// left to right as ReduceCharged's root adds them. The element values
-// equal what the message-passing run gathers, bit for bit.
+// fresh product of the blocks read in place (processor (i,j,k)'s stage
+// 2), summed along the first axis pairwise as the binomial Reduce's
+// tree adds them (pairwise), or left to right as ReduceCharged's root
+// adds them. The element values equal what the message-passing run
+// gathers, bit for bit.
 func gkProduct(a, b *matrix.Dense, q3 int, pairwise bool) *matrix.Dense {
 	bs := a.Rows / q3
-	ga := matrix.Partition(a, q3, q3)
-	gb := matrix.Partition(b, q3, q3)
 	c := matrix.New(a.Rows, a.Rows)
 	partial := make([]*matrix.Dense, q3)
 	for i := range partial {
@@ -286,7 +285,7 @@ func gkProduct(a, b *matrix.Dense, q3 int, pairwise bool) *matrix.Dense {
 		for k := 0; k < q3; k++ {
 			for i, part := range partial {
 				clear(part.Data)
-				matrix.MulAddInto(part, ga.Block(j, i), gb.Block(i, k))
+				matrix.MulAddBlock(part, 0, 0, a, j*bs, i*bs, b, i*bs, k*bs, bs, bs, bs)
 			}
 			if pairwise {
 				// Round s: member i (bits 0..s clear) adds member i+2^s.

@@ -30,6 +30,11 @@ func FuzzKernelWorkerEquivalence(f *testing.F) {
 	f.Add(uint8(9), uint8(0), uint8(3), uint8(5), uint64(3))       // zero depth
 	f.Add(uint8(32), uint8(5), uint8(0), uint8(3), uint64(11))     // zero cols
 	f.Add(uint8(2), uint8(130), uint8(121), uint8(6), uint64(555)) // panel straddle
+	f.Add(uint8(11), uint8(11), uint8(1), uint8(3), uint64(17))    // 11-row blocks: 3-row edge, 17-col masked edge
+	f.Add(uint8(33), uint8(22), uint8(2), uint8(4), uint64(29))    // 1-row edge in row bands that split tiles
+	f.Add(uint8(7), uint8(3), uint8(3), uint8(2), uint64(31))      // depth 3: rows rarely hold a zero
+	f.Add(uint8(22), uint8(1), uint8(65), uint8(7), uint64(37))    // depth 1, 4×8 tiles plus a 1-col edge
+	f.Add(uint8(82), uint8(11), uint8(86), uint8(95), uint64(40))  // 17 rows in 8 bands: a per-group zero fallback fails here
 	f.Fuzz(func(t *testing.T, rowsRaw, kRaw, colsRaw, workersRaw uint8, seed uint64) {
 		rows := int(rowsRaw) % 65
 		k := int(kRaw) % 131 // straddles the kcBlock=128 depth panel

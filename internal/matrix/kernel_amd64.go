@@ -2,39 +2,58 @@
 
 package matrix
 
-// The amd64 micro-kernels vectorize across output columns only: each
-// output element still receives its four contributions in ascending
-// depth order with a separate multiply and a separate add per step
-// (MULPD/ADDPD, never FMA), which is exactly the rounding sequence of
+// The AVX2 micro-kernels vectorize across output columns only: each
+// output element still receives its contributions in ascending depth
+// order with a separate multiply and a separate add per step
+// (VMULPD/VADDPD, never FMA), which is exactly the rounding sequence of
 // the scalar kernel on amd64. CPU dispatch therefore cannot change a
-// single result bit — it only changes how many columns advance per
-// instruction.
+// result value — it only changes how many elements advance per
+// instruction (and, when two NaNs meet, possibly which payload
+// survives; see docs/PERFORMANCE.md).
 
-// useAVX2 selects the 4-wide AVX2 span kernel when the CPU and OS
-// support it; otherwise the baseline 2-wide SSE2 kernel runs (SSE2 is
-// architecturally guaranteed on amd64).
+// useAVX2 selects the AVX2 tile kernels when the CPU and OS support
+// them; otherwise the portable tileGo runs.
 var useAVX2 = cpuHasAVX2()
 
 // cpuHasAVX2 reports AVX2 availability, including OS XMM/YMM state
 // support (OSXSAVE + XCR0). Implemented in kernel_amd64.s.
 func cpuHasAVX2() bool
 
-// mulSpan4SSE2 is the 2-wide baseline span kernel. Implemented in
-// kernel_amd64.s. Slices must all share the same length.
+// tile4AVX2 is the 4-row micro-kernel. Implemented in kernel_amd64.s;
+// the caller guarantees k ≥ 1 and that every row and column it touches
+// lies inside the slices.
 //
 //go:noescape
-func mulSpan4SSE2(cs, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64)
+func tile4AVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, cols, k int)
 
-// mulSpan4AVX2 is the 4-wide span kernel. Implemented in
-// kernel_amd64.s. Slices must all share the same length.
+// tile1AVX2 is the 1-row micro-kernel, under tile4AVX2's contract.
 //
 //go:noescape
-func mulSpan4AVX2(cs, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64)
+func tile1AVX2(c, a, b []float64, ldb, cols, k int)
 
-func mulSpan4(cs, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64) {
+// hasZeroAVX2 is hasZero four lanes at a time. Implemented in
+// kernel_amd64.s; rows ≥ 1.
+//
+//go:noescape
+func hasZeroAVX2(a []float64, lda, rows, k int) bool
+
+// hasZero reports whether the rows×k strided a-slice holds a zero of
+// either sign.
+func hasZero(a []float64, lda, rows, k int) bool {
 	if useAVX2 {
-		mulSpan4AVX2(cs, b0, b1, b2, b3, av0, av1, av2, av3)
-		return
+		return hasZeroAVX2(a, lda, rows, k)
 	}
-	mulSpan4SSE2(cs, b0, b1, b2, b3, av0, av1, av2, av3)
+	return hasZeroGo(a, lda, rows, k)
+}
+
+// mulTile runs the micro-kernel on rows (1 or tileRows) rows of c.
+func mulTile(c []float64, ldc int, a []float64, lda int, b []float64, ldb, rows, cols, k int) {
+	switch {
+	case !useAVX2:
+		tileGo(c, ldc, a, lda, b, ldb, rows, cols, k)
+	case rows == tileRows:
+		tile4AVX2(c, ldc, a, lda, b, ldb, cols, k)
+	default:
+		tile1AVX2(c, a, b, ldb, cols, k)
+	}
 }

@@ -2,6 +2,19 @@
 
 #include "textflag.h"
 
+// edgeMask holds four all-ones quadwords then four zero ones: the four
+// starting at index 4−r enable lanes 0..r−1, the mask for an r-column
+// edge (r = 1..3).
+DATA edgeMask<>+0(SB)/8, $-1
+DATA edgeMask<>+8(SB)/8, $-1
+DATA edgeMask<>+16(SB)/8, $-1
+DATA edgeMask<>+24(SB)/8, $-1
+DATA edgeMask<>+32(SB)/8, $0
+DATA edgeMask<>+40(SB)/8, $0
+DATA edgeMask<>+48(SB)/8, $0
+DATA edgeMask<>+56(SB)/8, $0
+GLOBL edgeMask<>(SB), RODATA|NOPTR, $64
+
 // func cpuHasAVX2() bool
 //
 // AVX2 requires: CPUID max leaf >= 7, CPUID.1:ECX OSXSAVE(27)+AVX(28),
@@ -43,197 +56,281 @@ TEXT ·cpuHasAVX2(SB), NOSPLIT, $0-1
 done:
 	RET
 
-// func mulSpan4SSE2(cs, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64)
+// One depth step of one row of the tile: broadcast a[row, l], then for
+// each vector of b (Y8, Y9) a separate multiply a·b (a the first
+// source) and add c + product (c the first source). Every column step
+// and both tile heights use these macros, so every element sees the
+// same instruction sequence. AX indexes the depth.
+#define STEP8(arow, acc0, acc1) \
+	VBROADCASTSD (arow)(AX*8), Y10 \
+	VMULPD       Y8, Y10, Y11      \
+	VADDPD       Y11, acc0, acc0   \
+	VMULPD       Y9, Y10, Y12      \
+	VADDPD       Y12, acc1, acc1
+
+#define STEP4(arow, acc) \
+	VBROADCASTSD (arow)(AX*8), Y10 \
+	VMULPD       Y8, Y10, Y11      \
+	VADDPD       Y11, acc, acc
+
+// func tile4AVX2(c []float64, ldc int, a []float64, lda int, b []float64, ldb, cols, k int)
 //
-// cs[j] += av0*b0[j]; cs[j] += av1*b1[j]; cs[j] += av2*b2[j];
-// cs[j] += av3*b3[j] — separate MULPD and ADDPD per step (two
-// roundings, ascending depth order), two columns per vector.
-TEXT ·mulSpan4SSE2(SB), NOSPLIT, $0-152
-	MOVQ cs_base+0(FP), DI
-	MOVQ cs_len+8(FP), CX
-	MOVQ b0_base+24(FP), SI
-	MOVQ b1_base+48(FP), R8
-	MOVQ b2_base+72(FP), R9
-	MOVQ b3_base+96(FP), R10
+// c[0:4, 0:cols] += a[0:4, 0:k]·b[0:k, 0:cols] over row-major views
+// with row strides ldc, lda, ldb; k ≥ 1 and a holds no zero. Columns
+// go eight at a time (a 4×8 tile of c in Y0–Y7 across the whole
+// depth), then four, then a masked 1–3 column edge.
+TEXT ·tile4AVX2(SB), NOSPLIT, $0-112
+	MOVQ c_base+0(FP), DI
+	MOVQ ldc+24(FP), R8
+	SHLQ $3, R8
+	LEAQ (DI)(R8*2), BX       // c row 2; rows 1 and 3 are +R8
+	MOVQ a_base+32(FP), SI
+	MOVQ lda+56(FP), AX
+	SHLQ $3, AX
+	LEAQ (SI)(AX*1), R12      // a rows 1, 2, 3
+	LEAQ (SI)(AX*2), R13
+	LEAQ (R12)(AX*2), R14
+	MOVQ b_base+64(FP), R11   // b at the current column tile
+	MOVQ ldb+88(FP), R10
+	SHLQ $3, R10
+	MOVQ cols+96(FP), CX
+	MOVQ k+104(FP), R9
 
-	// broadcast the four multipliers into both lanes
-	MOVSD    av0+120(FP), X0
-	UNPCKLPD X0, X0
-	MOVSD    av1+128(FP), X1
-	UNPCKLPD X1, X1
-	MOVSD    av2+136(FP), X2
-	UNPCKLPD X2, X2
-	MOVSD    av3+144(FP), X3
-	UNPCKLPD X3, X3
+t4_cols8:
+	CMPQ    CX, $8
+	JL      t4_cols4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD 32(DI)(R8*1), Y3
+	VMOVUPD (BX), Y4
+	VMOVUPD 32(BX), Y5
+	VMOVUPD (BX)(R8*1), Y6
+	VMOVUPD 32(BX)(R8*1), Y7
+	MOVQ    R11, DX
+	XORQ    AX, AX
 
-	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-4, DX
+t4_depth8:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	STEP8(SI, Y0, Y1)
+	STEP8(R12, Y2, Y3)
+	STEP8(R13, Y4, Y5)
+	STEP8(R14, Y6, Y7)
+	ADDQ    R10, DX
+	INCQ    AX
+	CMPQ    AX, R9
+	JL      t4_depth8
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y3, 32(DI)(R8*1)
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y5, 32(BX)
+	VMOVUPD Y6, (BX)(R8*1)
+	VMOVUPD Y7, 32(BX)(R8*1)
+	ADDQ    $64, DI
+	ADDQ    $64, BX
+	ADDQ    $64, R11
+	SUBQ    $8, CX
+	JMP     t4_cols8
 
-sse_loop4:
-	CMPQ   AX, DX
-	JGE    sse_tail2
-	MOVUPD (DI)(AX*8), X4
-	MOVUPD 16(DI)(AX*8), X5
-	MOVUPD (SI)(AX*8), X6
-	MULPD  X0, X6
-	ADDPD  X6, X4
-	MOVUPD 16(SI)(AX*8), X7
-	MULPD  X0, X7
-	ADDPD  X7, X5
-	MOVUPD (R8)(AX*8), X6
-	MULPD  X1, X6
-	ADDPD  X6, X4
-	MOVUPD 16(R8)(AX*8), X7
-	MULPD  X1, X7
-	ADDPD  X7, X5
-	MOVUPD (R9)(AX*8), X6
-	MULPD  X2, X6
-	ADDPD  X6, X4
-	MOVUPD 16(R9)(AX*8), X7
-	MULPD  X2, X7
-	ADDPD  X7, X5
-	MOVUPD (R10)(AX*8), X6
-	MULPD  X3, X6
-	ADDPD  X6, X4
-	MOVUPD 16(R10)(AX*8), X7
-	MULPD  X3, X7
-	ADDPD  X7, X5
-	MOVUPD X4, (DI)(AX*8)
-	MOVUPD X5, 16(DI)(AX*8)
-	ADDQ   $4, AX
-	JMP    sse_loop4
+t4_cols4:
+	CMPQ    CX, $4
+	JL      t4_edge
+	VMOVUPD (DI), Y0
+	VMOVUPD (DI)(R8*1), Y2
+	VMOVUPD (BX), Y4
+	VMOVUPD (BX)(R8*1), Y6
+	MOVQ    R11, DX
+	XORQ    AX, AX
 
-sse_tail2:
-	MOVQ   CX, DX
-	ANDQ   $-2, DX
-	CMPQ   AX, DX
-	JGE    sse_tail1
-	MOVUPD (DI)(AX*8), X4
-	MOVUPD (SI)(AX*8), X6
-	MULPD  X0, X6
-	ADDPD  X6, X4
-	MOVUPD (R8)(AX*8), X6
-	MULPD  X1, X6
-	ADDPD  X6, X4
-	MOVUPD (R9)(AX*8), X6
-	MULPD  X2, X6
-	ADDPD  X6, X4
-	MOVUPD (R10)(AX*8), X6
-	MULPD  X3, X6
-	ADDPD  X6, X4
-	MOVUPD X4, (DI)(AX*8)
-	ADDQ   $2, AX
+t4_depth4:
+	VMOVUPD (DX), Y8
+	STEP4(SI, Y0)
+	STEP4(R12, Y2)
+	STEP4(R13, Y4)
+	STEP4(R14, Y6)
+	ADDQ    R10, DX
+	INCQ    AX
+	CMPQ    AX, R9
+	JL      t4_depth4
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y2, (DI)(R8*1)
+	VMOVUPD Y4, (BX)
+	VMOVUPD Y6, (BX)(R8*1)
+	ADDQ    $32, DI
+	ADDQ    $32, BX
+	ADDQ    $32, R11
+	SUBQ    $4, CX
 
-sse_tail1:
-	CMPQ  AX, CX
-	JGE   sse_done
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X6
-	MULSD X0, X6
-	ADDSD X6, X4
-	MOVSD (R8)(AX*8), X6
-	MULSD X1, X6
-	ADDSD X6, X4
-	MOVSD (R9)(AX*8), X6
-	MULSD X2, X6
-	ADDSD X6, X4
-	MOVSD (R10)(AX*8), X6
-	MULSD X3, X6
-	ADDSD X6, X4
-	MOVSD X4, (DI)(AX*8)
-	ADDQ  $1, AX
-	JMP   sse_tail1
+t4_edge:
+	TESTQ      CX, CX
+	JZ         t4_done
+	MOVQ       $4, AX
+	SUBQ       CX, AX
+	LEAQ       edgeMask<>(SB), DX
+	VMOVUPD    (DX)(AX*8), Y13
+	VMASKMOVPD (DI), Y13, Y0
+	VMASKMOVPD (DI)(R8*1), Y13, Y2
+	VMASKMOVPD (BX), Y13, Y4
+	VMASKMOVPD (BX)(R8*1), Y13, Y6
+	MOVQ       R11, DX
+	XORQ       AX, AX
 
-sse_done:
+t4_depthm:
+	VMASKMOVPD (DX), Y13, Y8
+	STEP4(SI, Y0)
+	STEP4(R12, Y2)
+	STEP4(R13, Y4)
+	STEP4(R14, Y6)
+	ADDQ       R10, DX
+	INCQ       AX
+	CMPQ       AX, R9
+	JL         t4_depthm
+	VMASKMOVPD Y0, Y13, (DI)
+	VMASKMOVPD Y2, Y13, (DI)(R8*1)
+	VMASKMOVPD Y4, Y13, (BX)
+	VMASKMOVPD Y6, Y13, (BX)(R8*1)
+
+t4_done:
+	VZEROUPPER
 	RET
 
-// func mulSpan4AVX2(cs, b0, b1, b2, b3 []float64, av0, av1, av2, av3 float64)
+// func tile1AVX2(c, a, b []float64, ldb, cols, k int)
 //
-// Same operation sequence as mulSpan4SSE2 (separate VMULPD and VADDPD
-// per step, never FMA), four columns per vector, eight per iteration.
-TEXT ·mulSpan4AVX2(SB), NOSPLIT, $0-152
-	MOVQ cs_base+0(FP), DI
-	MOVQ cs_len+8(FP), CX
-	MOVQ b0_base+24(FP), SI
-	MOVQ b1_base+48(FP), R8
-	MOVQ b2_base+72(FP), R9
-	MOVQ b3_base+96(FP), R10
+// The one-row variant of tile4AVX2 for the rows left over below a
+// multiple of four: c[0, 0:cols] += a[0, 0:k]·b[0:k, 0:cols], same
+// column steps, same operation order.
+TEXT ·tile1AVX2(SB), NOSPLIT, $0-96
+	MOVQ c_base+0(FP), DI
+	MOVQ a_base+24(FP), SI
+	MOVQ b_base+48(FP), R11
+	MOVQ ldb+72(FP), R10
+	SHLQ $3, R10
+	MOVQ cols+80(FP), CX
+	MOVQ k+88(FP), R9
 
-	VBROADCASTSD av0+120(FP), Y0
-	VBROADCASTSD av1+128(FP), Y1
-	VBROADCASTSD av2+136(FP), Y2
-	VBROADCASTSD av3+144(FP), Y3
+t1_cols8:
+	CMPQ    CX, $8
+	JL      t1_cols4
+	VMOVUPD (DI), Y0
+	VMOVUPD 32(DI), Y1
+	MOVQ    R11, DX
+	XORQ    AX, AX
 
+t1_depth8:
+	VMOVUPD (DX), Y8
+	VMOVUPD 32(DX), Y9
+	STEP8(SI, Y0, Y1)
+	ADDQ    R10, DX
+	INCQ    AX
+	CMPQ    AX, R9
+	JL      t1_depth8
+	VMOVUPD Y0, (DI)
+	VMOVUPD Y1, 32(DI)
+	ADDQ    $64, DI
+	ADDQ    $64, R11
+	SUBQ    $8, CX
+	JMP     t1_cols8
+
+t1_cols4:
+	CMPQ    CX, $4
+	JL      t1_edge
+	VMOVUPD (DI), Y0
+	MOVQ    R11, DX
+	XORQ    AX, AX
+
+t1_depth4:
+	VMOVUPD (DX), Y8
+	STEP4(SI, Y0)
+	ADDQ    R10, DX
+	INCQ    AX
+	CMPQ    AX, R9
+	JL      t1_depth4
+	VMOVUPD Y0, (DI)
+	ADDQ    $32, DI
+	ADDQ    $32, R11
+	SUBQ    $4, CX
+
+t1_edge:
+	TESTQ      CX, CX
+	JZ         t1_done
+	MOVQ       $4, AX
+	SUBQ       CX, AX
+	LEAQ       edgeMask<>(SB), DX
+	VMOVUPD    (DX)(AX*8), Y13
+	VMASKMOVPD (DI), Y13, Y0
+	MOVQ       R11, DX
+	XORQ       AX, AX
+
+t1_depthm:
+	VMASKMOVPD (DX), Y13, Y8
+	STEP4(SI, Y0)
+	ADDQ       R10, DX
+	INCQ       AX
+	CMPQ       AX, R9
+	JL         t1_depthm
+	VMASKMOVPD Y0, Y13, (DI)
+
+t1_done:
+	VZEROUPPER
+	RET
+
+// func hasZeroAVX2(a []float64, lda, rows, k int) bool
+//
+// Reports whether the rows×k strided a-slice holds a zero of either
+// sign. Per row: eight elements per iteration compared equal to +0
+// (ordered, so NaN never matches) with the masks ORed together, then
+// the 0–7 element tail one at a time. rows ≥ 1.
+TEXT ·hasZeroAVX2(SB), NOSPLIT, $0-49
+	MOVQ   a_base+0(FP), SI
+	MOVQ   lda+24(FP), R8
+	SHLQ   $3, R8
+	MOVQ   rows+32(FP), R9
+	MOVQ   k+40(FP), CX
+	MOVQ   CX, DX
+	ANDQ   $-8, DX
+	VXORPD Y0, Y0, Y0
+	VXORPD Y1, Y1, Y1
+
+hz_row:
 	XORQ AX, AX
-	MOVQ CX, DX
-	ANDQ $-8, DX
 
-avx_loop8:
-	CMPQ    AX, DX
-	JGE     avx_tail4
-	VMOVUPD (DI)(AX*8), Y4
-	VMOVUPD 32(DI)(AX*8), Y5
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(SI)(AX*8), Y0, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R8)(AX*8), Y1, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(R8)(AX*8), Y1, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R9)(AX*8), Y2, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(R9)(AX*8), Y2, Y7
-	VADDPD  Y7, Y5, Y5
-	VMULPD  (R10)(AX*8), Y3, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  32(R10)(AX*8), Y3, Y7
-	VADDPD  Y7, Y5, Y5
-	VMOVUPD Y4, (DI)(AX*8)
-	VMOVUPD Y5, 32(DI)(AX*8)
-	ADDQ    $8, AX
-	JMP     avx_loop8
+hz_loop8:
+	CMPQ   AX, DX
+	JGE    hz_tail
+	VCMPPD $0, (SI)(AX*8), Y0, Y2
+	VCMPPD $0, 32(SI)(AX*8), Y0, Y3
+	VORPD  Y2, Y1, Y1
+	VORPD  Y3, Y1, Y1
+	ADDQ   $8, AX
+	JMP    hz_loop8
 
-avx_tail4:
-	MOVQ    CX, DX
-	ANDQ    $-4, DX
-	CMPQ    AX, DX
-	JGE     avx_scalar
-	VMOVUPD (DI)(AX*8), Y4
-	VMULPD  (SI)(AX*8), Y0, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R8)(AX*8), Y1, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R9)(AX*8), Y2, Y6
-	VADDPD  Y6, Y4, Y4
-	VMULPD  (R10)(AX*8), Y3, Y6
-	VADDPD  Y6, Y4, Y4
-	VMOVUPD Y4, (DI)(AX*8)
-	ADDQ    $4, AX
+hz_tail:
+	CMPQ    AX, CX
+	JGE     hz_next_row
+	UCOMISD (SI)(AX*8), X0
+	JNE     hz_next
+	JNP     hz_found // equal and ordered
 
-avx_scalar:
+hz_next:
+	INCQ AX
+	JMP  hz_tail
+
+hz_next_row:
+	ADDQ R8, SI
+	DECQ R9
+	JNZ  hz_row
+	VPTEST     Y1, Y1
+	VZEROUPPER
+	JNZ        hz_vector_found
+	MOVB       $0, ret+48(FP)
+	RET
+
+hz_found:
 	VZEROUPPER
 
-avx_tail1:
-	CMPQ  AX, CX
-	JGE   avx_done
-	MOVSD (DI)(AX*8), X4
-	MOVSD (SI)(AX*8), X6
-	MULSD X0, X6
-	ADDSD X6, X4
-	MOVSD (R8)(AX*8), X6
-	MULSD X1, X6
-	ADDSD X6, X4
-	MOVSD (R9)(AX*8), X6
-	MULSD X2, X6
-	ADDSD X6, X4
-	MOVSD (R10)(AX*8), X6
-	MULSD X3, X6
-	ADDSD X6, X4
-	MOVSD X4, (DI)(AX*8)
-	ADDQ  $1, AX
-	JMP   avx_tail1
-
-avx_done:
+hz_vector_found:
+	MOVB $1, ret+48(FP)
 	RET

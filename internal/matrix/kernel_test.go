@@ -129,6 +129,156 @@ func TestMulAddIntoAccumulates(t *testing.T) {
 	}
 }
 
+// blockSides is MulAddBlock's differential grid for rows, cols and k:
+// every side up to two 4-wide tiles plus one, sides that leave 1–3 row
+// and column edges, and the paper grid's odd block sides.
+var blockSides = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 22, 33}
+
+// signedZeros gate the skip; with the nonzero kernelSpecials
+// (fuzz_test.go) they make the special-value palette.
+var signedZeros = [...]float64{0, math.Copysign(0, -1)}
+
+// Operand fills for blockMatchesNaive.
+const (
+	fillPlain    = iota // Random values only
+	fillSpecials        // any special, zeros included, in a and b: most rows of a take the scalar fallback
+	fillNonzeroA        // specials but no zero in a, any special in b: the tiles see Inf and NaN
+)
+
+// sameBits reports whether x and y have the same bits or are both NaN.
+// When two NaNs meet in one multiply or add, which payload survives
+// depends on the instruction's operand order, and the Go compiler does
+// not fix that order: the naive loop and the kernel's own scalar
+// fallback, the same source shape, compile to opposite add orders. For
+// every other value, IEEE multiply and add are commutative, so equal
+// per-element operation sequences give equal bits.
+func sameBits(x, y float64) bool {
+	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
+}
+
+// TestMulAddBlockMatchesNaive pins the strided entry to the naive loop
+// on copied blocks: every rows × cols × k of blockSides, blocks at
+// offsets inside operands wider and taller than the block, under each
+// operand fill, on every kernel the host can dispatch to. Elements of
+// c outside the block must not move.
+func TestMulAddBlockMatchesNaive(t *testing.T) {
+	forEachDispatch(t, func(t *testing.T) {
+		g := rng{state: 7}
+		for _, rows := range blockSides {
+			for _, cols := range blockSides {
+				for _, k := range blockSides {
+					for fill := fillPlain; fill <= fillNonzeroA; fill++ {
+						blockMatchesNaive(t, &g, rows, cols, k, fill)
+					}
+				}
+			}
+		}
+	})
+}
+
+// blockMatchesNaive runs one MulAddBlock case: operands with a margin
+// of 1–3 rows and 1–5 columns around the block, drawn from g.
+func blockMatchesNaive(t *testing.T, g *rng, rows, cols, k, fill int) {
+	t.Helper()
+	at := func(n uint64) int { return int(g.next() % n) }
+	ci, cj, ai, aj, bi, bj := at(3), at(5), at(3), at(5), at(3), at(5)
+	seed := g.next()
+	c := Random(ci+rows+at(3)+1, cj+cols+at(5)+1, seed)
+	a := Random(ai+rows+at(3)+1, aj+k+at(5)+1, seed+1)
+	b := Random(bi+k+at(3)+1, bj+cols+at(5)+1, seed+2)
+	sprinkle := func(m *Dense, palette []float64) {
+		for i := range m.Data {
+			if g.next()%4 == 0 {
+				m.Data[i] = palette[g.next()%uint64(len(palette))]
+			}
+		}
+	}
+	all := append(signedZeros[:], kernelSpecials[:]...)
+	switch fill {
+	case fillSpecials:
+		sprinkle(a, all)
+		sprinkle(b, all)
+	case fillNonzeroA:
+		sprinkle(a, kernelSpecials[:])
+		sprinkle(b, all)
+	}
+	want := c.Block(ci, cj, rows, cols)
+	mulAddIntoNaive(want, a.Block(ai, aj, rows, k), b.Block(bi, bj, k, cols))
+	before := c.Clone()
+	MulAddBlock(c, ci, cj, a, ai, aj, b, bi, bj, rows, cols, k)
+	for i := 0; i < c.Rows; i++ {
+		for j := 0; j < c.Cols; j++ {
+			w := before.At(i, j)
+			if i >= ci && i < ci+rows && j >= cj && j < cj+cols {
+				w = want.At(i-ci, j-cj)
+			}
+			if got := c.At(i, j); !sameBits(got, w) {
+				t.Fatalf("%dx%d · %dx%d (fill %d), c at (%d,%d) in %dx%d: element (%d,%d) = %x (%v), want %x (%v)",
+					rows, k, k, cols, fill, ci, cj, c.Rows, c.Cols, i, j,
+					math.Float64bits(got), got, math.Float64bits(w), w)
+			}
+		}
+	}
+}
+
+// TestHasZero pins the scan that routes rows to the scalar fallback:
+// over 1–3 rows of every length up to past two 8-element steps, laid
+// out with a stride wider than the row, a zero of either sign at any
+// position is found, and infinities, NaN and denormals (also in the
+// gap between rows) are not zeros.
+func TestHasZero(t *testing.T) {
+	forEachDispatch(t, func(t *testing.T) {
+		nonzero := kernelSpecials[:]
+		for rows := 1; rows <= 3; rows++ {
+			for k := 0; k <= 19; k++ {
+				lda := k + 2
+				a := make([]float64, rows*lda)
+				for i := range a {
+					a[i] = nonzero[i%len(nonzero)]
+				}
+				if hasZero(a, lda, rows, k) {
+					t.Fatalf("%dx%d without zeros: hasZero = true", rows, k)
+				}
+				for r := 0; r < rows; r++ {
+					for l := 0; l < k; l++ {
+						for _, z := range signedZeros {
+							saved := a[r*lda+l]
+							a[r*lda+l] = z
+							if !hasZero(a, lda, rows, k) {
+								t.Fatalf("%dx%d, %v at (%d,%d): hasZero = false", rows, k, z, r, l)
+							}
+							a[r*lda+l] = saved
+						}
+					}
+				}
+			}
+		}
+	})
+}
+
+// TestMulAddBlockPanics pins the range contract: a block reaching past
+// any operand, or a negative side, panics before anything is written.
+func TestMulAddBlockPanics(t *testing.T) {
+	a, b, c := New(4, 5), New(5, 6), New(4, 6)
+	for _, tc := range []struct {
+		name                   string
+		ci, cj, ai, aj, bi, bj int
+		rows, cols, k          int
+	}{
+		{"c rows", 1, 0, 0, 0, 0, 0, 4, 6, 5},
+		{"a cols", 0, 0, 0, 1, 0, 0, 4, 6, 5},
+		{"b rows", 0, 0, 0, 0, 1, 0, 4, 6, 5},
+		{"b cols", 0, 1, 0, 0, 0, 1, 4, 6, 5},
+		{"negative offset", -1, 0, 0, 0, 0, 0, 1, 1, 1},
+		{"negative side", 0, 0, 0, 0, 0, 0, 1, -1, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer expectPanic(t, "MulAddBlock")
+			MulAddBlock(c, tc.ci, tc.cj, a, tc.ai, tc.aj, b, tc.bi, tc.bj, tc.rows, tc.cols, tc.k)
+		})
+	}
+}
+
 // benchMulKernel benchmarks one kernel at one square size.
 func benchMulKernel(b *testing.B, n int, kernel func(c, a, b *Dense)) {
 	x := Random(n, n, 42)
@@ -153,5 +303,15 @@ func BenchmarkMulAddIntoTiled(b *testing.B) {
 func BenchmarkMulAddIntoNaive(b *testing.B) {
 	for _, n := range []int{64, 128, 256, 512} {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMulKernel(b, n, mulAddIntoNaive) })
+	}
+}
+
+// BenchmarkMulAddIntoBlocks times one block product at the block sides
+// the paper grid's formulations multiply per rank (n/√p and n/∛p for
+// n ≤ 352 on p ≤ 512): the sizes where the per-call cost of the
+// kernel, not its inner loop, sets the speed.
+func BenchmarkMulAddIntoBlocks(b *testing.B) {
+	for _, bs := range []int{4, 11, 16, 22, 44} {
+		b.Run(fmt.Sprintf("bs=%d", bs), func(b *testing.B) { benchMulKernel(b, bs, MulAddInto) })
 	}
 }

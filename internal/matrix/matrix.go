@@ -128,24 +128,18 @@ func Mul(a, b *Dense) *Dense {
 	return c
 }
 
-// Panel sizes for the tiled kernel. A kcBlock×ncBlock panel of b
-// (kcBlock·ncBlock·8 bytes = 256 KiB) stays resident in L2 while every
-// row of a streams against it, and the 4-deep unroll over the shared
-// dimension keeps each output element in a register across four
-// accumulation steps instead of a load/store round trip per step.
-const (
-	ncBlock = 256 // columns of b/c per panel
-	kcBlock = 128 // depth of the shared dimension per panel
-)
-
-// MulAddInto computes c += a·b with a cache-blocked, register-tiled
-// kernel. The result is bit-identical to the naive i-k-j triple loop:
-// for every output element c[i,j] the contributions a[i,l]·b[l,j] are
-// accumulated in ascending l order, one rounding per step, and
+// MulAddInto computes c += a·b with the cache-blocked, register-tiled
+// kernel (MulAddBlock over the whole matrices). The result is
+// bit-identical to the naive i-k-j triple loop: for every output
+// element c[i,j] the contributions a[i,l]·b[l,j] are accumulated in
+// ascending l order, one multiply and one add per step, and
 // contributions with a[i,l] == 0 are skipped exactly as the naive
 // kernel skips them (the skip is observable when b holds Inf or NaN).
-// Tiling only reorders work *across* output elements, never within
-// one, so the floating-point result cannot change.
+// The micro-kernel holds a tile of c in registers across a whole depth
+// panel (4×8 on AVX2, 1×4 in the portable kernel), with masked column
+// edges and a 1-row variant for the rows below a multiple of four, so
+// tiling reorders work only *across* output elements, never within
+// one; a row whose a-slice holds a zero runs the naive loop itself.
 func MulAddInto(c, a, b *Dense) {
 	if a.Cols != b.Rows {
 		panic(fmt.Sprintf("matrix: Mul inner dimension mismatch %dx%d · %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
@@ -153,59 +147,7 @@ func MulAddInto(c, a, b *Dense) {
 	if c.Rows != a.Rows || c.Cols != b.Cols {
 		panic(fmt.Sprintf("matrix: Mul output shape %dx%d, want %dx%d", c.Rows, c.Cols, a.Rows, b.Cols))
 	}
-	n, m, k := a.Rows, b.Cols, a.Cols
-	for jj := 0; jj < m; jj += ncBlock {
-		jEnd := min(jj+ncBlock, m)
-		for ll := 0; ll < k; ll += kcBlock {
-			lEnd := min(ll+kcBlock, k)
-			for i := 0; i < n; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				crow := c.Data[i*m : (i+1)*m]
-				mulPanel(crow, arow, b.Data, ll, lEnd, jj, jEnd, m)
-			}
-		}
-	}
-}
-
-// mulPanel accumulates crow[jj:jEnd] += Σ arow[l]·b[l, jj:jEnd] for
-// l in [ll, lEnd), four depth steps at a time. The fused path runs only
-// when all four a-values are nonzero so the zero-skip semantics of the
-// scalar loop are preserved bit for bit; mixed groups and the depth
-// remainder fall back to the one-step loop.
-func mulPanel(crow, arow, bdata []float64, ll, lEnd, jj, jEnd, m int) {
-	l := ll
-	for ; l+4 <= lEnd; l += 4 {
-		av0, av1, av2, av3 := arow[l], arow[l+1], arow[l+2], arow[l+3]
-		if av0 == 0 || av1 == 0 || av2 == 0 || av3 == 0 {
-			mulStrip(crow, arow, bdata, l, l+4, jj, jEnd, m)
-			continue
-		}
-		b0 := bdata[l*m+jj : l*m+jEnd]
-		b1 := bdata[(l+1)*m+jj : (l+1)*m+jEnd]
-		b2 := bdata[(l+2)*m+jj : (l+2)*m+jEnd]
-		b3 := bdata[(l+3)*m+jj : (l+3)*m+jEnd]
-		mulSpan4(crow[jj:jEnd], b0, b1, b2, b3, av0, av1, av2, av3)
-	}
-	if l < lEnd {
-		mulStrip(crow, arow, bdata, l, lEnd, jj, jEnd, m)
-	}
-}
-
-// mulStrip is the one-depth-step-at-a-time fallback; its body is the
-// inner two loops of the naive i-k-j kernel (the test oracle
-// mulAddIntoNaive) restricted to one column panel.
-func mulStrip(crow, arow, bdata []float64, l0, l1, jj, jEnd, m int) {
-	for l := l0; l < l1; l++ {
-		av := arow[l]
-		if av == 0 {
-			continue
-		}
-		brow := bdata[l*m+jj : l*m+jEnd]
-		cs := crow[jj:jEnd]
-		for j := range cs {
-			cs[j] += av * brow[j]
-		}
-	}
+	MulAddBlock(c, 0, 0, a, 0, 0, b, 0, 0, a.Rows, b.Cols, a.Cols)
 }
 
 // Transpose returns mᵀ.

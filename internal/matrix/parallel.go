@@ -19,14 +19,17 @@ import (
 // one WaitGroup join at the end.
 //
 // The bit-identity argument is deliberately strict: every worker runs
-// the serial kernel's own compiled panel loop (mulPanel → mulSpan4 /
-// mulStrip) over its slab, not a re-implementation of it, and slabs
-// are panel-aligned so even the SIMD kernels' vector/tail split per
-// element is the one the serial traversal produces. Identical machine
-// code over identical values gives identical bits — including NaN
-// payloads, whose propagation through MULSD/ADDPD depends on operand
-// order and therefore is NOT preserved between differently compiled
-// but mathematically equal loops. Partitioning then reorders work only
+// the serial kernel's own entry (MulAddBlock → mulTile / mulScalar)
+// over its slab, not a re-implementation of it, so every element runs
+// the same machine code as in the serial traversal. Column slabs are
+// panel-aligned, so their column tiles are the serial ones; a row band
+// may regroup rows by four differently, but the zero-skip fallback is
+// chosen per row and the 4-row and 1-row tiles issue the same
+// instructions per element. Identical machine code over identical
+// values gives identical bits — including NaN payloads, whose
+// propagation through MULSD/ADDPD depends on operand order and
+// therefore is NOT preserved between differently compiled but
+// mathematically equal loops. Partitioning then reorders work only
 // across output elements, never within one, so the result cannot
 // depend on the worker count. Each worker's live panel of b (at most
 // kcBlock·ncBlock·8 bytes = 256 KiB) is private to it by ownership
@@ -62,46 +65,16 @@ func MulAddIntoParallel(c, a, b *Dense, workers int) {
 	wg.Wait()
 }
 
-// mulOwnedSpan runs one worker's slab of the output.
+// mulOwnedSpan runs one worker's slab of the output: MulAddBlock on
+// the slab's block of c, in place. A row band reads its own rows of a
+// and all of b, and bands write disjoint rows of c. A column slab is a
+// whole number of ncBlock-aligned panels (PlanOwnership aligns them),
+// so its panels and the column tiles inside them are exactly the ones
+// the serial traversal produces; slabs write disjoint columns of c.
 func mulOwnedSpan(c, a, b *Dense, axis OwnershipAxis, s OwnershipSpan) {
 	if axis == OwnRows {
-		mulRowBand(c, a, b, s.Start, s.End)
+		MulAddBlock(c, s.Start, 0, a, s.Start, 0, b, 0, 0, s.End-s.Start, b.Cols, a.Cols)
 		return
 	}
-	mulColPanels(c, a, b, s.Start, s.End)
-}
-
-// mulRowBand computes rows [r0, r1) of c += a·b by viewing the band as
-// a zero-copy sub-matrix and delegating to the serial tiled kernel.
-// Row bands partition c and a by whole rows, so the views alias
-// disjoint memory, and within the band every element runs exactly the
-// serial kernel's code over exactly the serial kernel's panel grid.
-func mulRowBand(c, a, b *Dense, r0, r1 int) {
-	m, k := b.Cols, a.Cols
-	cBand := &Dense{Rows: r1 - r0, Cols: m, Data: c.Data[r0*m : r1*m]}
-	aBand := &Dense{Rows: r1 - r0, Cols: k, Data: a.Data[r0*k : r1*k]}
-	MulAddInto(cBand, aBand, b)
-}
-
-// mulColPanels computes columns [j0, j1) of c += a·b — a whole number
-// of ncBlock-aligned column panels — with MulAddInto's own loop nest
-// restricted to the slab: the same mulPanel calls, over the same
-// panel boundaries (j0 and j1 are panel-aligned by PlanOwnership, so
-// jj and jEnd here take exactly the values the serial traversal
-// produces for these panels), against b in place. Workers pass
-// overlapping whole-row slice headers but write the disjoint
-// [jj, jEnd) column ranges they own.
-func mulColPanels(c, a, b *Dense, j0, j1 int) {
-	n, m, k := a.Rows, b.Cols, a.Cols
-	for jj := j0; jj < j1; jj += ncBlock {
-		jEnd := min(jj+ncBlock, j1)
-		for ll := 0; ll < k; ll += kcBlock {
-			lEnd := min(ll+kcBlock, k)
-			for i := 0; i < n; i++ {
-				arow := a.Data[i*k : (i+1)*k]
-				crow := c.Data[i*m : (i+1)*m]
-				mulPanel(crow, arow, b.Data, ll, lEnd, jj, jEnd, m)
-			}
-		}
-	}
+	MulAddBlock(c, 0, s.Start, a, 0, 0, b, 0, s.Start, a.Rows, s.End-s.Start, a.Cols)
 }

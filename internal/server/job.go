@@ -274,7 +274,11 @@ func (j *Job) finish(st State, res *sweep.Result, err error) {
 // finishLocked is finish's body for callers that must make the
 // state check and the transition atomic (the direct cancel of a
 // queued/suspended job); the caller holds j.mu and must close
-// j.finished after unlocking.
+// j.finished after unlocking. A terminal job keeps no run state: the
+// subscriber map and the attempt's channels are dropped, since every
+// path that would touch them checks the state first (Subscribe hands
+// out a closed channel, the verbs are no-ops) and a late unsubscribe
+// finds nothing in a nil map.
 func (j *Job) finishLocked(st State, res *sweep.Result, err error) {
 	j.state = st
 	j.result, j.err = res, err
@@ -282,7 +286,8 @@ func (j *Job) finishLocked(st State, res *sweep.Result, err error) {
 	for _, ch := range j.subs { //nodetbreak:ordered — independent subscriber channels
 		close(ch)
 	}
-	j.subs = map[int]chan Event{}
+	j.subs = nil
+	j.suspendCh, j.cancelCh = nil, nil
 }
 
 // broadcastLocked sends ev to every subscriber without blocking,

@@ -417,6 +417,58 @@ func TestSubscribeReplaysTerminalState(t *testing.T) {
 	}
 }
 
+// TestFinishedJobReleasesRunState pins what a terminal job keeps: no
+// subscriber map and no run-attempt channels, while every path that
+// used them still behaves — Subscribe returns a closed channel, an
+// unsubscribe left over from the run is a no-op, and the suspend and
+// cancel verbs change nothing.
+func TestFinishedJobReleasesRunState(t *testing.T) {
+	gate := newBlockingCache()
+	s, err := New(Config{MaxConcurrent: 1, SweepWorkers: 1, Cache: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Shutdown()
+	j, err := s.Submit(testSpec(), -1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	<-gate.entered // running, blocked mid-cell
+	live, unsubscribe := j.Subscribe()
+	close(gate.release)
+	waitJob(t, j)
+	for range live { // finish closes the live subscription
+	}
+	want := j.Status()
+	if want.State != "done" {
+		t.Fatalf("status = %+v, want done", want)
+	}
+
+	late, lateCancel := j.Subscribe()
+	if _, open := <-late; open {
+		t.Fatal("subscription to a finished job must start closed")
+	}
+	lateCancel()
+	unsubscribe()
+	for _, verb := range []func(string) error{s.Suspend, s.Cancel} {
+		var it *InvalidTransitionError
+		if err := verb(j.ID()); !errors.As(err, &it) {
+			t.Fatalf("verb on a done job = %v, want *InvalidTransitionError", err)
+		}
+	}
+	j.requestSuspend()
+	j.requestCancel()
+	if got := j.Status(); got != want {
+		t.Fatalf("status after verbs = %+v, want %+v", got, want)
+	}
+
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.subs != nil || j.suspendCh != nil || j.cancelCh != nil {
+		t.Fatalf("finished job keeps run state: subs %v, suspendCh %v, cancelCh %v", j.subs, j.suspendCh, j.cancelCh)
+	}
+}
+
 func TestConcurrentOverlappingSubmissionsByteIdentical(t *testing.T) {
 	s, err := New(Config{MaxConcurrent: 4, SweepWorkers: 2, QueueDepth: 64})
 	if err != nil {

@@ -53,6 +53,26 @@ func BenchmarkDESGKWave(b *testing.B) {
 	}
 }
 
+// BenchmarkDESCannonWave is Cannon's wave-tier path on the paper's
+// CM-5 grid at p = 484, n = 352: 16×16 blocks whose host product,
+// built in place in Cannon's rotated order, is nearly all of it.
+func BenchmarkDESCannonWave(b *testing.B) {
+	const p, n = 484, 352
+	a := matrix.Random(n, n, 1)
+	bm := matrix.Random(n, n, 2)
+	m := machine.CM5(p)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Cannon(m, a, bm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Sim.Tp <= 0 {
+			b.Fatal("degenerate Tp")
+		}
+	}
+}
+
 // BenchmarkEventsFiberCannon measures the general fiber tier of the
 // events backend on a mid-size Cannon run (metrics on forces the
 // coroutine path), the configuration the differential suite compares.

@@ -21,7 +21,9 @@ func waveEligible(m *machine.Machine) bool {
 
 // nativeCases exercises both data paths of Cannon's wave-tier product:
 // blk > 1 (blocked multiply) and blk == 1 (one element per processor,
-// the million-rank shape), from a single rank up.
+// the million-rank shape), from a single rank up. The blocked cases
+// include block sides 3 and 11, which leave the kernel's row and
+// column edges inside every block.
 var nativeCases = []struct {
 	name string
 	p, n int
@@ -29,6 +31,10 @@ var nativeCases = []struct {
 	{"blocked/p1", 1, 4},
 	{"blocked/p16", 16, 16},
 	{"blocked/p64", 64, 32},
+	{"blocked/bs3/p16", 16, 12},
+	{"blocked/bs3/p64", 64, 24},
+	{"blocked/bs11/p16", 16, 44},
+	{"blocked/bs11/p64", 64, 88},
 	{"element/p16", 16, 4},
 	{"element/p64", 64, 8},
 	{"element/p1024", 1024, 32},
@@ -143,6 +149,31 @@ func TestNativeGKFamilyMatchesFiber(t *testing.T) {
 					}
 					t.Run(fmt.Sprintf("%s/%s/p%d/%s", v.alg, name, p, label), func(t *testing.T) {
 						assertWaveMatchesFiber(t, v.f, mk(p).WithFaults(fc), 16)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestNativeGKFamilyOddBlocks runs the GK family's wave ≡ fiber check
+// at block sides 3 and 11, whose partial products end in the kernel's
+// row and column edges, clean and under stragglers plus jitter.
+func TestNativeGKFamilyOddBlocks(t *testing.T) {
+	for _, v := range gkMachines {
+		for name, mk := range v.machines {
+			for _, c := range []struct{ p, bs int }{{8, 3}, {64, 3}, {8, 11}, {64, 11}} {
+				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
+					label := "clean"
+					if fc != nil {
+						label = "faulted"
+					}
+					t.Run(fmt.Sprintf("%s/%s/p%d/bs%d/%s", v.alg, name, c.p, c.bs, label), func(t *testing.T) {
+						q3 := 2
+						if c.p == 64 {
+							q3 = 4
+						}
+						assertWaveMatchesFiber(t, v.f, mk(c.p).WithFaults(fc), q3*c.bs)
 					})
 				}
 			}
