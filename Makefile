@@ -55,10 +55,11 @@ checkpoint-equivalence:
 
 # The host-kernel differential suite under the race detector: the
 # parallel matmul kernel must be byte-identical to the serial kernel at
-# workers ∈ {1, 2, 4, NumCPU}, on both partition axes
-# (docs/PERFORMANCE.md). Mirrors sweep-determinism for the kernel. The
-# purego build then runs the portable tile kernel everywhere, against
-# the naive oracle and the golden digests.
+# workers ∈ {1, 2, 4, NumCPU}, on both partition axes, on every tile
+# target the host has (portable, avx2, avx512; docs/PERFORMANCE.md).
+# Mirrors sweep-determinism for the kernel. The purego build then runs
+# the portable tile kernel everywhere, against the naive oracle and the
+# golden digests.
 kernel-equivalence:
 	$(GO) test -race -count=1 -run 'TestKernelWorkerEquivalence|TestMulAddIntoParallel' ./internal/matrix
 	$(GO) test -count=1 -tags purego ./internal/matrix ./internal/core

@@ -17,7 +17,8 @@ var kernelSpecials = [...]float64{
 // non-tile-multiples on every axis, zero dimensions, and outputs wide
 // enough to trigger the column-panel mode), random worker counts in
 // 1..8, and operands seeded with zeros, Inf, NaN, and denormals, the
-// parallel kernel must reproduce the serial tiled kernel bit for bit.
+// parallel kernel must reproduce the serial tiled kernel bit for bit,
+// on every tile family the host can dispatch to.
 // The serial kernel is itself pinned to the naive triple loop by
 // TestMulAddIntoBitIdentical*, so this transitively proves parallel ==
 // naive at every worker count.
@@ -35,6 +36,14 @@ func FuzzKernelWorkerEquivalence(f *testing.F) {
 	f.Add(uint8(7), uint8(3), uint8(3), uint8(2), uint64(31))      // depth 3: rows rarely hold a zero
 	f.Add(uint8(22), uint8(1), uint8(65), uint8(7), uint64(37))    // depth 1, 4×8 tiles plus a 1-col edge
 	f.Add(uint8(82), uint8(11), uint8(86), uint8(95), uint64(40))  // 17 rows in 8 bands: a per-group zero fallback fails here
+	// Edges of 16-wide tiles: colsRaw r ∈ 17…31 gives 17·r columns,
+	// whole 16-wide tiles plus an r − 16 column rest (1–8 in an 8-wide
+	// tile, 9–15 in a 16-wide one), on 1–5 workers. At r = 31,
+	// 527 columns on two workers split into column slabs [0, 256) and
+	// [256, 527), the second ending in a 15-column rest.
+	for r := uint8(17); r <= 31; r++ {
+		f.Add(r%9+4, r*3, r, r%5, uint64(r))
+	}
 	f.Fuzz(func(t *testing.T, rowsRaw, kRaw, colsRaw, workersRaw uint8, seed uint64) {
 		rows := int(rowsRaw) % 65
 		k := int(kRaw) % 131 // straddles the kcBlock=128 depth panel
@@ -57,16 +66,18 @@ func FuzzKernelWorkerEquivalence(f *testing.F) {
 			}
 		}
 
-		want := New(rows, cols)
-		MulAddInto(want, a, b)
-		got := New(rows, cols)
-		MulAddIntoParallel(got, a, b, workers)
-		for i := range want.Data {
-			gb, wb := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i])
-			if gb != wb {
-				t.Fatalf("%dx%d · %dx%d workers=%d seed=%d: element %d: parallel %x (%v) != serial %x (%v)",
-					rows, k, k, cols, workers, seed, i, gb, got.Data[i], wb, want.Data[i])
+		forEachDispatch(t, func(t *testing.T) {
+			want := New(rows, cols)
+			MulAddInto(want, a, b)
+			got := New(rows, cols)
+			MulAddIntoParallel(got, a, b, workers)
+			for i := range want.Data {
+				gb, wb := math.Float64bits(got.Data[i]), math.Float64bits(want.Data[i])
+				if gb != wb {
+					t.Fatalf("%dx%d · %dx%d workers=%d seed=%d: element %d: parallel %x (%v) != serial %x (%v)",
+						rows, k, k, cols, workers, seed, i, gb, got.Data[i], wb, want.Data[i])
+				}
 			}
-		}
+		})
 	})
 }

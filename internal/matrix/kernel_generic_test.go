@@ -4,7 +4,7 @@ package matrix
 
 import "testing"
 
-// forEachDispatch runs f on the one kernel this build has.
-func forEachDispatch(t *testing.T, f func(t *testing.T)) {
-	t.Run("portable", f)
+// withEachTarget calls run on the one tile family this build has.
+func withEachTarget(_ testing.TB, run func(name string)) {
+	run("portable")
 }

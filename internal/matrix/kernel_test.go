@@ -3,6 +3,7 @@ package matrix
 import (
 	"fmt"
 	"math"
+	"slices"
 	"testing"
 )
 
@@ -134,6 +135,10 @@ func TestMulAddIntoAccumulates(t *testing.T) {
 // and column edges, and the paper grid's odd block sides.
 var blockSides = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 11, 13, 22, 33}
 
+// wideSides extend the grid for rows and cols with sides one short of,
+// at and one past 16-wide tiles.
+var wideSides = []int{15, 16, 17, 31, 47}
+
 // signedZeros gate the skip; with the nonzero kernelSpecials
 // (fuzz_test.go) they make the special-value palette.
 var signedZeros = [...]float64{0, math.Copysign(0, -1)}
@@ -156,16 +161,24 @@ func sameBits(x, y float64) bool {
 	return math.Float64bits(x) == math.Float64bits(y) || (math.IsNaN(x) && math.IsNaN(y))
 }
 
+// forEachDispatch runs f as a subtest once per tile family the host can
+// dispatch to (withEachTarget), named after the family.
+func forEachDispatch(t *testing.T, f func(t *testing.T)) {
+	withEachTarget(t, func(name string) { t.Run(name, f) })
+}
+
 // TestMulAddBlockMatchesNaive pins the strided entry to the naive loop
-// on copied blocks: every rows × cols × k of blockSides, blocks at
+// on copied blocks: every rows × cols × k of blockSides (rows and cols
+// also of wideSides), blocks at
 // offsets inside operands wider and taller than the block, under each
 // operand fill, on every kernel the host can dispatch to. Elements of
 // c outside the block must not move.
 func TestMulAddBlockMatchesNaive(t *testing.T) {
 	forEachDispatch(t, func(t *testing.T) {
 		g := rng{state: 7}
-		for _, rows := range blockSides {
-			for _, cols := range blockSides {
+		sides := append(slices.Clone(blockSides), wideSides...)
+		for _, rows := range sides {
+			for _, cols := range sides {
 				for _, k := range blockSides {
 					for fill := fillPlain; fill <= fillNonzeroA; fill++ {
 						blockMatchesNaive(t, &g, rows, cols, k, fill)
@@ -291,27 +304,49 @@ func benchMulKernel(b *testing.B, n int, kernel func(c, a, b *Dense)) {
 	}
 }
 
-// The benchmark grid: tiled vs naive at the block sizes the
-// formulations actually multiply (per-rank blocks of n=256..512 sweeps)
-// up to whole-problem sizes.
+// The benchmark grids. tiledSizes runs tiled vs naive at the block
+// sizes the formulations actually multiply (per-rank blocks of
+// n=256..512 sweeps) up to whole-problem sizes. blockSizes are the
+// block sides the paper grid's formulations multiply per rank (n/√p
+// and n/∛p for n ≤ 352 on p ≤ 512): the sizes where the per-call cost
+// of the kernel, not its inner loop, sets the speed.
+var (
+	tiledSizes = []int{64, 128, 256, 512}
+	blockSizes = []int{4, 11, 16, 22, 44}
+)
+
 func BenchmarkMulAddIntoTiled(b *testing.B) {
-	for _, n := range []int{64, 128, 256, 512} {
+	for _, n := range tiledSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMulKernel(b, n, MulAddInto) })
 	}
 }
 
 func BenchmarkMulAddIntoNaive(b *testing.B) {
-	for _, n := range []int{64, 128, 256, 512} {
+	for _, n := range tiledSizes {
 		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMulKernel(b, n, mulAddIntoNaive) })
 	}
 }
 
-// BenchmarkMulAddIntoBlocks times one block product at the block sides
-// the paper grid's formulations multiply per rank (n/√p and n/∛p for
-// n ≤ 352 on p ≤ 512): the sizes where the per-call cost of the
-// kernel, not its inner loop, sets the speed.
+// BenchmarkMulAddIntoBlocks times one block product at each of
+// blockSizes.
 func BenchmarkMulAddIntoBlocks(b *testing.B) {
-	for _, bs := range []int{4, 11, 16, 22, 44} {
+	for _, bs := range blockSizes {
 		b.Run(fmt.Sprintf("bs=%d", bs), func(b *testing.B) { benchMulKernel(b, bs, MulAddInto) })
 	}
+}
+
+// BenchmarkTileTargets runs the MulAddIntoBlocks and MulAddIntoTiled
+// grids on every tile family the host can dispatch to, so one run
+// compares the families side by side (docs/PERFORMANCE.md §1).
+func BenchmarkTileTargets(b *testing.B) {
+	withEachTarget(b, func(name string) {
+		b.Run(name, func(b *testing.B) {
+			for _, bs := range blockSizes {
+				b.Run(fmt.Sprintf("bs=%d", bs), func(b *testing.B) { benchMulKernel(b, bs, MulAddInto) })
+			}
+			for _, n := range tiledSizes {
+				b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) { benchMulKernel(b, n, MulAddInto) })
+			}
+		})
+	})
 }

@@ -31,62 +31,71 @@ func parallelBitIdentical(t *testing.T, a, b *Dense, workers int) {
 }
 
 // TestMulAddIntoParallelBitIdenticalSquare proves the ownership
-// contract on the square differential grid at every worker count:
-// the row-band fallback dominates here because the outputs are
-// narrower than workers·ncBlock.
+// contract on the square differential grid at every worker count, on
+// every tile family the host can dispatch to: the row-band fallback
+// dominates here because the outputs are narrower than
+// workers·ncBlock.
 func TestMulAddIntoParallelBitIdenticalSquare(t *testing.T) {
-	for _, n := range kernelSizes {
-		a := Random(n, n, uint64(n)*2+1)
-		b := Random(n, n, uint64(n)*2+2)
-		for _, w := range parallelWorkerGrid {
-			parallelBitIdentical(t, a, b, w)
+	forEachDispatch(t, func(t *testing.T) {
+		for _, n := range kernelSizes {
+			a := Random(n, n, uint64(n)*2+1)
+			b := Random(n, n, uint64(n)*2+2)
+			for _, w := range parallelWorkerGrid {
+				parallelBitIdentical(t, a, b, w)
+			}
 		}
-	}
+	})
 }
 
 // TestMulAddIntoParallelBitIdenticalWide drives the column-panel mode:
 // outputs wide enough that every worker owns at least one full
-// ncBlock panel, with widths straddling the panel boundaries.
+// ncBlock panel, with widths straddling the panel boundaries, on every
+// tile family the host can dispatch to.
 func TestMulAddIntoParallelBitIdenticalWide(t *testing.T) {
 	shapes := [][3]int{
 		{3, 7, 512}, {5, 129, 513}, {2, 64, 767}, {9, 31, 1024},
 		{4, 128, 1025}, {1, 300, 1100}, {17, 5, 2048}, {6, 133, 2100},
 	}
-	for _, s := range shapes {
-		a := Random(s[0], s[1], 21)
-		b := Random(s[1], s[2], 23)
-		for _, w := range []int{1, 2, 3, 4, 8} {
-			parallelBitIdentical(t, a, b, w)
+	forEachDispatch(t, func(t *testing.T) {
+		for _, s := range shapes {
+			a := Random(s[0], s[1], 21)
+			b := Random(s[1], s[2], 23)
+			for _, w := range []int{1, 2, 3, 4, 8} {
+				parallelBitIdentical(t, a, b, w)
+			}
 		}
-	}
+	})
 }
 
 // TestMulAddIntoParallelSpecialValues exercises the zero-skip
 // semantics under parallelism: zeros in a gating Inf/NaN rows of b,
 // plus denormals, must propagate exactly as in the serial kernel on
-// both the row-band and column-panel paths.
+// both the row-band and column-panel paths, on every tile family the
+// host can dispatch to.
 func TestMulAddIntoParallelSpecialValues(t *testing.T) {
 	inf, nan := math.Inf(1), math.NaN()
-	for _, s := range [][3]int{{64, 64, 64}, {7, 129, 520}, {3, 128, 1030}} {
-		a := Random(s[0], s[1], 201)
-		b := Random(s[1], s[2], 203)
-		for l := 0; l < s[1]; l++ {
-			a.Set(0, l, 0)
-			if l%4 == 2 {
-				a.Set(s[0]/2, l, 0)
+	forEachDispatch(t, func(t *testing.T) {
+		for _, s := range [][3]int{{64, 64, 64}, {7, 129, 520}, {3, 128, 1030}} {
+			a := Random(s[0], s[1], 201)
+			b := Random(s[1], s[2], 203)
+			for l := 0; l < s[1]; l++ {
+				a.Set(0, l, 0)
+				if l%4 == 2 {
+					a.Set(s[0]/2, l, 0)
+				}
+			}
+			b.Set(2%s[1], 0, inf)
+			b.Set(2%s[1], s[2]-1, nan)
+			b.Set(0, s[2]/2, 5e-324) // denormal
+			if s[1] > 6 {
+				b.Set(5, 1, inf)
+				b.Set(6, 2, nan)
+			}
+			for _, w := range []int{2, 4, 8} {
+				parallelBitIdentical(t, a, b, w)
 			}
 		}
-		b.Set(2%s[1], 0, inf)
-		b.Set(2%s[1], s[2]-1, nan)
-		b.Set(0, s[2]/2, 5e-324) // denormal
-		if s[1] > 6 {
-			b.Set(5, 1, inf)
-			b.Set(6, 2, nan)
-		}
-		for _, w := range []int{2, 4, 8} {
-			parallelBitIdentical(t, a, b, w)
-		}
-	}
+	})
 }
 
 // TestMulAddIntoParallelAccumulates verifies c += a·b semantics: the
@@ -133,19 +142,21 @@ func TestMulAddIntoParallelShapePanics(t *testing.T) {
 // point, mirroring sweep-determinism: the parallel kernel must be
 // byte-identical at workers ∈ {1, 2, 4, NumCPU} under the race
 // detector, over shapes covering both partition axes and the serial
-// degradation.
+// degradation, on every tile family the host can dispatch to.
 func TestKernelWorkerEquivalence(t *testing.T) {
 	grid := append([]int{1, 2, 4}, runtime.NumCPU())
-	for _, s := range [][3]int{
-		{1, 1, 1}, {31, 17, 67}, {128, 128, 128}, {257, 64, 255},
-		{5, 129, 520}, {3, 33, 1040}, {300, 2, 3},
-	} {
-		a := Random(s[0], s[1], uint64(s[0]*1000+s[2]))
-		b := Random(s[1], s[2], uint64(s[1]*1000+s[0]))
-		for _, w := range grid {
-			parallelBitIdentical(t, a, b, w)
+	forEachDispatch(t, func(t *testing.T) {
+		for _, s := range [][3]int{
+			{1, 1, 1}, {31, 17, 67}, {128, 128, 128}, {257, 64, 255},
+			{5, 129, 520}, {3, 33, 1040}, {300, 2, 3},
+		} {
+			a := Random(s[0], s[1], uint64(s[0]*1000+s[2]))
+			b := Random(s[1], s[2], uint64(s[1]*1000+s[0]))
+			for _, w := range grid {
+				parallelBitIdentical(t, a, b, w)
+			}
 		}
-	}
+	})
 }
 
 // BenchmarkMulAddIntoParallel is the n × workers grid the bench job
