@@ -82,12 +82,68 @@ func goldenDigests(t *testing.T) []string {
 			}
 		}
 	}
+	return append(lines, waveDigests(t)...)
+}
+
+// waveFormulations is every formulation with a timed skeleton.
+var waveFormulations = []struct {
+	name string
+	alg  Algorithm
+}{
+	{"Cannon", Cannon},
+	{"GK", GK},
+	{"GKImprovedBroadcast", GKImprovedBroadcast},
+	{"GKAllPort", GKAllPort},
+	{"Fox", Fox},
+	{"FoxPipelined", FoxPipelined},
+}
+
+// waveDigests runs every formulation with a skeleton on plain machines
+// — no metrics, no trace, no loss — where the simulator's wave tier
+// takes the run, with real-valued operands, so the rows pin the wave
+// tier's times and its host product's addition order. Each row is
+// prefixed "wave/". The grid covers square and cube rank counts, one
+// element per processor (p = 64, n = 8) and odd block sides (n = 12).
+func waveDigests(t *testing.T) []string {
+	t.Helper()
+	machines := []struct {
+		name string
+		mk   func(p int) *machine.Machine
+	}{
+		{"ncube2", machine.NCube2},
+		{"cm5", machine.CM5},
+		{"hypercube", func(p int) *machine.Machine { return machine.Hypercube(p, 6.3, 3) }},
+	}
+	scenarios := []struct {
+		name string
+		fc   *faults.Config
+	}{
+		{"clean", nil},
+		{"faulted", &faults.Config{Seed: 42, Stragglers: map[int]float64{3: 1.5}, Jitter: 0.2}},
+	}
+	var lines []string
+	for _, f := range waveFormulations {
+		for _, mc := range machines {
+			for _, p := range []int{1, 4, 8, 16, 64} {
+				for _, n := range []int{8, 12, 16} {
+					a := matrix.Random(n, n, 81)
+					b := matrix.Random(n, n, 82)
+					for _, sc := range scenarios {
+						m := mc.mk(p).WithFaults(sc.fc)
+						name := fmt.Sprintf("wave/%s/%s/p=%d/n=%d/%s", f.name, mc.name, p, n, sc.name)
+						lines = append(lines, name+" "+resultDigest(t, f.alg, m, a, b))
+					}
+				}
+			}
+		}
+	}
 	return lines
 }
 
 // resultDigest hashes everything a run emits: the algorithm name, the
 // Sim structure as JSON, the Chrome trace, the rank and link CSVs and
-// the product's bits — or the error text when the run fails.
+// the product's bits — or the error text when the run fails. A run
+// that collected no trace (a wave-tier row) hashes no trace or CSVs.
 func resultDigest(t *testing.T, alg Algorithm, m *machine.Machine, a, b *matrix.Dense) string {
 	t.Helper()
 	h := sha256.New()
@@ -102,11 +158,15 @@ func resultDigest(t *testing.T, alg Algorithm, m *machine.Machine, a, b *matrix.
 		t.Fatal(err)
 	}
 	h.Write(js)
-	for _, emit := range []func(*bytes.Buffer) error{
-		func(w *bytes.Buffer) error { return res.Sim.Trace.WriteChromeTrace(w) },
-		func(w *bytes.Buffer) error { return res.Sim.Metrics.WriteRanksCSV(w) },
-		func(w *bytes.Buffer) error { return res.Sim.Metrics.WriteLinksCSV(w) },
-	} {
+	var emits []func(*bytes.Buffer) error
+	if res.Sim.Trace != nil {
+		emits = []func(*bytes.Buffer) error{
+			func(w *bytes.Buffer) error { return res.Sim.Trace.WriteChromeTrace(w) },
+			func(w *bytes.Buffer) error { return res.Sim.Metrics.WriteRanksCSV(w) },
+			func(w *bytes.Buffer) error { return res.Sim.Metrics.WriteLinksCSV(w) },
+		}
+	}
+	for _, emit := range emits {
 		var buf bytes.Buffer
 		if err := emit(&buf); err != nil {
 			t.Fatal(err)
@@ -123,7 +183,8 @@ func resultDigest(t *testing.T, alg Algorithm, m *machine.Machine, a, b *matrix.
 
 // TestGoldenDigests pins every formulation's complete output — times,
 // metrics, traces and product bits, on three machines, clean and
-// faulted — against digests recorded from an earlier tree, so a
+// faulted — and the wave tier's times and products (waveDigests)
+// against digests recorded from an earlier tree, so a
 // refactor of the formulations has to reproduce the same bytes. Rerun
 // with -update-golden only when a change is meant to alter output:
 //
