@@ -66,33 +66,7 @@ type options struct {
 }
 
 func main() {
-	fs := flag.NewFlagSet("matscale-loadtest", flag.ExitOnError)
-	clients := fs.Int("clients", 1000, "number of concurrent clients")
-	overlap := fs.Float64("overlap", 0.5, "fraction of clients submitting specs from the shared pool [0,1]")
-	pool := fs.Int("pool", 4, "number of distinct specs in the shared pool")
-	url := fs.String("url", "", "base URL of a running matscale-server (empty = start one in-process)")
-	queue := fs.Int("queue", 0, "in-process server queue depth (0 = clients+16)")
-	concurrency := fs.Int("concurrency", 0, "in-process server concurrent jobs (0 = GOMAXPROCS)")
-	jobs := fs.Int("jobs", 1, "in-process server sweep workers per job")
-	cacheCells := fs.Int("cache", server.DefaultCacheCells, "in-process server cell cache capacity")
-	watchers := fs.Int("watchers", 64, "clients that follow progress over SSE instead of polling")
-	poll := fs.Duration("poll", 10*time.Millisecond, "status poll interval for non-SSE clients")
-	bench := fs.Bool("bench", false, "emit the report in go-bench text format on stdout")
-	fs.Parse(os.Args[1:])
-
-	opts := options{
-		clients:     *clients,
-		overlap:     math.Min(1, math.Max(0, *overlap)),
-		pool:        max(1, *pool),
-		url:         strings.TrimRight(*url, "/"),
-		queue:       *queue,
-		concurrency: *concurrency,
-		jobs:        *jobs,
-		cacheCells:  *cacheCells,
-		watchers:    *watchers,
-		poll:        *poll,
-		bench:       *bench,
-	}
+	opts := parseOptions(os.Args[1:])
 	if opts.clients < 1 {
 		log.Fatal("matscale-loadtest: -clients must be >= 1")
 	}
@@ -109,6 +83,38 @@ func main() {
 	fmt.Fprint(human, rep.humanText())
 	if rep.Errors > 0 {
 		os.Exit(1)
+	}
+}
+
+// parseOptions parses the command line; no arguments give the default
+// load test.
+func parseOptions(args []string) options {
+	fs := flag.NewFlagSet("matscale-loadtest", flag.ExitOnError)
+	clients := fs.Int("clients", 1000, "number of concurrent clients")
+	overlap := fs.Float64("overlap", 0.5, "fraction of clients submitting specs from the shared pool [0,1]")
+	pool := fs.Int("pool", 4, "number of distinct specs in the shared pool")
+	url := fs.String("url", "", "base URL of a running matscale-server (empty = start one in-process)")
+	queue := fs.Int("queue", 0, "in-process server queue depth (0 = clients+16)")
+	concurrency := fs.Int("concurrency", 0, "in-process server concurrent jobs (0 = GOMAXPROCS)")
+	jobs := fs.Int("jobs", 1, "in-process server sweep workers per job")
+	cacheCells := fs.Int("cache", server.DefaultCacheCells, "in-process server cell cache capacity")
+	watchers := fs.Int("watchers", 64, "clients that follow progress over SSE instead of polling")
+	poll := fs.Duration("poll", 10*time.Millisecond, "status poll interval for non-SSE clients")
+	bench := fs.Bool("bench", false, "emit the report in go-bench text format on stdout")
+	fs.Parse(args)
+
+	return options{
+		clients:     *clients,
+		overlap:     math.Min(1, math.Max(0, *overlap)),
+		pool:        max(1, *pool),
+		url:         strings.TrimRight(*url, "/"),
+		queue:       *queue,
+		concurrency: *concurrency,
+		jobs:        *jobs,
+		cacheCells:  *cacheCells,
+		watchers:    *watchers,
+		poll:        *poll,
+		bench:       *bench,
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"testing"
 	"time"
 
+	"matscale/internal/machine"
 	"matscale/internal/server"
 )
 
@@ -33,5 +34,29 @@ func TestRunInProcess(t *testing.T) {
 	}
 	if rep.HitRate <= 0 {
 		t.Fatalf("cache hit rate = %v, want > 0", rep.HitRate)
+	}
+}
+
+// TestDefaultLoadFitsCellCache pins the server's cache cap to the
+// traffic it is sized against: the distinct canonical cells the default
+// load test submits fit in DefaultCacheCells, so it never evicts.
+func TestDefaultLoadFitsCellCache(t *testing.T) {
+	o := parseOptions(nil)
+	keys := map[string]bool{}
+	for i := 0; i < o.clients; i++ {
+		s := workloadSpec(workloadOf(i, o))
+		cells, err := s.Cells()
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range cells {
+			keys[s.CellKey(c, machine.BackendEvents)] = true
+		}
+	}
+	if len(keys) != 4032 {
+		t.Errorf("default load test touches %d distinct cells, want 4032 (504 specs of 8)", len(keys))
+	}
+	if len(keys) > server.DefaultCacheCells {
+		t.Errorf("default load test touches %d distinct cells, more than DefaultCacheCells = %d", len(keys), server.DefaultCacheCells)
 	}
 }

@@ -8,7 +8,7 @@
 //
 //	matscale-server [-addr 127.0.0.1:8080] [-queue 256] [-concurrency 4]
 //	                [-jobs 0] [-rate 0] [-burst 0] [-timeout 0]
-//	                [-cache 65536]
+//	                [-cache 4096]
 //	                [-checkpoint-dir DIR] [-suspend-on-timeout=true]
 //
 // SIGINT/SIGTERM shut the server down gracefully: the listener closes,

@@ -26,12 +26,7 @@ const (
 //
 //	Tp = n³/p + 2·ts·√p + 2·tw·n²/√p
 func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	n, err := checkInputs(m, a, b)
-	if err != nil {
-		return nil, err
-	}
-	p := m.P()
-	q, err := squareMeshSide(n, p)
+	n, q, err := meshSide(m, a, b, "")
 	if err != nil {
 		return nil, err
 	}
@@ -83,16 +78,23 @@ func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (res *Resu
 	if !ok || err != nil {
 		return nil, ok, err
 	}
-	return newResult("Cannon", cannonProduct(a, b, q), sim, n, p), true, nil
+	return newResult("Cannon", cannonProduct(a, b, q, cannonSkew), sim, n, p), true, nil
 }
 
-// cannonProduct multiplies a and b in Cannon's accumulation order:
-// block (i, j) accumulates A_{i,w}·B_{w,j} for w = (i+j), (i+j+1), …
-// wrapping modulo q — the order the skewed blocks roll past processor
-// (i, j). The element values equal what the message-passing run
-// gathers, bit for bit, because the per-element addition sequence is
-// the same.
-func cannonProduct(a, b *matrix.Dense, q int) *matrix.Dense {
+// cannonSkew and foxSkew name the depth block at which the rolled
+// blocks start to pass processor (i, j): i+j after Cannon's skewing
+// alignment, i in Fox's iteration t = 0 (the row root (i+t) mod q).
+func cannonSkew(i, j int) int { return i + j }
+func foxSkew(i, _ int) int    { return i }
+
+// cannonProduct multiplies a and b in the accumulation order of a
+// rolled formulation on a q×q mesh: block (i, j) accumulates
+// A_{i,w}·B_{w,j} for w = skew(i, j), skew(i, j)+1, … wrapping modulo q
+// — the order the blocks pass processor (i, j) in Cannon's algorithm
+// (cannonSkew) or Fox's (foxSkew). The element values equal what the
+// message-passing run gathers, bit for bit, because the per-element
+// addition sequence is the same.
+func cannonProduct(a, b *matrix.Dense, q int, skew func(i, j int) int) *matrix.Dense {
 	n := a.Rows
 	if q == n {
 		// One element per processor: c_ij is a rotated dot product of
@@ -109,10 +111,7 @@ func cannonProduct(a, b *matrix.Dense, q int) *matrix.Dense {
 			arow := a.Data[i*n : (i+1)*n]
 			for j := 0; j < n; j++ {
 				brow := bt[j*n : (j+1)*n]
-				w := i + j
-				if w >= n {
-					w -= n
-				}
+				w := skew(i, j) % n
 				var s float64
 				for t := w; t < n; t++ {
 					s += arow[t] * brow[t]
@@ -129,9 +128,9 @@ func cannonProduct(a, b *matrix.Dense, q int) *matrix.Dense {
 	c := matrix.New(n, n)
 	for i := 0; i < q; i++ {
 		for j := 0; j < q; j++ {
-			// Blocks w = (i+j) … q−1 then 0 … (i+j)−1 roll past (i, j):
-			// depth [s, n) then [0, s), each one in-place block product.
-			ci, cj, s := i*blk, j*blk, (i+j)%q*blk
+			// Blocks w = skew … q−1 then 0 … skew−1 pass (i, j): depth
+			// [s, n) then [0, s), each one in-place block product.
+			ci, cj, s := i*blk, j*blk, skew(i, j)%q*blk
 			matrix.MulAddBlock(c, ci, cj, a, ci, s, b, s, cj, blk, blk, n-s)
 			matrix.MulAddBlock(c, ci, cj, a, ci, 0, b, 0, cj, blk, blk, s)
 		}

@@ -19,15 +19,18 @@
 //     Section 7.2 (Eq. 17)
 //
 // A family's variants differ only in data. Each Fox execution is a
-// foxVariant row (its row delivery of A, tags and barrier) run by the
-// one foxImpl loop; each GK variant is a gkVariant row (its per-stage
-// charge, nil for binomial trees) run by gkImpl. Cannon and gkImpl also
-// describe their timed skeleton, which the simulator's wave tier runs
-// without a rank program when the machine allows it; the product is
-// then built on the host in the formulation's own addition order. Every 2-D mesh
-// formulation — Simple, SimpleMemEfficientAllPort, the Fox loop and
-// Cannon's rank-program fallback — runs through onMesh, which
-// validates, partitions, runs and gathers.
+// foxVariant row (its row delivery of A, tags, barrier and, for the
+// broadcast variants, the skeleton's broadcast cost) run by the one
+// foxImpl loop; each GK variant is a gkVariant row (its per-stage
+// charge, nil for binomial trees) run by gkImpl. Cannon, gkImpl and
+// foxImpl's broadcast variants also describe their timed skeleton,
+// which the simulator's wave tier runs without a rank program when the
+// machine allows it; the product is then built on the host in the
+// formulation's own addition order (cannonProduct for Cannon and Fox,
+// gkProduct for GK). Every 2-D mesh formulation validates its inputs
+// with meshSide; its rank program — Simple, SimpleMemEfficientAllPort,
+// and the Fox loop's and Cannon's fallbacks — runs through onMesh,
+// which partitions, runs and gathers.
 //
 // Every algorithm distributes the input blocks (untimed setup),
 // executes the timed communication and computation phases, and gathers
@@ -140,17 +143,27 @@ func checkInputs(m *machine.Machine, a, b *matrix.Dense) (n int, err error) {
 	return a.Rows, nil
 }
 
-// squareMeshSide returns √p for algorithms that need a square processor
-// mesh with √p dividing n.
-func squareMeshSide(n, p int) (int, error) {
-	q := topology.IntSqrt(p)
+// meshSide validates the inputs of a formulation on a √p × √p
+// processor mesh and returns n and the mesh side q: equal square
+// operands, p a perfect square, q dividing n and, when pow2Err (the
+// error format, given the side) is not empty, q a power of two.
+func meshSide(m *machine.Machine, a, b *matrix.Dense, pow2Err string) (n, q int, err error) {
+	n, err = checkInputs(m, a, b)
+	if err != nil {
+		return 0, 0, err
+	}
+	p := m.P()
+	q = topology.IntSqrt(p)
 	if q*q != p {
-		return 0, fmt.Errorf("core: p = %d is not a perfect square", p)
+		return 0, 0, fmt.Errorf("core: p = %d is not a perfect square", p)
 	}
 	if n%q != 0 {
-		return 0, fmt.Errorf("core: mesh side %d does not divide n = %d", q, n)
+		return 0, 0, fmt.Errorf("core: mesh side %d does not divide n = %d", q, n)
 	}
-	return q, nil
+	if _, ok := topology.Log2(q); !ok && pow2Err != "" {
+		return 0, 0, fmt.Errorf(pow2Err, q)
+	}
+	return n, q, nil
 }
 
 // meshRank is one rank's place on the √p × √p mesh onMesh runs.
@@ -163,25 +176,17 @@ type meshRank struct {
 	everyone []int // every rank, for barriers
 }
 
-// onMesh runs a formulation on a √p × √p processor mesh: it validates
-// the inputs, requires a power-of-two mesh side when pow2Err (the error
-// format, given the side) is not empty, runs body on every rank with
-// its resident blocks A_ij and B_ij, and gathers the C blocks body
-// returns into the product at rank 0. body owns the resident blocks;
-// gatherGrid consumes the block it returns.
+// onMesh runs a formulation's rank program on a √p × √p processor
+// mesh: it validates the inputs with meshSide (pow2Err as there), runs
+// body on every rank with its resident blocks A_ij and B_ij, and
+// gathers the C blocks body returns into the product at rank 0. body
+// owns the resident blocks; gatherGrid consumes the block it returns.
 func onMesh(m *machine.Machine, a, b *matrix.Dense, name, pow2Err string, body func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense) (*Result, error) {
-	n, err := checkInputs(m, a, b)
+	n, q, err := meshSide(m, a, b, pow2Err)
 	if err != nil {
 		return nil, err
 	}
 	p := m.P()
-	q, err := squareMeshSide(n, p)
-	if err != nil {
-		return nil, err
-	}
-	if _, ok := topology.Log2(q); !ok && pow2Err != "" {
-		return nil, fmt.Errorf(pow2Err, q)
-	}
 	mesh := topology.NewTorus2D(q, q)
 	ga := matrix.Partition(a, q, q)
 	gb := matrix.Partition(b, q, q)

@@ -4,6 +4,8 @@ import (
 	"matscale/internal/collective"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
+	"matscale/internal/simulator"
+	"matscale/internal/topology"
 )
 
 const (
@@ -24,10 +26,13 @@ const (
 // Section 4.3 variants differ. The iteration they share is foxImpl's.
 type foxVariant struct {
 	name string
-	// broadcast marks the hypercube-broadcast variants (Fox and
-	// FoxPipelined): they need a power-of-two mesh side, and B rolls
-	// even on a single processor, where the relay variants skip it.
-	broadcast bool
+	// bcast is the Cost of the row broadcast in the variant's timed
+	// skeleton on a q×q mesh of bs×bs blocks; the wave tier runs it
+	// when the machine allows. It is non-nil for the hypercube-broadcast
+	// variants (Fox and FoxPipelined) only: they need a power-of-two
+	// mesh side, and B rolls even on a single processor, where the relay
+	// variants, which have no skeleton, skip it.
+	bcast func(q, bs int) simulator.Cost
 	// rowA delivers iteration t's A block from mesh column root to
 	// every rank of r's row. payload is the root's block on the root
 	// and nil elsewhere; a non-root gets a received copy back.
@@ -54,8 +59,8 @@ type foxVariant struct {
 // paper observes.
 func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	return foxImpl(m, a, b, foxVariant{
-		name:      "Fox",
-		broadcast: true,
+		name:  "Fox",
+		bcast: func(int, int) simulator.Cost { return simulator.Cost{} }, // binomial tree
 		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
 			return collective.Broadcast(r.pr, r.row, root, tagFoxBcast+t, payload)
 		},
@@ -73,13 +78,13 @@ func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 //
 // (Eq. (4) drops the lower-order ts·√p contributed by the shifts.)
 func FoxPipelined(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+	// Pipeline fill plus transmission: ts·√p + tw·n²/p.
+	pipeline := func(q, bs int) float64 { return m.Ts*float64(q) + m.Tw*float64(bs*bs) }
 	return foxImpl(m, a, b, foxVariant{
-		name:      "FoxPipelined",
-		broadcast: true,
+		name:  "FoxPipelined",
+		bcast: func(q, bs int) simulator.Cost { return simulator.Charged(pipeline(q, bs)) },
 		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
-			// Pipeline fill plus transmission: ts·√p + tw·n²/p.
-			cost := m.Ts*float64(r.q) + m.Tw*float64(r.bs*r.bs)
-			return collective.BroadcastCharged(r.pr, r.row, root, tagFoxBcast+t, payload, cost)
+			return collective.BroadcastCharged(r.pr, r.row, root, tagFoxBcast+t, payload, pipeline(r.q, r.bs))
 		},
 		shiftTag:   tagFoxShift,
 		barrierTag: func(int) int { return tagFoxBarrier },
@@ -172,11 +177,24 @@ func foxRelay(tag int) func(r meshRank, t, root int, payload []float64) []float6
 // foxImpl runs the Fox iteration shared by every variant: in iteration
 // t, mesh column (i+t) mod √p delivers its A block along row i, every
 // processor multiplies it into its C block, B rolls one step north, and
-// the variant's barrier closes the iteration.
+// the variant's barrier closes the iteration. A variant with a skeleton
+// runs on the event engine's wave tier when the simulator takes it, as
+// a rank program otherwise.
 func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, error) {
 	pow2Err := ""
-	if v.broadcast {
+	if v.bcast != nil {
 		pow2Err = "core: Fox needs a power-of-two mesh side, got %d"
+		n, q, err := meshSide(m, a, b, pow2Err)
+		if err != nil {
+			return nil, err
+		}
+		sim, ok, err := simulator.RunSkeleton(m, foxSkeleton(q, n/q, v.bcast(q, n/q)))
+		if err != nil {
+			return nil, err
+		}
+		if ok {
+			return newResult(v.name, cannonProduct(a, b, q, foxSkew), sim, n, q*q), nil
+		}
 	}
 	return onMesh(m, a, b, v.name, pow2Err, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
 		pr, bs := r.pr, r.bs
@@ -195,7 +213,7 @@ func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, err
 				pr.Recycle(ablk) // received copy, consumed above
 			}
 
-			if v.broadcast || r.q > 1 {
+			if v.bcast != nil || r.q > 1 {
 				// Roll B one step north; the outgoing block dies here, so
 				// it rides the ownership-transfer fast path.
 				pr.SendNeighborOwned(r.mesh.Up(pr.Rank()), v.shiftTag, myB)
@@ -209,4 +227,32 @@ func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, err
 		}
 		return c
 	})
+}
+
+// foxSkeleton is the timed skeleton of foxImpl's rank program for a
+// broadcast variant on a q×q mesh of bs×bs blocks: q unrolled
+// iterations of {row broadcast from column (i+t) mod q charging cost,
+// compute, B rolled up, barrier}, then the verification gather. The
+// iterations differ only in their broadcast roots.
+func foxSkeleton(q, bs int, cost simulator.Cost) simulator.Skeleton {
+	mesh := topology.NewTorus2D(q, q)
+	words := bs * bs
+	rows := make([][]int, q)
+	for i := range rows {
+		rows[i] = mesh.RowRanks(i)
+	}
+	steps := make([]simulator.Step, 0, 4*q+1)
+	for t := 0; t < q; t++ {
+		roots := make([]int, q)
+		for i := range roots {
+			roots[i] = (i + t) % q
+		}
+		steps = append(steps,
+			simulator.Broadcast{Words: words, Groups: rows, Roots: roots, Cost: cost},
+			simulator.Compute{Flops: float64(bs) * float64(bs) * float64(bs)},
+			simulator.Shift{Words: words, Dst: mesh.Up},
+			simulator.Barrier{},
+		)
+	}
+	return simulator.Skeleton{P: q * q, Steps: append(steps, simulator.Gather{Words: words})}
 }

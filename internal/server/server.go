@@ -43,11 +43,21 @@ type Clock interface {
 
 // Default admission-control constants, applied by New when the Config
 // leaves the field zero.
+//
+// The two retention caps are sized against the traffic the repository
+// ships, because a long-lived server fills them whatever its
+// throughput, so they bound its steady-state memory. DefaultCacheCells
+// holds every distinct cell matscale-loadtest submits at its defaults
+// (4032: 504 specs of 8 cells), so the default load test never evicts,
+// and far more than a hot set such as perfbench's serve pool (48
+// cells). DefaultRetainJobs keeps the last 1024 finished jobs
+// queryable: a client fetches its result as soon as its job finishes,
+// so the cap only has to outlast the jobs that finish meanwhile.
 const (
 	DefaultQueueDepth    = 64
 	DefaultMaxConcurrent = 2
-	DefaultCacheCells    = 1 << 16
-	DefaultRetainJobs    = 4096
+	DefaultCacheCells    = 4096
+	DefaultRetainJobs    = 1024
 )
 
 // Config parameterizes a Server. The zero value is usable: defaults

@@ -53,6 +53,28 @@ func BenchmarkDESGKWave(b *testing.B) {
 	}
 }
 
+// BenchmarkDESFoxWave is Fox's wave-tier path on the slowest Fox cell
+// of perfbench's serve spec (a custom hypercube, ts in [5, 8), tw = 3):
+// p = 64, n = 64. Eight row broadcasts of 8×8 blocks per iteration run
+// as per-rank transfer rounds; the host product is built in Fox's
+// rotated order.
+func BenchmarkDESFoxWave(b *testing.B) {
+	const p, n = 64, 64
+	a := matrix.Random(n, n, 1)
+	bm := matrix.Random(n, n, 2)
+	m := machine.Hypercube(p, 6.3, 3)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, err := core.Fox(m, a, bm)
+		if err != nil {
+			b.Fatal(err)
+		}
+		if res.Sim.Tp <= 0 {
+			b.Fatal("degenerate Tp")
+		}
+	}
+}
+
 // BenchmarkDESCannonWave is Cannon's wave-tier path on the paper's
 // CM-5 grid at p = 484, n = 352: 16×16 blocks whose host product,
 // built in place in Cannon's rotated order, is nearly all of it.

@@ -10,7 +10,7 @@
 // what Proc charges the fiber tier (fiber.go) for the rank program the
 // skeleton describes, so the Result is byte-identical to both other
 // engine paths — the native differential suite (wave_test.go) asserts
-// this for Cannon and the GK family.
+// this for Cannon, the GK family, Fox and FoxPipelined.
 //
 // Collectives are written as fixed sequences of transfer rounds, the
 // way the hyper-systolic formulations write broadcasts and reductions

@@ -181,9 +181,61 @@ func TestNativeGKFamilyOddBlocks(t *testing.T) {
 	}
 }
 
-// TestGKTakesWaveTier fails if a formulation with a skeleton silently
-// falls back to the fiber tier on an eligible machine: each run must
-// count exactly one wave-tier run, and a run on a metrics machine none.
+// foxCases are the mesh shapes of the Fox wave ≡ fiber suite: from a
+// single rank to 256, with blocks of side 3 (the kernel's row and
+// column edges) and of side 1 (the element-per-processor product).
+var foxCases = []struct {
+	name string
+	p, n int
+}{
+	{"blocked/p1", 1, 4},
+	{"blocked/p4", 4, 8},
+	{"blocked/p16", 16, 16},
+	{"blocked/p64", 64, 32},
+	{"blocked/p256", 256, 32},
+	{"blocked/bs3/p16", 16, 12},
+	{"blocked/bs3/p64", 64, 24},
+	{"element/p64", 64, 8},
+	{"element/p256", 256, 16},
+}
+
+// TestNativeFoxMatchesFiber asserts the wave-tier runs of Fox (binomial
+// row broadcasts) and FoxPipelined (charged row broadcasts) are
+// byte-identical to the fiber tier on the hypercube presets, the CM-5
+// and a custom hypercube, clean and under stragglers plus jitter.
+func TestNativeFoxMatchesFiber(t *testing.T) {
+	machines := []struct {
+		name string
+		mk   func(p int) *machine.Machine
+	}{
+		{"ncube2", machine.NCube2},
+		{"cm5", machine.CM5},
+		{"custom", func(p int) *machine.Machine { return machine.Hypercube(p, 6.3, 3) }},
+	}
+	for _, v := range []struct {
+		name string
+		f    core.Algorithm
+	}{{"Fox", core.Fox}, {"FoxPipelined", core.FoxPipelined}} {
+		for _, mc := range machines {
+			for _, tc := range foxCases {
+				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
+					label := "clean"
+					if fc != nil {
+						label = "faulted"
+					}
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", v.name, mc.name, tc.name, label), func(t *testing.T) {
+						assertWaveMatchesFiber(t, v.f, mc.mk(tc.p).WithFaults(fc), tc.n)
+					})
+				}
+			}
+		}
+	}
+}
+
+// TestGKTakesWaveTier fails if a formulation with a skeleton — Cannon,
+// the GK family, Fox or FoxPipelined — silently falls back to the fiber
+// tier on an eligible machine: each run must count exactly one
+// wave-tier run, and a run on a metrics machine none.
 func TestGKTakesWaveTier(t *testing.T) {
 	a := matrix.Random(16, 16, 1)
 	b := matrix.Random(16, 16, 2)
@@ -196,6 +248,8 @@ func TestGKTakesWaveTier(t *testing.T) {
 		{"GK", core.GK, 64},
 		{"GKImprovedBroadcast", core.GKImprovedBroadcast, 64},
 		{"GKAllPort", core.GKAllPort, 64},
+		{"Fox", core.Fox, 64},
+		{"FoxPipelined", core.FoxPipelined, 64},
 	} {
 		for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
 			m := machine.CM5(tc.p).WithFaults(fc)

@@ -430,7 +430,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 		}
 	}
 
-	// Serial pre-pass 1: closed-form predictions, memoized. Cells that
+	// Serial pre-pass: closed-form predictions, memoized. Cells that
 	// share (algorithm, machine, n, p) — e.g. the same grid point under
 	// different fault scenarios — hit the cache.
 	preds := make([]float64, len(cells))
@@ -455,16 +455,15 @@ func Run(s *Spec, opt Options) (*Result, error) {
 		preds[i] = v
 	}
 
-	// Serial pre-pass 2: input matrices, shared read-only by every cell
-	// at the same dimension.
-	mats := map[int][2]*matrix.Dense{}
+	// Input matrices, shared read-only by every cell at the same
+	// dimension. Each dimension's pair is generated by the first cell
+	// that has to be simulated, so a grid served from the cache
+	// generates none. The pair is a pure function of (seed, n): which
+	// worker builds it changes no byte.
+	mats := map[int]*operands{}
 	for _, c := range cells {
-		if _, ok := mats[c.N]; !ok {
-			seed := s.Seed + 2*uint64(c.N)
-			mats[c.N] = [2]*matrix.Dense{
-				matrix.Random(c.N, c.N, seed),
-				matrix.Random(c.N, c.N, seed+1),
-			}
+		if mats[c.N] == nil {
+			mats[c.N] = &operands{seed: s.Seed + 2*uint64(c.N), n: c.N}
 		}
 	}
 
@@ -519,7 +518,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 				return nil
 			}
 		}
-		r := runCell(s, c, cfgs[c.Faults], mats[c.N], opt.Backend)
+		r := runCell(s, c, cfgs[c.Faults], mats[c.N].get(), opt.Backend)
 		r.PredictedTp = preds[i]
 		if opt.Cache != nil {
 			opt.Cache.Put(key, r)
@@ -549,6 +548,22 @@ func Run(s *Spec, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
+}
+
+// operands is the lazily generated input pair of one dimension n.
+type operands struct {
+	seed uint64
+	n    int
+	once sync.Once
+	ab   [2]*matrix.Dense
+}
+
+// get returns the pair, generating it on the first call.
+func (o *operands) get() [2]*matrix.Dense {
+	o.once.Do(func() {
+		o.ab = [2]*matrix.Dense{matrix.Random(o.n, o.n, o.seed), matrix.Random(o.n, o.n, o.seed+1)}
+	})
+	return o.ab
 }
 
 // runCell executes one cell on its own machine instance and records

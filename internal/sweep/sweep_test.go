@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"sync"
@@ -532,6 +533,42 @@ func TestCacheSharedAcrossOverlappingSpecs(t *testing.T) {
 	}
 	if cache.hits != 1 || cache.misses != 1 {
 		t.Fatalf("overlapping spec: %d hits, %d misses, want 1/1", cache.hits, cache.misses)
+	}
+}
+
+// TestCachedRunGeneratesNoOperands pins the lazy operands: once a cache
+// holds every cell, re-running the spec allocates less than one of its
+// n×n operand matrices, and returns the cold run's Result.
+func TestCachedRunGeneratesNoOperands(t *testing.T) {
+	const n = 352
+	s := &Spec{
+		Algorithms: []string{"cannon"},
+		Machines:   []string{"custom"},
+		Ts:         17, Tw: 3,
+		Ps:   []int{16},
+		Ns:   []int{n},
+		Seed: 1,
+	}
+	cache := newCountingCache()
+	cold, err := Run(s, Options{Workers: 1, Cache: cache})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	hit, err := Run(s, Options{Workers: 1, Cache: cache})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if cache.hits != len(hit.Cells) {
+		t.Fatalf("re-run: %d cache hits, want %d", cache.hits, len(hit.Cells))
+	}
+	if got, matrixBytes := after.TotalAlloc-before.TotalAlloc, uint64(n*n*8); got >= matrixBytes {
+		t.Errorf("cached re-run allocated %d bytes, want fewer than one %dx%d matrix (%d)", got, n, n, matrixBytes)
+	}
+	if !reflect.DeepEqual(hit, cold) {
+		t.Error("cached re-run's Result differs from the cold run's")
 	}
 }
 
