@@ -460,10 +460,13 @@ func Run(s *Spec, opt Options) (*Result, error) {
 	// that has to be simulated, so a grid served from the cache
 	// generates none. The pair is a pure function of (seed, n): which
 	// worker builds it changes no byte.
-	mats := map[int]*operands{}
+	mats := map[int]func() [2]*matrix.Dense{}
 	for _, c := range cells {
 		if mats[c.N] == nil {
-			mats[c.N] = &operands{seed: s.Seed + 2*uint64(c.N), n: c.N}
+			n, seed := c.N, s.Seed+2*uint64(c.N)
+			mats[n] = sync.OnceValue(func() [2]*matrix.Dense {
+				return [2]*matrix.Dense{matrix.Random(n, n, seed), matrix.Random(n, n, seed+1)}
+			})
 		}
 	}
 
@@ -518,7 +521,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 				return nil
 			}
 		}
-		r := runCell(s, c, cfgs[c.Faults], mats[c.N].get(), opt.Backend)
+		r := runCell(s, c, cfgs[c.Faults], mats[c.N](), opt.Backend)
 		r.PredictedTp = preds[i]
 		if opt.Cache != nil {
 			opt.Cache.Put(key, r)
@@ -548,22 +551,6 @@ func Run(s *Spec, opt Options) (*Result, error) {
 		}
 	}
 	return res, nil
-}
-
-// operands is the lazily generated input pair of one dimension n.
-type operands struct {
-	seed uint64
-	n    int
-	once sync.Once
-	ab   [2]*matrix.Dense
-}
-
-// get returns the pair, generating it on the first call.
-func (o *operands) get() [2]*matrix.Dense {
-	o.once.Do(func() {
-		o.ab = [2]*matrix.Dense{matrix.Random(o.n, o.n, o.seed), matrix.Random(o.n, o.n, o.seed+1)}
-	})
-	return o.ab
 }
 
 // runCell executes one cell on its own machine instance and records
