@@ -208,8 +208,12 @@ func run(o options) (*report, error) {
 			MaxConcurrent: conc,
 			SweepWorkers:  o.jobs,
 			CacheCells:    o.cacheCells,
-			RetainJobs:    o.clients + 16,
-			Clock:         realClock{},
+			// Each client fetches one job's result once the job has
+			// finished, so in the worst case (every job finishes before
+			// the first fetch) the server must keep one finished job
+			// per client. The server's default holds the default run's.
+			RetainJobs: max(o.clients, server.DefaultRetainJobs),
+			Clock:      realClock{},
 		})
 		if err != nil {
 			ln.Close()

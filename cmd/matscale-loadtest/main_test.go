@@ -37,10 +37,12 @@ func TestRunInProcess(t *testing.T) {
 	}
 }
 
-// TestDefaultLoadFitsCellCache pins the server's cache cap to the
-// traffic it is sized against: the distinct canonical cells the default
-// load test submits fit in DefaultCacheCells, so it never evicts.
-func TestDefaultLoadFitsCellCache(t *testing.T) {
+// TestDefaultLoadFitsServerCaps pins the server's retention caps to the
+// traffic they are sized against. The distinct canonical cells the
+// default load test submits fit in DefaultCacheCells, so it never
+// evicts a cell; its clients, one job each, fit in DefaultRetainJobs,
+// so no finished job is evicted before its client fetches the result.
+func TestDefaultLoadFitsServerCaps(t *testing.T) {
 	o := parseOptions(nil)
 	keys := map[string]bool{}
 	for i := 0; i < o.clients; i++ {
@@ -58,5 +60,8 @@ func TestDefaultLoadFitsCellCache(t *testing.T) {
 	}
 	if len(keys) > server.DefaultCacheCells {
 		t.Errorf("default load test touches %d distinct cells, more than DefaultCacheCells = %d", len(keys), server.DefaultCacheCells)
+	}
+	if o.clients > server.DefaultRetainJobs {
+		t.Errorf("default load test has %d clients, more than DefaultRetainJobs = %d", o.clients, server.DefaultRetainJobs)
 	}
 }

@@ -35,7 +35,7 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	}
 	identity := func(r int) int { return r }
 	tags := cannonTags{alignA: tagCannonAlignA, alignB: tagCannonAlignB, shiftA: tagCannonShiftA, shiftB: tagCannonShiftB}
-	return onMesh(m, a, b, "Cannon", "", func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
+	return onMesh(m, a, b, n, q, "Cannon", func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
 		return cannonRoll(r.pr, r.mesh, identity, r.i, r.j, myA, myB, tags)
 	})
 }

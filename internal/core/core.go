@@ -176,16 +176,12 @@ type meshRank struct {
 	everyone []int // every rank, for barriers
 }
 
-// onMesh runs a formulation's rank program on a √p × √p processor
-// mesh: it validates the inputs with meshSide (pow2Err as there), runs
-// body on every rank with its resident blocks A_ij and B_ij, and
-// gathers the C blocks body returns into the product at rank 0. body
-// owns the resident blocks; gatherGrid consumes the block it returns.
-func onMesh(m *machine.Machine, a, b *matrix.Dense, name, pow2Err string, body func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense) (*Result, error) {
-	n, q, err := meshSide(m, a, b, pow2Err)
-	if err != nil {
-		return nil, err
-	}
+// onMesh runs a formulation's rank program on the q×q processor mesh
+// of n×n operands that meshSide validated: it runs body on every rank
+// with its resident blocks A_ij and B_ij, and gathers the C blocks body
+// returns into the product at rank 0. body owns the resident blocks;
+// gatherGrid consumes the block it returns.
+func onMesh(m *machine.Machine, a, b *matrix.Dense, n, q int, name string, body func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense) (*Result, error) {
 	p := m.P()
 	mesh := topology.NewTorus2D(q, q)
 	ga := matrix.Partition(a, q, q)

@@ -184,10 +184,12 @@ func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, err
 	pow2Err := ""
 	if v.bcast != nil {
 		pow2Err = "core: Fox needs a power-of-two mesh side, got %d"
-		n, q, err := meshSide(m, a, b, pow2Err)
-		if err != nil {
-			return nil, err
-		}
+	}
+	n, q, err := meshSide(m, a, b, pow2Err)
+	if err != nil {
+		return nil, err
+	}
+	if v.bcast != nil {
 		sim, ok, err := simulator.RunSkeleton(m, foxSkeleton(q, n/q, v.bcast(q, n/q)))
 		if err != nil {
 			return nil, err
@@ -196,7 +198,7 @@ func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, err
 			return newResult(v.name, cannonProduct(a, b, q, foxSkew), sim, n, q*q), nil
 		}
 	}
-	return onMesh(m, a, b, v.name, pow2Err, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
+	return onMesh(m, a, b, n, q, v.name, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
 		pr, bs := r.pr, r.bs
 		myA, myB := blockData(blkA), blockData(blkB)
 		c := matrix.New(bs, bs)

@@ -34,8 +34,11 @@ const (
 // of bandwidth, exactly the "somewhat higher execution time" trade the
 // paper describes.
 func SimpleMemEfficientAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	pow2Err := "core: all-port broadcasts need a power-of-two mesh side, got %d"
-	return onMesh(m, a, b, "SimpleMemEfficientAllPort", pow2Err, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
+	n, q, err := meshSide(m, a, b, "core: all-port broadcasts need a power-of-two mesh side, got %d")
+	if err != nil {
+		return nil, err
+	}
+	return onMesh(m, a, b, n, q, "SimpleMemEfficientAllPort", func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
 		pr, i, j, bs := r.pr, r.i, r.j, r.bs
 		myA, myB := blockData(blkA), blockData(blkB)
 		cost := allPortBcastCost(m, bs*bs, r.q)

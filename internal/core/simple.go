@@ -36,8 +36,12 @@ func SimpleAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 // simpleImpl runs the simple algorithm with the all-gathers of the A
 // block row and the B block column.
 func simpleImpl(m *machine.Machine, a, b *matrix.Dense, name string, gatherRow, gatherCol func(*simulator.Proc, []int, int, []float64) []float64) (*Result, error) {
-	return onMesh(m, a, b, name, "", func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
-		pr, q, bs := r.pr, r.q, r.bs
+	n, q, err := meshSide(m, a, b, "")
+	if err != nil {
+		return nil, err
+	}
+	return onMesh(m, a, b, n, q, name, func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
+		pr, bs := r.pr, r.bs
 
 		// Phase 1: every processor acquires the full block row of A and
 		// block column of B it needs.

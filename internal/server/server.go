@@ -50,9 +50,11 @@ type Clock interface {
 // holds every distinct cell matscale-loadtest submits at its defaults
 // (4032: 504 specs of 8 cells), so the default load test never evicts,
 // and far more than a hot set such as perfbench's serve pool (48
-// cells). DefaultRetainJobs keeps the last 1024 finished jobs
-// queryable: a client fetches its result as soon as its job finishes,
-// so the cap only has to outlast the jobs that finish meanwhile.
+// cells). DefaultRetainJobs must keep every finished job whose client
+// has not fetched its result yet. matscale-loadtest's default run has
+// 1000 clients with one job each, and in the worst case every job
+// finishes before the first fetch; 1024 is the next power of two.
+// perfbench's serve workload, two closed-loop clients, needs two.
 const (
 	DefaultQueueDepth    = 64
 	DefaultMaxConcurrent = 2

