@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism perf lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
+.PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism examples perf lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
 
 all: build test
 
@@ -114,6 +114,12 @@ cover:
 	$(GO) test -coverprofile=coverage.out -covermode=atomic ./internal/...
 	$(GO) tool cover -func=coverage.out | awk '/^total:/ {sub(/%/, "", $$3); print "total: " $$3 "%"; if ($$3 + 0 < 75) { print "coverage fell below the 75% floor"; exit 1 }}'
 
+# Run every program under examples/; the first non-zero exit fails the
+# target. CI builds the examples with go build ./..., which cannot catch
+# an example that fails at run time.
+examples:
+	@set -e; for d in examples/*/; do echo "go run ./$$d"; $(GO) run ./$$d > /dev/null; done
+
 # End-to-end self-check: every algorithm vs its paper equation.
 verify:
 	$(GO) run ./cmd/matscale verify
@@ -142,6 +148,6 @@ loadtest-json:
 	$(GO) run ./scripts/bench2json -in loadtest_bench.txt -merge BENCH_pr.json -out BENCH_pr.json
 
 clean:
-	rm -f REPRODUCTION.txt test_output.txt bench_output.txt bench_pr.txt bench_main.txt bench_delta.txt coverage.out sweep_serial.csv sweep_parallel.csv
+	rm -f bench_pr.txt bench_main.txt bench_delta.txt coverage.out sweep_serial.csv sweep_parallel.csv
 	rm -f loadtest_bench.txt events_cold.txt events_warm.txt result_cold.json result_warm.json
 	rm -rf bin

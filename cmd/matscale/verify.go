@@ -149,7 +149,7 @@ func cmdSaturation(args []string) error {
 			ps = append(ps, p)
 		}
 	}
-	pts, err := experiments.SpeedupSaturation(pr, core.Cannon, *n, ps, 0)
+	pts, err := experiments.SpeedupSaturation(pr, *n, ps, 0)
 	if err != nil {
 		return err
 	}

@@ -9,7 +9,6 @@ import (
 	"fmt"
 	"log"
 
-	"matscale/internal/core"
 	"matscale/internal/experiments"
 	"matscale/internal/model"
 )
@@ -19,7 +18,7 @@ func main() {
 
 	// Part 1 — fixed problem size, growing machine: watch the speedup
 	// saturate. Cannon's algorithm on the nCUBE-2-like machine.
-	pts, err := experiments.SpeedupSaturation(pr, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024, 4096}, 0)
+	pts, err := experiments.SpeedupSaturation(pr, 64, []int{1, 4, 16, 64, 256, 1024, 4096}, 0)
 	if err != nil {
 		log.Fatal(err)
 	}

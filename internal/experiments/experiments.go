@@ -4,7 +4,7 @@
 //	Table 1    — Table1 (overheads, isoefficiency, applicability)
 //	Figures 1–3 — RegionFigure (best-algorithm maps for three machines)
 //	Figures 4–5 — EfficiencyFigure (simulated CM-5 efficiency curves)
-//	Section 6  — Crossovers (pairwise equal-overhead analysis)
+//	Section 6  — CrossoverReport (pairwise equal-overhead analysis)
 //	Section 7  — AllPortReport (all-port communication scalability)
 //	Section 8  — TechnologyReport (more vs. faster processors)
 //
@@ -21,7 +21,6 @@ import (
 
 	"matscale/internal/iso"
 	"matscale/internal/machine"
-	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/plot"
 	"matscale/internal/regions"
@@ -125,11 +124,11 @@ type FigureEfficiency struct {
 
 // EfficiencyFigure reproduces Figure 4 (fig=4: both algorithms on 64
 // processors) or Figure 5 (fig=5: Cannon on 484, GK on 512 — the paper
-// uses the nearest perfect square to 512 for Cannon). Matrices contain
-// deterministic pseudo-random values; the products are computed for
-// real on the virtual-time CM-5. The sweep cells run on workers host
-// goroutines (≤ 0: all CPUs); the figure is identical for every worker
-// count.
+// uses the nearest perfect square to 512 for Cannon). Each curve is one
+// sweep on the "cm5" preset: matrices contain the sweep's deterministic
+// pseudo-random values, and the products are computed for real on the
+// virtual-time CM-5. The sweep cells run on workers host goroutines
+// (≤ 0: all CPUs); the figure is identical for every worker count.
 func EfficiencyFigure(fig, workers int) (*FigureEfficiency, error) {
 	var pCannon, pGK, stepCannon, stepGK, nMax int
 	switch fig {
@@ -162,33 +161,40 @@ func EfficiencyFigure(fig, workers int) (*FigureEfficiency, error) {
 }
 
 // runCurve simulates the formulation under key on the CM-5 preset over
-// a sweep of matrix sizes. The cells fan out over the engine's worker
-// pool; each point lands in its own slot, so the curve is identical for
-// every worker count.
+// a sweep of matrix sizes: one sweep whose cells fan out over workers
+// host goroutines and come back in n order, so the curve is identical
+// for every worker count.
 func runCurve(key string, p, step, nMax, workers int) (EfficiencyCurve, error) {
+	s := sweep.Spec{Algorithms: []string{key}, Machines: []string{"cm5"}, Ps: []int{p}}
+	for n := step; n <= nMax; n += step {
+		s.Ns = append(s.Ns, n)
+	}
+	cells, err := runCells(s, workers)
+	if err != nil {
+		return EfficiencyCurve{}, err
+	}
 	f, _ := sweep.Lookup(key)
 	c := EfficiencyCurve{Algorithm: f.Name, P: p}
-	var ns []int
-	for n := step; n <= nMax; n += step {
-		ns = append(ns, n)
+	for _, r := range cells {
+		c.Points = append(c.Points, EfficiencyPoint{N: r.N, E: r.Efficiency, Tp: r.Tp})
 	}
-	pts := make([]EfficiencyPoint, len(ns))
-	err := sweep.ForEach(workers, len(ns), func(i int) error {
-		n := ns[i]
-		a := matrix.Random(n, n, uint64(n))
-		b := matrix.Random(n, n, uint64(n)+1)
-		res, err := f.Run(machine.CM5(p), a, b)
-		if err != nil {
-			return fmt.Errorf("%s n=%d p=%d: %w", f.Name, n, p, err)
-		}
-		pts[i] = EfficiencyPoint{N: n, E: res.Efficiency(), Tp: res.Sim.Tp}
-		return nil
-	})
-	if err != nil {
-		return c, err
-	}
-	c.Points = pts
 	return c, nil
+}
+
+// runCells runs s with workers host goroutines (≤ 0: all CPUs) and
+// returns its cells in sweep order, or an error naming the first cell
+// its machine or formulation rejected.
+func runCells(s sweep.Spec, workers int) ([]sweep.CellResult, error) {
+	res, err := sweep.Run(&s, sweep.Options{Workers: workers})
+	if err != nil {
+		return nil, err
+	}
+	for _, r := range res.Cells {
+		if r.Err != "" {
+			return nil, fmt.Errorf("%s n=%d p=%d: %s", r.Algorithm, r.N, r.P, r.Err)
+		}
+	}
+	return res.Cells, nil
 }
 
 // curveCrossover finds the matrix size where the GK curve stops being
@@ -246,18 +252,7 @@ func (f *FigureEfficiency) Render() string {
 	fmt.Fprintf(&sb, "Figure %d — efficiency vs matrix size on the CM-5 model\n", f.Figure)
 	fmt.Fprintf(&sb, "Cannon on p=%d, GK on p=%d\n", f.Cannon.P, f.GK.P)
 	fmt.Fprintf(&sb, "%6s %12s %12s\n", "n", "E(Cannon)", "E(GK)")
-	grid := map[int][2]float64{}
-	for _, pt := range f.Cannon.Points {
-		v := grid[pt.N]
-		v[0] = pt.E
-		grid[pt.N] = v
-	}
-	for _, pt := range f.GK.Points {
-		v := grid[pt.N]
-		v[1] = pt.E
-		grid[pt.N] = v
-	}
-	ns := sortedGridKeys(grid)
+	ns, grid := f.grid()
 	for _, n := range ns {
 		v := grid[n]
 		sb.WriteString(fmt.Sprintf("%6d %12s %12s\n", n, fmtE(v[0]), fmtE(v[1])))
@@ -272,18 +267,7 @@ func (f *FigureEfficiency) Render() string {
 func (f *FigureEfficiency) CSV() string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "n,cannon_p%d_efficiency,gk_p%d_efficiency\n", f.Cannon.P, f.GK.P)
-	grid := map[int][2]float64{}
-	for _, pt := range f.Cannon.Points {
-		v := grid[pt.N]
-		v[0] = pt.E
-		grid[pt.N] = v
-	}
-	for _, pt := range f.GK.Points {
-		v := grid[pt.N]
-		v[1] = pt.E
-		grid[pt.N] = v
-	}
-	ns := sortedGridKeys(grid)
+	ns, grid := f.grid()
 	for _, n := range ns {
 		v := grid[n]
 		sb.WriteString(fmt.Sprintf("%d,%s,%s\n", n, csvE(v[0]), csvE(v[1])))
@@ -305,15 +289,28 @@ func fmtE(e float64) string {
 	return fmt.Sprintf("%.3f", e)
 }
 
-// sortedGridKeys returns the keys of an efficiency grid in increasing
-// order, so figure rendering and CSV emission are deterministic.
-func sortedGridKeys(grid map[int][2]float64) []int {
+// grid pairs the two curves by matrix size: (E_Cannon, E_GK) per
+// sampled n, 0 where a curve has no sample, with the sizes in
+// increasing order so figure rendering and CSV emission are
+// deterministic.
+func (f *FigureEfficiency) grid() ([]int, map[int][2]float64) {
+	grid := map[int][2]float64{}
+	for _, pt := range f.Cannon.Points {
+		v := grid[pt.N]
+		v[0] = pt.E
+		grid[pt.N] = v
+	}
+	for _, pt := range f.GK.Points {
+		v := grid[pt.N]
+		v[1] = pt.E
+		grid[pt.N] = v
+	}
 	ns := make([]int, 0, len(grid))
 	for n := range grid { //nodetbreak:ordered — sorted immediately below
 		ns = append(ns, n)
 	}
 	sort.Ints(ns)
-	return ns
+	return ns, grid
 }
 
 // Plot renders the figure as an ASCII chart, the way the paper plots

@@ -5,7 +5,6 @@ import (
 	"io"
 	"strings"
 
-	"matscale/internal/core"
 	"matscale/internal/model"
 	"matscale/internal/sweep"
 )
@@ -18,10 +17,9 @@ import (
 // The report sections run concurrently on workers host goroutines
 // (≤ 0: all CPUs), each rendering into its own buffer, and the buffers
 // are emitted in the paper's order — so the bytes written to w do not
-// depend on the worker count, only the wall-clock time does. The heavy
-// sections (the CM-5 efficiency sweeps, the prediction grid, the
-// isoefficiency validation) additionally parallelize their inner cell
-// loops on the same pool size.
+// depend on the worker count, only the wall-clock time does. The
+// simulated sections run their cells through sweep.Run with the same
+// worker count.
 func RunAll(w io.Writer, quick bool, workers int) error {
 	type section struct {
 		title string
@@ -94,7 +92,7 @@ func RunAll(w io.Writer, quick bool, workers int) error {
 			}},
 		section{"Section 3 — fixed-size speedup saturation",
 			func() (string, error) {
-				sat, err := SpeedupSaturation(model.Params{Ts: 150, Tw: 3}, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024}, workers)
+				sat, err := SpeedupSaturation(model.Params{Ts: 150, Tw: 3}, 64, []int{1, 4, 16, 64, 256, 1024}, workers)
 				if err != nil {
 					return "", err
 				}

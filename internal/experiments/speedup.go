@@ -4,9 +4,6 @@ import (
 	"fmt"
 	"strings"
 
-	"matscale/internal/core"
-	"matscale/internal/machine"
-	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/sweep"
 )
@@ -19,26 +16,30 @@ type SpeedupPoint struct {
 	Efficiency float64
 }
 
-// SpeedupSaturation runs one algorithm at a fixed matrix size over a
-// growing processor range — the Section 3 premise that speedup
-// saturates and then falls for a fixed W. The algorithm must accept
-// every (n, p) pair supplied. Points run on workers host goroutines
-// (≤ 0: all CPUs); the points are identical for every worker count.
-func SpeedupSaturation(pr model.Params, alg core.Algorithm, n int, ps []int, workers int) ([]SpeedupPoint, error) {
-	a := matrix.Random(n, n, uint64(n))
-	b := matrix.Random(n, n, uint64(n)+1)
-	out := make([]SpeedupPoint, len(ps))
-	err := sweep.ForEach(workers, len(ps), func(i int) error {
-		p := ps[i]
-		res, err := alg(machine.Hypercube(p, pr.Ts, pr.Tw), a, b)
-		if err != nil {
-			return fmt.Errorf("p=%d: %w", p, err)
-		}
-		out[i] = SpeedupPoint{P: p, Tp: res.Sim.Tp, Speedup: res.Speedup(), Efficiency: res.Efficiency()}
-		return nil
-	})
+// SpeedupSaturation runs Cannon's algorithm at a fixed matrix size
+// over a growing processor range on a hypercube with pr's constants —
+// the Section 3 premise that speedup saturates and then falls for a
+// fixed W. Every p must be a power of four whose square root divides
+// n; the first that is not fails the run with an error naming it. The
+// points are the cells of one sweep, run on workers host goroutines
+// (≤ 0: all CPUs), and come back in the order of ps; they are identical
+// for every worker count.
+func SpeedupSaturation(pr model.Params, n int, ps []int, workers int) ([]SpeedupPoint, error) {
+	cells, err := runCells(sweep.Spec{
+		Algorithms: []string{"cannon"}, Machines: []string{"custom"},
+		Ts: pr.Ts, Tw: pr.Tw, Ps: ps, Ns: []int{n},
+	}, workers)
 	if err != nil {
 		return nil, err
+	}
+	byP := make(map[int]sweep.CellResult, len(cells))
+	for _, r := range cells {
+		byP[r.P] = r
+	}
+	out := make([]SpeedupPoint, len(ps))
+	for i, p := range ps {
+		r := byP[p]
+		out[i] = SpeedupPoint{P: p, Tp: r.Tp, Speedup: r.Speedup, Efficiency: r.Efficiency}
 	}
 	return out, nil
 }
@@ -71,32 +72,26 @@ type TsSweepPoint struct {
 // a range of message startup times — the continuous version of the
 // paper's three-machines comparison (Figures 1–3): the GK algorithm's
 // smaller startup coefficient wins on high-latency machines, Cannon's
-// smaller bandwidth coefficient wins as ts shrinks. Points run on
-// workers host goroutines (≤ 0: all CPUs); the points are identical
-// for every worker count.
+// smaller bandwidth coefficient wins as ts shrinks. Each startup time
+// is one two-cell sweep on a hypercube with that ts, run on workers
+// host goroutines (≤ 0: all CPUs); the points are identical for every
+// worker count.
 func TsSweep(tw float64, n, p int, tsValues []float64, workers int) ([]TsSweepPoint, error) {
-	a := matrix.Random(n, n, uint64(n))
-	b := matrix.Random(n, n, uint64(n)+1)
 	out := make([]TsSweepPoint, len(tsValues))
-	err := sweep.ForEach(workers, len(tsValues), func(i int) error {
-		ts := tsValues[i]
-		cres, err := core.Cannon(machine.Hypercube(p, ts, tw), a, b)
+	for i, ts := range tsValues {
+		cells, err := runCells(sweep.Spec{
+			Algorithms: []string{"cannon", "gk"}, Machines: []string{"custom"},
+			Ts: ts, Tw: tw, Ps: []int{p}, Ns: []int{n},
+		}, workers)
 		if err != nil {
-			return fmt.Errorf("cannon ts=%v: %w", ts, err)
+			return nil, fmt.Errorf("ts=%v: %w", ts, err)
 		}
-		gres, err := core.GK(machine.Hypercube(p, ts, tw), a, b)
-		if err != nil {
-			return fmt.Errorf("gk ts=%v: %w", ts, err)
-		}
-		pt := TsSweepPoint{Ts: ts, TpCannon: cres.Sim.Tp, TpGK: gres.Sim.Tp, Winner: "Cannon"}
-		if gres.Sim.Tp < cres.Sim.Tp {
+		// Cells come back in key order: cannon, then gk.
+		pt := TsSweepPoint{Ts: ts, TpCannon: cells[0].Tp, TpGK: cells[1].Tp, Winner: "Cannon"}
+		if pt.TpGK < pt.TpCannon {
 			pt.Winner = "GK"
 		}
 		out[i] = pt
-		return nil
-	})
-	if err != nil {
-		return nil, err
 	}
 	return out, nil
 }

@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"matscale/internal/core"
 	"matscale/internal/model"
 )
 
@@ -73,11 +72,11 @@ func TestRenderTsSweep(t *testing.T) {
 func TestSpeedupSaturationIdenticalAcrossWorkerCounts(t *testing.T) {
 	pr := model.Params{Ts: 150, Tw: 3}
 	ps := []int{1, 4, 16, 64, 256}
-	serial, err := SpeedupSaturation(pr, core.Cannon, 16, ps, 1)
+	serial, err := SpeedupSaturation(pr, 16, ps, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	parallel, err := SpeedupSaturation(pr, core.Cannon, 16, ps, 4)
+	parallel, err := SpeedupSaturation(pr, 16, ps, 4)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -91,9 +90,16 @@ func TestSpeedupSaturationIdenticalAcrossWorkerCounts(t *testing.T) {
 
 func TestSpeedupSaturationErrorNamesTheCell(t *testing.T) {
 	pr := model.Params{Ts: 150, Tw: 3}
-	// p=8 is not a perfect square: Cannon rejects it.
-	_, err := SpeedupSaturation(pr, core.Cannon, 16, []int{1, 4, 8}, 0)
-	if err == nil || !strings.Contains(err.Error(), "p=8") {
-		t.Fatalf("err = %v, want the p=8 cell named", err)
+	for _, tc := range []struct {
+		ps   []int
+		want string
+	}{
+		{[]int{1, 4, 8}, "p=8"},   // not a perfect square: Cannon rejects it
+		{[]int{1, 4, 36}, "p=36"}, // not a power of two: the hypercube rejects it
+	} {
+		_, err := SpeedupSaturation(pr, 16, tc.ps, 0)
+		if err == nil || !strings.Contains(err.Error(), tc.want) || strings.Contains(err.Error(), "panicked") {
+			t.Errorf("ps=%v: err = %v, want the %s cell named without a panic", tc.ps, err, tc.want)
+		}
 	}
 }

@@ -6,8 +6,6 @@ import (
 	"strings"
 
 	"matscale/internal/iso"
-	"matscale/internal/machine"
-	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/regions"
 	"matscale/internal/sweep"
@@ -32,8 +30,9 @@ type IsoPoint struct {
 // processor count, rounds the prescribed n to the nearest runnable
 // size, runs the real algorithm on the simulator, and reports the
 // measured efficiencies — which stay at the target up to rounding.
-// The per-p cells run on workers host goroutines (≤ 0: all CPUs); the
-// points are identical for every worker count.
+// Each p is a one-cell sweep on a hypercube with pr's constants, run
+// with workers host goroutines (≤ 0: all CPUs); the points are
+// identical for every worker count.
 func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int, workers int) ([]IsoPoint, error) {
 	var side func(p int) int // structural divisor of n
 	// The overhead To(n, p): for both algorithms the Table 1 form equals
@@ -47,32 +46,27 @@ func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, 
 	default:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q", algorithm)
 	}
-	f, _ := sweep.Lookup(algorithm)
 
 	out := make([]IsoPoint, len(ps))
-	err := sweep.ForEach(workers, len(ps), func(i int) error {
-		p := ps[i]
+	for i, p := range ps {
 		cont := func(n, q float64) float64 { return to(pr, n, q) }
 		nReal, ok := iso.SolveN(cont, float64(p), target)
 		if !ok {
-			return fmt.Errorf("experiments: no isoefficiency fixed point at p=%d", p)
+			return nil, fmt.Errorf("experiments: no isoefficiency fixed point at p=%d", p)
 		}
 		s := side(p)
 		n := int(math.Round(nReal/float64(s))) * s
 		if n < s {
 			n = s
 		}
-		a := matrix.Random(n, n, uint64(p))
-		b := matrix.Random(n, n, uint64(p)+1)
-		res, err := f.Run(machine.Hypercube(p, pr.Ts, pr.Tw), a, b)
+		cells, err := runCells(sweep.Spec{
+			Algorithms: []string{algorithm}, Machines: []string{"custom"},
+			Ts: pr.Ts, Tw: pr.Tw, Ps: []int{p}, Ns: []int{n},
+		}, workers)
 		if err != nil {
-			return err
+			return nil, err
 		}
-		out[i] = IsoPoint{P: p, N: n, ETarget: target, EMeasured: res.Efficiency()}
-		return nil
-	})
-	if err != nil {
-		return nil, err
+		out[i] = IsoPoint{P: p, N: n, ETarget: target, EMeasured: cells[0].Efficiency}
 	}
 	return out, nil
 }
@@ -107,71 +101,70 @@ func (o PredictionOutcome) Regret() float64 { return o.PredictedTp / o.BestTp }
 // every applicable algorithm on the simulator and compares the actual
 // winner with the Table 1 overhead prediction. The returned outcomes
 // let callers check both the hit rate and the regret of misses. The
-// grid cells run on workers host goroutines (≤ 0: all CPUs); the
-// outcomes are identical for every worker count — cells land in grid
-// order and skipped cells are filtered in that same order.
+// races are one sweep of the Table 1 formulations over ps × ns on a
+// hypercube with pr's constants, a cell the formulation rejects
+// counting as inapplicable. Its cells run on workers host goroutines
+// (≤ 0: all CPUs); the outcomes, in (p, n) grid order, are identical
+// for every worker count.
 func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]PredictionOutcome, error) {
 	specs := model.Specs()
-	type gridCell struct{ n, p int }
-	var cells []gridCell
-	for _, p := range ps {
-		for _, n := range ns {
-			cells = append(cells, gridCell{n: n, p: p})
-		}
+	keys := make([]string, len(specs))
+	for i, s := range specs {
+		f, _ := sweep.ByName(s.Name)
+		keys[i] = f.Key
 	}
-
-	slots := make([]*PredictionOutcome, len(cells))
-	err := sweep.ForEach(workers, len(cells), func(i int) error {
-		n, p := cells[i].n, cells[i].p
-		mach := machine.Hypercube(p, pr.Ts, pr.Tw)
-		a := matrix.Random(n, n, uint64(n*p))
-		b := matrix.Random(n, n, uint64(n*p)+1)
-		tps := map[string]float64{}
-		for _, s := range specs {
-			f, _ := sweep.ByName(s.Name)
-			res, err := f.Run(mach, a, b)
-			if err != nil {
-				continue // structurally inapplicable here
-			}
-			tps[s.Name] = res.Sim.Tp
-		}
-		if len(tps) < 2 {
-			return nil // nothing to predict between
-		}
-		// Scan in the fixed order of Table 1, not over the tps map:
-		// when two algorithms tie on Tp the winner must not depend on
-		// map iteration order (caught by nodetbreak).
-		best, bestTp := "", math.Inf(1)
-		pred := "" // no prediction on serial or infeasible cells
-		predLetter := regions.Best(pr, float64(n), float64(p))
-		for _, s := range specs {
-			if tp, ran := tps[s.Name]; ran && tp < bestTp {
-				best, bestTp = s.Name, tp
-			}
-			if s.Letter == predLetter {
-				pred = s.Name
-			}
-		}
-		predTp, ran := tps[pred]
-		if !ran {
-			// No prediction, or the predicted algorithm can't run this
-			// exact configuration (divisibility); skip the cell,
-			// matching how a real chooser would fall back.
-			return nil
-		}
-		slots[i] = &PredictionOutcome{
-			N: n, P: p, Predicted: pred, Actual: best,
-			PredictedTp: predTp, BestTp: bestTp,
-		}
-		return nil
-	})
+	res, err := sweep.Run(&sweep.Spec{
+		Algorithms: keys, Machines: []string{"custom"},
+		Ts: pr.Ts, Tw: pr.Tw, Ps: ps, Ns: ns,
+	}, sweep.Options{Workers: workers})
 	if err != nil {
 		return nil, err
 	}
+	type at struct {
+		alg  string
+		n, p int
+	}
+	tps := map[at]float64{}
+	for _, r := range res.Cells {
+		if r.Err == "" { // else structurally inapplicable here
+			tps[at{r.Algorithm, r.N, r.P}] = r.Tp
+		}
+	}
+
 	var out []PredictionOutcome
-	for _, o := range slots {
-		if o != nil {
-			out = append(out, *o)
+	for _, p := range ps {
+		for _, n := range ns {
+			// Scan in the fixed order of Table 1, not over a map: when
+			// two algorithms tie on Tp the winner must not depend on
+			// map iteration order (caught by nodetbreak).
+			ran := 0
+			best, bestTp := "", math.Inf(1)
+			pred := "" // no prediction on serial or infeasible cells
+			predTp, predRan := 0.0, false
+			predLetter := regions.Best(pr, float64(n), float64(p))
+			for i, s := range specs {
+				tp, ok := tps[at{keys[i], n, p}]
+				if ok {
+					ran++
+					if tp < bestTp {
+						best, bestTp = s.Name, tp
+					}
+				}
+				if s.Letter == predLetter {
+					pred, predTp, predRan = s.Name, tp, ok
+				}
+			}
+			// Skip cells with nothing to predict between, and cells where
+			// there is no prediction or the predicted algorithm can't run
+			// this exact configuration (divisibility), matching how a real
+			// chooser would fall back.
+			if ran < 2 || !predRan {
+				continue
+			}
+			out = append(out, PredictionOutcome{
+				N: n, P: p, Predicted: pred, Actual: best,
+				PredictedTp: predTp, BestTp: bestTp,
+			})
 		}
 	}
 	return out, nil

@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"matscale/internal/core"
 	"matscale/internal/model"
 )
 
@@ -95,7 +94,7 @@ func TestPredictionAccuracyCrossValidation(t *testing.T) {
 
 func TestSpeedupSaturation(t *testing.T) {
 	pr := model.Params{Ts: 150, Tw: 3}
-	pts, err := SpeedupSaturation(pr, core.Cannon, 64, []int{1, 4, 16, 64, 256, 1024, 4096}, 0)
+	pts, err := SpeedupSaturation(pr, 64, []int{1, 4, 16, 64, 256, 1024, 4096}, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +117,7 @@ func TestSpeedupSaturation(t *testing.T) {
 
 func TestSpeedupSaturationPropagatesErrors(t *testing.T) {
 	pr := model.Params{Ts: 1, Tw: 1}
-	if _, err := SpeedupSaturation(pr, core.Cannon, 9, []int{4}, 0); err == nil {
+	if _, err := SpeedupSaturation(pr, 9, []int{4}, 0); err == nil {
 		t.Fatal("indivisible config accepted")
 	}
 }
