@@ -1,5 +1,10 @@
 GO ?= go
 
+# Every recipe runs under bash with pipefail, so a `cmd | tee file`
+# recipe fails when cmd fails, not only when tee does.
+SHELL := bash
+.SHELLFLAGS := -eo pipefail -c
+
 .PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism examples perf lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
 
 all: build test
@@ -124,9 +129,12 @@ examples:
 verify:
 	$(GO) run ./cmd/matscale verify
 
-# Regenerate the complete reproduction (all tables and figures).
+# Regenerate the complete reproduction (all tables and figures). The
+# run writes a temporary file that replaces REPRODUCTION.txt only when
+# it succeeds, so a failed run leaves the committed file untouched.
 repro:
-	$(GO) run ./cmd/matscale all | tee REPRODUCTION.txt
+	$(GO) run ./cmd/matscale all | tee REPRODUCTION.txt.tmp || { rm -f REPRODUCTION.txt.tmp; exit 1; }
+	mv REPRODUCTION.txt.tmp REPRODUCTION.txt
 
 # Build and run the HTTP sweep server (docs/SERVER.md).
 server:
@@ -149,5 +157,5 @@ loadtest-json:
 
 clean:
 	rm -f bench_pr.txt bench_main.txt bench_delta.txt coverage.out sweep_serial.csv sweep_parallel.csv
-	rm -f loadtest_bench.txt events_cold.txt events_warm.txt result_cold.json result_warm.json
+	rm -f REPRODUCTION.txt.tmp loadtest_bench.txt events_cold.txt events_warm.txt result_cold.json result_warm.json
 	rm -rf bin

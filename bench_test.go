@@ -321,7 +321,7 @@ func BenchmarkIsoefficiencyValidationCannon(b *testing.B) {
 	var pts []experiments.IsoPoint
 	for i := 0; i < b.N; i++ {
 		var err error
-		pts, err = experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256}, 0)
+		pts, err = experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -30,7 +30,7 @@ func cmdIsoVal(args []string) error {
 	default:
 		return fmt.Errorf("unknown algorithm %q", *algorithm)
 	}
-	pts, err := experiments.IsoefficiencyValidation(pr, *e, *algorithm, ps, 0)
+	pts, err := experiments.IsoefficiencyValidation(pr, *e, *algorithm, ps)
 	if err != nil {
 		return err
 	}
@@ -129,7 +129,7 @@ func cmdTsSweep(args []string) error {
 	n := fs.Int("n", 64, "matrix dimension")
 	p := fs.Int("p", 64, "processors (power of eight for GK)")
 	fs.Parse(args)
-	pts, err := experiments.TsSweep(*tw, *n, *p, []float64{0, 0.5, 1, 3, 10, 30, 100, 300, 1000}, 0)
+	pts, err := experiments.TsSweep(*tw, *n, *p, []float64{0, 0.5, 1, 3, 10, 30, 100, 300, 1000})
 	if err != nil {
 		return err
 	}

@@ -27,7 +27,7 @@ func main() {
 
 	// Part 2 — grow the problem along the isoefficiency function: the
 	// efficiency holds wherever the fixed-size run collapsed.
-	iso, err := experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256, 1024}, 0)
+	iso, err := experiments.IsoefficiencyValidation(pr, 0.5, "cannon", []int{4, 16, 64, 256, 1024})
 	if err != nil {
 		log.Fatal(err)
 	}

@@ -11,11 +11,14 @@
 // power-of-two size; on a hypercube a group enumerated in subcube index
 // order communicates only between physical neighbors.
 //
-// Each operation has a companion *Time function giving its virtual-time
-// cost on the critical path. The collective tests verify that the
-// measured simulator time equals the companion formula exactly — that
-// correspondence is what makes the algorithm-level equation tests
-// (Eqs. 2–7 of the paper) meaningful.
+// Broadcast and Reduce take their rounds from topology.BinomialTree,
+// the one binomial-tree schedule the simulator's wave tier and GK's
+// host-side sum read too. Each operation has a companion *Time function
+// giving its virtual-time cost on the critical path as a closed form
+// written independently of that schedule. The collective tests verify
+// that the measured simulator time equals the companion formula
+// exactly — that correspondence is what makes the algorithm-level
+// equation tests (Eqs. 2–7 of the paper) meaningful.
 //
 // Concurrent collectives on overlapping groups must use distinct tags;
 // messages are matched by (source, tag).
@@ -47,12 +50,50 @@ func indexIn(group []int, rank int) int {
 	panic(fmt.Sprintf("collective: rank %d is not a member of group %v", rank, group))
 }
 
-// log2Size validates that the group has power-of-two size and returns
-// log2(len(group)).
-func log2Size(group []int) int {
-	d, ok := topology.Log2(len(group))
+// rootedIndex returns pr's position in group, panicking if pr is
+// absent or rootIdx is not a position in group.
+func rootedIndex(pr *simulator.Proc, group []int, rootIdx int) int {
+	idx := indexIn(group, pr.Rank())
+	if rootIdx < 0 || rootIdx >= len(group) {
+		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, len(group)))
+	}
+	return idx
+}
+
+// sendAll sends data from the member at idx to every other member in
+// group order, charging the first send cost and moving the rest free.
+func sendAll(pr *simulator.Proc, group []int, idx, tag int, data []float64, cost float64) {
+	for i, r := range group {
+		if i != idx {
+			pr.ChargedSend(r, tag, data, cost)
+			cost = 0
+		}
+	}
+}
+
+// recvAll receives every other member's contribution, each as long as
+// mine, and returns the contributions concatenated in group order,
+// mine at idx.
+func recvAll(pr *simulator.Proc, group []int, idx, tag int, mine []float64) []float64 {
+	m := len(mine)
+	buf := make([]float64, m*len(group))
+	copy(buf[idx*m:(idx+1)*m], mine)
+	for i, r := range group {
+		if i != idx {
+			got := pr.Recv(r, tag)
+			copy(buf[i*m:(i+1)*m], got)
+			pr.Recycle(got)
+		}
+	}
+	return buf
+}
+
+// log2Size validates that a group of g members has power-of-two size
+// and returns log2(g).
+func log2Size(g int) int {
+	d, ok := topology.Log2(g)
 	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", len(group)))
+		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
 	}
 	return d
 }
@@ -61,20 +102,17 @@ func log2Size(group []int) int {
 // member using a binomial tree and returns the data on every member.
 // Critical-path cost: log2(g) · (ts + tw·m) on neighbor-ordered groups.
 func Broadcast(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
-	d := log2Size(group)
-	idx := indexIn(group, pr.Rank())
-	if rootIdx < 0 || rootIdx >= len(group) {
-		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, len(group)))
-	}
-	rel := idx ^ rootIdx
+	log2Size(len(group))
+	idx := rootedIndex(pr, group, rootIdx)
+	tree := topology.BroadcastTree(len(group), rootIdx)
 	buf := data
-	for s := d - 1; s >= 0; s-- {
-		mask := (1 << (s + 1)) - 1
-		switch rel & mask {
-		case 0:
-			pr.SendNeighbor(group[(rel|1<<s)^rootIdx], tag, buf)
-		case 1 << s:
-			buf = pr.Recv(group[(rel^1<<s)^rootIdx], tag)
+	for k := 0; k < tree.Rounds(); k++ {
+		peer, sends, ok := tree.Link(idx, k)
+		switch {
+		case ok && sends:
+			pr.SendNeighbor(group[peer], tag, buf)
+		case ok:
+			buf = pr.Recv(group[peer], tag)
 		}
 	}
 	return buf
@@ -82,10 +120,7 @@ func Broadcast(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64
 
 // BroadcastTime is the critical-path cost of Broadcast.
 func BroadcastTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
+	d := log2Size(g)
 	return float64(d) * (ts + tw*float64(m))
 }
 
@@ -98,10 +133,7 @@ func BroadcastTime(ts, tw float64, m, g int) float64 {
 // following the paper's convention that the square root is "considered
 // equal to 1" when the message is too small to fill the channels.
 func JohnssonHoTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
+	d := log2Size(g)
 	if d == 0 {
 		return 0
 	}
@@ -125,26 +157,8 @@ func JohnssonHoTime(ts, tw float64, m, g int) float64 {
 // step, which changes no measured time relative to the packetized
 // schedule (see DESIGN.md).
 func BroadcastCharged(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64, cost float64) []float64 {
-	idx := indexIn(group, pr.Rank())
-	if rootIdx < 0 || rootIdx >= len(group) {
-		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, len(group)))
-	}
-	if len(group) == 1 {
-		return data
-	}
-	if idx == rootIdx {
-		charged := false
-		for i, r := range group {
-			if i == rootIdx {
-				continue
-			}
-			if !charged {
-				pr.ChargedSend(r, tag, data, cost)
-				charged = true
-			} else {
-				pr.SendFree(r, tag, data)
-			}
-		}
+	if idx := rootedIndex(pr, group, rootIdx); idx == rootIdx {
+		sendAll(pr, group, idx, tag, data, cost)
 		return data
 	}
 	return pr.Recv(group[rootIdx], tag)
@@ -157,16 +171,7 @@ func BroadcastCharged(pr *simulator.Proc, group []int, rootIdx, tag int, data []
 // schemes; the elementwise additions are pre-paid under the unit-cost
 // convention (see Reduce). Returns the sum at the root, nil elsewhere.
 func ReduceCharged(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64, cost float64) []float64 {
-	idx := indexIn(group, pr.Rank())
-	if rootIdx < 0 || rootIdx >= len(group) {
-		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, len(group)))
-	}
-	if len(group) == 1 {
-		out := make([]float64, len(data))
-		copy(out, data)
-		return out
-	}
-	if idx != rootIdx {
+	if idx := rootedIndex(pr, group, rootIdx); idx != rootIdx {
 		pr.ChargedSend(group[rootIdx], tag, data, cost)
 		return nil
 	}
@@ -193,7 +198,7 @@ func ReduceCharged(pr *simulator.Proc, group []int, rootIdx, tag int, data []flo
 // length m) and receives the concatenation ordered by group index.
 // Critical-path cost: ts·log g + tw·m·(g−1).
 func AllGather(pr *simulator.Proc, group []int, tag int, mine []float64) []float64 {
-	d := log2Size(group)
+	d := log2Size(len(group))
 	idx := indexIn(group, pr.Rank())
 	g := len(group)
 	m := len(mine)
@@ -227,10 +232,7 @@ func exchangeLiveSegment(pr *simulator.Proc, partner, tag int, segment []float64
 // AllGatherTime is the critical-path cost of AllGather for per-member
 // message size m and group size g.
 func AllGatherTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
+	d := log2Size(g)
 	return ts*float64(d) + tw*float64(m)*float64(g-1)
 }
 
@@ -238,10 +240,7 @@ func AllGatherTime(ts, tw float64, m, g int) float64 {
 // hypercube with simultaneous communication on all ports (Section 7.1):
 // ts·log g + tw·m·g/log g.
 func AllPortAllGatherTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
+	d := log2Size(g)
 	if d == 0 {
 		return 0
 	}
@@ -252,39 +251,10 @@ func AllPortAllGatherTime(ts, tw float64, m, g int) float64 {
 // all-port closed form of Section 7.1. All members must call it; the
 // result is the concatenation ordered by group index.
 func AllGatherAllPort(pr *simulator.Proc, group []int, tag int, mine []float64) []float64 {
-	log2Size(group)
+	log2Size(len(group))
 	idx := indexIn(group, pr.Rank())
-	g := len(group)
-	m := len(mine)
-	if g == 1 {
-		out := make([]float64, m)
-		copy(out, mine)
-		return out
-	}
-	cost := AllPortAllGatherTime(pr.Machine().Ts, pr.Machine().Tw, m, g)
-	charged := false
-	for i, r := range group {
-		if i == idx {
-			continue
-		}
-		if !charged {
-			pr.ChargedSend(r, tag, mine, cost)
-			charged = true
-		} else {
-			pr.SendFree(r, tag, mine)
-		}
-	}
-	buf := make([]float64, m*g)
-	copy(buf[idx*m:(idx+1)*m], mine)
-	for i, r := range group {
-		if i == idx {
-			continue
-		}
-		got := pr.Recv(r, tag)
-		copy(buf[i*m:(i+1)*m], got)
-		pr.Recycle(got)
-	}
-	return buf
+	sendAll(pr, group, idx, tag, mine, AllPortAllGatherTime(pr.Machine().Ts, pr.Machine().Tw, len(mine), len(group)))
+	return recvAll(pr, group, idx, tag, mine)
 }
 
 // Reduce sums the members' equal-length vectors into the member at
@@ -297,24 +267,21 @@ func AllGatherAllPort(pr *simulator.Proc, group []int, tag int, mine []float64) 
 // partial products (this is exactly how Eq. (7) charges the GK
 // algorithm's third stage: t_add·n³/p is folded into the n³/p term).
 func Reduce(pr *simulator.Proc, group []int, rootIdx, tag int, data []float64) []float64 {
-	d := log2Size(group)
-	idx := indexIn(group, pr.Rank())
-	if rootIdx < 0 || rootIdx >= len(group) {
-		panic(fmt.Sprintf("collective: root index %d out of range for group of %d", rootIdx, len(group)))
-	}
-	rel := idx ^ rootIdx
+	log2Size(len(group))
+	idx := rootedIndex(pr, group, rootIdx)
+	tree := topology.ReduceTree(len(group), rootIdx)
 	acc := make([]float64, len(data))
 	copy(acc, data)
-	for s := 0; s < d; s++ {
-		mask := (1 << (s + 1)) - 1
-		switch rel & mask {
-		case 1 << s:
+	for k := 0; k < tree.Rounds(); k++ {
+		peer, sends, ok := tree.Link(idx, k)
+		switch {
+		case ok && sends:
 			// acc is this member's private accumulator and dies here,
 			// so it rides the ownership-transfer fast path.
-			pr.SendNeighborOwned(group[(rel^1<<s)^rootIdx], tag, acc)
+			pr.SendNeighborOwned(group[peer], tag, acc)
 			return nil
-		case 0:
-			got := pr.Recv(group[(rel|1<<s)^rootIdx], tag)
+		case ok:
+			got := pr.Recv(group[peer], tag)
 			if len(got) != len(acc) {
 				panic(fmt.Sprintf("collective: Reduce length mismatch %d vs %d", len(got), len(acc)))
 			}
@@ -338,7 +305,7 @@ func ReduceTime(ts, tw float64, m, g int) float64 { return BroadcastTime(ts, tw,
 // Critical-path cost: ts·log g + tw·m·(1 − 1/g). Additions are
 // pre-paid under the unit-cost convention (see Reduce).
 func ReduceScatter(pr *simulator.Proc, group []int, tag int, data []float64) ([]float64, int) {
-	d := log2Size(group)
+	d := log2Size(len(group))
 	idx := indexIn(group, pr.Rank())
 	g := len(group)
 	if len(data)%g != 0 {
@@ -370,10 +337,7 @@ func ReduceScatter(pr *simulator.Proc, group []int, tag int, data []float64) ([]
 
 // ReduceScatterTime is the critical-path cost of ReduceScatter.
 func ReduceScatterTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
+	d := log2Size(g)
 	return ts*float64(d) + tw*float64(m)*(1-1/float64(g))
 }
 
@@ -391,9 +355,7 @@ func BarrierFree(pr *simulator.Proc, group []int, tag int) {
 		for _, r := range group[1:] {
 			pr.Recv(r, tag) //ownflow:reviewed nil barrier payload; the clock rises to the latest sender
 		}
-		for _, r := range group[1:] {
-			pr.SendFree(r, tag, nil) // release at the synchronized time
-		}
+		sendAll(pr, group, 0, tag, nil, 0) // release at the synchronized time
 		return
 	}
 	pr.SendFree(group[0], tag, nil)
@@ -407,23 +369,6 @@ func BarrierFree(pr *simulator.Proc, group []int, tag int) {
 // charged).
 func AllGatherFree(pr *simulator.Proc, group []int, tag int, mine []float64) []float64 {
 	idx := indexIn(group, pr.Rank())
-	g := len(group)
-	m := len(mine)
-	buf := make([]float64, m*g)
-	copy(buf[idx*m:(idx+1)*m], mine)
-	for i, r := range group {
-		if i == idx {
-			continue
-		}
-		pr.SendFree(r, tag, mine)
-	}
-	for i, r := range group {
-		if i == idx {
-			continue
-		}
-		got := pr.Recv(r, tag)
-		copy(buf[i*m:(i+1)*m], got)
-		pr.Recycle(got)
-	}
-	return buf
+	sendAll(pr, group, idx, tag, mine, 0)
+	return recvAll(pr, group, idx, tag, mine)
 }

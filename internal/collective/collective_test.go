@@ -2,6 +2,8 @@ package collective
 
 import (
 	"math"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,26 +29,53 @@ func vec(n int, base float64) []float64 {
 	return out
 }
 
+// treeGroups are the groups the tree collectives run on from every
+// root: the whole machine, the subcube of
+// TestBroadcastSubgroupOnlyTouchesMembers, and a scattered group whose
+// member order is not rank order.
+var treeGroups = [][]int{seq(8), {4, 5, 6, 7}, {6, 1, 4, 3}}
+
+// assertWaveMatches runs step as a one-step skeleton on m's wave tier
+// and checks its Tp, clocks and message and word counts against fiber,
+// the rank program's run on the fiber tier.
+func assertWaveMatches(t *testing.T, m *machine.Machine, fiber *simulator.Result, step simulator.Step) {
+	t.Helper()
+	wave, ok, err := simulator.RunSkeleton(m, simulator.Skeleton{P: m.P(), Steps: []simulator.Step{step}})
+	if err != nil || !ok {
+		t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+	}
+	if wave.Tp != fiber.Tp || !reflect.DeepEqual(wave.ProcClocks, fiber.ProcClocks) ||
+		wave.Messages != fiber.Messages || wave.Words != fiber.Words {
+		t.Errorf("%+v: wave Tp=%v clocks=%v msgs=%d words=%d, fiber Tp=%v clocks=%v msgs=%d words=%d", step,
+			wave.Tp, wave.ProcClocks, wave.Messages, wave.Words, fiber.Tp, fiber.ProcClocks, fiber.Messages, fiber.Words)
+	}
+}
+
 func TestBroadcastDeliversToAll(t *testing.T) {
 	m := machine.Hypercube(8, 7, 2)
-	group := seq(8)
-	for root := 0; root < 8; root++ {
-		res, err := simulator.Run(m, func(pr *simulator.Proc) {
-			var data []float64
-			if pr.Rank() == root {
-				data = vec(5, 100)
+	for _, group := range treeGroups {
+		for root := range group {
+			res, err := simulator.Run(m, func(pr *simulator.Proc) {
+				if !slices.Contains(group, pr.Rank()) {
+					return
+				}
+				var data []float64
+				if pr.Rank() == group[root] {
+					data = vec(5, 100)
+				}
+				got := Broadcast(pr, group, root, 1, data)
+				if len(got) != 5 || got[4] != 104 {
+					t.Errorf("group %v root %d rank %d got %v", group, root, pr.Rank(), got)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
 			}
-			got := Broadcast(pr, group, root, 1, data)
-			if len(got) != 5 || got[4] != 104 {
-				t.Errorf("root %d rank %d got %v", root, pr.Rank(), got)
+			want := BroadcastTime(7, 2, 5, len(group))
+			if res.Tp != want {
+				t.Fatalf("group %v root %d: Tp = %v, want %v", group, root, res.Tp, want)
 			}
-		})
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := BroadcastTime(7, 2, 5, 8)
-		if res.Tp != want {
-			t.Fatalf("root %d: Tp = %v, want %v", root, res.Tp, want)
+			assertWaveMatches(t, m, res, simulator.Broadcast{Words: 5, Groups: [][]int{group}, Roots: []int{root}})
 		}
 	}
 }
@@ -258,23 +287,34 @@ func TestAllGatherAllPortSingleton(t *testing.T) {
 
 func TestReduceSums(t *testing.T) {
 	m := machine.Hypercube(8, 4, 1)
-	group := seq(8)
-	res, err := simulator.Run(m, func(pr *simulator.Proc) {
-		data := []float64{float64(pr.Rank()), 1}
-		got := Reduce(pr, group, 5, 20, data)
-		if pr.Rank() == 5 {
-			if got == nil || got[0] != 28 || got[1] != 8 {
-				t.Errorf("root got %v, want [28 8]", got)
-			}
-		} else if got != nil {
-			t.Errorf("non-root %d got non-nil %v", pr.Rank(), got)
+	for _, group := range treeGroups {
+		sum := 0.0
+		for _, r := range group {
+			sum += float64(r)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if want := ReduceTime(4, 1, 2, 8); res.Tp != want {
-		t.Fatalf("Tp = %v, want %v", res.Tp, want)
+		for root := range group {
+			res, err := simulator.Run(m, func(pr *simulator.Proc) {
+				if !slices.Contains(group, pr.Rank()) {
+					return
+				}
+				data := []float64{float64(pr.Rank()), 1}
+				got := Reduce(pr, group, root, 20, data)
+				if pr.Rank() == group[root] {
+					if got == nil || got[0] != sum || got[1] != float64(len(group)) {
+						t.Errorf("group %v root %d got %v, want [%v %d]", group, root, got, sum, len(group))
+					}
+				} else if got != nil {
+					t.Errorf("non-root %d got non-nil %v", pr.Rank(), got)
+				}
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := ReduceTime(4, 1, 2, len(group)); res.Tp != want {
+				t.Fatalf("group %v root %d: Tp = %v, want %v", group, root, res.Tp, want)
+			}
+			assertWaveMatches(t, m, res, simulator.Reduce{Words: 2, Groups: [][]int{group}, Roots: []int{root}})
+		}
 	}
 }
 
@@ -455,6 +495,29 @@ func TestBroadcastChargedSingletonAndErrors(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// A charged broadcast needs no power-of-two group: the root of
+	// three members pays the cost once, on both tiers.
+	m4 := machine.Hypercube(4, 1, 1)
+	group := []int{3, 0, 2}
+	res, err := simulator.Run(m4, func(pr *simulator.Proc) {
+		if !slices.Contains(group, pr.Rank()) {
+			return
+		}
+		var data []float64
+		if pr.Rank() == 0 {
+			data = []float64{7}
+		}
+		if got := BroadcastCharged(pr, group, 1, 0, data, 40); got[0] != 7 {
+			t.Errorf("rank %d got %v from the 3-member broadcast", pr.Rank(), got)
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Tp != 40 {
+		t.Fatalf("3-member Tp = %v, want the charged 40", res.Tp)
+	}
+	assertWaveMatches(t, m4, res, simulator.Broadcast{Words: 1, Groups: [][]int{group}, Roots: []int{1}, Cost: simulator.Charged(40)})
 	_, err = simulator.Run(m, func(pr *simulator.Proc) {
 		BroadcastCharged(pr, seq(2), 5, 0, nil, 1)
 	})
@@ -465,22 +528,36 @@ func TestBroadcastChargedSingletonAndErrors(t *testing.T) {
 
 func TestReduceChargedSumsAndCharges(t *testing.T) {
 	m := machine.Hypercube(4, 1, 1)
-	group := seq(4)
-	res, err := simulator.Run(m, func(pr *simulator.Proc) {
-		got := ReduceCharged(pr, group, 1, 7, []float64{1, float64(pr.Rank())}, 50)
-		if pr.Rank() == 1 {
-			if got[0] != 4 || got[1] != 6 {
-				t.Errorf("root sum = %v, want [4 6]", got)
+	// The whole machine, and three members (a charged reduction needs no
+	// power-of-two group) rooted at rank 3.
+	for _, c := range []struct {
+		group []int
+		root  int
+		want  []float64
+	}{
+		{seq(4), 1, []float64{4, 6}},
+		{[]int{2, 3, 0}, 1, []float64{3, 5}},
+	} {
+		res, err := simulator.Run(m, func(pr *simulator.Proc) {
+			if !slices.Contains(c.group, pr.Rank()) {
+				return
 			}
-		} else if got != nil {
-			t.Errorf("non-root got data")
+			got := ReduceCharged(pr, c.group, c.root, 7, []float64{1, float64(pr.Rank())}, 50)
+			if pr.Rank() == c.group[c.root] {
+				if !slices.Equal(got, c.want) {
+					t.Errorf("group %v root sum = %v, want %v", c.group, got, c.want)
+				}
+			} else if got != nil {
+				t.Errorf("non-root got data")
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
 		}
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Tp != 50 {
-		t.Fatalf("Tp = %v, want the charged 50", res.Tp)
+		if res.Tp != 50 {
+			t.Fatalf("group %v: Tp = %v, want the charged 50", c.group, res.Tp)
+		}
+		assertWaveMatches(t, m, res, simulator.Reduce{Words: 2, Groups: [][]int{c.group}, Roots: []int{c.root}, Cost: simulator.Charged(50)})
 	}
 }
 

@@ -5,7 +5,6 @@ import (
 	"math"
 
 	"matscale/internal/simulator"
-	"matscale/internal/topology"
 )
 
 // Personalized communication operations on hypercube-embedded groups,
@@ -22,7 +21,7 @@ import (
 // (ts + tw·m·g/2)·log g. Packet bookkeeping headers travel at zero
 // cost (they are control information the closed form does not charge).
 func AllToAll(pr *simulator.Proc, group []int, tag int, data []float64) []float64 {
-	d := log2Size(group)
+	d := log2Size(len(group))
 	idx := indexIn(group, pr.Rank())
 	g := len(group)
 	if len(data)%g != 0 {
@@ -96,10 +95,7 @@ func AllToAll(pr *simulator.Proc, group []int, tag int, data []float64) []float6
 // AllToAllTime is the critical-path cost of AllToAll for per-pair
 // message size m.
 func AllToAllTime(ts, tw float64, m, g int) float64 {
-	d, ok := topology.Log2(g)
-	if !ok {
-		panic(fmt.Sprintf("collective: group size %d is not a power of two", g))
-	}
+	d := log2Size(g)
 	return float64(d) * (ts + tw*float64(m)*float64(g)/2)
 }
 

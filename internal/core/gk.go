@@ -270,10 +270,10 @@ func gkSkeleton(grid topology.Grid3D, bs int, holders []int, cost simulator.Cost
 // gkProduct multiplies a and b in GK's own addition order on a q3-sided
 // cube: block (j,k) of the product is Σᵢ A(j,i)·B(i,k), each partial a
 // fresh product of the blocks read in place (processor (i,j,k)'s stage
-// 2), summed along the first axis pairwise as the binomial Reduce's
-// tree adds them (pairwise), or left to right as ReduceCharged's root
-// adds them. The element values equal what the message-passing run
-// gathers, bit for bit.
+// 2), summed along the first axis in the rounds of the binomial
+// Reduce's tree rooted at i = 0 (pairwise), or left to right as
+// ReduceCharged's root adds them. The element values equal what the
+// message-passing run gathers, bit for bit.
 func gkProduct(a, b *matrix.Dense, q3 int, pairwise bool) *matrix.Dense {
 	bs := a.Rows / q3
 	c := matrix.New(a.Rows, a.Rows)
@@ -281,6 +281,7 @@ func gkProduct(a, b *matrix.Dense, q3 int, pairwise bool) *matrix.Dense {
 	for i := range partial {
 		partial[i] = matrix.New(bs, bs)
 	}
+	tree := topology.ReduceTree(q3, 0)
 	for j := 0; j < q3; j++ {
 		for k := 0; k < q3; k++ {
 			for i, part := range partial {
@@ -288,11 +289,8 @@ func gkProduct(a, b *matrix.Dense, q3 int, pairwise bool) *matrix.Dense {
 				matrix.MulAddBlock(part, 0, 0, a, j*bs, i*bs, b, i*bs, k*bs, bs, bs, bs)
 			}
 			if pairwise {
-				// Round s: member i (bits 0..s clear) adds member i+2^s.
-				for step := 1; step < q3; step *= 2 {
-					for i := 0; i+step < q3; i += 2 * step {
-						partial[i].AddInPlace(partial[i+step])
-					}
+				for round := 0; round < tree.Rounds(); round++ {
+					tree.Links(round, func(src, dst int) { partial[dst].AddInPlace(partial[src]) })
 				}
 			} else {
 				for _, part := range partial[1:] {

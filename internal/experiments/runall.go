@@ -76,7 +76,7 @@ func RunAll(w io.Writer, quick bool, workers int) error {
 			str(func() string { return ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, 4096) })},
 		section{"Methodology validation — isoefficiency holds in simulation",
 			func() (string, error) {
-				pts, err := IsoefficiencyValidation(model.Params{Ts: 17, Tw: 3}, 0.5, "cannon", []int{4, 16, 64, 256}, workers)
+				pts, err := IsoefficiencyValidation(model.Params{Ts: 17, Tw: 3}, 0.5, "cannon", []int{4, 16, 64, 256})
 				if err != nil {
 					return "", err
 				}

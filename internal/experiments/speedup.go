@@ -73,16 +73,14 @@ type TsSweepPoint struct {
 // paper's three-machines comparison (Figures 1–3): the GK algorithm's
 // smaller startup coefficient wins on high-latency machines, Cannon's
 // smaller bandwidth coefficient wins as ts shrinks. Each startup time
-// is one two-cell sweep on a hypercube with that ts, run on workers
-// host goroutines (≤ 0: all CPUs); the points are identical for every
-// worker count.
-func TsSweep(tw float64, n, p int, tsValues []float64, workers int) ([]TsSweepPoint, error) {
+// is one two-cell sweep on a hypercube with that ts.
+func TsSweep(tw float64, n, p int, tsValues []float64) ([]TsSweepPoint, error) {
 	out := make([]TsSweepPoint, len(tsValues))
 	for i, ts := range tsValues {
 		cells, err := runCells(sweep.Spec{
 			Algorithms: []string{"cannon", "gk"}, Machines: []string{"custom"},
 			Ts: ts, Tw: tw, Ps: []int{p}, Ns: []int{n},
-		}, workers)
+		}, 0)
 		if err != nil {
 			return nil, fmt.Errorf("ts=%v: %w", ts, err)
 		}

@@ -38,21 +38,6 @@ func TestPeakSpeedupDetectsSaturation(t *testing.T) {
 	}
 }
 
-func TestTsSweepIdenticalAcrossWorkerCounts(t *testing.T) {
-	tsValues := []float64{0, 10, 100, 1000}
-	serial, err := TsSweep(3, 16, 64, tsValues, 1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	parallel, err := TsSweep(3, 16, 64, tsValues, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if RenderTsSweep(3, 16, 64, serial) != RenderTsSweep(3, 16, 64, parallel) {
-		t.Fatal("TsSweep output depends on the worker count")
-	}
-}
-
 func TestRenderTsSweep(t *testing.T) {
 	pts := []TsSweepPoint{
 		{Ts: 0, TpCannon: 100, TpGK: 150, Winner: "Cannon"},

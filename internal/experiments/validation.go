@@ -30,10 +30,8 @@ type IsoPoint struct {
 // processor count, rounds the prescribed n to the nearest runnable
 // size, runs the real algorithm on the simulator, and reports the
 // measured efficiencies — which stay at the target up to rounding.
-// Each p is a one-cell sweep on a hypercube with pr's constants, run
-// with workers host goroutines (≤ 0: all CPUs); the points are
-// identical for every worker count.
-func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int, workers int) ([]IsoPoint, error) {
+// Each p is a one-cell sweep on a hypercube with pr's constants.
+func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int) ([]IsoPoint, error) {
 	var side func(p int) int // structural divisor of n
 	// The overhead To(n, p): for both algorithms the Table 1 form equals
 	// the implementation's exact overhead, smooth in continuous n.
@@ -62,7 +60,7 @@ func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, 
 		cells, err := runCells(sweep.Spec{
 			Algorithms: []string{algorithm}, Machines: []string{"custom"},
 			Ts: pr.Ts, Tw: pr.Tw, Ps: []int{p}, Ns: []int{n},
-		}, workers)
+		}, 0)
 		if err != nil {
 			return nil, err
 		}

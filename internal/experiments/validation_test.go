@@ -14,7 +14,7 @@ func TestIsoefficiencyValidationCannon(t *testing.T) {
 	// Growing W along Cannon's isoefficiency curve must hold the
 	// simulated efficiency at the target across a 64x processor range
 	// (up to the rounding of n to a runnable multiple of √p).
-	pts, err := IsoefficiencyValidation(valParams, 0.5, "cannon", []int{4, 16, 64, 256}, 0)
+	pts, err := IsoefficiencyValidation(valParams, 0.5, "cannon", []int{4, 16, 64, 256})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -34,7 +34,7 @@ func TestIsoefficiencyValidationCannon(t *testing.T) {
 }
 
 func TestIsoefficiencyValidationGK(t *testing.T) {
-	pts, err := IsoefficiencyValidation(valParams, 0.6, "gk", []int{8, 64, 512}, 0)
+	pts, err := IsoefficiencyValidation(valParams, 0.6, "gk", []int{8, 64, 512})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -55,7 +55,7 @@ func TestIsoefficiencyValidationGK(t *testing.T) {
 }
 
 func TestIsoefficiencyValidationUnknownAlgorithm(t *testing.T) {
-	if _, err := IsoefficiencyValidation(valParams, 0.5, "nope", []int{4}, 0); err == nil {
+	if _, err := IsoefficiencyValidation(valParams, 0.5, "nope", []int{4}); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
 }
@@ -127,7 +127,7 @@ func TestTsSweepWinnerFlips(t *testing.T) {
 	// (its ts coefficient (5/3)·log p beats Cannon's 2·√p) and Cannon
 	// wins as ts → 0 (its tw coefficient is smaller) — the machine-
 	// dependence at the heart of Section 6.
-	pts, err := TsSweep(3, 64, 64, []float64{0, 1, 10, 100, 1000}, 0)
+	pts, err := TsSweep(3, 64, 64, []float64{0, 1, 10, 100, 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -14,8 +14,10 @@
 //
 // Collectives are written as fixed sequences of transfer rounds, the
 // way the hyper-systolic formulations write broadcasts and reductions
-// as fixed shift sequences: a binomial tree over g ranks is log₂g
-// rounds, a closed-form-charged collective one round, a barrier two.
+// as fixed shift sequences. A binomial broadcast or reduction over g
+// ranks is the log₂g rounds of topology.BinomialTree, the schedule the
+// rank programs of package collective walk too; a closed-form-charged
+// collective and a gather are one round, a barrier two.
 //
 // On a healthy machine (no fault configuration) a skeleton made only of
 // compute, shifts whose ranks are all alike (all self or all
@@ -365,10 +367,11 @@ type op struct {
 	xfers []transfer
 }
 
-// compile returns the wave ops of steps on m's p ranks. The
-// rounds of a collective are the order its binomial tree or charged
-// scheme sends in; a rank always completes its sends of a round before
-// its receives, as every rank program does within one program point.
+// compile returns the wave ops of steps on m's p ranks. The rounds of
+// a collective are the order its binomial tree (topology.BinomialTree)
+// or charged scheme sends in; a rank always completes its sends of a
+// round before its receives, as every rank program does within one
+// program point.
 func compile(m *machine.Machine, p int, steps []Step) []op {
 	var out []op
 	round := func(xs []transfer) {
@@ -378,6 +381,66 @@ func compile(m *machine.Machine, p int, steps []Step) []op {
 	}
 	hop := func(words, src, dst int) transfer {
 		return transfer{int32(src), int32(dst), m.MsgTimeOn(words, 1, src, dst)}
+	}
+	// collective compiles a Broadcast, or a Reduce when up. Charged, it
+	// is one round between each root and its other members, in member
+	// order: a broadcast's root charges its first send and moves the
+	// rest free, and every reduce contributor charges c. Otherwise round
+	// k of every group's tree is one round of one-hop transfers, until
+	// no group's tree has a round k.
+	collective := func(words int, groups [][]int, roots []int, cost Cost, up bool) {
+		if cost.charged {
+			n := 0
+			for _, group := range groups {
+				n += max(len(group)-1, 0)
+			}
+			xs := make([]transfer, 0, n)
+			for g, group := range groups {
+				if len(group) == 0 {
+					continue // a Gather with no holders
+				}
+				root, c := group[roots[g]], cost.c
+				for i, r := range group {
+					if i == roots[g] {
+						continue
+					}
+					if up {
+						xs = append(xs, transfer{int32(r), int32(root), c})
+					} else {
+						xs = append(xs, transfer{int32(root), int32(r), c})
+						c = 0
+					}
+				}
+			}
+			round(xs)
+			return
+		}
+		tree := topology.BroadcastTree
+		if up {
+			tree = topology.ReduceTree
+		}
+		for k := 0; ; k++ {
+			var xs []transfer
+			for g, group := range groups {
+				tree(len(group), roots[g]).Links(k, func(src, dst int) {
+					xs = append(xs, hop(words, group[src], group[dst]))
+				})
+			}
+			if len(xs) == 0 {
+				return
+			}
+			round(xs)
+		}
+	}
+	var everyone [][]int
+	all := func() [][]int { // the one group of every rank, in rank order
+		if everyone == nil {
+			everyone = [][]int{make([]int, p)}
+			for r := range everyone[0] {
+				everyone[0][r] = r
+			}
+		}
+		return everyone
 	}
 	for _, s := range steps {
 		switch s := s.(type) {
@@ -410,86 +473,19 @@ func compile(m *machine.Machine, p int, steps []Step) []op {
 			}
 			round(xs)
 		case Broadcast:
-			if s.Cost.charged {
-				// The root charges its first send and moves the rest free.
-				var xs []transfer
-				for g, group := range s.Groups {
-					root, c := group[s.Roots[g]], s.Cost.c
-					for i, r := range group {
-						if i != s.Roots[g] {
-							xs = append(xs, transfer{int32(root), int32(r), c})
-							c = 0
-						}
-					}
-				}
-				round(xs)
-				break
-			}
-			// Binomial tree, highest bit first: in the round of bit b
-			// every member whose root-relative index has bits 0..b clear
-			// sends to the member that differs in bit b.
-			for bit := maxLog2(s.Groups) - 1; bit >= 0; bit-- {
-				var xs []transfer
-				for g, group := range s.Groups {
-					root := s.Roots[g]
-					for rel := 0; rel+(1<<bit) < len(group); rel += 2 << bit {
-						xs = append(xs, hop(s.Words, group[rel^root], group[(rel|1<<bit)^root]))
-					}
-				}
-				round(xs)
-			}
+			collective(s.Words, s.Groups, s.Roots, s.Cost, false)
 		case Reduce:
-			if s.Cost.charged {
-				var xs []transfer
-				for g, group := range s.Groups {
-					root := group[s.Roots[g]]
-					for i, r := range group {
-						if i != s.Roots[g] {
-							xs = append(xs, transfer{int32(r), int32(root), s.Cost.c})
-						}
-					}
-				}
-				round(xs)
-				break
-			}
-			// Binomial tree, lowest bit first: in the round of bit b
-			// every member whose root-relative index has lowest set bit b
-			// sends its partial sum to the member with bit b cleared.
-			for bit := 0; bit < maxLog2(s.Groups); bit++ {
-				var xs []transfer
-				for g, group := range s.Groups {
-					root := s.Roots[g]
-					for rel := 1 << bit; rel < len(group); rel += 2 << bit {
-						xs = append(xs, hop(s.Words, group[rel^root], group[(rel^1<<bit)^root]))
-					}
-				}
-				round(xs)
-			}
+			collective(s.Words, s.Groups, s.Roots, s.Cost, true)
 		case Barrier:
 			// Every rank reports to rank 0, which then releases them all.
-			in := make([]transfer, 0, p-1)
-			for r := 1; r < p; r++ {
-				in = append(in, transfer{int32(r), 0, 0})
-			}
-			round(in)
-			release := make([]transfer, len(in))
-			for i, x := range in {
-				release[i] = transfer{0, x.src, 0}
-			}
-			round(release)
+			collective(0, all(), []int{0}, Charged(0), true)
+			collective(0, all(), []int{0}, Charged(0), false)
 		case Gather:
-			holders := s.Holders
-			if holders == nil {
-				holders = make([]int, p)
-				for r := range holders {
-					holders[r] = r
-				}
+			holders := all()
+			if s.Holders != nil {
+				holders = [][]int{s.Holders}
 			}
-			var xs []transfer
-			for i := 1; i < len(holders); i++ {
-				xs = append(xs, transfer{int32(holders[i]), int32(holders[0]), 0})
-			}
-			round(xs)
+			collective(0, holders, []int{0}, Charged(0), true)
 		case Repeat:
 			body := compile(m, p, s.Body)
 			for t := 0; t < s.Times; t++ {
@@ -498,16 +494,6 @@ func compile(m *machine.Machine, p int, steps []Step) []op {
 		}
 	}
 	return out
-}
-
-// maxLog2 returns the largest log₂ of the groups' sizes.
-func maxLog2(groups [][]int) int {
-	d := 0
-	for _, g := range groups {
-		k, _ := topology.Log2(len(g))
-		d = max(d, k)
-	}
-	return d
 }
 
 // wave is the per-rank state of one wave-tier run: the accumulators
