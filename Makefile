@@ -71,7 +71,10 @@ kernel-equivalence:
 
 # The CI determinism check: the same sweep spec must emit byte-identical
 # CSV at 1 and 8 host workers, under the race detector (docs/SWEEP.md).
-SWEEP_ARGS = sweep -alg cannon,gk,berntsen,fox,foxpipe -machine custom -ts 17 -n 16,32 -p 16,64 -faults ';straggler=2@rank0,seed=42'
+# The clean and straggler cells of the skeleton formulations are timed
+# from their skeletons alone; berntsen's cells and the lossy scenario
+# run rank programs on seeded operands, so both paths are covered.
+SWEEP_ARGS = sweep -alg cannon,gk,berntsen,fox,foxpipe -machine custom -ts 17 -n 16,32 -p 16,64 -faults ';straggler=2@rank0,seed=42;loss=0.02,seed=7'
 sweep-determinism:
 	$(GO) build -race -o bin/matscale ./cmd/matscale
 	./bin/matscale $(SWEEP_ARGS) -jobs 1 -csv sweep_serial.csv

@@ -26,13 +26,13 @@ const (
 //
 //	Tp = n³/p + 2·ts·√p + 2·tw·n²/√p
 func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	n, q, err := meshSide(m, a, b, "")
-	if err != nil {
-		return nil, err
-	}
-	if res, ok, err := cannonSystolic(m, a, b, n, q); ok || err != nil {
+	res, ok, err := onWave(m, a, b, "Cannon", cannonSkeleton, func(q int) *matrix.Dense {
+		return cannonProduct(a, b, q, cannonSkew)
+	})
+	if ok || err != nil {
 		return res, err
 	}
+	n, q := a.Rows, topology.IntSqrt(m.P())
 	identity := func(r int) int { return r }
 	tags := cannonTags{alignA: tagCannonAlignA, alignB: tagCannonAlignB, shiftA: tagCannonShiftA, shiftB: tagCannonShiftB}
 	return onMesh(m, a, b, n, q, "Cannon", func(r meshRank, myA, myB *matrix.Dense) *matrix.Dense {
@@ -40,23 +40,30 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	})
 }
 
-// cannonSystolic runs Cannon on the event engine's wave tier: the
-// timed skeleton (the alignment as two zero-cost permutation sends,
-// then q steps of compute + roll-A-left + roll-B-up, then the zero-cost
-// gather) is simulated as synchronous waves with no goroutine per rank,
-// and the product is computed directly in the same multiply-accumulate
-// order the rolled blocks would visit. Byte-identical to the other
-// engine paths (asserted by the simulator's native differential suite),
-// it reaches p = 2^20 ranks in seconds. ok is false when the simulator
-// declines the machine for the wave tier; the caller then runs the rank
-// program.
-func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (res *Result, ok bool, err error) {
-	p := q * q
+// CannonTiming is Cannon's Timing: its skeleton on the wave tier, with
+// no operands and no product.
+func CannonTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
+	return timeSkeleton(m, n, cannonSkeleton)
+}
+
+// cannonSkeleton is Cannon's timed skeleton on the √p × √p mesh: the
+// alignment as two zero-cost permutation sends, then q steps of
+// compute + roll-A-left + roll-B-up, then the zero-cost gather. The
+// wave tier simulates it as synchronous waves with no goroutine per
+// rank, which reaches p = 2^20 ranks in seconds; Cannon then computes
+// the product directly in the multiply-accumulate order the rolled
+// blocks would visit. Byte-identical to the other engine paths
+// (asserted by the simulator's native differential suite).
+func cannonSkeleton(m *machine.Machine, n int) (simulator.Skeleton, int, error) {
+	q, err := squareSide(n, m.P(), "")
+	if err != nil {
+		return simulator.Skeleton{}, 0, err
+	}
 	blk := n / q
 	words := blk * blk
 	mesh := topology.NewTorus2D(q, q)
 	free := simulator.Charged(0)
-	sk := simulator.Skeleton{P: p, Steps: []simulator.Step{
+	return simulator.Skeleton{P: q * q, Steps: []simulator.Step{
 		// Skew: A_ij to (i, j−i), B_ij to (i−j, j). Every clock is still
 		// zero, so sending both before receiving either is immaterial.
 		simulator.Send{Words: words, Cost: free, Dst: func(r int) int {
@@ -73,12 +80,7 @@ func cannonSystolic(m *machine.Machine, a, b *matrix.Dense, n, q int) (res *Resu
 			simulator.Shift{Words: words, Dst: mesh.Up},
 		}},
 		simulator.Gather{Words: words},
-	}}
-	sim, ok, err := simulator.RunSkeleton(m, sk)
-	if !ok || err != nil {
-		return nil, ok, err
-	}
-	return newResult("Cannon", cannonProduct(a, b, q, cannonSkew), sim, n, p), true, nil
+	}}, q, nil
 }
 
 // cannonSkew and foxSkew name the depth block at which the rolled

@@ -22,15 +22,18 @@
 // foxVariant row (its row delivery of A, tags, barrier and, for the
 // broadcast variants, the skeleton's broadcast cost) run by the one
 // foxImpl loop; each GK variant is a gkVariant row (its per-stage
-// charge, nil for binomial trees) run by gkImpl. Cannon, gkImpl and
-// foxImpl's broadcast variants also describe their timed skeleton,
-// which the simulator's wave tier runs without a rank program when the
-// machine allows it; the product is then built on the host in the
-// formulation's own addition order (cannonProduct for Cannon and Fox,
-// gkProduct for GK). Every 2-D mesh formulation validates its inputs
-// with meshSide; its rank program — Simple, SimpleMemEfficientAllPort,
-// and the Fox loop's and Cannon's fallbacks — runs through onMesh,
-// which partitions, runs and gathers.
+// charge, nil for binomial trees) run by gkImpl. Cannon, the GK
+// variants and Fox's broadcast variants also describe their timed
+// skeleton, each in one skeletonBuilder that validates the geometry.
+// The simulator's wave tier runs the skeleton without a rank program
+// when the machine allows it: the Algorithm (through onWave) then
+// builds the product on the host in the formulation's own addition
+// order (cannonProduct for Cannon and Fox, gkProduct for GK), and the
+// formulation's Timing (CannonTiming, FoxTiming, …) stops at the
+// measurement, with no operands and no product. Every 2-D mesh
+// formulation validates its geometry with squareSide; its rank program
+// — Simple, SimpleMemEfficientAllPort, and the Fox loop's and Cannon's
+// fallbacks — runs through onMesh, which partitions, runs and gathers.
 //
 // Every algorithm distributes the input blocks (untimed setup),
 // executes the timed communication and computation phases, and gathers
@@ -144,26 +147,86 @@ func checkInputs(m *machine.Machine, a, b *matrix.Dense) (n int, err error) {
 }
 
 // meshSide validates the inputs of a formulation on a √p × √p
-// processor mesh and returns n and the mesh side q: equal square
-// operands, p a perfect square, q dividing n and, when pow2Err (the
-// error format, given the side) is not empty, q a power of two.
+// processor mesh and returns n and the mesh side q (see squareSide).
 func meshSide(m *machine.Machine, a, b *matrix.Dense, pow2Err string) (n, q int, err error) {
 	n, err = checkInputs(m, a, b)
 	if err != nil {
 		return 0, 0, err
 	}
-	p := m.P()
-	q = topology.IntSqrt(p)
+	q, err = squareSide(n, m.P(), pow2Err)
+	return n, q, err
+}
+
+// squareSide returns the side q of the √p × √p processor mesh of a
+// formulation on n×n operands, requiring p a perfect square, q dividing
+// n and, when pow2Err (the error format, given the side) is not empty,
+// q a power of two.
+func squareSide(n, p int, pow2Err string) (int, error) {
+	q := topology.IntSqrt(p)
 	if q*q != p {
-		return 0, 0, fmt.Errorf("core: p = %d is not a perfect square", p)
+		return 0, fmt.Errorf("core: p = %d is not a perfect square", p)
 	}
 	if n%q != 0 {
-		return 0, 0, fmt.Errorf("core: mesh side %d does not divide n = %d", q, n)
+		return 0, fmt.Errorf("core: mesh side %d does not divide n = %d", q, n)
 	}
 	if _, ok := topology.Log2(q); !ok && pow2Err != "" {
-		return 0, 0, fmt.Errorf(pow2Err, q)
+		return 0, fmt.Errorf(pow2Err, q)
 	}
-	return n, q, nil
+	return q, nil
+}
+
+// Timing measures a formulation that has a timed skeleton for n×n
+// operands on m from the skeleton alone: no operands, no host product
+// and no rank program. It rejects an invalid machine or geometry with
+// the error its Algorithm returns for valid operands of that size, and
+// runs the skeleton on the simulator's wave tier. ok is false, with no
+// error, when the simulator declines m for the wave tier (metrics,
+// traces, contention, loss, checkpoints, the goroutine backend; see
+// simulator.RunSkeleton): only the Algorithm's rank program measures
+// such a machine. When ok is true the Result equals the Algorithm's
+// Result.Sim.
+type Timing func(m *machine.Machine, n int) (sim *simulator.Result, ok bool, err error)
+
+// skeletonBuilder validates the geometry of a formulation for n×n
+// operands on m and returns its timed skeleton and the side of its
+// processor grid: the mesh side q, or the cube side q₃. It is the one
+// description of the skeleton that both the formulation's Algorithm
+// (through onWave) and its Timing (through timeSkeleton) run.
+type skeletonBuilder func(m *machine.Machine, n int) (sk simulator.Skeleton, side int, err error)
+
+// timeSkeleton is the Timing of the formulation build describes.
+func timeSkeleton(m *machine.Machine, n int, build skeletonBuilder) (*simulator.Result, bool, error) {
+	if err := m.Validate(); err != nil {
+		return nil, false, err
+	}
+	sk, _, err := build(m, n)
+	if err != nil {
+		return nil, false, err
+	}
+	return simulator.RunSkeleton(m, sk)
+}
+
+// onWave runs a formulation that has a timed skeleton on the event
+// engine's wave tier: it checks the operands, builds the skeleton and,
+// when the simulator takes m, runs it and builds the product on the
+// host with product(side), in the formulation's own addition order. ok
+// is false, with no error, when the simulator declines m; the operands
+// and the geometry are then valid, and the caller runs the rank
+// program.
+func onWave(m *machine.Machine, a, b *matrix.Dense, name string, build skeletonBuilder, product func(side int) *matrix.Dense) (res *Result, ok bool, err error) {
+	n, err := checkInputs(m, a, b)
+	if err != nil {
+		return nil, false, err
+	}
+	sk, side, err := build(m, n)
+	if err != nil {
+		return nil, false, err
+	}
+	sim, ok, err := simulator.RunSkeleton(m, sk)
+	if !ok || err != nil {
+		return nil, false, err
+	}
+	return newResult(name, product(side), sim, n, sk.P), true, nil
 }
 
 // meshRank is one rank's place on the √p × √p mesh onMesh runs.

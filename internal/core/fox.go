@@ -58,15 +58,24 @@ type foxVariant struct {
 // which is worse than Cannon's algorithm by the log factor, as the
 // paper observes.
 func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return foxImpl(m, a, b, foxVariant{
-		name:  "Fox",
-		bcast: func(int, int) simulator.Cost { return simulator.Cost{} }, // binomial tree
-		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
-			return collective.Broadcast(r.pr, r.row, root, tagFoxBcast+t, payload)
-		},
-		shiftTag:   tagFoxShift,
-		barrierTag: func(int) int { return tagFoxBarrier },
-	})
+	return foxImpl(m, a, b, foxBinomial)
+}
+
+// FoxTiming is Fox's Timing: its skeleton on the wave tier, with no
+// operands and no product.
+func FoxTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
+	return timeSkeleton(m, n, foxBinomial.skeleton)
+}
+
+// foxBinomial is Fox's row: a binomial-tree row broadcast.
+var foxBinomial = foxVariant{
+	name:  "Fox",
+	bcast: func(int, int) simulator.Cost { return simulator.Cost{} }, // binomial tree
+	rowA: func(r meshRank, t, root int, payload []float64) []float64 {
+		return collective.Broadcast(r.pr, r.row, root, tagFoxBcast+t, payload)
+	},
+	shiftTag:   tagFoxShift,
+	barrierTag: func(int) int { return tagFoxBarrier },
 }
 
 // FoxPipelined is the pipelined variant whose run time the paper cites
@@ -78,9 +87,21 @@ func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 //
 // (Eq. (4) drops the lower-order ts·√p contributed by the shifts.)
 func FoxPipelined(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+	return foxImpl(m, a, b, foxPipelined(m))
+}
+
+// FoxPipelinedTiming is FoxPipelined's Timing: its skeleton on the wave
+// tier, with no operands and no product.
+func FoxPipelinedTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
+	return timeSkeleton(m, n, foxPipelined(m).skeleton)
+}
+
+// foxPipelined is FoxPipelined's row on m: the row broadcast charged
+// m's pipeline cost.
+func foxPipelined(m *machine.Machine) foxVariant {
 	// Pipeline fill plus transmission: ts·√p + tw·n²/p.
 	pipeline := func(q, bs int) float64 { return m.Ts*float64(q) + m.Tw*float64(bs*bs) }
-	return foxImpl(m, a, b, foxVariant{
+	return foxVariant{
 		name:  "FoxPipelined",
 		bcast: func(q, bs int) simulator.Cost { return simulator.Charged(pipeline(q, bs)) },
 		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
@@ -88,7 +109,7 @@ func FoxPipelined(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 		},
 		shiftTag:   tagFoxShift,
 		barrierTag: func(int) int { return tagFoxBarrier },
-	})
+	}
 }
 
 // FoxMesh is Fox's algorithm on a wraparound mesh without any
@@ -181,23 +202,17 @@ func foxRelay(tag int) func(r meshRank, t, root int, payload []float64) []float6
 // runs on the event engine's wave tier when the simulator takes it, as
 // a rank program otherwise.
 func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, error) {
-	pow2Err := ""
 	if v.bcast != nil {
-		pow2Err = "core: Fox needs a power-of-two mesh side, got %d"
-	}
-	n, q, err := meshSide(m, a, b, pow2Err)
-	if err != nil {
+		res, ok, err := onWave(m, a, b, v.name, v.skeleton, func(q int) *matrix.Dense {
+			return cannonProduct(a, b, q, foxSkew)
+		})
+		if ok || err != nil {
+			return res, err
+		}
+	} else if _, _, err := meshSide(m, a, b, ""); err != nil {
 		return nil, err
 	}
-	if v.bcast != nil {
-		sim, ok, err := simulator.RunSkeleton(m, foxSkeleton(q, n/q, v.bcast(q, n/q)))
-		if err != nil {
-			return nil, err
-		}
-		if ok {
-			return newResult(v.name, cannonProduct(a, b, q, foxSkew), sim, n, q*q), nil
-		}
-	}
+	n, q := a.Rows, topology.IntSqrt(m.P())
 	return onMesh(m, a, b, n, q, v.name, func(r meshRank, blkA, blkB *matrix.Dense) *matrix.Dense {
 		pr, bs := r.pr, r.bs
 		myA, myB := blockData(blkA), blockData(blkB)
@@ -231,12 +246,18 @@ func foxImpl(m *machine.Machine, a, b *matrix.Dense, v foxVariant) (*Result, err
 	})
 }
 
-// foxSkeleton is the timed skeleton of foxImpl's rank program for a
-// broadcast variant on a q×q mesh of bs×bs blocks: q unrolled
-// iterations of {row broadcast from column (i+t) mod q charging cost,
-// compute, B rolled up, barrier}, then the verification gather. The
-// iterations differ only in their broadcast roots.
-func foxSkeleton(q, bs int, cost simulator.Cost) simulator.Skeleton {
+// skeleton is the timed skeleton of foxImpl's rank program for a
+// broadcast variant on the q×q mesh of (n/q)×(n/q) blocks: q unrolled
+// iterations of {row broadcast from column (i+t) mod q charging the
+// variant's cost, compute, B rolled up, barrier}, then the verification
+// gather. The iterations differ only in their broadcast roots.
+func (v foxVariant) skeleton(m *machine.Machine, n int) (simulator.Skeleton, int, error) {
+	q, err := squareSide(n, m.P(), "core: Fox needs a power-of-two mesh side, got %d")
+	if err != nil {
+		return simulator.Skeleton{}, 0, err
+	}
+	bs := n / q
+	cost := v.bcast(q, bs)
 	mesh := topology.NewTorus2D(q, q)
 	words := bs * bs
 	rows := make([][]int, q)
@@ -256,5 +277,5 @@ func foxSkeleton(q, bs int, cost simulator.Cost) simulator.Skeleton {
 			simulator.Barrier{},
 		)
 	}
-	return simulator.Skeleton{P: q * q, Steps: append(steps, simulator.Gather{Words: words})}
+	return simulator.Skeleton{P: q * q, Steps: append(steps, simulator.Gather{Words: words})}, q, nil
 }

@@ -54,8 +54,17 @@ type gkVariant struct {
 //
 //	Tp = n³/p + ts·(log₂p + 2) + tw·(n²/p^(2/3))·(log₂p + 2)
 func GK(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return gkImpl(m, a, b, gkVariant{name: "GK"})
+	return gkImpl(m, a, b, gkBinomial)
 }
+
+// GKTiming is GK's Timing: its skeleton on the wave tier, with no
+// operands and no product.
+func GKTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
+	return timeSkeleton(m, n, gkBinomial.skeleton)
+}
+
+// gkBinomial is GK's row: plain binomial trees.
+var gkBinomial = gkVariant{name: "GK"}
 
 // GKImprovedBroadcast is the Section 5.4.1 variant: all five
 // communication stages use the optimized one-to-all broadcast of
@@ -66,13 +75,23 @@ func GK(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 //
 // (transport 4/5 of it, gather/sum the rest).
 func GKImprovedBroadcast(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return gkImpl(m, a, b, gkVariant{
-		name: "GKImprovedBroadcast",
-		stageCost: func(m *machine.Machine, n, q3 int) float64 {
-			bs := n / q3
-			return collective.JohnssonHoTime(m.Ts, m.Tw, bs*bs, q3)
-		},
-	})
+	return gkImpl(m, a, b, gkImproved)
+}
+
+// GKImprovedBroadcastTiming is GKImprovedBroadcast's Timing: its
+// skeleton on the wave tier, with no operands and no product.
+func GKImprovedBroadcastTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
+	return timeSkeleton(m, n, gkImproved.skeleton)
+}
+
+// gkImproved is GKImprovedBroadcast's row: every stage charged the
+// Johnsson–Ho broadcast time.
+var gkImproved = gkVariant{
+	name: "GKImprovedBroadcast",
+	stageCost: func(m *machine.Machine, n, q3 int) float64 {
+		bs := n / q3
+		return collective.JohnssonHoTime(m.Ts, m.Tw, bs*bs, q3)
+	},
 }
 
 // GKAllPort is the Section 7.2 variant on a hypercube with simultaneous
@@ -93,36 +112,17 @@ func GKAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 // event engine's wave tier when the simulator takes its skeleton, as a
 // rank program otherwise.
 func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error) {
-	n, err := checkInputs(m, a, b)
-	if err != nil {
-		return nil, err
+	res, ok, err := onWave(m, a, b, v.name, v.skeleton, func(q3 int) *matrix.Dense {
+		return gkProduct(a, b, q3, v.stageCost == nil)
+	})
+	if ok || err != nil {
+		return res, err
 	}
-	p := m.P()
-	q3, err := cubeSide(n, p)
-	if err != nil {
-		return nil, err
-	}
+	n, p := a.Rows, m.P()
+	q3 := topology.IntCbrt(p)
 	bs := n / q3
 	grid := topology.NewGrid3D(q3)
-	// The verification gather's holders: the i=0 face, block (j,k) at
-	// index j·q₃+k.
-	holders := make([]int, q3*q3)
-	for j := 0; j < q3; j++ {
-		for k := 0; k < q3; k++ {
-			holders[j*q3+k] = grid.RankOf(0, j, k)
-		}
-	}
-	var cost simulator.Cost // zero: MsgTime routes and binomial trees
-	if v.stageCost != nil {
-		cost = simulator.Charged(v.stageCost(m, n, q3))
-	}
-	sim, ok, err := simulator.RunSkeleton(m, gkSkeleton(grid, bs, holders, cost))
-	if err != nil {
-		return nil, err
-	}
-	if ok {
-		return newResult(v.name, gkProduct(a, b, q3, v.stageCost == nil), sim, n, p), nil
-	}
+	holders := gkHolders(grid)
 	ga := matrix.Partition(a, q3, q3)
 	gb := matrix.Partition(b, q3, q3)
 	everyone := allRanks(p)
@@ -153,7 +153,7 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error
 	}
 
 	var product *matrix.Dense
-	sim, err = simulator.Run(m, func(pr *simulator.Proc) {
+	sim, err := simulator.Run(m, func(pr *simulator.Proc) {
 		i, j, k := grid.Coords(pr.Rank())
 		barrier := 0
 		sync := func() {
@@ -212,13 +212,37 @@ func gkImpl(m *machine.Machine, a, b *matrix.Dense, v gkVariant) (*Result, error
 	return newResult(v.name, product, sim, n, p), nil
 }
 
-// gkSkeleton is the timed skeleton of gkImpl's rank program on grid
-// with bs×bs blocks: the four transport stages, each followed by a
-// barrier, the multiplication and its barrier, the reduction along the
-// first axis, and the verification gather from holders. Every route,
-// broadcast and reduction charges cost.
-func gkSkeleton(grid topology.Grid3D, bs int, holders []int, cost simulator.Cost) simulator.Skeleton {
+// gkHolders returns the verification gather's holders on grid: the
+// i=0 face, block (j,k) at index j·q₃+k.
+func gkHolders(grid topology.Grid3D) []int {
 	q3 := grid.Q
+	holders := make([]int, q3*q3)
+	for j := 0; j < q3; j++ {
+		for k := 0; k < q3; k++ {
+			holders[j*q3+k] = grid.RankOf(0, j, k)
+		}
+	}
+	return holders
+}
+
+// skeleton is the timed skeleton of gkImpl's rank program for n×n
+// operands on the p^(1/3)-sided cube: the four transport stages, each
+// followed by a barrier, the multiplication and its barrier, the
+// reduction along the first axis, and the verification gather from
+// the i=0 face. Every route, broadcast and reduction charges the
+// variant's stage cost, or the machine's message time and binomial
+// trees when it has none.
+func (v gkVariant) skeleton(m *machine.Machine, n int) (simulator.Skeleton, int, error) {
+	q3, err := cubeSide(n, m.P())
+	if err != nil {
+		return simulator.Skeleton{}, 0, err
+	}
+	var cost simulator.Cost // zero: MsgTime routes and binomial trees
+	if v.stageCost != nil {
+		cost = simulator.Charged(v.stageCost(m, n, q3))
+	}
+	bs := n / q3
+	grid := topology.NewGrid3D(q3)
 	words := bs * bs
 	// lines returns every line of the grid along axis, indexed by its
 	// two fixed coordinates (c1, c2) at c1·q₃+c2, and the index within
@@ -263,8 +287,8 @@ func gkSkeleton(grid topology.Grid3D, bs int, holders []int, cost simulator.Cost
 		simulator.Compute{Flops: float64(bs) * float64(bs) * float64(bs)},
 		simulator.Barrier{},
 		simulator.Reduce{Words: words, Groups: cLines, Roots: cRoots, Cost: cost},
-		simulator.Gather{Words: words, Holders: holders},
-	}}
+		simulator.Gather{Words: words, Holders: gkHolders(grid)},
+	}}, q3, nil
 }
 
 // gkProduct multiplies a and b in GK's own addition order on a q3-sided

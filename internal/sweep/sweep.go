@@ -15,6 +15,7 @@ import (
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
+	"matscale/internal/simulator"
 	"matscale/internal/topology"
 )
 
@@ -42,8 +43,12 @@ type Spec struct {
 	// slice means clean only. Scenarios are canonicalized (parsed and
 	// re-rendered) before they become cell keys.
 	Faults []string `json:"faults,omitempty"`
-	// Seed is the base matrix seed; cells at dimension n multiply
-	// Random(n, n, Seed+2n) by Random(n, n, Seed+2n+1).
+	// Seed is the base matrix seed: a cell at dimension n that runs a
+	// rank program multiplies Random(n, n, Seed+2n) by
+	// Random(n, n, Seed+2n+1). Cells timed from a skeleton alone (see
+	// Formulation.Measure) use no operands, so the seed reaches only
+	// the others, and no cell's timing depends on it. It stays part of
+	// CellKey, so cache and checkpoint keys keep their meaning.
 	Seed uint64 `json:"seed,omitempty"`
 }
 
@@ -192,6 +197,10 @@ type Formulation struct {
 	// Selection.Name and in report rows.
 	Name string
 	Run  core.Algorithm
+	// Timing measures the formulation from its timed skeleton alone,
+	// with no operands and no product; nil for the formulations the
+	// wave tier has no skeleton for.
+	Timing core.Timing
 	// PaperTp is the paper's closed-form parallel time for n×n matrices
 	// on p processors (Eqs. 2–7; GK on a fully connected network uses
 	// Eq. 18). nil when the paper prints no equation.
@@ -200,19 +209,39 @@ type Formulation struct {
 
 // formulations is the formulation table, sorted by key.
 var formulations = []Formulation{
-	{"berntsen", "Berntsen", core.Berntsen, hypercubeTp(model.PaperBerntsenTp)},
-	{"cannon", "Cannon", core.Cannon, hypercubeTp(model.PaperCannonTp)},
-	{"dns", "DNS", core.DNS, hypercubeTp(model.PaperDNSTp)},
-	{"fox", "Fox", core.Fox, hypercubeTp(model.PaperFoxTp)},
-	{"foxpipe", "FoxPipelined", core.FoxPipelined, hypercubeTp(model.PaperFoxTp)},
-	{"gk", "GK", core.GK, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
+	{"berntsen", "Berntsen", core.Berntsen, nil, hypercubeTp(model.PaperBerntsenTp)},
+	{"cannon", "Cannon", core.Cannon, core.CannonTiming, hypercubeTp(model.PaperCannonTp)},
+	{"dns", "DNS", core.DNS, nil, hypercubeTp(model.PaperDNSTp)},
+	{"fox", "Fox", core.Fox, core.FoxTiming, hypercubeTp(model.PaperFoxTp)},
+	{"foxpipe", "FoxPipelined", core.FoxPipelined, core.FoxPipelinedTiming, hypercubeTp(model.PaperFoxTp)},
+	{"gk", "GK", core.GK, core.GKTiming, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
 		if fullyConnected {
 			return model.PaperGKCM5Tp(pr, n, p)
 		}
 		return model.PaperGKTp(pr, n, p)
 	}},
-	{"gkimproved", "GKImprovedBroadcast", core.GKImprovedBroadcast, nil},
-	{"simple", "Simple", core.Simple, hypercubeTp(model.PaperSimpleTp)},
+	{"gkimproved", "GKImprovedBroadcast", core.GKImprovedBroadcast, core.GKImprovedBroadcastTiming, nil},
+	{"simple", "Simple", core.Simple, nil, hypercubeTp(model.PaperSimpleTp)},
+}
+
+// Measure returns f's virtual-time measurement for n×n operands on m.
+// It times f's skeleton alone when f has a Timing and the simulator
+// takes m for the wave tier; otherwise it runs f.Run on operands(),
+// which is then the only call that builds operands. Both paths return
+// the same Result for the same cell, and the same error for a rejected
+// geometry.
+func (f Formulation) Measure(m *machine.Machine, n int, operands func() [2]*matrix.Dense) (*simulator.Result, error) {
+	if f.Timing != nil {
+		if sim, ok, err := f.Timing(m, n); ok || err != nil {
+			return sim, err
+		}
+	}
+	ab := operands()
+	res, err := f.Run(m, ab[0], ab[1])
+	if err != nil {
+		return nil, err
+	}
+	return res.Sim, nil
 }
 
 // hypercubeTp adapts a hypercube equation (Eqs. 2–6) that the paper
@@ -457,7 +486,8 @@ func Run(s *Spec, opt Options) (*Result, error) {
 
 	// Input matrices, shared read-only by every cell at the same
 	// dimension. Each dimension's pair is generated by the first cell
-	// that has to be simulated, so a grid served from the cache
+	// that has to run a rank program (see Formulation.Measure), so a
+	// grid served from the cache, or timed from skeletons alone,
 	// generates none. The pair is a pure function of (seed, n): which
 	// worker builds it changes no byte.
 	mats := map[int]func() [2]*matrix.Dense{}
@@ -521,7 +551,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 				return nil
 			}
 		}
-		r := runCell(s, c, cfgs[c.Faults], mats[c.N](), opt.Backend)
+		r := runCell(s, c, cfgs[c.Faults], mats[c.N], opt.Backend)
 		r.PredictedTp = preds[i]
 		if opt.Cache != nil {
 			opt.Cache.Put(key, r)
@@ -555,7 +585,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 
 // runCell executes one cell on its own machine instance and records
 // either the measurements or the formulation's rejection.
-func runCell(s *Spec, c Cell, fc *faults.Config, mats [2]*matrix.Dense, backend machine.Backend) CellResult {
+func runCell(s *Spec, c Cell, fc *faults.Config, operands func() [2]*matrix.Dense, backend machine.Backend) CellResult {
 	r := CellResult{Cell: c}
 	build, _, _, ok := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
 	if !ok {
@@ -572,17 +602,18 @@ func runCell(s *Spec, c Cell, fc *faults.Config, mats [2]*matrix.Dense, backend 
 		m = m.WithFaults(fc)
 	}
 	f, _ := Lookup(c.Algorithm)
-	res, err := f.Run(m, mats[0], mats[1])
+	sim, err := f.Measure(m, c.N, operands)
 	if err != nil {
 		r.Err = err.Error()
 		return r
 	}
-	r.Tp = res.Sim.Tp
-	r.Speedup = res.Speedup()
-	r.Efficiency = res.Efficiency()
-	r.Overhead = res.Overhead()
-	r.Retries = res.Sim.Retries
-	r.RetryTime = res.Sim.RetryTime
+	w := float64(c.N) * float64(c.N) * float64(c.N) // W = n³
+	r.Tp = sim.Tp
+	r.Speedup = sim.Speedup(w)
+	r.Efficiency = sim.Efficiency(w)
+	r.Overhead = sim.Overhead(w)
+	r.Retries = sim.Retries
+	r.RetryTime = sim.RetryTime
 	return r
 }
 

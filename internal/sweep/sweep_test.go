@@ -10,6 +10,7 @@ import (
 	"sync"
 	"testing"
 
+	"matscale/internal/faults"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
@@ -348,6 +349,8 @@ func TestFormulationTable(t *testing.T) {
 	if len(formulations) != len(equations) {
 		t.Fatalf("table has %d rows, want %d", len(formulations), len(equations))
 	}
+	// The keys with a timed skeleton, the wave tier's formulations.
+	timed := map[string]bool{"cannon": true, "fox": true, "foxpipe": true, "gk": true, "gkimproved": true}
 	for _, f := range formulations {
 		eq, ok := equations[f.Key]
 		if !ok {
@@ -356,6 +359,9 @@ func TestFormulationTable(t *testing.T) {
 		}
 		if g, ok := ByName(f.Name); !ok || g.Key != f.Key {
 			t.Errorf("%s: ByName(%q) = %q, %v", f.Key, f.Name, g.Key, ok)
+		}
+		if (f.Timing != nil) != timed[f.Key] {
+			t.Errorf("%s: has Timing = %v, want %v", f.Key, f.Timing != nil, timed[f.Key])
 		}
 		// Run stamps the row's name on a geometry it accepts.
 		ran := false
@@ -569,6 +575,121 @@ func TestCachedRunGeneratesNoOperands(t *testing.T) {
 	}
 	if !reflect.DeepEqual(hit, cold) {
 		t.Error("cached re-run's Result differs from the cold run's")
+	}
+}
+
+// TestColdSweepTimesWithoutOperands pins the payload-free cells: a
+// cold, uncached sweep whose cells all take the wave tier times them
+// from their skeletons and allocates less than one of its n×n operand
+// matrices. A silent fallback to operands and a host product fails it.
+func TestColdSweepTimesWithoutOperands(t *testing.T) {
+	const n = 352
+	s := &Spec{
+		Algorithms: []string{"cannon", "fox", "foxpipe", "gk", "gkimproved"},
+		Machines:   []string{"custom", "cm5"},
+		Ts:         17, Tw: 3,
+		Ps:   []int{1, 64},
+		Ns:   []int{n},
+		Seed: 1,
+	}
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	res, err := Run(s, Options{Workers: 1})
+	runtime.ReadMemStats(&after)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Ran != len(res.Cells) {
+		t.Fatalf("%d of %d cells ran; every cell must take the wave tier", res.Ran, len(res.Cells))
+	}
+	if got, matrixBytes := after.TotalAlloc-before.TotalAlloc, uint64(n*n*8); got >= matrixBytes {
+		t.Errorf("cold sweep allocated %d bytes, want fewer than one %dx%d matrix (%d)", got, n, n, matrixBytes)
+	}
+}
+
+// TestRankProgramCellsUnchanged pins the operand path: formulations
+// without a skeleton (simple) and lossy scenarios, which the wave tier
+// declines, still multiply seeded operands through their rank
+// programs, with the CSV the sweep emitted before skeleton timing.
+func TestRankProgramCellsUnchanged(t *testing.T) {
+	s := &Spec{
+		Algorithms: []string{"simple", "cannon"},
+		Machines:   []string{"custom"},
+		Ts:         17, Tw: 3,
+		Ps:     []int{4, 16},
+		Ns:     []int{16, 24},
+		Faults: []string{"", "loss=0.02,seed=7"},
+		Seed:   1,
+	}
+	res, err := Run(s, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `algorithm,machine,p,n,faults,tp,speedup,efficiency,overhead,predicted_tp,retries,retry_time,error
+cannon,custom,4,16,,1860,2.2021505376344086,0.5505376344086022,3344,1860,0,0,
+cannon,custom,4,16,"seed=7,loss=0.02",1860,2.2021505376344086,0.5505376344086022,3344,1860,0,0,
+cannon,custom,4,24,,5252,2.6321401370906323,0.6580350342726581,7184,5252,0,0,
+cannon,custom,4,24,"seed=7,loss=0.02",5252,2.6321401370906323,0.6580350342726581,7184,5252,0,0,
+cannon,custom,16,16,,776,5.278350515463917,0.32989690721649484,8320,776,0,0,
+cannon,custom,16,16,"seed=7,loss=0.02",1036,3.9536679536679538,0.2471042471042471,12480,776,5,650,
+cannon,custom,16,24,,1864,7.416309012875536,0.463519313304721,16000,1864,0,0,
+cannon,custom,16,24,"seed=7,loss=0.02",2364,5.847715736040609,0.36548223350253806,24000,1864,5,1250,
+simple,custom,4,16,,1442,2.840499306518724,0.710124826629681,1672,1860,0,0,
+simple,custom,4,16,"seed=7,loss=0.02",1442,2.840499306518724,0.710124826629681,1672,1860,0,0,
+simple,custom,4,24,,4354,3.175011483693156,0.793752870923289,3592,5252,0,0,
+simple,custom,4,24,"seed=7,loss=0.02",4354,3.175011483693156,0.793752870923289,3592,5252,0,0,
+simple,custom,16,16,,612,6.69281045751634,0.41830065359477125,5696,776,0,0,
+simple,custom,16,16,"seed=7,loss=0.02",968,4.231404958677686,0.2644628099173554,11392,776,4,712,
+simple,custom,16,24,,1580,8.749367088607595,0.5468354430379747,11456,1864,0,0,
+simple,custom,16,24,"seed=7,loss=0.02",2296,6.020905923344948,0.37630662020905925,22912,1864,4,1432,
+`
+	if got := res.CSV(); got != want {
+		t.Errorf("CSV differs from the rank programs' output:\n got:\n%s\nwant:\n%s", got, want)
+	}
+}
+
+// TestMeasureBuildsOperandsOnlyForRankPrograms pins the one decision
+// point: Measure calls operands exactly when the cell runs a rank
+// program, returns Run's Result.Sim either way, and rejects a geometry
+// with Run's error without building operands.
+func TestMeasureBuildsOperandsOnlyForRankPrograms(t *testing.T) {
+	const n = 16
+	lossy := machine.NCube2(16).WithFaults(&faults.Config{Seed: 7, Loss: 0.02})
+	metered := machine.NCube2(16)
+	metered.CollectMetrics = true
+	cases := []struct {
+		key   string
+		m     *machine.Machine
+		calls int
+	}{
+		{"cannon", machine.NCube2(16), 0},
+		{"gk", machine.CM5(64), 0},
+		{"foxpipe", machine.CM5(16), 0},
+		{"gk", machine.NCube2(16), 0}, // rejected: p is not a cube
+		{"cannon", lossy, 1},
+		{"fox", metered, 1},
+		{"simple", machine.NCube2(16), 1},
+		{"dns", machine.NCube2(64), 1},
+	}
+	for _, c := range cases {
+		f, _ := Lookup(c.key)
+		a, b := matrix.Random(n, n, 1), matrix.Random(n, n, 2)
+		calls := 0
+		sim, err := f.Measure(c.m, n, func() [2]*matrix.Dense { calls++; return [2]*matrix.Dense{a, b} })
+		if calls != c.calls {
+			t.Errorf("%s on %v: operands built %d times, want %d", c.key, c.m, calls, c.calls)
+		}
+		res, rerr := f.Run(c.m, a, b)
+		switch {
+		case rerr != nil:
+			if err == nil || err.Error() != rerr.Error() {
+				t.Errorf("%s on %v: Measure error %v, Run error %v", c.key, c.m, err, rerr)
+			}
+		case err != nil:
+			t.Errorf("%s on %v: Measure: %v", c.key, c.m, err)
+		case !reflect.DeepEqual(sim, res.Sim):
+			t.Errorf("%s on %v: Measure's Result differs from Run's Sim", c.key, c.m)
+		}
 	}
 }
 
