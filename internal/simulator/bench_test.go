@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"matscale/internal/core"
+	"matscale/internal/faults"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/simulator"
@@ -90,6 +91,30 @@ func BenchmarkDESCannonWave(b *testing.B) {
 			b.Fatal(err)
 		}
 		if res.Sim.Tp <= 0 {
+			b.Fatal("degenerate Tp")
+		}
+	}
+}
+
+// BenchmarkDESCannonWaveFaulted times Cannon's skeleton alone
+// (core.CannonTiming) on a faulted hypercube, p = 1024, n = 256: a
+// straggler and link jitter keep it off the lockstep path, so the
+// per-rank walk re-evaluates the 32 iterations of the Repeat body, each
+// shift paying a link-fault hash per rank.
+func BenchmarkDESCannonWaveFaulted(b *testing.B) {
+	const p, n = 1024, 256
+	fc, err := faults.Parse("straggler=2@rank0,jitter=0.1,seed=3")
+	if err != nil {
+		b.Fatal(err)
+	}
+	m := machine.Hypercube(p, 17, 3).WithFaults(fc)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, ok, err := core.CannonTiming(m, n)
+		if err != nil || !ok {
+			b.Fatalf("CannonTiming: ok=%v err=%v", ok, err)
+		}
+		if res.Tp <= 0 {
 			b.Fatal("degenerate Tp")
 		}
 	}

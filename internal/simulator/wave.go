@@ -12,12 +12,15 @@
 // engine paths — the native differential suite (wave_test.go) asserts
 // this for Cannon, the GK family, Fox and FoxPipelined.
 //
-// Collectives are written as fixed sequences of transfer rounds, the
-// way the hyper-systolic formulations write broadcasts and reductions
-// as fixed shift sequences. A binomial broadcast or reduction over g
-// ranks is the log₂g rounds of topology.BinomialTree, the schedule the
-// rank programs of package collective walk too; a closed-form-charged
-// collective and a gather are one round, a barrier two.
+// The per-rank path walks the skeleton's steps in place, in program
+// order, re-walking a Repeat's body each time. Collectives are fixed
+// sequences of transfer rounds, the way the hyper-systolic formulations
+// write broadcasts and reductions as fixed shift sequences: a binomial
+// broadcast or reduction over g ranks is the log₂g rounds of
+// topology.BinomialTree, the schedule the rank programs of package
+// collective walk too, and a closed-form-charged collective is one
+// round. A barrier and a gather move no charged data, so each is only a
+// maximum over clocks.
 //
 // On a healthy machine (no fault configuration) a skeleton made only of
 // compute, shifts whose ranks are all alike (all self or all
@@ -32,6 +35,7 @@ package simulator
 
 import (
 	"fmt"
+	"slices"
 	"sync/atomic"
 
 	"matscale/internal/machine"
@@ -79,8 +83,10 @@ type Send struct {
 // Broadcast distributes Words words from member Roots[g] of each group
 // Groups[g] to the whole group. Groups must be disjoint. The zero Cost
 // runs a binomial tree of one-hop transfers over a power-of-two group
-// (collective.Broadcast); Charged(c) charges the root c once and moves
-// the data in one step (collective.BroadcastCharged).
+// (collective.Broadcast): every tree link is charged one hop, whatever
+// the distance between its members on the machine's topology.
+// Charged(c) charges the root c once and moves the data in one step
+// (collective.BroadcastCharged).
 type Broadcast struct {
 	Words  int
 	Groups [][]int
@@ -91,8 +97,8 @@ type Broadcast struct {
 // Reduce sums Words-word vectors of each group Groups[g] into its
 // member Roots[g]. Groups must be disjoint. The zero Cost runs a
 // binomial tree of one-hop transfers over a power-of-two group
-// (collective.Reduce); Charged(c) charges every contributor c
-// (collective.ReduceCharged).
+// (collective.Reduce), every link charged one hop as in Broadcast;
+// Charged(c) charges every contributor c (collective.ReduceCharged).
 type Reduce struct {
 	Words  int
 	Groups [][]int
@@ -101,12 +107,15 @@ type Reduce struct {
 }
 
 // Barrier synchronizes every rank's clock to the maximum at zero cost
-// (collective.BarrierFree over all ranks).
+// (collective.BarrierFree over all ranks): it sets every clock to the
+// latest one. It counts as the 2(P−1) messages BarrierFree sends.
 type Barrier struct{}
 
 // Gather collects Words words from every holder at Holders[0] at zero
 // cost, in holder order — the verification gather. Nil Holders means
-// every rank in rank order.
+// every rank in rank order; empty Holders gathers nothing. Only the
+// collector's clock moves, to the latest clock among the holders; the
+// other holders send free and go on.
 type Gather struct {
 	Words   int
 	Holders []int
@@ -156,7 +165,8 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 	if p != m.P() {
 		return nil, false, fmt.Errorf("simulator: skeleton for %d ranks on a %d-processor machine", p, m.P())
 	}
-	msgs, words, err := tally(p, sk.Steps)
+	var scratch []bool
+	msgs, words, err := tally(p, sk.Steps, &scratch)
 	if err != nil {
 		return nil, false, err
 	}
@@ -185,14 +195,20 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 			w.clock[r], w.compT[r], w.commT[r] = clock, compT, commT
 		}
 	} else {
-		w.run(compile(m, p, sk.Steps))
+		w.factor = make([]float64, p)
+		for r := range w.factor {
+			w.factor[r] = m.Faults.ComputeFactor(r)
+		}
+		w.round = make([]stamp, 0, p)
+		w.walk(sk.Steps)
 	}
 	return w.result(msgs, words), true, nil
 }
 
 // tally validates steps on p ranks and counts the messages and words
-// they send, the totals Proc's deliver counts.
-func tally(p int, steps []Step) (msgs, words int, err error) {
+// they send, the totals Proc's deliver counts. scratch holds the
+// member marks checkGroups reuses from step to step.
+func tally(p int, steps []Step, scratch *[]bool) (msgs, words int, err error) {
 	inRange := func(r int) error {
 		if r < 0 || r >= p {
 			return fmt.Errorf("simulator: skeleton names rank %d outside [0,%d)", r, p)
@@ -228,12 +244,12 @@ func tally(p int, steps []Step) (msgs, words int, err error) {
 			}
 			w = s.Words
 		case Broadcast:
-			if n, err = checkGroups(p, s.Groups, s.Roots, s.Cost); err != nil {
+			if n, err = checkGroups(p, scratch, s.Groups, s.Roots, s.Cost); err != nil {
 				return 0, 0, err
 			}
 			w = s.Words
 		case Reduce:
-			if n, err = checkGroups(p, s.Groups, s.Roots, s.Cost); err != nil {
+			if n, err = checkGroups(p, scratch, s.Groups, s.Roots, s.Cost); err != nil {
 				return 0, 0, err
 			}
 			w = s.Words
@@ -254,7 +270,7 @@ func tally(p int, steps []Step) (msgs, words int, err error) {
 			if s.Times < 0 {
 				return 0, 0, fmt.Errorf("simulator: negative repeat count %d", s.Times)
 			}
-			bm, bw, err := tally(p, s.Body)
+			bm, bw, err := tally(p, s.Body, scratch)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -269,15 +285,20 @@ func tally(p int, steps []Step) (msgs, words int, err error) {
 
 // checkGroups validates the groups of a Broadcast or Reduce — disjoint,
 // in range, roots in range, power-of-two sizes for binomial trees — and
-// returns the number of messages the collective sends.
-func checkGroups(p int, groups [][]int, roots []int, cost Cost) (msgs int, err error) {
+// returns the number of messages the collective sends. It marks members
+// in *scratch, making it on first use.
+func checkGroups(p int, scratch *[]bool, groups [][]int, roots []int, cost Cost) (msgs int, err error) {
 	if len(roots) != len(groups) {
 		return 0, fmt.Errorf("simulator: %d roots for %d groups", len(roots), len(groups))
 	}
 	if cost.c < 0 {
 		return 0, fmt.Errorf("simulator: negative send cost %v", cost.c)
 	}
-	seen := make([]bool, p)
+	if *scratch == nil {
+		*scratch = make([]bool, p)
+	}
+	seen := *scratch
+	clear(seen)
 	for g, group := range groups {
 		if _, ok := topology.Log2(len(group)); !ok && !cost.charged {
 			return 0, fmt.Errorf("simulator: group size %d is not a power of two", len(group))
@@ -351,190 +372,150 @@ func lockstep(m *machine.Machine, p int, steps []Step) ([]charge, bool) {
 	return out, true
 }
 
-// transfer is one message of a round: its sender, its receiver and the
-// sender's charge.
-type transfer struct {
-	src, dst int32
-	cost     float64
+// wave is the per-rank state of one wave-tier run: the accumulators
+// Proc keeps for each rank, each rank's straggler factor, and the
+// round in flight.
+type wave struct {
+	m                       *machine.Machine
+	clock, compT, commT, sx []float64
+	factor                  []float64
+	round                   []stamp
 }
 
-// op is one compiled program point of the per-rank wave: a compute
-// charge (xfers nil) or a round of transfers, in which every sender
-// pays its transfers in order, stamping each with its clock after the
-// send, and every receiver then advances to the stamps addressed to it.
-type op struct {
-	flops float64
-	xfers []transfer
+// stamp is one message of a round: its receiver and its sender's clock
+// after the send.
+type stamp struct {
+	dst int
+	at  float64
 }
 
-// compile returns the wave ops of steps on m's p ranks. The rounds of
-// a collective are the order its binomial tree (topology.BinomialTree)
-// or charged scheme sends in; a rank always completes its sends of a
-// round before its receives, as every rank program does within one
-// program point.
-func compile(m *machine.Machine, p int, steps []Step) []op {
-	var out []op
-	round := func(xs []transfer) {
-		if len(xs) > 0 {
-			out = append(out, op{xfers: xs})
-		}
-	}
-	hop := func(words, src, dst int) transfer {
-		return transfer{int32(src), int32(dst), m.MsgTimeOn(words, 1, src, dst)}
-	}
-	// collective compiles a Broadcast, or a Reduce when up. Charged, it
-	// is one round between each root and its other members, in member
-	// order: a broadcast's root charges its first send and moves the
-	// rest free, and every reduce contributor charges c. Otherwise round
-	// k of every group's tree is one round of one-hop transfers, until
-	// no group's tree has a round k.
-	collective := func(words int, groups [][]int, roots []int, cost Cost, up bool) {
-		if cost.charged {
-			n := 0
-			for _, group := range groups {
-				n += max(len(group)-1, 0)
-			}
-			xs := make([]transfer, 0, n)
-			for g, group := range groups {
-				if len(group) == 0 {
-					continue // a Gather with no holders
-				}
-				root, c := group[roots[g]], cost.c
-				for i, r := range group {
-					if i == roots[g] {
-						continue
-					}
-					if up {
-						xs = append(xs, transfer{int32(r), int32(root), c})
-					} else {
-						xs = append(xs, transfer{int32(root), int32(r), c})
-						c = 0
-					}
-				}
-			}
-			round(xs)
-			return
-		}
-		tree := topology.BroadcastTree
-		if up {
-			tree = topology.ReduceTree
-		}
-		for k := 0; ; k++ {
-			var xs []transfer
-			for g, group := range groups {
-				tree(len(group), roots[g]).Links(k, func(src, dst int) {
-					xs = append(xs, hop(words, group[src], group[dst]))
-				})
-			}
-			if len(xs) == 0 {
-				return
-			}
-			round(xs)
-		}
-	}
-	var everyone [][]int
-	all := func() [][]int { // the one group of every rank, in rank order
-		if everyone == nil {
-			everyone = [][]int{make([]int, p)}
-			for r := range everyone[0] {
-				everyone[0][r] = r
-			}
-		}
-		return everyone
-	}
+// walk runs steps in program order, adding each rank's charges in the
+// order Proc adds them for the rank program. A transfer step is one or
+// more rounds: every sender pays its transfers and stamps each with its
+// clock after the send (send), then every receiver advances to the
+// stamps addressed to it (deliver), as a rank program completes its
+// sends of a program point before its receives. A send to self moves
+// no clock, so no round carries one; a barrier or gather charges
+// nothing and only raises clocks to a maximum.
+func (w *wave) walk(steps []Step) {
+	p := len(w.clock)
 	for _, s := range steps {
 		switch s := s.(type) {
 		case Compute:
-			out = append(out, op{flops: s.Flops})
+			for r, f := range w.factor {
+				charged := s.Flops * f
+				w.clock[r] += charged
+				w.compT[r] += charged
+				w.sx[r] += charged - s.Flops
+			}
 		case Shift:
-			xs := make([]transfer, p)
-			for r := range xs {
+			for r := 0; r < p; r++ {
 				if d := s.Dst(r); d != r {
-					xs[r] = hop(s.Words, r, d)
-				} else {
-					xs[r] = transfer{int32(r), int32(r), 0}
+					w.send(r, d, w.m.MsgTimeOn(s.Words, 1, r, d))
 				}
 			}
-			round(xs)
+			w.deliver()
 		case Send:
-			var xs []transfer
 			for r := 0; r < p; r++ {
 				d := s.Dst(r)
-				if d < 0 {
+				if d < 0 || d == r {
 					continue
 				}
 				c := s.Cost.c
 				if !s.Cost.charged {
-					c = m.MsgTime(s.Words, r, d)
-				} else if d == r {
+					c = w.m.MsgTime(s.Words, r, d)
+				}
+				w.send(r, d, c)
+			}
+			w.deliver()
+		case Broadcast:
+			w.collective(s.Words, s.Groups, s.Roots, s.Cost, false)
+		case Reduce:
+			w.collective(s.Words, s.Groups, s.Roots, s.Cost, true)
+		case Barrier:
+			top := slices.Max(w.clock)
+			for r := range w.clock {
+				w.clock[r] = top
+			}
+		case Gather:
+			switch {
+			case s.Holders == nil:
+				w.clock[0] = slices.Max(w.clock)
+			case len(s.Holders) > 0:
+				c := s.Holders[0]
+				for _, r := range s.Holders[1:] {
+					w.clock[c] = max(w.clock[c], w.clock[r])
+				}
+			}
+		case Repeat:
+			for t := 0; t < s.Times; t++ {
+				w.walk(s.Body)
+			}
+		}
+	}
+}
+
+// collective runs a Broadcast, or a Reduce when up. Charged, it is one
+// round between each root and its other members, in member order: a
+// broadcast's root charges its first send and moves the rest free, and
+// every reduce contributor charges c. Otherwise round k of every
+// group's binomial tree (topology.BinomialTree) is one round of one-hop
+// transfers, until no group's tree has a round k.
+func (w *wave) collective(words int, groups [][]int, roots []int, cost Cost, up bool) {
+	if cost.charged {
+		for g, group := range groups {
+			root, c := group[roots[g]], cost.c
+			for i, r := range group {
+				switch {
+				case i == roots[g]:
+				case up:
+					w.send(r, root, c)
+				default:
+					w.send(root, r, c)
 					c = 0
 				}
-				xs = append(xs, transfer{int32(r), int32(d), c})
-			}
-			round(xs)
-		case Broadcast:
-			collective(s.Words, s.Groups, s.Roots, s.Cost, false)
-		case Reduce:
-			collective(s.Words, s.Groups, s.Roots, s.Cost, true)
-		case Barrier:
-			// Every rank reports to rank 0, which then releases them all.
-			collective(0, all(), []int{0}, Charged(0), true)
-			collective(0, all(), []int{0}, Charged(0), false)
-		case Gather:
-			holders := all()
-			if s.Holders != nil {
-				holders = [][]int{s.Holders}
-			}
-			collective(0, holders, []int{0}, Charged(0), true)
-		case Repeat:
-			body := compile(m, p, s.Body)
-			for t := 0; t < s.Times; t++ {
-				out = append(out, body...)
 			}
 		}
+		w.deliver()
+		return
 	}
-	return out
+	tree := topology.BroadcastTree
+	if up {
+		tree = topology.ReduceTree
+	}
+	for k := 0; ; k++ {
+		for g, group := range groups {
+			tree(len(group), roots[g]).Links(k, func(src, dst int) {
+				src, dst = group[src], group[dst]
+				w.send(src, dst, w.m.MsgTimeOn(words, 1, src, dst))
+			})
+		}
+		if !w.deliver() {
+			return
+		}
+	}
 }
 
-// wave is the per-rank state of one wave-tier run: the accumulators
-// Proc keeps for each rank.
-type wave struct {
-	m                       *machine.Machine
-	clock, compT, commT, sx []float64
+// send charges src cost for a message to dst and stamps the message
+// with src's clock after the send.
+func (w *wave) send(src, dst int, cost float64) {
+	w.clock[src] += cost
+	w.commT[src] += cost
+	w.round = append(w.round, stamp{dst, w.clock[src]})
 }
 
-// run executes compiled ops: a compute op charges every rank its
-// straggler-scaled flops as Proc.Compute does; a round runs its send
-// pass and then its receive pass.
-func (w *wave) run(ops []op) {
-	p := len(w.clock)
-	factor := make([]float64, p)
-	for r := range factor {
-		factor[r] = w.m.Faults.ComputeFactor(r)
-	}
-	arr := make([]float64, 0, p)
-	for _, o := range ops {
-		if o.xfers == nil {
-			for r := 0; r < p; r++ {
-				charged := o.flops * factor[r]
-				w.clock[r] += charged
-				w.compT[r] += charged
-				w.sx[r] += charged - o.flops
-			}
-			continue
-		}
-		arr = arr[:0]
-		for _, x := range o.xfers {
-			w.clock[x.src] += x.cost
-			w.commT[x.src] += x.cost
-			arr = append(arr, w.clock[x.src])
-		}
-		for k, x := range o.xfers {
-			if a := arr[k]; a > w.clock[x.dst] {
-				w.clock[x.dst] = a
-			}
+// deliver is the receive pass of the round in flight: every receiver
+// advances to the stamps addressed to it. It empties the round and
+// reports whether it carried any message.
+func (w *wave) deliver() bool {
+	for _, s := range w.round {
+		if s.at > w.clock[s.dst] {
+			w.clock[s.dst] = s.at
 		}
 	}
+	n := len(w.round)
+	w.round = w.round[:0]
+	return n > 0
 }
 
 // result folds the per-rank accumulators into a Result exactly as

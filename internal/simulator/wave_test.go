@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"matscale/internal/collective"
 	"matscale/internal/core"
 	"matscale/internal/faults"
 	"matscale/internal/machine"
@@ -334,5 +335,126 @@ func TestRunSystolicRejectsMismatch(t *testing.T) {
 		if _, _, err := simulator.RunSkeleton(m, simulator.Skeleton{P: 16, Steps: []simulator.Step{step}}); err == nil {
 			t.Errorf("%s: want an error", name)
 		}
+	}
+}
+
+// waveTotals is the part of a Result the wave tier computes: every
+// field RunSkeleton fills in.
+type waveTotals struct {
+	Tp                                float64
+	ProcClocks, ProcCompute, ProcComm []float64
+	Messages, Words                   int
+}
+
+func totalsOf(res *simulator.Result) waveTotals {
+	return waveTotals{res.Tp, res.ProcClocks, res.ProcCompute, res.ProcComm, res.Messages, res.Words}
+}
+
+// TestWaveStepsMatchFiber is the one-step differential for the steps
+// the wave tier evaluates as clock maxima or by re-walking a body:
+// Barrier, Gather and Repeat. Each skeleton starts with a Compute that
+// stragglers make uneven, runs on a jittered hypercube, and must
+// measure exactly what the equivalent rank program measures on the
+// fiber tier.
+func TestWaveStepsMatchFiber(t *testing.T) {
+	const p, flops, words, tag = 8, 10, 3, 1
+	m := machine.Hypercube(p, 7, 2).WithFaults(&faults.Config{
+		Seed:       3,
+		Stragglers: map[int]float64{2: 1.7, 7: 1.3},
+		Jitter:     0.2,
+	})
+	everyone := []int{0, 1, 2, 3, 4, 5, 6, 7}
+	ring := func(r int) int { return (r + 1) % p }
+	// gather is the rank program of a Gather over holders: every holder
+	// but the collector sends its words free, and the collector receives
+	// them in holder order.
+	gather := func(holders []int) func(*simulator.Proc) {
+		if holders == nil {
+			holders = everyone
+		}
+		return func(pr *simulator.Proc) {
+			pr.Compute(flops)
+			if len(holders) == 0 {
+				return
+			}
+			c := holders[0]
+			for _, r := range holders[1:] {
+				switch pr.Rank() {
+				case c:
+					pr.Recycle(pr.Recv(r, tag))
+				case r:
+					pr.SendFree(c, tag, make([]float64, words))
+				}
+			}
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		steps []simulator.Step
+		body  func(*simulator.Proc)
+	}{
+		{"barrier", []simulator.Step{simulator.Compute{Flops: flops}, simulator.Barrier{}}, func(pr *simulator.Proc) {
+			pr.Compute(flops)
+			collective.BarrierFree(pr, everyone, tag)
+		}},
+		{"gather/all", []simulator.Step{simulator.Compute{Flops: flops}, simulator.Gather{Words: words}}, gather(nil)},
+		{"gather/subset", []simulator.Step{simulator.Compute{Flops: flops}, simulator.Gather{Words: words, Holders: []int{5, 2, 7}}}, gather([]int{5, 2, 7})},
+		{"gather/empty", []simulator.Step{simulator.Compute{Flops: flops}, simulator.Gather{Words: words, Holders: []int{}}}, gather([]int{})},
+		{"repeat", []simulator.Step{simulator.Repeat{Times: 3, Body: []simulator.Step{
+			simulator.Compute{Flops: flops}, simulator.Shift{Words: words, Dst: ring},
+		}}}, func(pr *simulator.Proc) {
+			for range 3 {
+				pr.Compute(flops)
+				pr.SendNeighbor(ring(pr.Rank()), tag, make([]float64, words))
+				pr.Recycle(pr.Recv((pr.Rank()+p-1)%p, tag))
+			}
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			fiber, err := simulator.Run(m, tc.body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			wave, ok, err := simulator.RunSkeleton(m, simulator.Skeleton{P: p, Steps: tc.steps})
+			if err != nil || !ok {
+				t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+			}
+			if got, want := totalsOf(wave), totalsOf(fiber); !reflect.DeepEqual(got, want) {
+				t.Errorf("wave  %+v\nfiber %+v", got, want)
+			}
+		})
+	}
+}
+
+// TestWaveAllocsIndependentOfSteps is the wave tier's allocation gate:
+// on a faulted machine, so that the per-rank path runs, a skeleton's
+// allocations must not depend on how many steps it walks.
+func TestWaveAllocsIndependentOfSteps(t *testing.T) {
+	const p = 64
+	m := machine.Hypercube(p, 17, 3).WithFaults(stragglersAndJitter())
+	everyone := make([]int, p)
+	for r := range everyone {
+		everyone[r] = r
+	}
+	block := []simulator.Step{
+		simulator.Broadcast{Words: 4, Groups: [][]int{everyone}, Roots: []int{3}},
+		simulator.Reduce{Words: 4, Groups: [][]int{everyone}, Roots: []int{5}},
+		simulator.Shift{Words: 4, Dst: func(r int) int { return r ^ 1 }},
+		simulator.Barrier{},
+		simulator.Gather{Words: 4},
+	}
+	allocs := func(copies int) float64 {
+		sk := simulator.Skeleton{P: p}
+		for range copies {
+			sk.Steps = append(sk.Steps, block...)
+		}
+		return testing.AllocsPerRun(10, func() {
+			if _, ok, err := simulator.RunSkeleton(m, sk); !ok || err != nil {
+				t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+			}
+		})
+	}
+	if one, many := allocs(1), allocs(16); one != many {
+		t.Errorf("RunSkeleton allocates %v times for one copy of the steps and %v for 16", one, many)
 	}
 }
