@@ -39,7 +39,7 @@ BENCH_NEW ?= bench_pr.txt
 bench-gate:
 	$(GO) run ./scripts/benchgate -old $(BENCH_OLD) -new $(BENCH_NEW) -pkg 'internal/(simulator|matrix)' -max 0.10
 
-SIM_DIFF_TESTS = TestNativeCannon|TestNativeGK|TestNativeFox|TestGKTakesWaveTier|TestWaveStepsMatchFiber|TestWaveAllocsIndependentOfSteps|TestSkeletonDeclinesGoroutines|TestSystolicEligibility|TestRunSystolicRejectsMismatch|FuzzBackendEquivalence
+SIM_DIFF_TESTS = TestNativeCannon|TestNativeGK|TestNativeFox|TestGKTakesWaveTier|TestWaveStepsMatchFiber|TestWaveAllocsIndependentOfSteps|TestWaveEvaluatesRankMapsOnce|TestSkeletonDeclinesGoroutines|TestSystolicEligibility|TestRunSystolicRejectsMismatch|FuzzBackendEquivalence
 
 # The cross-backend differential suite under the race detector: the
 # goroutine engine and the discrete-event engine's fiber and wave tiers

@@ -66,13 +66,23 @@ func cannonSkeleton(m *machine.Machine, n int) (simulator.Skeleton, int, error) 
 	return simulator.Skeleton{P: q * q, Steps: []simulator.Step{
 		// Skew: A_ij to (i, j−i), B_ij to (i−j, j). Every clock is still
 		// zero, so sending both before receiving either is immaterial.
+		// Each divides once for (i, j) and wraps by comparison.
 		simulator.Send{Words: words, Cost: free, Dst: func(r int) int {
-			i, j := mesh.Coords(r)
-			return mesh.RankAt(i, j-i)
+			i := r / q
+			col := r - i*q - i // j − i, in (−q, q)
+			if col < 0 {
+				col += q
+			}
+			return i*q + col
 		}},
 		simulator.Send{Words: words, Cost: free, Dst: func(r int) int {
-			i, j := mesh.Coords(r)
-			return mesh.RankAt(i-j, j)
+			i := r / q
+			j := r - i*q
+			row := i - j
+			if row < 0 {
+				row += q
+			}
+			return row*q + j
 		}},
 		simulator.Repeat{Times: q, Body: []simulator.Step{
 			simulator.Compute{Flops: float64(blk) * float64(blk) * float64(blk)},

@@ -246,30 +246,45 @@ func (v gkVariant) skeleton(m *machine.Machine, n int) (simulator.Skeleton, int,
 	words := bs * bs
 	// lines returns every line of the grid along axis, indexed by its
 	// two fixed coordinates (c1, c2) at c1·q₃+c2, and the index within
-	// each line of its root: the line's c1-th member, or member 0.
+	// each line of its root: the line's c1-th member, or member 0. A
+	// line is an arithmetic progression of ranks (Grid3D.AxisLine's),
+	// so all of them fill one backing array by stride.
 	lines := func(axis int, rootAtC1 bool) ([][]int, []int) {
-		groups := make([][]int, 0, q3*q3)
-		roots := make([]int, 0, q3*q3)
+		stride, s1, s2 := q3*q3, q3, 1 // axis 0: (*, c1, c2)
+		switch axis {
+		case 1: // (c1, *, c2)
+			stride, s1, s2 = q3, q3*q3, 1
+		case 2: // (c1, c2, *)
+			stride, s1, s2 = 1, q3*q3, q3
+		}
+		ranks := make([]int, q3*q3*q3)
+		groups := make([][]int, q3*q3)
+		roots := make([]int, q3*q3)
 		for c1 := 0; c1 < q3; c1++ {
 			for c2 := 0; c2 < q3; c2++ {
-				groups = append(groups, grid.AxisLine(axis, c1, c2))
-				root := 0
-				if rootAtC1 {
-					root = c1
+				g := c1*q3 + c2
+				line := ranks[g*q3 : (g+1)*q3 : (g+1)*q3]
+				for v := range line {
+					line[v] = c1*s1 + c2*s2 + v*stride
 				}
-				roots = append(roots, root)
+				groups[g] = line
+				if rootAtC1 {
+					roots[g] = c1
+				}
 			}
 		}
 		return groups, roots
 	}
-	// route sends each i=0 face block (j,k) to the rank dst(j,k) names.
+	// route sends each i=0 face block (j,k) to the rank dst(j,k) names:
+	// the face is the first q₃² ranks, so one division finds (j,k).
+	face := q3 * q3
 	route := func(dst func(j, k int) int) simulator.Send {
 		return simulator.Send{Words: words, Cost: cost, Dst: func(r int) int {
-			i, j, k := grid.Coords(r)
-			if i != 0 {
+			if r >= face {
 				return -1
 			}
-			return dst(j, k)
+			j := r / q3
+			return dst(j, r-j*q3)
 		}}
 	}
 	aLines, aRoots := lines(2, true)  // (i,j,*) rooted at (i,j,i)

@@ -172,3 +172,22 @@ func TestTimingDeclinesOffTheWave(t *testing.T) {
 		}
 	}
 }
+
+// TestGKSkeletonAllocsIndependentOfCube gates GK's skeleton builder:
+// its q₃² grid lines per axis fill one backing array each, so building
+// the skeleton of the 512-rank cube allocates as often as building the
+// 64-rank one's.
+func TestGKSkeletonAllocsIndependentOfCube(t *testing.T) {
+	const n = 352
+	allocs := func(p int) float64 {
+		m := machine.CM5(p)
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := gkBinomial.skeleton(m, n); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	if small, large := allocs(64), allocs(512); small != large {
+		t.Errorf("gkBinomial.skeleton allocates %v times at p = 64 and %v at p = 512", small, large)
+	}
+}

@@ -99,8 +99,8 @@ func BenchmarkDESCannonWave(b *testing.B) {
 // BenchmarkDESCannonWaveFaulted times Cannon's skeleton alone
 // (core.CannonTiming) on a faulted hypercube, p = 1024, n = 256: a
 // straggler and link jitter keep it off the lockstep path, so the
-// per-rank walk re-evaluates the 32 iterations of the Repeat body, each
-// shift paying a link-fault hash per rank.
+// per-rank walk runs the 32 iterations of the Repeat body, each shift
+// reading the links and link-fault costs resolved once per rank.
 func BenchmarkDESCannonWaveFaulted(b *testing.B) {
 	const p, n = 1024, 256
 	fc, err := faults.Parse("straggler=2@rank0,jitter=0.1,seed=3")
@@ -109,6 +109,43 @@ func BenchmarkDESCannonWaveFaulted(b *testing.B) {
 	}
 	m := machine.Hypercube(p, 17, 3).WithFaults(fc)
 	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		res, ok, err := core.CannonTiming(m, n)
+		if err != nil || !ok {
+			b.Fatalf("CannonTiming: ok=%v err=%v", ok, err)
+		}
+		if res.Tp <= 0 {
+			b.Fatal("degenerate Tp")
+		}
+	}
+}
+
+// BenchmarkDESGKTiming times GK's skeleton alone (core.GKTiming) on
+// the slowest GK cell of the paper's CM-5 grid, p = 512, n = 352: the
+// builder, the validating pass and the per-rank waves of its routes,
+// trees and barriers, with no operands and no host product — the
+// work a sweep cell does.
+func BenchmarkDESGKTiming(b *testing.B) {
+	const p, n = 512, 352
+	m := machine.CM5(p)
+	for i := 0; i < b.N; i++ {
+		res, ok, err := core.GKTiming(m, n)
+		if err != nil || !ok {
+			b.Fatalf("GKTiming: ok=%v err=%v", ok, err)
+		}
+		if res.Tp <= 0 {
+			b.Fatal("degenerate Tp")
+		}
+	}
+}
+
+// BenchmarkDESCannonTiming times Cannon's skeleton alone
+// (core.CannonTiming) on the paper's CM-5 grid at p = 484, n = 352:
+// the builder, the validating pass over the 484 ranks and the lockstep
+// clock, with no operands and no host product.
+func BenchmarkDESCannonTiming(b *testing.B) {
+	const p, n = 484, 352
+	m := machine.CM5(p)
 	for i := 0; i < b.N; i++ {
 		res, ok, err := core.CannonTiming(m, n)
 		if err != nil || !ok {

@@ -12,8 +12,13 @@
 // engine paths — the native differential suite (wave_test.go) asserts
 // this for Cannon, the GK family, Fox and FoxPipelined.
 //
-// The per-rank path walks the skeleton's steps in place, in program
-// order, re-walking a Repeat's body each time. Collectives are fixed
+// One validating pass checks every step before anything is charged and
+// evaluates each Shift and Send rank map once per rank: the per-rank
+// path stores the destinations and link costs it resolves, so a
+// Repeat's body pays its rank maps and link-fault hashes once however
+// often it runs. The per-rank path then walks the skeleton's steps in
+// place, in program order, re-walking a Repeat's body each time, and
+// reads each transfer's resolved links. Collectives are fixed
 // sequences of transfer rounds, the way the hyper-systolic formulations
 // write broadcasts and reductions as fixed shift sequences: a binomial
 // broadcast or reduction over g ranks is the log₂g rounds of
@@ -26,14 +31,19 @@
 // compute, shifts whose ranks are all alike (all self or all
 // non-self), zero-cost sends, barriers and gathers charges every rank
 // identically, all clocks stay equal by induction, and the wave
-// degenerates to a single representative clock — the million-rank
-// regime: simulating Cannon at p = 2^20 costs O(√p) clock arithmetic
-// plus the real block arithmetic the caller performs. Anything else
-// runs the full per-rank wave passes.
+// degenerates to a single representative clock. The step kinds decide
+// this before the validating pass, which then keeps only the
+// representative rank 0's link of each transfer step, no per-rank
+// table — the million-rank regime: simulating Cannon at p = 2^20 costs
+// the O(p) validating pass over each of its four distinct transfer
+// steps, then O(√p) clock arithmetic, plus the real block arithmetic
+// the caller performs. Anything else runs the full per-rank wave
+// passes.
 
 package simulator
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sync/atomic"
@@ -165,8 +175,16 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 	if p != m.P() {
 		return nil, false, fmt.Errorf("simulator: skeleton for %d ranks on a %d-processor machine", p, m.P())
 	}
-	var scratch []bool
-	msgs, words, err := tally(p, sk.Steps, &scratch)
+	transfers, lock := census(sk.Steps)
+	v := newResolver(m, p, lock && m.Faults == nil, transfers)
+	msgs, words, err := v.resolve(sk.Steps, true)
+	if errors.Is(err, errUneven) {
+		// A shift that is self for only some ranks ends the lockstep
+		// attempt, and the pass starts over on the per-rank path, paying
+		// the rank maps before it twice. No formulation builds one.
+		v = newResolver(m, p, false, transfers)
+		msgs, words, err = v.resolve(sk.Steps, true)
+	}
 	if err != nil {
 		return nil, false, err
 	}
@@ -176,45 +194,102 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 		clock: make([]float64, p),
 		compT: make([]float64, p),
 		commT: make([]float64, p),
-		sx:    make([]float64, p),
 	}
-	if lock, ok := lockstepCharges(m, p, sk.Steps); ok {
+	if v.lock {
 		// One representative clock carries every rank: compute, then
 		// each send advances it by the hop cost; every matching receive's
 		// arrival equals the local clock (all senders are at the same
 		// time), so the max is a no-op — exactly the lockstep wavefront
 		// of the paper's model. Gathers and barriers see equal clocks.
-		var clock, compT, commT float64
-		for _, c := range lock {
-			clock += c.flops
-			compT += c.flops
-			clock += c.cost
-			commT += c.cost
-		}
+		rep := lockstep{links: v.links}
+		rep.walk(sk.Steps, 0)
 		for r := 0; r < p; r++ {
-			w.clock[r], w.compT[r], w.commT[r] = clock, compT, commT
+			w.clock[r], w.compT[r], w.commT[r] = rep.clock, rep.compT, rep.commT
 		}
 	} else {
-		w.factor = make([]float64, p)
-		for r := range w.factor {
-			w.factor[r] = m.Faults.ComputeFactor(r)
+		if m.Faults != nil {
+			w.sx = make([]float64, p)
+			w.factor = make([]float64, p)
+			for r := range w.factor {
+				w.factor[r] = m.Faults.ComputeFactor(r)
+			}
 		}
 		w.round = make([]stamp, 0, p)
-		w.walk(sk.Steps)
+		w.links = v.links
+		w.walk(sk.Steps, 0)
 	}
 	return w.result(msgs, words), true, nil
 }
 
-// tally validates steps on p ranks and counts the messages and words
-// they send, the totals Proc's deliver counts. scratch holds the
-// member marks checkGroups reuses from step to step.
-func tally(p int, steps []Step, scratch *[]bool) (msgs, words int, err error) {
-	inRange := func(r int) error {
-		if r < 0 || r >= p {
-			return fmt.Errorf("simulator: skeleton names rank %d outside [0,%d)", r, p)
+// census counts the Shift and Send steps the validating pass stores,
+// a Repeat body once and a body no iteration runs not at all, and
+// reports whether their kinds charge every rank alike on a healthy
+// machine: compute, shifts, zero-cost sends, barriers and gathers.
+func census(steps []Step) (transfers int, lock bool) {
+	lock = true
+	for _, s := range steps {
+		switch s := s.(type) {
+		case Shift:
+			transfers++
+		case Send:
+			transfers++
+			lock = lock && s.Cost.charged && s.Cost.c == 0
+		case Broadcast, Reduce:
+			lock = false
+		case Repeat:
+			if s.Times > 0 {
+				n, ok := census(s.Body)
+				transfers += n
+				lock = lock && ok
+			}
 		}
-		return nil
 	}
+	return transfers, lock
+}
+
+// errUneven ends a lockstep attempt at a shift that is self for some
+// ranks and not for others, which charges ranks differently.
+var errUneven = errors.New("simulator: uneven shift")
+
+// resolver is the validating pass of one RunSkeleton call. It checks
+// the steps in program order before anything is charged, counts the
+// messages and words they send, the totals Proc's deliver counts, and
+// evaluates every Shift and Send rank map once per rank. It stores the
+// links of each Shift or Send: every rank's on the per-rank path, only
+// the representative rank 0's on the lockstep path. A Repeat body is
+// resolved once, and one that no iteration runs is validated but not
+// stored.
+type resolver struct {
+	m     *machine.Machine
+	p     int
+	lock  bool
+	width int    // links stored per Shift or Send: p, or 1 on the lockstep path
+	seen  []bool // member marks of checkGroups, made on first use
+	links []link // the stored links, step after step
+}
+
+// link is one rank's resolved transfer in a Shift or Send: its
+// receiver, or −1 when its message moves no clock, and its cost.
+type link struct {
+	dst  int
+	cost float64
+}
+
+// newResolver returns the pass for p ranks on the lockstep path or the
+// per-rank one, sized for transfers stored Shift and Send steps.
+func newResolver(m *machine.Machine, p int, lock bool, transfers int) *resolver {
+	width := p
+	if lock {
+		width = 1
+	}
+	return &resolver{m: m, p: p, lock: lock, width: width, links: make([]link, 0, transfers*width)}
+}
+
+// resolve validates and resolves steps, storing what the charging
+// passes read when store is set, and returns their message and word
+// counts.
+func (v *resolver) resolve(steps []Step, store bool) (msgs, words int, err error) {
+	p := v.p
 	for _, s := range steps {
 		n := 0 // messages of this step
 		w := 0 // words per message
@@ -224,32 +299,25 @@ func tally(p int, steps []Step, scratch *[]bool) (msgs, words int, err error) {
 				return 0, 0, fmt.Errorf("simulator: negative compute time %v", s.Flops)
 			}
 		case Shift:
-			for r := 0; r < p; r++ {
-				if err := inRange(s.Dst(r)); err != nil {
-					return 0, 0, err
-				}
+			if err := v.shift(s, store); err != nil {
+				return 0, 0, err
 			}
 			n, w = p, s.Words
 		case Send:
 			if s.Cost.c < 0 {
 				return 0, 0, fmt.Errorf("simulator: negative send cost %v", s.Cost.c)
 			}
-			for r := 0; r < p; r++ {
-				if d := s.Dst(r); d >= 0 {
-					if err := inRange(d); err != nil {
-						return 0, 0, err
-					}
-					n++
-				}
+			if n, err = v.send(s, store); err != nil {
+				return 0, 0, err
 			}
 			w = s.Words
 		case Broadcast:
-			if n, err = checkGroups(p, scratch, s.Groups, s.Roots, s.Cost); err != nil {
+			if n, err = v.checkGroups(s.Groups, s.Roots, s.Cost); err != nil {
 				return 0, 0, err
 			}
 			w = s.Words
 		case Reduce:
-			if n, err = checkGroups(p, scratch, s.Groups, s.Roots, s.Cost); err != nil {
+			if n, err = v.checkGroups(s.Groups, s.Roots, s.Cost); err != nil {
 				return 0, 0, err
 			}
 			w = s.Words
@@ -258,7 +326,7 @@ func tally(p int, steps []Step, scratch *[]bool) (msgs, words int, err error) {
 		case Gather:
 			h := p
 			for _, r := range s.Holders {
-				if err := inRange(r); err != nil {
+				if err := v.inRange(r); err != nil {
 					return 0, 0, err
 				}
 			}
@@ -270,7 +338,7 @@ func tally(p int, steps []Step, scratch *[]bool) (msgs, words int, err error) {
 			if s.Times < 0 {
 				return 0, 0, fmt.Errorf("simulator: negative repeat count %d", s.Times)
 			}
-			bm, bw, err := tally(p, s.Body, scratch)
+			bm, bw, err := v.resolve(s.Body, store && s.Times > 0)
 			if err != nil {
 				return 0, 0, err
 			}
@@ -283,22 +351,92 @@ func tally(p int, steps []Step, scratch *[]bool) (msgs, words int, err error) {
 	return msgs, words, nil
 }
 
+func (v *resolver) inRange(r int) error {
+	if r < 0 || r >= v.p {
+		return fmt.Errorf("simulator: skeleton names rank %d outside [0,%d)", r, v.p)
+	}
+	return nil
+}
+
+// table returns the next width links to store, or nil when nothing is
+// stored.
+func (v *resolver) table(store bool) []link {
+	if !store {
+		return nil
+	}
+	n := len(v.links)
+	v.links = v.links[:n+v.width]
+	return v.links[n:]
+}
+
+// shift resolves a Shift, storing each rank's link, a self-send moving
+// nothing. On the lockstep path its ranks must be all self or none
+// (errUneven otherwise).
+func (v *resolver) shift(s Shift, store bool) error {
+	tab := v.table(store)
+	self0, uneven := false, false
+	for r := 0; r < v.p; r++ {
+		d := s.Dst(r)
+		if err := v.inRange(d); err != nil {
+			return err
+		}
+		if r == 0 {
+			self0 = d == 0
+		}
+		uneven = uneven || (d == r) != self0
+		if r < len(tab) {
+			tab[r] = link{dst: -1}
+			if d != r {
+				tab[r] = link{d, v.m.MsgTimeOn(s.Words, 1, r, d)}
+			}
+		}
+	}
+	if v.lock && store && uneven {
+		return errUneven
+	}
+	return nil
+}
+
+// send resolves a Send and returns the number of messages it sends. It
+// stores each rank's link: none for a negative or self destination,
+// otherwise the charged cost or the routed transfer time.
+func (v *resolver) send(s Send, store bool) (msgs int, err error) {
+	tab := v.table(store)
+	for r := 0; r < v.p; r++ {
+		d := s.Dst(r)
+		if d >= 0 {
+			if err := v.inRange(d); err != nil {
+				return 0, err
+			}
+			msgs++
+		}
+		switch {
+		case r >= len(tab):
+		case d < 0 || d == r:
+			tab[r] = link{dst: -1}
+		case s.Cost.charged:
+			tab[r] = link{d, s.Cost.c}
+		default:
+			tab[r] = link{d, v.m.MsgTime(s.Words, r, d)}
+		}
+	}
+	return msgs, nil
+}
+
 // checkGroups validates the groups of a Broadcast or Reduce — disjoint,
 // in range, roots in range, power-of-two sizes for binomial trees — and
-// returns the number of messages the collective sends. It marks members
-// in *scratch, making it on first use.
-func checkGroups(p int, scratch *[]bool, groups [][]int, roots []int, cost Cost) (msgs int, err error) {
+// returns the number of messages the collective sends.
+func (v *resolver) checkGroups(groups [][]int, roots []int, cost Cost) (msgs int, err error) {
 	if len(roots) != len(groups) {
 		return 0, fmt.Errorf("simulator: %d roots for %d groups", len(roots), len(groups))
 	}
 	if cost.c < 0 {
 		return 0, fmt.Errorf("simulator: negative send cost %v", cost.c)
 	}
-	if *scratch == nil {
-		*scratch = make([]bool, p)
+	if v.seen == nil {
+		v.seen = make([]bool, v.p)
 	}
-	seen := *scratch
-	clear(seen)
+	clear(v.seen)
 	for g, group := range groups {
 		if _, ok := topology.Log2(len(group)); !ok && !cost.charged {
 			return 0, fmt.Errorf("simulator: group size %d is not a power of two", len(group))
@@ -307,78 +445,58 @@ func checkGroups(p int, scratch *[]bool, groups [][]int, roots []int, cost Cost)
 			return 0, fmt.Errorf("simulator: root index %d out of range for group of %d", roots[g], len(group))
 		}
 		for _, r := range group {
-			if r < 0 || r >= p || seen[r] {
-				return 0, fmt.Errorf("simulator: rank %d is outside [0,%d) or in two groups", r, p)
+			if r < 0 || r >= v.p || v.seen[r] {
+				return 0, fmt.Errorf("simulator: rank %d is outside [0,%d) or in two groups", r, v.p)
 			}
-			seen[r] = true
+			v.seen[r] = true
 		}
 		msgs += len(group) - 1
 	}
 	return msgs, nil
 }
 
-// charge is one program point of the representative rank on the
-// lockstep path: a compute charge or a send charge.
-type charge struct{ flops, cost float64 }
-
-// lockstepCharges returns the representative rank's charges for steps
-// when every rank is charged alike: on a healthy machine, a program of
-// compute, shifts that are self for all ranks or for none, zero-cost
-// sends, barriers and gathers.
-func lockstepCharges(m *machine.Machine, p int, steps []Step) ([]charge, bool) {
-	if m.Faults != nil {
-		return nil, false
-	}
-	return lockstep(m, p, steps)
+// lockstep is the representative rank of the lockstep path: its clock,
+// compute and comm totals, and its link in each stored Shift or Send.
+type lockstep struct {
+	clock, compT, commT float64
+	links               []link
 }
 
-// lockstep returns the representative rank's charges for steps, or
-// false at the first step that charges ranks differently.
-func lockstep(m *machine.Machine, p int, steps []Step) ([]charge, bool) {
-	var out []charge
+// walk charges steps to the representative rank in program order,
+// reading its links from links[next:], and returns the index past the
+// last one it read. A self-shift's link and a free send's cost
+// nothing, and barriers and gathers see equal clocks.
+func (l *lockstep) walk(steps []Step, next int) int {
 	for _, s := range steps {
 		switch s := s.(type) {
 		case Compute:
-			out = append(out, charge{flops: s.Flops})
-		case Shift:
-			self := s.Dst(0) == 0
-			for r := 1; r < p; r++ {
-				if (s.Dst(r) == r) != self {
-					return nil, false
-				}
-			}
-			var c float64
-			if !self {
-				c = m.MsgTimeOn(s.Words, 1, 0, s.Dst(0))
-			}
-			out = append(out, charge{cost: c})
-		case Send:
-			if !s.Cost.charged || s.Cost.c != 0 {
-				return nil, false
-			}
-		case Barrier, Gather:
+			l.clock += s.Flops
+			l.compT += s.Flops
+		case Shift, Send:
+			l.clock += l.links[next].cost
+			l.commT += l.links[next].cost
+			next++
 		case Repeat:
-			body, ok := lockstep(m, p, s.Body)
-			if !ok {
-				return nil, false
-			}
+			start := next
 			for t := 0; t < s.Times; t++ {
-				out = append(out, body...)
+				next = l.walk(s.Body, start)
 			}
-		default:
-			return nil, false
 		}
 	}
-	return out, true
+	return next
 }
 
 // wave is the per-rank state of one wave-tier run: the accumulators
-// Proc keeps for each rank, each rank's straggler factor, and the
-// round in flight.
+// Proc keeps for each rank, each rank's straggler factor, the resolved
+// links of every Shift and Send, and the round in flight. The lockstep
+// path fills only the clock, compute and comm totals. On a healthy
+// machine every factor is 1 and no compute is straggler extra, so sx
+// and factor stay nil.
 type wave struct {
 	m                       *machine.Machine
 	clock, compT, commT, sx []float64
 	factor                  []float64
+	links                   []link
 	round                   []stamp
 }
 
@@ -390,44 +508,39 @@ type stamp struct {
 }
 
 // walk runs steps in program order, adding each rank's charges in the
-// order Proc adds them for the rank program. A transfer step is one or
-// more rounds: every sender pays its transfers and stamps each with its
-// clock after the send (send), then every receiver advances to the
-// stamps addressed to it (deliver), as a rank program completes its
-// sends of a program point before its receives. A send to self moves
-// no clock, so no round carries one; a barrier or gather charges
-// nothing and only raises clocks to a maximum.
-func (w *wave) walk(steps []Step) {
+// order Proc adds them for the rank program, and returns the offset in
+// links past the last table it read, starting at next. A transfer step
+// is one or more rounds: every sender pays its transfers and stamps
+// each with its clock after the send (send), then every receiver
+// advances to the stamps addressed to it (deliver), as a rank program
+// completes its sends of a program point before its receives. A Shift
+// or Send reads the links the validating pass resolved for it, so a
+// Repeat body's rank maps and link costs are evaluated once however
+// often it runs. A send to self moves no clock, so no round carries
+// one; a barrier or gather charges nothing and only raises clocks to a
+// maximum.
+func (w *wave) walk(steps []Step, next int) int {
 	p := len(w.clock)
 	for _, s := range steps {
 		switch s := s.(type) {
 		case Compute:
-			for r, f := range w.factor {
-				charged := s.Flops * f
+			for r := range w.clock {
+				charged := s.Flops
+				if w.factor != nil {
+					charged *= w.factor[r]
+					w.sx[r] += charged - s.Flops
+				}
 				w.clock[r] += charged
 				w.compT[r] += charged
-				w.sx[r] += charged - s.Flops
 			}
-		case Shift:
-			for r := 0; r < p; r++ {
-				if d := s.Dst(r); d != r {
-					w.send(r, d, w.m.MsgTimeOn(s.Words, 1, r, d))
+		case Shift, Send:
+			for r, l := range w.links[next : next+p] {
+				if l.dst >= 0 {
+					w.send(r, l.dst, l.cost)
 				}
 			}
 			w.deliver()
-		case Send:
-			for r := 0; r < p; r++ {
-				d := s.Dst(r)
-				if d < 0 || d == r {
-					continue
-				}
-				c := s.Cost.c
-				if !s.Cost.charged {
-					c = w.m.MsgTime(s.Words, r, d)
-				}
-				w.send(r, d, c)
-			}
-			w.deliver()
+			next += p
 		case Broadcast:
 			w.collective(s.Words, s.Groups, s.Roots, s.Cost, false)
 		case Reduce:
@@ -448,11 +561,13 @@ func (w *wave) walk(steps []Step) {
 				}
 			}
 		case Repeat:
+			start := next
 			for t := 0; t < s.Times; t++ {
-				w.walk(s.Body)
+				next = w.walk(s.Body, start)
 			}
 		}
 	}
+	return next
 }
 
 // collective runs a Broadcast, or a Reduce when up. Charged, it is one
@@ -536,7 +651,9 @@ func (w *wave) result(msgs, words int) *Result {
 		}
 		res.TotalCompute += w.compT[r]
 		res.TotalComm += w.commT[r]
-		res.StragglerExtra += w.sx[r]
+	}
+	for _, x := range w.sx { // nil on the lockstep path
+		res.StragglerExtra += x
 	}
 	return res
 }

@@ -11,6 +11,7 @@ import (
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/simulator"
+	"matscale/internal/topology"
 )
 
 // waveEligible reports whether the simulator takes a skeleton run
@@ -427,34 +428,143 @@ func TestWaveStepsMatchFiber(t *testing.T) {
 }
 
 // TestWaveAllocsIndependentOfSteps is the wave tier's allocation gate:
-// on a faulted machine, so that the per-rank path runs, a skeleton's
-// allocations must not depend on how many steps it walks.
+// on both paths, a skeleton's allocations must not depend on how many
+// steps it walks — on a faulted machine, so that the per-rank path
+// runs, and on a healthy one with only compute, uniform shifts, free
+// sends, barriers and gathers, so that the lockstep path runs.
 func TestWaveAllocsIndependentOfSteps(t *testing.T) {
 	const p = 64
-	m := machine.Hypercube(p, 17, 3).WithFaults(stragglersAndJitter())
 	everyone := make([]int, p)
 	for r := range everyone {
 		everyone[r] = r
 	}
-	block := []simulator.Step{
-		simulator.Broadcast{Words: 4, Groups: [][]int{everyone}, Roots: []int{3}},
-		simulator.Reduce{Words: 4, Groups: [][]int{everyone}, Roots: []int{5}},
-		simulator.Shift{Words: 4, Dst: func(r int) int { return r ^ 1 }},
-		simulator.Barrier{},
-		simulator.Gather{Words: 4},
-	}
-	allocs := func(copies int) float64 {
-		sk := simulator.Skeleton{P: p}
-		for range copies {
-			sk.Steps = append(sk.Steps, block...)
-		}
-		return testing.AllocsPerRun(10, func() {
-			if _, ok, err := simulator.RunSkeleton(m, sk); !ok || err != nil {
-				t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+	pairs := func(r int) int { return r ^ 1 }
+	for _, tc := range []struct {
+		name  string
+		m     *machine.Machine
+		block []simulator.Step
+	}{
+		{"per-rank", machine.Hypercube(p, 17, 3).WithFaults(stragglersAndJitter()), []simulator.Step{
+			simulator.Broadcast{Words: 4, Groups: [][]int{everyone}, Roots: []int{3}},
+			simulator.Reduce{Words: 4, Groups: [][]int{everyone}, Roots: []int{5}},
+			simulator.Shift{Words: 4, Dst: pairs},
+			simulator.Barrier{},
+			simulator.Gather{Words: 4},
+		}},
+		{"lockstep", machine.Hypercube(p, 17, 3), []simulator.Step{
+			simulator.Compute{Flops: 8},
+			simulator.Shift{Words: 4, Dst: pairs},
+			simulator.Send{Words: 4, Dst: pairs, Cost: simulator.Charged(0)},
+			simulator.Barrier{},
+			simulator.Gather{Words: 4},
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			allocs := func(copies int) float64 {
+				sk := simulator.Skeleton{P: p}
+				for range copies {
+					sk.Steps = append(sk.Steps, tc.block...)
+				}
+				return testing.AllocsPerRun(10, func() {
+					if _, ok, err := simulator.RunSkeleton(tc.m, sk); !ok || err != nil {
+						t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+					}
+				})
+			}
+			if one, many := allocs(1), allocs(16); one != many {
+				t.Errorf("RunSkeleton allocates %v times for one copy of the steps and %v for 16", one, many)
 			}
 		})
 	}
-	if one, many := allocs(1), allocs(16); one != many {
-		t.Errorf("RunSkeleton allocates %v times for one copy of the steps and %v for 16", one, many)
+}
+
+// TestWaveEvaluatesRankMapsOnce pins the validating pass: the wave
+// tier calls every Shift and Send rank map exactly once per rank per
+// distinct step, however often a Repeat runs it, and once for a body
+// no iteration runs, which is still validated. It counts the calls on
+// a Cannon-like skeleton on the lockstep path (healthy machine) and on
+// the per-rank path (faulted), and on a GK-like skeleton of routed
+// sends and binomial trees.
+func TestWaveEvaluatesRankMapsOnce(t *testing.T) {
+	const p = 64
+	healthy := machine.Hypercube(p, 17, 3)
+	mesh := topology.NewTorus2D(8, 8)
+	grid := topology.NewGrid3D(4)
+	// counted wraps each rank map of a skeleton, counting its calls in
+	// its own element of calls.
+	var calls []int
+	counted := func(dst func(int) int) func(int) int {
+		i := len(calls)
+		calls = append(calls, 0)
+		return func(r int) int {
+			calls[i]++
+			return dst(r)
+		}
+	}
+	cannonLike := func() []simulator.Step {
+		return []simulator.Step{
+			simulator.Send{Words: 4, Cost: simulator.Charged(0), Dst: counted(mesh.Right)},
+			simulator.Repeat{Times: 16, Body: []simulator.Step{
+				simulator.Compute{Flops: 8},
+				simulator.Shift{Words: 4, Dst: counted(mesh.Left)},
+				simulator.Shift{Words: 4, Dst: counted(mesh.Up)},
+			}},
+			simulator.Repeat{Times: 0, Body: []simulator.Step{
+				simulator.Shift{Words: 4, Dst: counted(mesh.Down)},
+			}},
+			simulator.Gather{Words: 4},
+		}
+	}
+	lines := func(axis int) [][]int {
+		var out [][]int
+		for c1 := 0; c1 < grid.Q; c1++ {
+			for c2 := 0; c2 < grid.Q; c2++ {
+				out = append(out, grid.AxisLine(axis, c1, c2))
+			}
+		}
+		return out
+	}
+	roots := make([]int, grid.Q*grid.Q)
+	route := func(dst func(j, k int) int) simulator.Send {
+		return simulator.Send{Words: 4, Dst: counted(func(r int) int {
+			i, j, k := grid.Coords(r)
+			if i != 0 {
+				return -1
+			}
+			return dst(j, k)
+		})}
+	}
+	gkLike := func() []simulator.Step {
+		return []simulator.Step{
+			route(func(j, k int) int { return grid.RankOf(k, j, k) }),
+			simulator.Barrier{},
+			simulator.Broadcast{Words: 4, Groups: lines(2), Roots: roots},
+			route(func(j, k int) int { return grid.RankOf(j, j, k) }),
+			simulator.Compute{Flops: 8},
+			simulator.Reduce{Words: 4, Groups: lines(0), Roots: roots},
+			simulator.Gather{Words: 4},
+		}
+	}
+	for _, tc := range []struct {
+		name  string
+		m     *machine.Machine
+		steps func() []simulator.Step
+	}{
+		{"lockstep", healthy, cannonLike},
+		{"per-rank", healthy.WithFaults(stragglersAndJitter()), cannonLike},
+		{"gk", healthy, gkLike},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			calls = calls[:0]
+			sk := simulator.Skeleton{P: p, Steps: tc.steps()}
+			if _, ok, err := simulator.RunSkeleton(tc.m, sk); !ok || err != nil {
+				t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+			}
+			for i, n := range calls {
+				if n != p {
+					t.Errorf("rank map %d called %d times, want %d", i, n, p)
+				}
+			}
+		})
 	}
 }

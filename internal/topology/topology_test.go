@@ -1,6 +1,7 @@
 package topology
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -101,6 +102,45 @@ func TestTorusWrap(t *testing.T) {
 	}
 	if tr.Down(tr.RankAt(3, 1)) != tr.RankAt(0, 1) {
 		t.Fatal("Down at last row did not wrap")
+	}
+}
+
+// TestTorusShiftsMatchRankAt is the differential test of the shifts
+// that wrap by comparison: on every rank of degenerate, square and
+// rectangular tori, each must equal its RankAt definition, and an
+// out-of-range rank must panic with Coords' message.
+func TestTorusShiftsMatchRankAt(t *testing.T) {
+	for _, shape := range [][2]int{{1, 1}, {1, 5}, {3, 1}, {4, 4}, {3, 7}, {22, 22}} {
+		tr := NewTorus2D(shape[0], shape[1])
+		shifts := []struct {
+			name   string
+			shift  func(int) int
+			di, dj int
+		}{
+			{"Left", tr.Left, 0, -1},
+			{"Right", tr.Right, 0, 1},
+			{"Up", tr.Up, -1, 0},
+			{"Down", tr.Down, 1, 0},
+		}
+		for _, s := range shifts {
+			for r := 0; r < tr.Size(); r++ {
+				i, j := r/tr.C, r%tr.C
+				if got, want := s.shift(r), tr.RankAt(i+s.di, j+s.dj); got != want {
+					t.Errorf("%s: %s(%d) = %d, want %d", tr.Name(), s.name, r, got, want)
+				}
+			}
+			for _, r := range []int{-1, tr.Size()} {
+				want := fmt.Sprintf("topology: rank %d out of range for %s", r, tr.Name())
+				func() {
+					defer func() {
+						if got := recover(); got != want {
+							t.Errorf("%s: %s(%d) panicked with %v, want %q", tr.Name(), s.name, r, got, want)
+						}
+					}()
+					s.shift(r)
+				}()
+			}
+		}
 	}
 }
 

@@ -66,11 +66,41 @@ func (t Torus2D) Neighbors(r int) []int {
 }
 
 // Left, Right, Up and Down return the wraparound neighbor ranks used by
-// the shift steps of Cannon's and Fox's algorithms.
-func (t Torus2D) Left(r int) int  { i, j := t.Coords(r); return t.RankAt(i, j-1) }
-func (t Torus2D) Right(r int) int { i, j := t.Coords(r); return t.RankAt(i, j+1) }
-func (t Torus2D) Up(r int) int    { i, j := t.Coords(r); return t.RankAt(i-1, j) }
-func (t Torus2D) Down(r int) int  { i, j := t.Coords(r); return t.RankAt(i+1, j) }
+// the shift steps of Cannon's and Fox's algorithms: RankAt(i, j∓1) and
+// RankAt(i∓1, j) for rank r at (i, j). They wrap by comparison, so a
+// row shift divides once, for the column, and a column shift not at
+// all.
+func (t Torus2D) Left(r int) int {
+	t.checkRank(r)
+	if r%t.C == 0 {
+		return r + t.C - 1
+	}
+	return r - 1
+}
+
+func (t Torus2D) Right(r int) int {
+	t.checkRank(r)
+	if r%t.C == t.C-1 {
+		return r - t.C + 1
+	}
+	return r + 1
+}
+
+func (t Torus2D) Up(r int) int {
+	t.checkRank(r)
+	if r < t.C {
+		return r + t.Size() - t.C
+	}
+	return r - t.C
+}
+
+func (t Torus2D) Down(r int) int {
+	t.checkRank(r)
+	if r >= t.Size()-t.C {
+		return r + t.C - t.Size()
+	}
+	return r + t.C
+}
 
 // RowRanks returns the ranks of mesh row i in column order.
 func (t Torus2D) RowRanks(i int) []int {
