@@ -129,7 +129,7 @@ type (
 
 // SweepAlgorithms lists the algorithm names a SweepSpec accepts,
 // sorted.
-var SweepAlgorithms = sweep.AlgorithmNames
+var SweepAlgorithms = core.Keys
 
 // SweepCellCache memoizes completed sweep cells across runs. Sweep
 // results served from a cache are byte-identical to freshly simulated
@@ -478,14 +478,14 @@ func Select(m *Machine, n int) Selection {
 			name = s.Name
 		}
 	}
-	f, _ := sweep.ByName(name)
+	f, _ := core.ByName(name)
 	return selection(f, m, n)
 }
 
 // selection pairs formulation f with the parallel time its paper
 // equation predicts for n×n matrices on m. Every formulation Select
 // and RunAuto consider has an equation.
-func selection(f sweep.Formulation, m *Machine, n int) Selection {
+func selection(f core.Formulation, m *Machine, n int) Selection {
 	_, full := m.Topo.(topology.FullyConnected)
 	tp := f.PaperTp(Params{Ts: m.Ts, Tw: m.Tw}, float64(n), float64(m.P()), full)
 	return Selection{Name: f.Name, Algorithm: f.Run, PredictedTp: tp}
@@ -515,7 +515,7 @@ func RunAuto(m *Machine, a, b *Matrix, opts ...Option) (*Result, Selection, erro
 	first := Select(m, a.Rows)
 	candidates := []Selection{first}
 	for _, key := range autoFallback {
-		if f, _ := sweep.Lookup(key); f.Name != first.Name {
+		if f, _ := core.Lookup(key); f.Name != first.Name {
 			candidates = append(candidates, selection(f, m, a.Rows))
 		}
 	}

@@ -43,13 +43,14 @@ import (
 	"math"
 	"os"
 	"sort"
+	"strings"
 
 	"matscale"
+	"matscale/internal/core"
 	"matscale/internal/experiments"
 	"matscale/internal/iso"
 	"matscale/internal/machine"
 	"matscale/internal/model"
-	"matscale/internal/sweep"
 )
 
 func main() {
@@ -192,10 +193,10 @@ func cmdEfficiency(args []string) error {
 
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ExitOnError)
-	algName := fs.String("alg", "auto", "algorithm: gk, gkimproved, cannon, fox, foxpipe, simple, berntsen, dns, auto")
+	algName := fs.String("alg", "auto", "algorithm: "+strings.Join(matscale.SweepAlgorithms(), ", ")+", auto")
 	n := fs.Int("n", 64, "matrix dimension")
 	p := fs.Int("p", 64, "processors")
-	machineName := fs.String("machine", "ncube2", "machine preset: ncube2, fast, simd, cm5, custom")
+	machineName := fs.String("machine", "ncube2", "machine preset: "+machinePresets)
 	ts, tw := paramFlags(fs, 150, 3)
 	seed := fs.Uint64("seed", 1, "matrix seed")
 	aFile := fs.String("a", "", "CSV file for matrix A (random if empty)")
@@ -293,7 +294,7 @@ func cmdRun(args []string) error {
 		// coarse grid.
 		alg := matscale.DNS
 		if name != "auto" {
-			f, ok := sweep.Lookup(name)
+			f, ok := core.Lookup(name)
 			if !ok {
 				return fmt.Errorf("unknown algorithm %q", name)
 			}
@@ -360,6 +361,9 @@ func cmdRun(args []string) error {
 	return nil
 }
 
+// machinePresets lists the presets every -machine flag accepts.
+const machinePresets = "ncube2, fast, simd, cm5, custom"
+
 // machineForPreset builds the simulated machine the run/robust commands
 // share: a named preset, or a custom hypercube from -ts/-tw.
 func machineForPreset(name string, p int, ts, tw float64) (*matscale.Machine, error) {
@@ -378,7 +382,7 @@ func cmdRobust(args []string) error {
 	fs := flag.NewFlagSet("robust", flag.ExitOnError)
 	n := fs.Int("n", 16, "matrix dimension")
 	p := fs.Int("p", 64, "processors")
-	machineName := fs.String("machine", "ncube2", "machine preset: ncube2, fast, simd, cm5, custom")
+	machineName := fs.String("machine", "ncube2", "machine preset: "+machinePresets)
 	ts, tw := paramFlags(fs, 150, 3)
 	seed := fs.Uint64("seed", 1, "matrix seed")
 	faultSpec := fs.String("faults", "straggler=2@rank0,seed=42", "fault scenario to inject (see docs/FAULTS.md)")
@@ -407,7 +411,7 @@ func cmdRobust(args []string) error {
 	}
 	ran := 0
 	for _, key := range []string{"simple", "cannon", "fox", "foxpipe", "berntsen", "dns", "gk"} {
-		f, _ := sweep.Lookup(key)
+		f, _ := core.Lookup(key)
 		var opts []matscale.Option
 		if key == "dns" {
 			opts = dnsOpts

@@ -19,7 +19,7 @@ import (
 func cmdGridSweep(args []string) error {
 	fs := flag.NewFlagSet("sweep", flag.ExitOnError)
 	algs := fs.String("alg", "cannon,gk", "comma-separated algorithms: "+strings.Join(matscale.SweepAlgorithms(), ", "))
-	machines := fs.String("machine", "ncube2", "comma-separated machine presets: ncube2, fast, simd, cm5, custom")
+	machines := fs.String("machine", "ncube2", "comma-separated machine presets: "+machinePresets)
 	ns := fs.String("n", "16,32", "comma-separated matrix dimensions")
 	ps := fs.String("p", "16,64", "comma-separated processor counts")
 	faultsList := fs.String("faults", "", "semicolon-separated fault scenarios; an empty entry is a clean run (docs/FAULTS.md)")

@@ -242,7 +242,6 @@ var UnusedKeepers = map[string]string{
 	"matscale/internal/model.ImprovedGKTo":            "Table 1's improved-GK overhead; the iso tests derive its isoefficiency from it",
 	"matscale/internal/model.DNSToExact":              "exact DNS overhead; the model and regions tests bound the asymptotic DNSTo against it",
 	"matscale/internal/model.Efficiency":              "E = W/(W + To) (Section 2); the model, iso and tech tests check solved W against it",
-	"matscale/internal/core.FoxPacketPipelined":       "mechanism check for the packet-pipelined broadcast charge behind Eq. (4)",
 	// References the tests compare a live path against.
 	"matscale/internal/simulator.Proc.Send":  "copying send; the pool tests compare the live SendOwned path against it",
 	"matscale/internal/simulator.Proc.Clock": "a rank's virtual clock mid-program; the charge tests assert it",

@@ -40,12 +40,6 @@ func Cannon(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	})
 }
 
-// CannonTiming is Cannon's Timing: its skeleton on the wave tier, with
-// no operands and no product.
-func CannonTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
-	return timeSkeleton(m, n, cannonSkeleton)
-}
-
 // cannonSkeleton is Cannon's timed skeleton on the √p × √p mesh: the
 // alignment as two zero-cost permutation sends, then q steps of
 // compute + roll-A-left + roll-B-up, then the zero-cost gather. The

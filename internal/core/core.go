@@ -18,18 +18,20 @@
 //     GKImprovedBroadcast of Section 5.4.1 and the all-port GKAllPort of
 //     Section 7.2 (Eq. 17)
 //
-// A family's variants differ only in data. Each Fox execution is a
-// foxVariant row (its row delivery of A, tags, barrier and, for the
-// broadcast variants, the skeleton's broadcast cost) run by the one
-// foxImpl loop; each GK variant is a gkVariant row (its per-stage
-// charge, nil for binomial trees) run by gkImpl. Cannon, the GK
-// variants and Fox's broadcast variants also describe their timed
-// skeleton, each in one skeletonBuilder that validates the geometry.
-// The simulator's wave tier runs the skeleton without a rank program
-// when the machine allows it: the Algorithm (through onWave) then
-// builds the product on the host in the formulation's own addition
-// order (cannonProduct for Cannon and Fox, gkProduct for GK), and the
-// formulation's Timing (CannonTiming, FoxTiming, …) stops at the
+// Formulations, the formulation table, holds one row per algorithm:
+// its key, name, Algorithm, timed skeleton and paper equation; the
+// row's Measure method times a sweep cell. A family's
+// variants differ only in data. Each Fox execution is a foxVariant
+// (its row delivery of A, tags, barrier and, for the broadcast
+// variants, the skeleton's broadcast cost) run by the one foxImpl loop;
+// each GK variant is a gkVariant (its per-stage charge, nil for
+// binomial trees) run by gkImpl. Cannon, the GK variants and Fox's
+// broadcast variants also describe their timed skeleton, each in one
+// skeletonBuilder that validates the geometry. The simulator's wave
+// tier runs the skeleton without a rank program when the machine
+// allows it: the Algorithm (through onWave) then builds the product on
+// the host in the formulation's own addition order (cannonProduct for
+// Cannon and Fox, gkProduct for GK), and Measure stops at the
 // measurement, with no operands and no product. Every 2-D mesh
 // formulation validates its geometry with squareSide; its rank program
 // — Simple, SimpleMemEfficientAllPort, and the Fox loop's and Cannon's
@@ -44,9 +46,11 @@ package core
 
 import (
 	"fmt"
+	"slices"
 
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
+	"matscale/internal/model"
 	"matscale/internal/simulator"
 	"matscale/internal/topology"
 )
@@ -175,26 +179,124 @@ func squareSide(n, p int, pow2Err string) (int, error) {
 	return q, nil
 }
 
-// Timing measures a formulation that has a timed skeleton for n×n
-// operands on m from the skeleton alone: no operands, no host product
-// and no rank program. It rejects an invalid machine or geometry with
-// the error its Algorithm returns for valid operands of that size, and
-// runs the skeleton on the simulator's wave tier. ok is false, with no
-// error, when the simulator declines m for the wave tier (metrics,
-// traces, contention, loss, checkpoints, the goroutine backend; see
-// simulator.RunSkeleton): only the Algorithm's rank program measures
-// such a machine. When ok is true the Result equals the Algorithm's
-// Result.Sim.
-type Timing func(m *machine.Machine, n int) (sim *simulator.Result, ok bool, err error)
+// Formulation is one row of the formulation table: the one place a
+// formulation's key, its name, its rank program, its timed skeleton and
+// its paper equation meet. Sweeps, Select/RunAuto, the experiment
+// drivers and the CLI all look formulations up here.
+type Formulation struct {
+	// Key names the formulation in sweep specs, -alg flags and cell
+	// keys; empty for a formulation no spec names.
+	Key string
+	// Name is the Result.Algorithm stamp of Run, also used as
+	// Selection.Name and in report rows.
+	Name string
+	Run  Algorithm
+	// skeleton builds the timed skeleton Run also runs on the wave tier;
+	// nil for the formulations that run only as rank programs.
+	skeleton skeletonBuilder
+	// PaperTp is the paper's closed-form parallel time for n×n matrices
+	// on p processors (Eqs. 2–7; GK on a fully connected network uses
+	// Eq. 18). nil when the paper prints no equation for the key, and
+	// for the unkeyed rows.
+	PaperTp func(pr model.Params, n, p float64, fullyConnected bool) float64
+}
+
+// Formulations is the formulation table, one row per Algorithm the
+// package exports. Callers read it; none modifies it.
+var Formulations = []Formulation{
+	{"simple", "Simple", Simple, nil, hypercubeTp(model.PaperSimpleTp)},
+	{"", "SimpleAllPort", SimpleAllPort, nil, nil},
+	{"", "SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, nil, nil},
+	{"cannon", "Cannon", Cannon, cannonSkeleton, hypercubeTp(model.PaperCannonTp)},
+	{"fox", "Fox", Fox, foxBinomial.skeleton, hypercubeTp(model.PaperFoxTp)},
+	{"foxpipe", "FoxPipelined", FoxPipelined, foxPipelined.skeleton, hypercubeTp(model.PaperFoxTp)},
+	{"", "FoxAsync", FoxAsync, nil, nil},
+	{"", "FoxMesh", FoxMesh, nil, nil},
+	{"", "FoxPacketPipelined", FoxPacketPipelined, nil, nil},
+	{"berntsen", "Berntsen", Berntsen, nil, hypercubeTp(model.PaperBerntsenTp)},
+	{"gk", "GK", GK, gkBinomial.skeleton, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
+		if fullyConnected {
+			return model.PaperGKCM5Tp(pr, n, p)
+		}
+		return model.PaperGKTp(pr, n, p)
+	}},
+	{"gkimproved", "GKImprovedBroadcast", GKImprovedBroadcast, gkImproved.skeleton, nil},
+	{"", "GKAllPort", GKAllPort, gkAllPort.skeleton, nil},
+	{"dns", "DNS", DNS, nil, hypercubeTp(model.PaperDNSTp)},
+}
+
+// hypercubeTp adapts a hypercube equation (Eqs. 2–6) that the paper
+// applies on every network.
+func hypercubeTp(tp func(model.Params, float64, float64) float64) func(model.Params, float64, float64, bool) float64 {
+	return func(pr model.Params, n, p float64, _ bool) float64 { return tp(pr, n, p) }
+}
+
+// Keys returns the keys of the keyed rows, sorted.
+func Keys() []string {
+	var keys []string
+	for _, f := range Formulations {
+		if f.Key != "" {
+			keys = append(keys, f.Key)
+		}
+	}
+	slices.Sort(keys)
+	return keys
+}
+
+// Lookup returns the formulation registered under key, the names the
+// CLI and sweep specs use.
+func Lookup(key string) (Formulation, bool) {
+	return find(func(f Formulation) bool { return key != "" && f.Key == key })
+}
+
+// ByName returns the formulation whose results carry name.
+func ByName(name string) (Formulation, bool) {
+	return find(func(f Formulation) bool { return f.Name == name })
+}
+
+// find returns the first row match accepts.
+func find(match func(Formulation) bool) (Formulation, bool) {
+	if i := slices.IndexFunc(Formulations, match); i >= 0 {
+		return Formulations[i], true
+	}
+	return Formulation{}, false
+}
+
+// Measure returns f's virtual-time measurement for n×n operands on m.
+// It times f's skeleton alone when f has one and the simulator takes m
+// for the wave tier; otherwise it runs f.Run on operands(), which is
+// then the only call that builds operands. Both paths return the same
+// Result for the same cell, and the same error for a rejected geometry.
+func (f Formulation) Measure(m *machine.Machine, n int, operands func() [2]*matrix.Dense) (*simulator.Result, error) {
+	if f.skeleton != nil {
+		if sim, ok, err := timeSkeleton(m, n, f.skeleton); ok || err != nil {
+			return sim, err
+		}
+	}
+	ab := operands()
+	res, err := f.Run(m, ab[0], ab[1])
+	if err != nil {
+		return nil, err
+	}
+	return res.Sim, nil
+}
 
 // skeletonBuilder validates the geometry of a formulation for n×n
 // operands on m and returns its timed skeleton and the side of its
 // processor grid: the mesh side q, or the cube side q₃. It is the one
 // description of the skeleton that both the formulation's Algorithm
-// (through onWave) and its Timing (through timeSkeleton) run.
+// (through onWave) and Measure (through timeSkeleton) run.
 type skeletonBuilder func(m *machine.Machine, n int) (sk simulator.Skeleton, side int, err error)
 
-// timeSkeleton is the Timing of the formulation build describes.
+// timeSkeleton measures the formulation build describes for n×n
+// operands on m from its skeleton alone: no operands, no host product
+// and no rank program. It rejects an invalid machine or geometry with
+// the error the formulation's Algorithm returns for valid operands of
+// that size. ok is false, with no error, when the simulator declines m
+// for the wave tier (metrics, traces, contention, loss, checkpoints,
+// the goroutine backend; see simulator.RunSkeleton): only the rank
+// program measures such a machine. When ok is true the Result equals
+// the Algorithm's Result.Sim.
 func timeSkeleton(m *machine.Machine, n int, build skeletonBuilder) (*simulator.Result, bool, error) {
 	if err := m.Validate(); err != nil {
 		return nil, false, err

@@ -2,12 +2,16 @@ package core
 
 import (
 	"math"
+	"os"
+	"reflect"
 	"strings"
 	"testing"
 
+	"matscale/internal/faults"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
+	"matscale/internal/topology"
 )
 
 // runCase executes one algorithm on deterministic integer matrices and
@@ -412,5 +416,164 @@ func TestGKTraced(t *testing.T) {
 	}
 	if _, err := GK(traced(16), a, b); err == nil {
 		t.Fatal("non-cube p accepted")
+	}
+}
+
+// acceptedGeometry returns the first test geometry (p, n) on an nCUBE 2
+// that f.Run accepts, with Run's Result there.
+func acceptedGeometry(t *testing.T, f Formulation) (p, n int, res *Result) {
+	t.Helper()
+	for _, g := range []struct{ n, p int }{{16, 64}, {8, 64}, {16, 16}} {
+		res, err := f.Run(machine.NCube2(g.p), matrix.Random(g.n, g.n, 1), matrix.Random(g.n, g.n, 2))
+		if err == nil {
+			return g.p, g.n, res
+		}
+	}
+	t.Fatalf("%s: no test geometry accepted", f.Name)
+	return 0, 0, nil
+}
+
+// TestFormulationTable checks every row of the formulation table
+// against the implementation it names and the paper equation it
+// predicts with.
+func TestFormulationTable(t *testing.T) {
+	type tp = func(model.Params, float64, float64) float64
+	// The paper equation of each key on a hypercube and on the fully
+	// connected CM-5; nil where the paper prints none.
+	equations := map[string][2]tp{
+		"berntsen":   {model.PaperBerntsenTp, model.PaperBerntsenTp},
+		"cannon":     {model.PaperCannonTp, model.PaperCannonTp},
+		"dns":        {model.PaperDNSTp, model.PaperDNSTp},
+		"fox":        {model.PaperFoxTp, model.PaperFoxTp},
+		"foxpipe":    {model.PaperFoxTp, model.PaperFoxTp},
+		"gk":         {model.PaperGKTp, model.PaperGKCM5Tp},
+		"gkimproved": {nil, nil},
+		"simple":     {model.PaperSimpleTp, model.PaperSimpleTp},
+	}
+	const keys = "berntsen,cannon,dns,fox,foxpipe,gk,gkimproved,simple"
+	if got := strings.Join(Keys(), ","); got != keys {
+		t.Errorf("Keys() = %s, want %s", got, keys)
+	}
+	if f, ok := Lookup(""); ok {
+		t.Errorf("Lookup(\"\") = %s, want no row", f.Name)
+	}
+	names := map[string]bool{}
+	for _, f := range Formulations {
+		if names[f.Name] {
+			t.Errorf("name %q repeats", f.Name)
+		}
+		names[f.Name] = true
+		if g, ok := ByName(f.Name); !ok || g.Key != f.Key {
+			t.Errorf("%s: ByName = %q, %v", f.Name, g.Key, ok)
+		}
+		if g, ok := Lookup(f.Key); f.Key != "" && (!ok || g.Name != f.Name) {
+			t.Errorf("%s: Lookup(%q) = %q, %v", f.Name, f.Key, g.Name, ok)
+		}
+		// Run stamps the row's name on a geometry it accepts.
+		if _, _, res := acceptedGeometry(t, f); res.Algorithm != f.Name {
+			t.Errorf("%s: Result.Algorithm = %q", f.Name, res.Algorithm)
+		}
+		// PaperTp matches the equation on a hypercube and on the CM-5;
+		// an unkeyed row has none.
+		eq := equations[f.Key]
+		for i, preset := range []string{"ncube2", "cm5"} {
+			build, ts, tw, _ := machine.LookupPreset(preset, 0, 0)
+			one, err := build(1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			_, full := one.Topo.(topology.FullyConnected)
+			if full != (i == 1) {
+				t.Fatalf("%s: fully connected = %v", preset, full)
+			}
+			if (f.PaperTp == nil) != (eq[i] == nil) {
+				t.Errorf("%s: PaperTp nil = %v, want %v", f.Name, f.PaperTp == nil, eq[i] == nil)
+				continue
+			}
+			if f.PaperTp == nil {
+				continue
+			}
+			pr := model.Params{Ts: ts, Tw: tw}
+			if got, want := f.PaperTp(pr, 64, 512, full), eq[i](pr, 64, 512); got != want {
+				t.Errorf("%s on %s: PaperTp = %v, want %v", f.Name, preset, got, want)
+			}
+		}
+	}
+	for _, s := range model.Specs() {
+		if _, ok := ByName(s.Name); !ok {
+			t.Errorf("Table 1 row %q has no formulation", s.Name)
+		}
+	}
+}
+
+// goldenWaveNames returns the formulations the recorded golden digests
+// time on the wave tier, read from their "wave/" rows: test data, not
+// the table, so a row that loses its skeleton disagrees with it.
+func goldenWaveNames(t *testing.T) map[string]bool {
+	t.Helper()
+	data, err := os.ReadFile(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "wave/"); ok {
+			name, _, _ := strings.Cut(rest, "/")
+			names[name] = true
+		}
+	}
+	return names
+}
+
+// TestMeasureBuildsOperandsOnlyForRankPrograms pins the one decision
+// point of every row: Measure calls operands exactly when the cell runs
+// a rank program — never for a wave row on a plain machine (one-port or
+// all-port), once on a lossy or metrics machine and for a row without a
+// skeleton — returns Run's Result.Sim either way, and rejects a
+// geometry with Run's error, without operands on a wave row.
+func TestMeasureBuildsOperandsOnlyForRankPrograms(t *testing.T) {
+	wave := goldenWaveNames(t)
+	for _, f := range Formulations {
+		p, n, _ := acceptedGeometry(t, f)
+		plain := 1
+		if wave[f.Name] {
+			plain = 0
+		}
+		lossy := machine.NCube2(p).WithFaults(&faults.Config{Seed: 7, Loss: 0.02})
+		metered := machine.NCube2(p)
+		metered.CollectMetrics = true
+		cases := []struct {
+			what  string
+			m     *machine.Machine
+			n     int
+			calls int
+		}{
+			{"ncube2", machine.NCube2(p), n, plain},
+			{"allport", machine.Hypercube(p, 17, 3).WithAllPort(true), n, plain},
+			{"lossy", lossy, n, 1},
+			{"metrics", metered, n, 1},
+			{"rejected", machine.NCube2(p), n + 1, plain},
+		}
+		for _, c := range cases {
+			a, b := matrix.Random(c.n, c.n, 1), matrix.Random(c.n, c.n, 2)
+			calls := 0
+			sim, err := f.Measure(c.m, c.n, func() [2]*matrix.Dense { calls++; return [2]*matrix.Dense{a, b} })
+			if calls != c.calls {
+				t.Errorf("%s/%s: operands built %d times, want %d", f.Name, c.what, calls, c.calls)
+			}
+			res, rerr := f.Run(c.m, a, b)
+			switch {
+			case (rerr != nil) != (c.what == "rejected"):
+				t.Errorf("%s/%s: Run error %v", f.Name, c.what, rerr)
+			case rerr != nil:
+				if err == nil || err.Error() != rerr.Error() {
+					t.Errorf("%s/%s: Measure error %v, Run error %v", f.Name, c.what, err, rerr)
+				}
+			case err != nil:
+				t.Errorf("%s/%s: Measure: %v", f.Name, c.what, err)
+			case !reflect.DeepEqual(sim, res.Sim):
+				t.Errorf("%s/%s: Measure's Result differs from Run's Sim", f.Name, c.what)
+			}
+		}
 	}
 }

@@ -27,12 +27,12 @@ const (
 type foxVariant struct {
 	name string
 	// bcast is the Cost of the row broadcast in the variant's timed
-	// skeleton on a q×q mesh of bs×bs blocks; the wave tier runs it
+	// skeleton on m's q×q mesh of bs×bs blocks; the wave tier runs it
 	// when the machine allows. It is non-nil for the hypercube-broadcast
 	// variants (Fox and FoxPipelined) only: they need a power-of-two
 	// mesh side, and B rolls even on a single processor, where the relay
 	// variants, which have no skeleton, skip it.
-	bcast func(q, bs int) simulator.Cost
+	bcast func(m *machine.Machine, q, bs int) simulator.Cost
 	// rowA delivers iteration t's A block from mesh column root to
 	// every rank of r's row. payload is the root's block on the root
 	// and nil elsewhere; a non-root gets a received copy back.
@@ -61,16 +61,10 @@ func Fox(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	return foxImpl(m, a, b, foxBinomial)
 }
 
-// FoxTiming is Fox's Timing: its skeleton on the wave tier, with no
-// operands and no product.
-func FoxTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
-	return timeSkeleton(m, n, foxBinomial.skeleton)
-}
-
-// foxBinomial is Fox's row: a binomial-tree row broadcast.
+// foxBinomial is Fox's variant: a binomial-tree row broadcast.
 var foxBinomial = foxVariant{
 	name:  "Fox",
-	bcast: func(int, int) simulator.Cost { return simulator.Cost{} }, // binomial tree
+	bcast: func(*machine.Machine, int, int) simulator.Cost { return simulator.Cost{} }, // binomial tree
 	rowA: func(r meshRank, t, root int, payload []float64) []float64 {
 		return collective.Broadcast(r.pr, r.row, root, tagFoxBcast+t, payload)
 	},
@@ -87,29 +81,25 @@ var foxBinomial = foxVariant{
 //
 // (Eq. (4) drops the lower-order ts·√p contributed by the shifts.)
 func FoxPipelined(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return foxImpl(m, a, b, foxPipelined(m))
+	return foxImpl(m, a, b, foxPipelined)
 }
 
-// FoxPipelinedTiming is FoxPipelined's Timing: its skeleton on the wave
-// tier, with no operands and no product.
-func FoxPipelinedTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
-	return timeSkeleton(m, n, foxPipelined(m).skeleton)
+// foxPipelined is FoxPipelined's variant: the row broadcast charged the
+// machine's pipeline cost.
+var foxPipelined = foxVariant{
+	name:  "FoxPipelined",
+	bcast: func(m *machine.Machine, q, bs int) simulator.Cost { return simulator.Charged(foxPipeline(m, q, bs)) },
+	rowA: func(r meshRank, t, root int, payload []float64) []float64 {
+		return collective.BroadcastCharged(r.pr, r.row, root, tagFoxBcast+t, payload, foxPipeline(r.pr.Machine(), r.q, r.bs))
+	},
+	shiftTag:   tagFoxShift,
+	barrierTag: func(int) int { return tagFoxBarrier },
 }
 
-// foxPipelined is FoxPipelined's row on m: the row broadcast charged
-// m's pipeline cost.
-func foxPipelined(m *machine.Machine) foxVariant {
-	// Pipeline fill plus transmission: ts·√p + tw·n²/p.
-	pipeline := func(q, bs int) float64 { return m.Ts*float64(q) + m.Tw*float64(bs*bs) }
-	return foxVariant{
-		name:  "FoxPipelined",
-		bcast: func(q, bs int) simulator.Cost { return simulator.Charged(pipeline(q, bs)) },
-		rowA: func(r meshRank, t, root int, payload []float64) []float64 {
-			return collective.BroadcastCharged(r.pr, r.row, root, tagFoxBcast+t, payload, pipeline(r.q, r.bs))
-		},
-		shiftTag:   tagFoxShift,
-		barrierTag: func(int) int { return tagFoxBarrier },
-	}
+// foxPipeline is the pipelined row broadcast's charge on m's q×q mesh
+// of bs×bs blocks, pipeline fill plus transmission: ts·√p + tw·n²/p.
+func foxPipeline(m *machine.Machine, q, bs int) float64 {
+	return m.Ts*float64(q) + m.Tw*float64(bs*bs)
 }
 
 // FoxMesh is Fox's algorithm on a wraparound mesh without any
@@ -257,7 +247,7 @@ func (v foxVariant) skeleton(m *machine.Machine, n int) (simulator.Skeleton, int
 		return simulator.Skeleton{}, 0, err
 	}
 	bs := n / q
-	cost := v.bcast(q, bs)
+	cost := v.bcast(m, q, bs)
 	mesh := topology.NewTorus2D(q, q)
 	words := bs * bs
 	rows := make([][]int, q)

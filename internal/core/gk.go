@@ -57,13 +57,7 @@ func GK(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 	return gkImpl(m, a, b, gkBinomial)
 }
 
-// GKTiming is GK's Timing: its skeleton on the wave tier, with no
-// operands and no product.
-func GKTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
-	return timeSkeleton(m, n, gkBinomial.skeleton)
-}
-
-// gkBinomial is GK's row: plain binomial trees.
+// gkBinomial is GK's variant: plain binomial trees.
 var gkBinomial = gkVariant{name: "GK"}
 
 // GKImprovedBroadcast is the Section 5.4.1 variant: all five
@@ -78,13 +72,7 @@ func GKImprovedBroadcast(m *machine.Machine, a, b *matrix.Dense) (*Result, error
 	return gkImpl(m, a, b, gkImproved)
 }
 
-// GKImprovedBroadcastTiming is GKImprovedBroadcast's Timing: its
-// skeleton on the wave tier, with no operands and no product.
-func GKImprovedBroadcastTiming(m *machine.Machine, n int) (*simulator.Result, bool, error) {
-	return timeSkeleton(m, n, gkImproved.skeleton)
-}
-
-// gkImproved is GKImprovedBroadcast's row: every stage charged the
+// gkImproved is GKImprovedBroadcast's variant: every stage charged the
 // Johnsson–Ho broadcast time.
 var gkImproved = gkVariant{
 	name: "GKImprovedBroadcast",
@@ -100,12 +88,16 @@ var gkImproved = gkVariant{
 //
 //	Tp = n³/p + ts·log₂p + 9·tw·n²/(p^(2/3)·log₂p) + 6·(n/p^(1/3))·sqrt(ts·tw)
 func GKAllPort(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-	return gkImpl(m, a, b, gkVariant{
-		name: "GKAllPort",
-		stageCost: func(m *machine.Machine, n, q3 int) float64 {
-			return gkAllPortComm(m.Ts, m.Tw, n, q3*q3*q3) / 5
-		},
-	})
+	return gkImpl(m, a, b, gkAllPort)
+}
+
+// gkAllPort is GKAllPort's variant: every stage charged a fifth of the
+// Eq. (17) communication total.
+var gkAllPort = gkVariant{
+	name: "GKAllPort",
+	stageCost: func(m *machine.Machine, n, q3 int) float64 {
+		return gkAllPortComm(m.Ts, m.Tw, n, q3*q3*q3) / 5
+	},
 }
 
 // gkImpl runs the GK algorithm with variant v's stage scheme: on the

@@ -24,28 +24,7 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_di
 
 const goldenFile = "testdata/golden_digests.txt"
 
-// goldenFormulations is every formulation the package exports.
-var goldenFormulations = []struct {
-	name string
-	alg  Algorithm
-}{
-	{"Simple", Simple},
-	{"SimpleAllPort", SimpleAllPort},
-	{"SimpleMemEfficientAllPort", SimpleMemEfficientAllPort},
-	{"Cannon", Cannon},
-	{"Fox", Fox},
-	{"FoxPipelined", FoxPipelined},
-	{"FoxAsync", FoxAsync},
-	{"FoxMesh", FoxMesh},
-	{"FoxPacketPipelined", FoxPacketPipelined},
-	{"Berntsen", Berntsen},
-	{"GK", GK},
-	{"GKImprovedBroadcast", GKImprovedBroadcast},
-	{"GKAllPort", GKAllPort},
-	{"DNS", DNS},
-}
-
-// goldenDigests runs every formulation over the digest grid and
+// goldenDigests runs every row of the formulation table over the digest grid and
 // returns one "case digest" line per run, in a fixed order.
 func goldenDigests(t *testing.T) []string {
 	t.Helper()
@@ -65,7 +44,7 @@ func goldenDigests(t *testing.T) []string {
 		{"faulted", &faults.Config{Seed: 42, Loss: 0.02, Stragglers: map[int]float64{3: 1.5}, Jitter: 0.2}},
 	}
 	var lines []string
-	for _, f := range goldenFormulations {
+	for _, f := range Formulations {
 		for _, mc := range machines {
 			for _, p := range []int{1, 4, 16, 64} {
 				for _, n := range []int{8, 16} {
@@ -75,8 +54,8 @@ func goldenDigests(t *testing.T) []string {
 						m := mc.mk(p).WithFaults(sc.fc)
 						m.CollectMetrics = true
 						m.CollectTrace = true
-						name := fmt.Sprintf("%s/%s/p=%d/n=%d/%s", f.name, mc.name, p, n, sc.name)
-						lines = append(lines, name+" "+resultDigest(t, f.alg, m, a, b))
+						name := fmt.Sprintf("%s/%s/p=%d/n=%d/%s", f.Name, mc.name, p, n, sc.name)
+						lines = append(lines, name+" "+resultDigest(t, f.Run, m, a, b))
 					}
 				}
 			}
@@ -85,20 +64,7 @@ func goldenDigests(t *testing.T) []string {
 	return append(lines, waveDigests(t)...)
 }
 
-// waveFormulations is every formulation with a timed skeleton.
-var waveFormulations = []struct {
-	name string
-	alg  Algorithm
-}{
-	{"Cannon", Cannon},
-	{"GK", GK},
-	{"GKImprovedBroadcast", GKImprovedBroadcast},
-	{"GKAllPort", GKAllPort},
-	{"Fox", Fox},
-	{"FoxPipelined", FoxPipelined},
-}
-
-// waveDigests runs every formulation with a skeleton on plain machines
+// waveDigests runs every row with a skeleton on plain machines
 // — no metrics, no trace, no loss — where the simulator's wave tier
 // takes the run, with real-valued operands, so the rows pin the wave
 // tier's times and its host product's addition order. Each row is
@@ -122,7 +88,7 @@ func waveDigests(t *testing.T) []string {
 		{"faulted", &faults.Config{Seed: 42, Stragglers: map[int]float64{3: 1.5}, Jitter: 0.2}},
 	}
 	var lines []string
-	for _, f := range waveFormulations {
+	for _, f := range skeletonRows() {
 		for _, mc := range machines {
 			for _, p := range []int{1, 4, 8, 16, 64} {
 				for _, n := range []int{8, 12, 16} {
@@ -130,8 +96,8 @@ func waveDigests(t *testing.T) []string {
 					b := matrix.Random(n, n, 82)
 					for _, sc := range scenarios {
 						m := mc.mk(p).WithFaults(sc.fc)
-						name := fmt.Sprintf("wave/%s/%s/p=%d/n=%d/%s", f.name, mc.name, p, n, sc.name)
-						lines = append(lines, name+" "+resultDigest(t, f.alg, m, a, b))
+						name := fmt.Sprintf("wave/%s/%s/p=%d/n=%d/%s", f.Name, mc.name, p, n, sc.name)
+						lines = append(lines, name+" "+resultDigest(t, f.Run, m, a, b))
 					}
 				}
 			}

@@ -10,49 +10,48 @@ import (
 	"matscale/internal/matrix"
 )
 
-// timingFormulations is every formulation with a Timing, beside the
-// Algorithm that runs the same skeleton with operands.
-var timingFormulations = []struct {
-	name   string
-	alg    Algorithm
-	timing Timing
-}{
-	{"Cannon", Cannon, CannonTiming},
-	{"Fox", Fox, FoxTiming},
-	{"FoxPipelined", FoxPipelined, FoxPipelinedTiming},
-	{"GK", GK, GKTiming},
-	{"GKImprovedBroadcast", GKImprovedBroadcast, GKImprovedBroadcastTiming},
+// skeletonRows returns the rows of the formulation table that have a
+// timed skeleton.
+func skeletonRows() []Formulation {
+	var rows []Formulation
+	for _, f := range Formulations {
+		if f.skeleton != nil {
+			rows = append(rows, f)
+		}
+	}
+	return rows
 }
 
-// checkTimingMatchesRun runs f's Timing and its Algorithm on m for n×n
+// checkTimingMatchesRun times f's skeleton and runs f.Run on m for n×n
 // operands and fails unless they agree: the same error text, or an
-// accepted Timing whose Result deep-equals the Algorithm's Result.Sim.
-// It reports whether the configuration was accepted.
-func checkTimingMatchesRun(t *testing.T, name string, alg Algorithm, timing Timing, m *machine.Machine, n int) bool {
+// accepted timing whose Result deep-equals Run's Result.Sim. It reports
+// whether the configuration was accepted.
+func checkTimingMatchesRun(t *testing.T, name string, f Formulation, m *machine.Machine, n int) bool {
 	t.Helper()
-	sim, ok, terr := timing(m, n)
-	res, rerr := alg(m, matrix.Random(n, n, 91), matrix.Random(n, n, 92))
+	sim, ok, terr := timeSkeleton(m, n, f.skeleton)
+	res, rerr := f.Run(m, matrix.Random(n, n, 91), matrix.Random(n, n, 92))
 	switch {
 	case rerr != nil:
 		if terr == nil || terr.Error() != rerr.Error() {
-			t.Errorf("%s: Timing error %v, Run error %v", name, terr, rerr)
+			t.Errorf("%s: timing error %v, Run error %v", name, terr, rerr)
 		}
 		if ok || sim != nil {
-			t.Errorf("%s: rejected Timing returned ok=%v sim=%v", name, ok, sim)
+			t.Errorf("%s: rejected timing returned ok=%v sim=%v", name, ok, sim)
 		}
 		return false
 	case terr != nil || !ok:
-		t.Errorf("%s: Timing ok=%v err=%v, but Run succeeded", name, ok, terr)
+		t.Errorf("%s: timing ok=%v err=%v, but Run succeeded", name, ok, terr)
 	case !reflect.DeepEqual(sim, res.Sim):
-		t.Errorf("%s: Timing Result differs from Run's Sim:\n timing %+v\n run    %+v", name, sim, res.Sim)
+		t.Errorf("%s: timed Result differs from Run's Sim:\n timing %+v\n run    %+v", name, sim, res.Sim)
 	}
 	return true
 }
 
-// TestTimingMatchesRun pins each Timing to its Algorithm: on every
-// machine, processor count, dimension and scenario of the grid both
-// take the same geometry decision, and an accepted configuration's
-// Timing Result is the Algorithm's Result.Sim, field for field.
+// TestTimingMatchesRun pins each row's skeleton timing to its Run: on
+// every machine, processor count, dimension and scenario of the grid
+// both take the same geometry decision, and an accepted configuration's
+// timed Result is Run's Result.Sim, field for field. The all-port
+// hypercube is GKAllPort's own machine (Section 7.2).
 func TestTimingMatchesRun(t *testing.T) {
 	machines := []struct {
 		name string
@@ -62,6 +61,7 @@ func TestTimingMatchesRun(t *testing.T) {
 		{"ncube2", machine.NCube2, []int{1, 4, 8, 16, 64, 512}},
 		{"cm5", machine.CM5, []int{1, 4, 8, 16, 64, 512}},
 		{"hypercube", func(p int) *machine.Machine { return machine.Hypercube(p, 6.3, 3) }, []int{1, 4, 8, 16, 64, 512}},
+		{"allport", func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3).WithAllPort(true) }, []int{1, 4, 8, 16, 64, 512}},
 		// A torus needs a square p.
 		{"mesh", func(p int) *machine.Machine { return machine.Mesh(p, 150, 3) }, []int{1, 4, 16, 64}},
 	}
@@ -72,14 +72,14 @@ func TestTimingMatchesRun(t *testing.T) {
 		{"clean", nil},
 		{"straggled", &faults.Config{Seed: 42, Stragglers: map[int]float64{3: 1.5}, Jitter: 0.2}},
 	}
-	for _, f := range timingFormulations {
+	for _, f := range skeletonRows() {
 		accepted, rejected := 0, 0
 		for _, mc := range machines {
 			for _, p := range mc.ps {
 				for _, n := range []int{8, 12, 16, 32} {
 					for _, sc := range scenarios {
-						name := fmt.Sprintf("%s/%s/p=%d/n=%d/%s", f.name, mc.name, p, n, sc.name)
-						if checkTimingMatchesRun(t, name, f.alg, f.timing, mc.mk(p).WithFaults(sc.fc), n) {
+						name := fmt.Sprintf("%s/%s/p=%d/n=%d/%s", f.Name, mc.name, p, n, sc.name)
+						if checkTimingMatchesRun(t, name, f, mc.mk(p).WithFaults(sc.fc), n) {
 							accepted++
 						} else {
 							rejected++
@@ -89,13 +89,13 @@ func TestTimingMatchesRun(t *testing.T) {
 			}
 		}
 		if accepted == 0 || rejected == 0 {
-			t.Errorf("%s: grid accepted %d and rejected %d configurations; it must do both", f.name, accepted, rejected)
+			t.Errorf("%s: grid accepted %d and rejected %d configurations; it must do both", f.Name, accepted, rejected)
 		}
 	}
 }
 
 // TestTimingRejectsLikeRun pins the geometry checks themselves: each
-// rejection carries the Algorithm's error text on both paths, checked
+// rejection carries Run's error text on both paths, checked
 // against the text itself so that a check dropped from a skeleton
 // builder fails even though both paths share the builder. An invalid
 // machine is reported before the geometry.
@@ -123,27 +123,34 @@ func TestTimingRejectsLikeRun(t *testing.T) {
 		{"GK", badCost, 8, "machine: negative cost parameters ts=-1 tw=3 th=0"},
 		{"GKImprovedBroadcast", machine.CM5(512), 12, "core: cube side 8 does not divide n = 12"},
 		{"GKImprovedBroadcast", badBackend, 16, "machine: unknown backend Backend(7)"},
+		{"GKAllPort", machine.Hypercube(32, 17, 3).WithAllPort(true), 8, "core: p = 32 is not a perfect cube"},
+		{"GKAllPort", machine.Hypercube(64, 17, 3).WithAllPort(true), 10, "core: cube side 4 does not divide n = 10"},
 	}
-	for _, c := range cases {
-		for _, f := range timingFormulations {
-			if f.name != c.form {
+	for _, f := range skeletonRows() {
+		checked := 0
+		for _, c := range cases {
+			if f.Name != c.form {
 				continue
 			}
-			name := fmt.Sprintf("%s/%v/n=%d", f.name, c.m, c.n)
-			if _, _, err := f.timing(c.m, c.n); err == nil || err.Error() != c.want {
-				t.Errorf("%s: Timing error %v, want %q", name, err, c.want)
+			checked++
+			name := fmt.Sprintf("%s/%v/n=%d", f.Name, c.m, c.n)
+			if _, _, err := timeSkeleton(c.m, c.n, f.skeleton); err == nil || err.Error() != c.want {
+				t.Errorf("%s: timing error %v, want %q", name, err, c.want)
 			}
-			if checkTimingMatchesRun(t, name, f.alg, f.timing, c.m, c.n) {
+			if checkTimingMatchesRun(t, name, f, c.m, c.n) {
 				t.Errorf("%s: accepted, want %q", name, c.want)
 			}
+		}
+		if checked == 0 {
+			t.Errorf("%s: no rejection case", f.Name)
 		}
 	}
 }
 
 // TestTimingDeclinesOffTheWave pins the machines only a rank program
 // measures: with metrics, a trace, contention tracking, message loss,
-// a checkpoint control or the goroutine backend, every Timing declines
-// with no Result and no error, and its Algorithm still runs.
+// a checkpoint control or the goroutine backend, every skeleton timing
+// declines with no Result and no error, and the row's Run still runs.
 func TestTimingDeclinesOffTheWave(t *testing.T) {
 	const p, n = 64, 16
 	declining := map[string]func(m *machine.Machine) *machine.Machine{
@@ -159,15 +166,15 @@ func TestTimingDeclinesOffTheWave(t *testing.T) {
 		},
 		"goroutines": func(m *machine.Machine) *machine.Machine { m.Backend = machine.BackendGoroutines; return m },
 	}
-	for _, f := range timingFormulations {
+	for _, f := range skeletonRows() {
 		for what, mk := range declining {
 			m := mk(machine.NCube2(p))
-			sim, ok, err := f.timing(m, n)
+			sim, ok, err := timeSkeleton(m, n, f.skeleton)
 			if ok || sim != nil || err != nil {
-				t.Errorf("%s/%s: Timing ok=%v sim=%v err=%v, want a silent decline", f.name, what, ok, sim, err)
+				t.Errorf("%s/%s: timing ok=%v sim=%v err=%v, want a silent decline", f.Name, what, ok, sim, err)
 			}
-			if _, err := f.alg(m, matrix.Random(n, n, 91), matrix.Random(n, n, 92)); err != nil {
-				t.Errorf("%s/%s: Run: %v", f.name, what, err)
+			if _, err := f.Run(m, matrix.Random(n, n, 91), matrix.Random(n, n, 92)); err != nil {
+				t.Errorf("%s/%s: Run: %v", f.Name, what, err)
 			}
 		}
 	}

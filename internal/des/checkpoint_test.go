@@ -93,12 +93,13 @@ func TestResumeDifferential(t *testing.T) {
 		{"Faulted", faulted},
 	}
 	for _, fcase := range cases {
-		for fi, tc := range formulations {
-			t.Run(fcase.name+"/"+tc.name, func(t *testing.T) {
-				a := matrix.RandomInts(tc.n, tc.n, 71)
-				b := matrix.RandomInts(tc.n, tc.n, 72)
+		for fi, f := range core.Formulations {
+			t.Run(fcase.name+"/"+f.Name, func(t *testing.T) {
+				mk, n := geometry(f)
+				a := matrix.RandomInts(n, n, 71)
+				b := matrix.RandomInts(n, n, 72)
 				fc := fcase.fc()
-				base, err := tc.alg(events(tc.mk, fc), a, b)
+				base, err := f.Run(events(mk, fc), a, b)
 				if err != nil {
 					t.Fatalf("uninterrupted run: %v", err)
 				}
@@ -106,13 +107,13 @@ func TestResumeDifferential(t *testing.T) {
 				cuts := []uint64{1, 2 + seed.next(200), 2 + seed.next(2000), 2 + seed.next(20000)}
 				suspended := 0
 				for _, cut := range cuts {
-					snap, done := suspendAt(t, tc.alg, events(tc.mk, fc), a, b, cut)
+					snap, done := suspendAt(t, f.Run, events(mk, fc), a, b, cut)
 					if snap == nil {
 						assertIdentical(t, base, done)
 						continue
 					}
 					suspended++
-					got := resume(t, tc.alg, events(tc.mk, fc), a, b, snap)
+					got := resume(t, f.Run, events(mk, fc), a, b, snap)
 					assertIdentical(t, base, got)
 				}
 				if suspended == 0 {

@@ -18,30 +18,19 @@ import (
 	"matscale/internal/simulator"
 )
 
-// formulations lists every algorithm formulation with a geometry it
-// accepts: twelve on a 64-processor hypercube (64 = 8² = 4³ satisfies
-// every mesh, cube and power-of-8 constraint) and the two mesh-only
-// Fox variants on a 64-processor wraparound mesh.
-var formulations = []struct {
-	name string
-	alg  core.Algorithm
-	mk   func() *machine.Machine
-	n    int
-}{
-	{"Simple", core.Simple, hyper, 16},
-	{"SimpleAllPort", core.SimpleAllPort, hyper, 16},
-	{"SimpleMemEfficientAllPort", core.SimpleMemEfficientAllPort, hyper, 16},
-	{"Cannon", core.Cannon, hyper, 16},
-	{"Fox", core.Fox, hyper, 16},
-	{"FoxPipelined", core.FoxPipelined, hyper, 16},
-	{"FoxAsync", core.FoxAsync, hyper, 16},
-	{"FoxMesh", core.FoxMesh, mesh, 16},
-	{"FoxPacketPipelined", core.FoxPacketPipelined, mesh, 16},
-	{"Berntsen", core.Berntsen, hyper, 16},
-	{"GK", core.GK, hyper, 16},
-	{"GKImprovedBroadcast", core.GKImprovedBroadcast, hyper, 16},
-	{"GKAllPort", core.GKAllPort, hyper, 16},
-	{"DNS", core.DNS, hyper, 8}, // plain DNS needs p ≥ n²
+// geometry returns the machine and dimension the suites run row f of
+// the formulation table on: n = 16 on a 64-processor hypercube
+// (64 = 8² = 4³ satisfies every mesh, cube and power-of-8 constraint),
+// the two mesh Fox variants on a 64-processor wraparound mesh, and
+// plain DNS, which needs p ≥ n², at n = 8.
+func geometry(f core.Formulation) (mk func() *machine.Machine, n int) {
+	switch f.Name {
+	case "FoxMesh", "FoxPacketPipelined":
+		return mesh, 16
+	case "DNS":
+		return hyper, 8
+	}
+	return hyper, 16
 }
 
 func hyper() *machine.Machine { return machine.NCube2(64) }
@@ -137,9 +126,10 @@ func assertIdentical(t *testing.T, g, e *core.Result) {
 // TestBackendEquivalenceClean asserts byte-identical output across
 // backends for every formulation on a clean machine.
 func TestBackendEquivalenceClean(t *testing.T) {
-	for _, tc := range formulations {
-		t.Run(tc.name, func(t *testing.T) {
-			g, e := runBoth(t, tc.alg, tc.mk, tc.n, nil)
+	for _, f := range core.Formulations {
+		t.Run(f.Name, func(t *testing.T) {
+			mk, n := geometry(f)
+			g, e := runBoth(t, f.Run, mk, n, nil)
 			assertIdentical(t, g, e)
 		})
 	}
@@ -149,9 +139,10 @@ func TestBackendEquivalenceClean(t *testing.T) {
 // seed-42 fault scenario: stragglers, link jitter and lossy sends with
 // retries must charge identically on both backends.
 func TestBackendEquivalenceFaulted(t *testing.T) {
-	for _, tc := range formulations {
-		t.Run(tc.name, func(t *testing.T) {
-			g, e := runBoth(t, tc.alg, tc.mk, tc.n, faulted())
+	for _, f := range core.Formulations {
+		t.Run(f.Name, func(t *testing.T) {
+			mk, n := geometry(f)
+			g, e := runBoth(t, f.Run, mk, n, faulted())
 			assertIdentical(t, g, e)
 		})
 	}

@@ -19,6 +19,7 @@ import (
 	"sort"
 	"strings"
 
+	"matscale/internal/core"
 	"matscale/internal/iso"
 	"matscale/internal/machine"
 	"matscale/internal/model"
@@ -173,7 +174,7 @@ func runCurve(key string, p, step, nMax, workers int) (EfficiencyCurve, error) {
 	if err != nil {
 		return EfficiencyCurve{}, err
 	}
-	f, _ := sweep.Lookup(key)
+	f, _ := core.Lookup(key)
 	c := EfficiencyCurve{Algorithm: f.Name, P: p}
 	for _, r := range cells {
 		c.Points = append(c.Points, EfficiencyPoint{N: r.N, E: r.Efficiency, Tp: r.Tp})

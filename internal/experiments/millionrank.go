@@ -5,9 +5,9 @@ import (
 	"io"
 	"sync"
 
+	"matscale/internal/core"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
-	"matscale/internal/sweep"
 )
 
 // MillionRankStudy renders the strong-scaling study the events backend
@@ -77,7 +77,7 @@ func MillionRankStudy(w io.Writer, n int) error {
 		case "mesh":
 			m = machine.Mesh(r.p, 150, 3)
 		}
-		f, _ := sweep.Lookup(r.alg)
+		f, _ := core.Lookup(r.alg)
 		sim, err := f.Measure(m, n, operands)
 		if err != nil {
 			fmt.Fprintf(w, "%-8s %-7s %9d n/a: %v\n", r.alg, r.mach, r.p, err)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"matscale/internal/core"
 	"matscale/internal/iso"
 	"matscale/internal/model"
 	"matscale/internal/regions"
@@ -108,7 +109,7 @@ func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]Predictio
 	specs := model.Specs()
 	keys := make([]string, len(specs))
 	for i, s := range specs {
-		f, _ := sweep.ByName(s.Name)
+		f, _ := core.ByName(s.Name)
 		keys[i] = f.Key
 	}
 	res, err := sweep.Run(&sweep.Spec{

@@ -96,8 +96,8 @@ func BenchmarkDESCannonWave(b *testing.B) {
 	}
 }
 
-// BenchmarkDESCannonWaveFaulted times Cannon's skeleton alone
-// (core.CannonTiming) on a faulted hypercube, p = 1024, n = 256: a
+// BenchmarkDESCannonWaveFaulted times Cannon's skeleton alone (its
+// row's Measure) on a faulted hypercube, p = 1024, n = 256: a
 // straggler and link jitter keep it off the lockstep path, so the
 // per-rank walk runs the 32 iterations of the Repeat body, each shift
 // reading the links and link-fault costs resolved once per rank.
@@ -109,52 +109,46 @@ func BenchmarkDESCannonWaveFaulted(b *testing.B) {
 	}
 	m := machine.Hypercube(p, 17, 3).WithFaults(fc)
 	b.ResetTimer()
+	measureSkeleton(b, "cannon", m, n)
+}
+
+// measureSkeleton runs b.N measurements of the formulation under key
+// for n×n operands on m, failing the benchmark if one leaves the wave
+// tier for a rank program instead of timing it.
+func measureSkeleton(b *testing.B, key string, m *machine.Machine, n int) {
+	f, _ := core.Lookup(key)
+	operands := func() [2]*matrix.Dense {
+		b.Fatalf("%s on %v left the wave tier", key, m)
+		return [2]*matrix.Dense{}
+	}
 	for i := 0; i < b.N; i++ {
-		res, ok, err := core.CannonTiming(m, n)
-		if err != nil || !ok {
-			b.Fatalf("CannonTiming: ok=%v err=%v", ok, err)
+		sim, err := f.Measure(m, n, operands)
+		if err != nil {
+			b.Fatal(err)
 		}
-		if res.Tp <= 0 {
+		if sim.Tp <= 0 {
 			b.Fatal("degenerate Tp")
 		}
 	}
 }
 
-// BenchmarkDESGKTiming times GK's skeleton alone (core.GKTiming) on
-// the slowest GK cell of the paper's CM-5 grid, p = 512, n = 352: the
+// BenchmarkDESGKTiming times GK's skeleton alone (its row's Measure)
+// on the slowest GK cell of the paper's CM-5 grid, p = 512, n = 352: the
 // builder, the validating pass and the per-rank waves of its routes,
 // trees and barriers, with no operands and no host product — the
 // work a sweep cell does.
 func BenchmarkDESGKTiming(b *testing.B) {
 	const p, n = 512, 352
-	m := machine.CM5(p)
-	for i := 0; i < b.N; i++ {
-		res, ok, err := core.GKTiming(m, n)
-		if err != nil || !ok {
-			b.Fatalf("GKTiming: ok=%v err=%v", ok, err)
-		}
-		if res.Tp <= 0 {
-			b.Fatal("degenerate Tp")
-		}
-	}
+	measureSkeleton(b, "gk", machine.CM5(p), n)
 }
 
-// BenchmarkDESCannonTiming times Cannon's skeleton alone
-// (core.CannonTiming) on the paper's CM-5 grid at p = 484, n = 352:
+// BenchmarkDESCannonTiming times Cannon's skeleton alone (its row's
+// Measure) on the paper's CM-5 grid at p = 484, n = 352:
 // the builder, the validating pass over the 484 ranks and the lockstep
 // clock, with no operands and no host product.
 func BenchmarkDESCannonTiming(b *testing.B) {
 	const p, n = 484, 352
-	m := machine.CM5(p)
-	for i := 0; i < b.N; i++ {
-		res, ok, err := core.CannonTiming(m, n)
-		if err != nil || !ok {
-			b.Fatalf("CannonTiming: ok=%v err=%v", ok, err)
-		}
-		if res.Tp <= 0 {
-			b.Fatal("degenerate Tp")
-		}
-	}
+	measureSkeleton(b, "cannon", machine.CM5(p), n)
 }
 
 // BenchmarkEventsFiberCannon measures the general fiber tier of the

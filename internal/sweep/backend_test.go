@@ -4,6 +4,7 @@ import (
 	"reflect"
 	"testing"
 
+	"matscale/internal/core"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/simulator"
@@ -16,7 +17,7 @@ var engines = []machine.Backend{machine.BackendGoroutines, machine.BackendEvents
 // and expects identical simulation results, metrics included.
 func TestBackendRunEquivalence(t *testing.T) {
 	for _, name := range []string{"cannon", "gk"} {
-		f, ok := Lookup(name)
+		f, ok := core.Lookup(name)
 		if !ok {
 			t.Fatalf("unknown algorithm %q", name)
 		}
@@ -42,7 +43,7 @@ func TestBackendRunEquivalence(t *testing.T) {
 // TestBackendRunCannonTp runs Cannon's algorithm on identity operands
 // on a 16-node hypercube and expects the same Tp on both engines.
 func TestBackendRunCannonTp(t *testing.T) {
-	f, _ := Lookup("cannon")
+	f, _ := core.Lookup("cannon")
 	alg := f.Run
 	a := matrix.Identity(16)
 	for _, e := range engines {

@@ -15,7 +15,6 @@ import (
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
-	"matscale/internal/simulator"
 	"matscale/internal/topology"
 )
 
@@ -46,7 +45,7 @@ type Spec struct {
 	// Seed is the base matrix seed: a cell at dimension n that runs a
 	// rank program multiplies Random(n, n, Seed+2n) by
 	// Random(n, n, Seed+2n+1). Cells timed from a skeleton alone (see
-	// Formulation.Measure) use no operands, so the seed reaches only
+	// core.Formulation.Measure) use no operands, so the seed reaches only
 	// the others, and no cell's timing depends on it. It stays part of
 	// CellKey, so cache and checkpoint keys keep their meaning.
 	Seed uint64 `json:"seed,omitempty"`
@@ -186,110 +185,15 @@ type CellCache interface {
 // wrapping.
 var ErrCanceled = errors.New("sweep: canceled")
 
-// Formulation is one row of the formulation table: the one place a
-// formulation's key, its name, its implementation and its paper
-// equation meet. Sweeps, Select/RunAuto, the experiment drivers and
-// the CLI all look formulations up here.
-type Formulation struct {
-	// Key names the formulation in spec JSON, -alg flags and cell keys.
-	Key string
-	// Name is the Result.Algorithm stamp of Run, also used as
-	// Selection.Name and in report rows.
-	Name string
-	Run  core.Algorithm
-	// Timing measures the formulation from its timed skeleton alone,
-	// with no operands and no product; nil for the formulations the
-	// wave tier has no skeleton for.
-	Timing core.Timing
-	// PaperTp is the paper's closed-form parallel time for n×n matrices
-	// on p processors (Eqs. 2–7; GK on a fully connected network uses
-	// Eq. 18). nil when the paper prints no equation.
-	PaperTp func(pr model.Params, n, p float64, fullyConnected bool) float64
-}
-
-// formulations is the formulation table, sorted by key.
-var formulations = []Formulation{
-	{"berntsen", "Berntsen", core.Berntsen, nil, hypercubeTp(model.PaperBerntsenTp)},
-	{"cannon", "Cannon", core.Cannon, core.CannonTiming, hypercubeTp(model.PaperCannonTp)},
-	{"dns", "DNS", core.DNS, nil, hypercubeTp(model.PaperDNSTp)},
-	{"fox", "Fox", core.Fox, core.FoxTiming, hypercubeTp(model.PaperFoxTp)},
-	{"foxpipe", "FoxPipelined", core.FoxPipelined, core.FoxPipelinedTiming, hypercubeTp(model.PaperFoxTp)},
-	{"gk", "GK", core.GK, core.GKTiming, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
-		if fullyConnected {
-			return model.PaperGKCM5Tp(pr, n, p)
-		}
-		return model.PaperGKTp(pr, n, p)
-	}},
-	{"gkimproved", "GKImprovedBroadcast", core.GKImprovedBroadcast, core.GKImprovedBroadcastTiming, nil},
-	{"simple", "Simple", core.Simple, nil, hypercubeTp(model.PaperSimpleTp)},
-}
-
-// Measure returns f's virtual-time measurement for n×n operands on m.
-// It times f's skeleton alone when f has a Timing and the simulator
-// takes m for the wave tier; otherwise it runs f.Run on operands(),
-// which is then the only call that builds operands. Both paths return
-// the same Result for the same cell, and the same error for a rejected
-// geometry.
-func (f Formulation) Measure(m *machine.Machine, n int, operands func() [2]*matrix.Dense) (*simulator.Result, error) {
-	if f.Timing != nil {
-		if sim, ok, err := f.Timing(m, n); ok || err != nil {
-			return sim, err
-		}
-	}
-	ab := operands()
-	res, err := f.Run(m, ab[0], ab[1])
-	if err != nil {
-		return nil, err
-	}
-	return res.Sim, nil
-}
-
-// hypercubeTp adapts a hypercube equation (Eqs. 2–6) that the paper
-// applies on every network.
-func hypercubeTp(tp func(model.Params, float64, float64) float64) func(model.Params, float64, float64, bool) float64 {
-	return func(pr model.Params, n, p float64, _ bool) float64 { return tp(pr, n, p) }
-}
-
-// AlgorithmNames returns the formulation keys the grid layer accepts,
-// sorted.
-func AlgorithmNames() []string {
-	keys := make([]string, len(formulations))
-	for i, f := range formulations {
-		keys[i] = f.Key
-	}
-	return keys
-}
-
-// Lookup returns the formulation registered under key, the names the
-// CLI and sweep specs use.
-func Lookup(key string) (Formulation, bool) {
-	for _, f := range formulations {
-		if f.Key == key {
-			return f, true
-		}
-	}
-	return Formulation{}, false
-}
-
-// ByName returns the formulation whose results carry name.
-func ByName(name string) (Formulation, bool) {
-	for _, f := range formulations {
-		if f.Name == name {
-			return f, true
-		}
-	}
-	return Formulation{}, false
-}
-
 // Validate checks the spec's names, ranges and fault grammar without
 // running anything.
 func (s *Spec) Validate() error {
 	if len(s.Algorithms) == 0 {
-		return fmt.Errorf("sweep: spec names no algorithms (have: %s)", strings.Join(AlgorithmNames(), ", "))
+		return fmt.Errorf("sweep: spec names no algorithms (have: %s)", strings.Join(core.Keys(), ", "))
 	}
 	for _, a := range s.Algorithms {
-		if _, ok := Lookup(a); !ok {
-			return fmt.Errorf("sweep: unknown algorithm %q (have: %s)", a, strings.Join(AlgorithmNames(), ", "))
+		if _, ok := core.Lookup(a); !ok {
+			return fmt.Errorf("sweep: unknown algorithm %q (have: %s)", a, strings.Join(core.Keys(), ", "))
 		}
 	}
 	if len(s.Machines) == 0 {
@@ -476,7 +380,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 			// for every cell.
 			one, _ := build(1)
 			_, full := one.Topo.(topology.FullyConnected)
-			if f, _ := Lookup(k.alg); f.PaperTp != nil {
+			if f, _ := core.Lookup(k.alg); f.PaperTp != nil {
 				v = f.PaperTp(model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), full)
 			}
 			cache[k] = v
@@ -486,7 +390,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 
 	// Input matrices, shared read-only by every cell at the same
 	// dimension. Each dimension's pair is generated by the first cell
-	// that has to run a rank program (see Formulation.Measure), so a
+	// that has to run a rank program (see core.Formulation.Measure), so a
 	// grid served from the cache, or timed from skeletons alone,
 	// generates none. The pair is a pure function of (seed, n): which
 	// worker builds it changes no byte.
@@ -601,7 +505,7 @@ func runCell(s *Spec, c Cell, fc *faults.Config, operands func() [2]*matrix.Dens
 	if fc != nil {
 		m = m.WithFaults(fc)
 	}
-	f, _ := Lookup(c.Algorithm)
+	f, _ := core.Lookup(c.Algorithm)
 	sim, err := f.Measure(m, c.N, operands)
 	if err != nil {
 		r.Err = err.Error()

@@ -10,11 +10,7 @@ import (
 	"sync"
 	"testing"
 
-	"matscale/internal/faults"
-	"matscale/internal/machine"
-	"matscale/internal/matrix"
 	"matscale/internal/model"
-	"matscale/internal/topology"
 )
 
 func gridSpec() *Spec {
@@ -313,103 +309,6 @@ func TestCSVQuoting(t *testing.T) {
 	}
 }
 
-func TestAlgorithmNamesSorted(t *testing.T) {
-	names := AlgorithmNames()
-	if len(names) < 6 {
-		t.Fatalf("registry too small: %v", names)
-	}
-	for i := 1; i < len(names); i++ {
-		if names[i-1] >= names[i] {
-			t.Fatalf("names not sorted: %v", names)
-		}
-	}
-	want := []string{"berntsen", "cannon", "dns", "fox", "foxpipe", "gk", "gkimproved", "simple"}
-	if strings.Join(names, ",") != strings.Join(want, ",") {
-		t.Fatalf("keys = %v, want %v", names, want)
-	}
-}
-
-// TestFormulationTable checks every row of the formulation table
-// against the implementation it names and the paper equation it
-// predicts with.
-func TestFormulationTable(t *testing.T) {
-	type tp = func(model.Params, float64, float64) float64
-	// The paper equation of each key on a hypercube and on the fully
-	// connected CM-5; nil where the paper prints none.
-	equations := map[string][2]tp{
-		"berntsen":   {model.PaperBerntsenTp, model.PaperBerntsenTp},
-		"cannon":     {model.PaperCannonTp, model.PaperCannonTp},
-		"dns":        {model.PaperDNSTp, model.PaperDNSTp},
-		"fox":        {model.PaperFoxTp, model.PaperFoxTp},
-		"foxpipe":    {model.PaperFoxTp, model.PaperFoxTp},
-		"gk":         {model.PaperGKTp, model.PaperGKCM5Tp},
-		"gkimproved": {nil, nil},
-		"simple":     {model.PaperSimpleTp, model.PaperSimpleTp},
-	}
-	if len(formulations) != len(equations) {
-		t.Fatalf("table has %d rows, want %d", len(formulations), len(equations))
-	}
-	// The keys with a timed skeleton, the wave tier's formulations.
-	timed := map[string]bool{"cannon": true, "fox": true, "foxpipe": true, "gk": true, "gkimproved": true}
-	for _, f := range formulations {
-		eq, ok := equations[f.Key]
-		if !ok {
-			t.Errorf("unexpected key %q", f.Key)
-			continue
-		}
-		if g, ok := ByName(f.Name); !ok || g.Key != f.Key {
-			t.Errorf("%s: ByName(%q) = %q, %v", f.Key, f.Name, g.Key, ok)
-		}
-		if (f.Timing != nil) != timed[f.Key] {
-			t.Errorf("%s: has Timing = %v, want %v", f.Key, f.Timing != nil, timed[f.Key])
-		}
-		// Run stamps the row's name on a geometry it accepts.
-		ran := false
-		for _, g := range []struct{ n, p int }{{16, 64}, {8, 64}, {16, 16}} {
-			res, err := f.Run(machine.NCube2(g.p), matrix.Random(g.n, g.n, 1), matrix.Random(g.n, g.n, 2))
-			if err != nil {
-				continue
-			}
-			if res.Algorithm != f.Name {
-				t.Errorf("%s: Result.Algorithm = %q, want %q", f.Key, res.Algorithm, f.Name)
-			}
-			ran = true
-			break
-		}
-		if !ran {
-			t.Errorf("%s: no test geometry accepted", f.Key)
-		}
-		// PaperTp matches the equation on a hypercube and on the CM-5.
-		for i, preset := range []string{"ncube2", "cm5"} {
-			build, ts, tw, _ := machine.LookupPreset(preset, 0, 0)
-			one, err := build(1)
-			if err != nil {
-				t.Fatal(err)
-			}
-			_, full := one.Topo.(topology.FullyConnected)
-			if full != (i == 1) {
-				t.Fatalf("%s: fully connected = %v", preset, full)
-			}
-			pr := model.Params{Ts: ts, Tw: tw}
-			if (f.PaperTp == nil) != (eq[i] == nil) {
-				t.Errorf("%s: PaperTp nil = %v, want %v", f.Key, f.PaperTp == nil, eq[i] == nil)
-				continue
-			}
-			if f.PaperTp == nil {
-				continue
-			}
-			if got, want := f.PaperTp(pr, 64, 512, full), eq[i](pr, 64, 512); got != want {
-				t.Errorf("%s on %s: PaperTp = %v, want %v", f.Key, preset, got, want)
-			}
-		}
-	}
-	for _, s := range model.Specs() {
-		if _, ok := ByName(s.Name); !ok {
-			t.Errorf("Table 1 row %q has no formulation", s.Name)
-		}
-	}
-}
-
 // countingCache is a CellCache that tracks hit/miss traffic for tests.
 type countingCache struct {
 	mu           sync.Mutex
@@ -645,51 +544,6 @@ simple,custom,16,24,"seed=7,loss=0.02",2296,6.020905923344948,0.3763066202090592
 `
 	if got := res.CSV(); got != want {
 		t.Errorf("CSV differs from the rank programs' output:\n got:\n%s\nwant:\n%s", got, want)
-	}
-}
-
-// TestMeasureBuildsOperandsOnlyForRankPrograms pins the one decision
-// point: Measure calls operands exactly when the cell runs a rank
-// program, returns Run's Result.Sim either way, and rejects a geometry
-// with Run's error without building operands.
-func TestMeasureBuildsOperandsOnlyForRankPrograms(t *testing.T) {
-	const n = 16
-	lossy := machine.NCube2(16).WithFaults(&faults.Config{Seed: 7, Loss: 0.02})
-	metered := machine.NCube2(16)
-	metered.CollectMetrics = true
-	cases := []struct {
-		key   string
-		m     *machine.Machine
-		calls int
-	}{
-		{"cannon", machine.NCube2(16), 0},
-		{"gk", machine.CM5(64), 0},
-		{"foxpipe", machine.CM5(16), 0},
-		{"gk", machine.NCube2(16), 0}, // rejected: p is not a cube
-		{"cannon", lossy, 1},
-		{"fox", metered, 1},
-		{"simple", machine.NCube2(16), 1},
-		{"dns", machine.NCube2(64), 1},
-	}
-	for _, c := range cases {
-		f, _ := Lookup(c.key)
-		a, b := matrix.Random(n, n, 1), matrix.Random(n, n, 2)
-		calls := 0
-		sim, err := f.Measure(c.m, n, func() [2]*matrix.Dense { calls++; return [2]*matrix.Dense{a, b} })
-		if calls != c.calls {
-			t.Errorf("%s on %v: operands built %d times, want %d", c.key, c.m, calls, c.calls)
-		}
-		res, rerr := f.Run(c.m, a, b)
-		switch {
-		case rerr != nil:
-			if err == nil || err.Error() != rerr.Error() {
-				t.Errorf("%s on %v: Measure error %v, Run error %v", c.key, c.m, err, rerr)
-			}
-		case err != nil:
-			t.Errorf("%s on %v: Measure: %v", c.key, c.m, err)
-		case !reflect.DeepEqual(sim, res.Sim):
-			t.Errorf("%s on %v: Measure's Result differs from Run's Sim", c.key, c.m)
-		}
 	}
 }
 
