@@ -476,7 +476,6 @@ func (s *Server) Cancel(id string) error {
 		wasSuspended := j.state == StateSuspended
 		j.finishLocked(StateCancelled, nil, &CanceledError{})
 		j.mu.Unlock()
-		close(j.finished)
 		s.mu.Lock()
 		s.canceled++
 		if wasSuspended {
@@ -484,6 +483,7 @@ func (s *Server) Cancel(id string) error {
 		}
 		s.mu.Unlock()
 		s.retire(id)
+		close(j.finished)
 		return nil
 	case StateRunning:
 		j.mu.Unlock()
@@ -594,31 +594,26 @@ func (s *Server) settle(j *Job, res *sweep.Result, err error, timedOut bool) {
 	switch {
 	case err == nil:
 		s.bump(func() { s.completed++; s.cellsServed += j.total })
-		j.finish(StateDone, s.shareResult(j, res), nil)
-		s.retire(j.id)
+		s.end(j, StateDone, s.shareResult(j, res), nil)
 	case errors.As(err, &se):
 		if perr := s.persistCheckpoint(j.id, se.Checkpoint); perr != nil {
 			// Suspending without the durability the operator configured
 			// would silently break restart-resume; fail the job instead.
 			s.bump(func() { s.failed++ })
-			j.finish(StateFailed, nil, perr)
-			s.retire(j.id)
+			s.end(j, StateFailed, nil, perr)
 			return
 		}
 		s.bump(func() { s.suspended++ })
 		j.suspend(se.Checkpoint)
 	case timedOut && !s.cfg.SuspendOnTimeout:
 		s.bump(func() { s.failed++ })
-		j.finish(StateFailed, nil, &JobTimeoutError{Timeout: s.cfg.JobTimeout})
-		s.retire(j.id)
+		s.end(j, StateFailed, nil, &JobTimeoutError{Timeout: s.cfg.JobTimeout})
 	case j.cancelRequested():
 		s.bump(func() { s.canceled++ })
-		j.finish(StateCancelled, nil, &CanceledError{})
-		s.retire(j.id)
+		s.end(j, StateCancelled, nil, &CanceledError{})
 	default:
 		s.bump(func() { s.failed++ })
-		j.finish(StateFailed, nil, err)
-		s.retire(j.id)
+		s.end(j, StateFailed, nil, err)
 	}
 }
 
@@ -654,6 +649,15 @@ func (s *Server) bump(fn func()) {
 	s.mu.Lock()
 	fn()
 	s.mu.Unlock()
+}
+
+// end retires j, then moves it to terminal state st. Retiring first
+// keeps the retention order the order in which Finished waiters see
+// jobs end: a job a client saw finish before it submitted the next is
+// never evicted after that next one.
+func (s *Server) end(j *Job, st State, res *sweep.Result, err error) {
+	s.retire(j.id)
+	j.finish(st, res, err)
 }
 
 // retire records a terminal job for retention accounting, deletes its

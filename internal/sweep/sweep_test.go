@@ -6,10 +6,14 @@ import (
 	"fmt"
 	"reflect"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
 
+	"matscale/internal/core"
+	"matscale/internal/machine"
+	"matscale/internal/matrix"
 	"matscale/internal/model"
 )
 
@@ -306,6 +310,91 @@ func TestCSVQuoting(t *testing.T) {
 	lines := strings.Split(strings.TrimSpace(csv), "\n")
 	if len(lines) != 2 {
 		t.Fatalf("want header + 1 row, got %d lines", len(lines))
+	}
+}
+
+// TestAlgorithmNamesSorted checks that a spec accepts every key of the
+// formulation table and that the algorithm list Validate reports to a
+// spec naming none is the sorted key list.
+func TestAlgorithmNamesSorted(t *testing.T) {
+	const keys = "berntsen, cannon, dns, fox, foxpipe, gk, gkimproved, simple"
+	for _, missing := range [][]string{nil, {"nope"}} {
+		s := gridSpec()
+		s.Algorithms = missing
+		err := s.Validate()
+		if err == nil || !strings.HasSuffix(err.Error(), "(have: "+keys+")") {
+			t.Errorf("Algorithms = %q: Validate = %v, want the key list %s", missing, err, keys)
+		}
+	}
+	s := gridSpec()
+	s.Algorithms = strings.Split(keys, ", ")
+	if err := s.Validate(); err != nil {
+		t.Fatalf("every key: %v", err)
+	}
+}
+
+// TestFormulationTable sweeps every key of the formulation table on a
+// hypercube and on the fully connected CM-5 and checks each cell
+// against the row it names: PredictedTp is the paper equation of the
+// key on that network (0 where the paper prints none), and Tp or Err
+// is what the row's Run gives for the sweep's operands.
+func TestFormulationTable(t *testing.T) {
+	type tp = func(model.Params, float64, float64) float64
+	equations := map[string][2]tp{
+		"berntsen":   {model.PaperBerntsenTp, model.PaperBerntsenTp},
+		"cannon":     {model.PaperCannonTp, model.PaperCannonTp},
+		"dns":        {model.PaperDNSTp, model.PaperDNSTp},
+		"fox":        {model.PaperFoxTp, model.PaperFoxTp},
+		"foxpipe":    {model.PaperFoxTp, model.PaperFoxTp},
+		"gk":         {model.PaperGKTp, model.PaperGKCM5Tp},
+		"gkimproved": {nil, nil},
+		"simple":     {model.PaperSimpleTp, model.PaperSimpleTp},
+	}
+	presets := []string{"ncube2", "cm5"}
+	s := &Spec{Machines: presets, Ps: []int{16, 64}, Ns: []int{8, 16}, Seed: 3}
+	for k := range equations {
+		s.Algorithms = append(s.Algorithms, k)
+	}
+	res, err := Run(s, Options{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ran := map[string]bool{}
+	for _, c := range res.Cells {
+		i := slices.Index(presets, c.Machine)
+		build, ts, tw, _ := machine.LookupPreset(c.Machine, 0, 0)
+		pr := model.Params{Ts: ts, Tw: tw}
+		want := 0.0
+		if eq := equations[c.Algorithm][i]; eq != nil {
+			want = eq(pr, float64(c.N), float64(c.P))
+		}
+		if c.PredictedTp != want {
+			t.Errorf("%v: PredictedTp = %v, want %v", c.Cell, c.PredictedTp, want)
+		}
+		f, _ := core.Lookup(c.Algorithm)
+		m, err := build(c.P)
+		if err != nil {
+			t.Fatal(err)
+		}
+		seed := s.Seed + 2*uint64(c.N)
+		out, err := f.Run(m, matrix.Random(c.N, c.N, seed), matrix.Random(c.N, c.N, seed+1))
+		switch {
+		case err != nil:
+			if c.Err != err.Error() {
+				t.Errorf("%v: Err = %q, want Run's %q", c.Cell, c.Err, err)
+			}
+		case c.Err != "" || c.Tp != out.Sim.Tp:
+			t.Errorf("%v: Tp = %v, Err = %q, want Run's Tp %v", c.Cell, c.Tp, c.Err, out.Sim.Tp)
+		default:
+			ran[c.Algorithm+"/"+c.Machine] = true
+		}
+	}
+	for k := range equations {
+		for _, mach := range presets {
+			if !ran[k+"/"+mach] {
+				t.Errorf("%s on %s: no cell ran", k, mach)
+			}
+		}
 	}
 }
 
