@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"matscale"
+	"matscale/internal/model"
 )
 
 func TestQuickstartFlow(t *testing.T) {
@@ -58,6 +59,16 @@ func TestSelectPerMachine(t *testing.T) {
 	// SIMD machine in the n^(3/2) ≤ p ≤ n² band: Cannon.
 	if s := matscale.Select(matscale.SIMD(1<<14), 128); s.Name != "Cannon" {
 		t.Fatalf("SIMD p=2^14 n=128: chose %s, want Cannon", s.Name)
+	}
+	// A serial machine and an infeasible cell (p > n³) have no region
+	// letter to choose by: Select falls back to GK and Eq. (7).
+	for _, c := range []struct{ p, n int }{{1, 64}, {128, 4}} {
+		m := matscale.NCube2(c.p)
+		s := matscale.Select(m, c.n)
+		want := model.PaperGKTp(model.Params{Ts: m.Ts, Tw: m.Tw}, float64(c.n), float64(c.p))
+		if s.Name != "GK" || s.PredictedTp != want {
+			t.Errorf("NCube2 p=%d n=%d: chose %s with Tp %v, want GK with %v", c.p, c.n, s.Name, s.PredictedTp, want)
+		}
 	}
 }
 
