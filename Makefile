@@ -5,7 +5,7 @@ GO ?= go
 SHELL := bash
 .SHELLFLAGS := -eo pipefail -c
 
-.PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism examples perf lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
+.PHONY: all build test race bench bench-smoke bench-json bench-gate backend-equivalence checkpoint-equivalence kernel-equivalence sweep-determinism cli-identical examples perf lint vet vet-tool fuzz cover verify repro server loadtest loadtest-json clean
 
 all: build test
 
@@ -81,6 +81,27 @@ sweep-determinism:
 	./bin/matscale $(SWEEP_ARGS) -jobs 8 -csv sweep_parallel.csv
 	cmp sweep_serial.csv sweep_parallel.csv
 	@echo "sweep output is byte-identical at -jobs=1 and -jobs=8"
+
+# Compare the CLI's output with revision BASE's, command by command:
+# BASE is checked out in a temporary git worktree, both binaries are
+# built into bin/, and the first command whose output differs is named.
+# Not part of CI, since some changes alter the output on purpose.
+# Usage: make cli-identical BASE=<rev>
+CLI_COMMANDS = table1 'regions -fig 1' 'regions -fig 2' 'regions -fig 3' isoeff compare allport tech improved verify isoval 'isoval -alg gk' tssweep predict robust saturation 'millionrank -n 64' 'all -quick'
+cli-identical:
+	@test -n '$(BASE)' || { echo 'usage: make cli-identical BASE=<rev>' >&2; exit 2; }
+	$(GO) build -o bin/matscale ./cmd/matscale
+	@tmp=$$(mktemp -d); \
+	trap 'git worktree remove --force "$$tmp/base" 2>/dev/null; rm -rf "$$tmp"' EXIT; \
+	git worktree add --quiet --detach "$$tmp/base" '$(BASE)'; \
+	(cd "$$tmp/base" && $(GO) build -o '$(CURDIR)/bin/matscale-base' ./cmd/matscale); \
+	for c in $(CLI_COMMANDS); do \
+		echo "matscale $$c"; \
+		bin/matscale-base $$c > "$$tmp/want"; \
+		bin/matscale $$c > "$$tmp/got"; \
+		cmp "$$tmp/want" "$$tmp/got" || { echo "cli-identical: 'matscale $$c' differs from $(BASE)" >&2; exit 1; }; \
+	done; \
+	echo "CLI output is byte-identical to $(BASE)"
 
 # The repository benchmark (BENCHMARK.json, perfbench/README.md): all
 # three end-to-end workloads, 30 s each. Override with e.g.
@@ -162,3 +183,4 @@ clean:
 	rm -f bench_pr.txt bench_main.txt bench_delta.txt coverage.out sweep_serial.csv sweep_parallel.csv
 	rm -f REPRODUCTION.txt.tmp loadtest_bench.txt events_cold.txt events_warm.txt result_cold.json result_warm.json
 	rm -rf bin
+	git worktree prune

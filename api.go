@@ -12,7 +12,6 @@ import (
 	"matscale/internal/faults"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
-	"matscale/internal/model"
 	"matscale/internal/regions"
 	"matscale/internal/server"
 	"matscale/internal/simulator"
@@ -472,13 +471,12 @@ type Selection struct {
 // of the applicable algorithms without running anything.
 func Select(m *Machine, n int) Selection {
 	letter := regions.Best(Params{Ts: m.Ts, Tw: m.Tw}, float64(n), float64(m.P()))
-	name := "GK" // also on serial (p=1, any algorithm degenerates) and infeasible cells
-	for _, s := range model.Specs() {
-		if s.Letter == letter {
-			name = s.Name
+	f, _ := core.Lookup("gk") // also on serial (p=1, any algorithm degenerates) and infeasible cells
+	for _, g := range core.Formulations {
+		if g.Table1 != nil && g.Table1.Letter == letter {
+			f = g
 		}
 	}
-	f, _ := core.ByName(name)
 	return selection(f, m, n)
 }
 

@@ -522,22 +522,23 @@ func cmdIsoeff(args []string) error {
 	pr := model.Params{Ts: *ts, Tw: *tw}
 	fmt.Printf("Isoefficiency curves (ts=%g, tw=%g, E=%g): problem size W needed to hold E\n", *ts, *tw, *e)
 	fmt.Printf("%8s", "p")
-	for _, s := range model.Specs() {
-		fmt.Printf(" %14s", s.Name)
+	var specs []*model.Spec
+	for _, f := range core.Formulations {
+		if f.Table1 != nil {
+			specs = append(specs, f.Table1)
+			fmt.Printf(" %14s", f.Name)
+		}
 	}
 	fmt.Println()
 	for exp := 4; exp <= 24; exp += 4 {
 		p := math.Pow(2, float64(exp))
 		fmt.Printf("    2^%-2d", exp)
-		for _, s := range model.Specs() {
-			target := *e
-			if s.Name == "DNS" {
-				if cap := iso.MaxEfficiencyDNS(*ts, *tw); target >= cap {
-					fmt.Printf(" %14s", "E>ceiling")
-					continue
-				}
+		for _, s := range specs {
+			if s.Ceiling != nil && *e >= s.Ceiling(*ts, *tw) {
+				fmt.Printf(" %14s", "E>ceiling")
+				continue
 			}
-			w, ok := iso.SolveW(func(n, q float64) float64 { return s.To(pr, n, q) }, p, target)
+			w, ok := iso.SolveW(func(n, q float64) float64 { return s.To(pr, n, q) }, p, *e)
 			if !ok {
 				fmt.Printf(" %14s", "-")
 				continue

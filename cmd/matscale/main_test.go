@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
 	"strings"
 	"testing"
 )
@@ -146,6 +147,25 @@ func TestCmdIsoeff(t *testing.T) {
 	}
 	if !strings.Contains(out, "Isoefficiency curves") || !strings.Contains(out, "E>ceiling") {
 		t.Errorf("isoeff output malformed:\n%s", out)
+	}
+	// Below DNS's ceiling (0.2 at ts = tw = 1) its column holds numbers,
+	// and the columns follow Table 1's order.
+	out, err = capture(t, func() error { return cmdIsoeff([]string{"-ts", "1", "-tw", "1", "-e", "0.1"}) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	lines := strings.Split(out, "\n")
+	if got := strings.Fields(lines[1]); strings.Join(got, " ") != "p Berntsen Cannon GK DNS" {
+		t.Errorf("isoeff header = %q, want p Berntsen Cannon GK DNS", got)
+	}
+	for _, line := range lines[2:] {
+		f := strings.Fields(line)
+		if len(f) == 0 {
+			continue
+		}
+		if _, err := strconv.ParseFloat(f[len(f)-1], 64); err != nil {
+			t.Errorf("DNS column below its ceiling holds %q, want a problem size", f[len(f)-1])
+		}
 	}
 }
 

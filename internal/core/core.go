@@ -19,8 +19,10 @@
 //     Section 7.2 (Eq. 17)
 //
 // Formulations, the formulation table, holds one row per algorithm:
-// its key, name, Algorithm, timed skeleton and paper equation; the
-// row's Measure method times a sweep cell. A family's
+// its key, name, Algorithm, timed skeleton, paper equation and, for
+// the four algorithms Section 6 compares, its Table 1 entry (overhead,
+// applicability, isoefficiency, region letter and efficiency ceiling);
+// the row's Measure method times a sweep cell. A family's
 // variants differ only in data. Each Fox execution is a foxVariant
 // (its row delivery of A, tags, barrier and, for the broadcast
 // variants, the skeleton's broadcast cost) run by the one foxImpl loop;
@@ -46,8 +48,10 @@ package core
 
 import (
 	"fmt"
+	"math"
 	"slices"
 
+	"matscale/internal/iso"
 	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
@@ -180,9 +184,10 @@ func squareSide(n, p int, pow2Err string) (int, error) {
 }
 
 // Formulation is one row of the formulation table: the one place a
-// formulation's key, its name, its rank program, its timed skeleton and
-// its paper equation meet. Sweeps, Select/RunAuto, the experiment
-// drivers and the CLI all look formulations up here.
+// formulation's key, its name, its rank program, its timed skeleton,
+// its paper equation and its Table 1 entry meet. Sweeps, Select/RunAuto,
+// the region maps, the experiment drivers and the CLI all read
+// formulations here.
 type Formulation struct {
 	// Key names the formulation in sweep specs, -alg flags and cell
 	// keys; empty for a formulation no spec names.
@@ -199,30 +204,65 @@ type Formulation struct {
 	// Eq. 18). nil when the paper prints no equation for the key, and
 	// for the unkeyed rows.
 	PaperTp func(pr model.Params, n, p float64, fullyConnected bool) float64
+	// Table1 is the row's entry in Table 1, set on the four algorithms
+	// Section 6 chooses among and nil elsewhere. Their order here is
+	// Table 1's: it breaks ties in the region maps and orders reports.
+	Table1 *model.Spec
 }
 
 // Formulations is the formulation table, one row per Algorithm the
 // package exports. Callers read it; none modifies it.
 var Formulations = []Formulation{
-	{"simple", "Simple", Simple, nil, hypercubeTp(model.PaperSimpleTp)},
-	{"", "SimpleAllPort", SimpleAllPort, nil, nil},
-	{"", "SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, nil, nil},
-	{"cannon", "Cannon", Cannon, cannonSkeleton, hypercubeTp(model.PaperCannonTp)},
-	{"fox", "Fox", Fox, foxBinomial.skeleton, hypercubeTp(model.PaperFoxTp)},
-	{"foxpipe", "FoxPipelined", FoxPipelined, foxPipelined.skeleton, hypercubeTp(model.PaperFoxTp)},
-	{"", "FoxAsync", FoxAsync, nil, nil},
-	{"", "FoxMesh", FoxMesh, nil, nil},
-	{"", "FoxPacketPipelined", FoxPacketPipelined, nil, nil},
-	{"berntsen", "Berntsen", Berntsen, nil, hypercubeTp(model.PaperBerntsenTp)},
+	{"simple", "Simple", Simple, nil, hypercubeTp(model.PaperSimpleTp), nil},
+	{"", "SimpleAllPort", SimpleAllPort, nil, nil, nil},
+	{"", "SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, nil, nil, nil},
+	{"berntsen", "Berntsen", Berntsen, nil, hypercubeTp(model.PaperBerntsenTp), &model.Spec{
+		Letter: 'b', To: model.BerntsenTo,
+		Overhead: "2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3)",
+		// p ≤ n^(3/2) written as p² ≤ n³, which is exact in floating
+		// point for power-of-two grids (math.Pow(n, 1.5) is not).
+		Applicable:    func(n, p float64) bool { return p >= 1 && p*p <= n*n*n },
+		Range:         "1 ≤ p ≤ n^(3/2)",
+		Concurrency:   func(n float64) float64 { return math.Pow(n, 1.5) },
+		Isoefficiency: "O(p^2)",
+	}},
+	{"cannon", "Cannon", Cannon, cannonSkeleton, hypercubeTp(model.PaperCannonTp), &model.Spec{
+		Letter: 'c', To: model.CannonTo,
+		Overhead:      "2·ts·p^(3/2) + 2·tw·n²·√p",
+		Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n },
+		Range:         "1 ≤ p ≤ n²",
+		Concurrency:   func(n float64) float64 { return n * n },
+		Isoefficiency: "O(p^1.5)",
+	}},
+	{"fox", "Fox", Fox, foxBinomial.skeleton, hypercubeTp(model.PaperFoxTp), nil},
+	{"foxpipe", "FoxPipelined", FoxPipelined, foxPipelined.skeleton, hypercubeTp(model.PaperFoxTp), nil},
+	{"", "FoxAsync", FoxAsync, nil, nil, nil},
+	{"", "FoxMesh", FoxMesh, nil, nil, nil},
+	{"", "FoxPacketPipelined", FoxPacketPipelined, nil, nil, nil},
 	{"gk", "GK", GK, gkBinomial.skeleton, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
 		if fullyConnected {
 			return model.PaperGKCM5Tp(pr, n, p)
 		}
 		return model.PaperGKTp(pr, n, p)
+	}, &model.Spec{
+		Letter: 'a', To: model.GKTo,
+		Overhead:      "(5/3)·ts·p·log p + (5/3)·tw·n²·p^(1/3)·log p",
+		Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n*n },
+		Range:         "1 ≤ p ≤ n³",
+		Concurrency:   func(n float64) float64 { return n * n * n },
+		Isoefficiency: "O(p (log p)^3)",
 	}},
-	{"gkimproved", "GKImprovedBroadcast", GKImprovedBroadcast, gkImproved.skeleton, nil},
-	{"", "GKAllPort", GKAllPort, gkAllPort.skeleton, nil},
-	{"dns", "DNS", DNS, nil, hypercubeTp(model.PaperDNSTp)},
+	{"gkimproved", "GKImprovedBroadcast", GKImprovedBroadcast, gkImproved.skeleton, nil, nil},
+	{"", "GKAllPort", GKAllPort, gkAllPort.skeleton, nil, nil},
+	{"dns", "DNS", DNS, nil, hypercubeTp(model.PaperDNSTp), &model.Spec{
+		Letter: 'd', To: model.DNSTo,
+		Overhead:      "(ts + tw)·((5/3)·p·log p + 2·n³)",
+		Applicable:    func(n, p float64) bool { return p >= n*n && p <= n*n*n },
+		Range:         "n² ≤ p ≤ n³",
+		Concurrency:   func(n float64) float64 { return n * n * n },
+		Isoefficiency: "O(p log p)",
+		Ceiling:       iso.MaxEfficiencyDNS,
+	}},
 }
 
 // hypercubeTp adapts a hypercube equation (Eqs. 2–6) that the paper
@@ -246,17 +286,7 @@ func Keys() []string {
 // Lookup returns the formulation registered under key, the names the
 // CLI and sweep specs use.
 func Lookup(key string) (Formulation, bool) {
-	return find(func(f Formulation) bool { return key != "" && f.Key == key })
-}
-
-// ByName returns the formulation whose results carry name.
-func ByName(name string) (Formulation, bool) {
-	return find(func(f Formulation) bool { return f.Name == name })
-}
-
-// find returns the first row match accepts.
-func find(match func(Formulation) bool) (Formulation, bool) {
-	if i := slices.IndexFunc(Formulations, match); i >= 0 {
+	if i := slices.IndexFunc(Formulations, func(f Formulation) bool { return key != "" && f.Key == key }); i >= 0 {
 		return Formulations[i], true
 	}
 	return Formulation{}, false

@@ -435,7 +435,8 @@ func acceptedGeometry(t *testing.T, f Formulation) (p, n int, res *Result) {
 
 // TestFormulationTable checks every row of the formulation table
 // against the implementation it names and the paper equation it
-// predicts with.
+// predicts with, and that exactly the four algorithms of Table 1 carry
+// a complete Table 1 entry, in Table 1's order.
 func TestFormulationTable(t *testing.T) {
 	type tp = func(model.Params, float64, float64) float64
 	// The paper equation of each key on a hypercube and on the fully
@@ -463,9 +464,6 @@ func TestFormulationTable(t *testing.T) {
 			t.Errorf("name %q repeats", f.Name)
 		}
 		names[f.Name] = true
-		if g, ok := ByName(f.Name); !ok || g.Key != f.Key {
-			t.Errorf("%s: ByName = %q, %v", f.Name, g.Key, ok)
-		}
 		if g, ok := Lookup(f.Key); f.Key != "" && (!ok || g.Name != f.Name) {
 			t.Errorf("%s: Lookup(%q) = %q, %v", f.Name, f.Key, g.Name, ok)
 		}
@@ -499,9 +497,53 @@ func TestFormulationTable(t *testing.T) {
 			}
 		}
 	}
-	for _, s := range model.Specs() {
-		if _, ok := ByName(s.Name); !ok {
-			t.Errorf("Table 1 row %q has no formulation", s.Name)
+	var table1 []string
+	for _, f := range Formulations {
+		s := f.Table1
+		if s == nil {
+			continue
+		}
+		table1 = append(table1, f.Key+"="+string(s.Letter))
+		if s.To == nil || s.Overhead == "" || s.Applicable == nil || s.Range == "" ||
+			s.Concurrency == nil || s.Isoefficiency == "" {
+			t.Errorf("%s: incomplete Table 1 entry", f.Name)
+		}
+		if (s.Ceiling != nil) != (f.Key == "dns") {
+			t.Errorf("%s: has an efficiency ceiling = %v, want it on DNS alone", f.Name, s.Ceiling != nil)
+		}
+	}
+	if got, want := strings.Join(table1, ","), "berntsen=b,cannon=c,gk=a,dns=d"; got != want {
+		t.Errorf("Table 1 rows = %s, want %s", got, want)
+	}
+}
+
+// TestApplicabilityRanges checks each Table 1 entry's range of
+// applicability at and just outside its printed bounds.
+func TestApplicabilityRanges(t *testing.T) {
+	n := 64.0
+	// For each entry, two processor counts it applies at (one inside,
+	// the lowest it allows) and two it rejects.
+	bounds := map[string]struct{ inside, lowest, below, above float64 }{
+		"berntsen": {256, 1, 0.5, 1024},            // n^1.5 = 512
+		"cannon":   {1024, 1, 0.5, 8192},           // n² = 4096
+		"gk":       {4096, 1, 0.5, 1 << 19},        // n³ = 2^18
+		"dns":      {1 << 17, 4096, 1024, 1 << 19}, // n² ≤ p ≤ n³
+	}
+	for _, f := range Formulations {
+		s := f.Table1
+		if s == nil {
+			continue
+		}
+		b := bounds[f.Key]
+		for _, p := range []float64{b.inside, b.lowest} {
+			if !s.Applicable(n, p) {
+				t.Errorf("%s: should apply at p=%v", f.Name, p)
+			}
+		}
+		for _, p := range []float64{b.below, b.above} {
+			if s.Applicable(n, p) {
+				t.Errorf("%s: must not apply at p=%v", f.Name, p)
+			}
 		}
 	}
 }

@@ -52,11 +52,15 @@ func Table1(pr model.Params) string {
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Table 1 — overheads, scalability and applicability (ts=%g, tw=%g)\n", pr.Ts, pr.Tw)
 	fmt.Fprintf(&sb, "%-10s %-55s %-18s %-16s %s\n", "Algorithm", "Total overhead To", "Asymptotic isoeff.", "Fitted exponent", "Applicability")
-	for _, s := range model.Specs() {
+	for _, f := range core.Formulations {
+		s := f.Table1
+		if s == nil {
+			continue
+		}
 		e := 0.5
-		if s.Name == "DNS" {
-			// Stay below the DNS efficiency ceiling.
-			e = iso.MaxEfficiencyDNS(pr.Ts, pr.Tw) / 2
+		if s.Ceiling != nil {
+			// Stay below the efficiency ceiling.
+			e = s.Ceiling(pr.Ts, pr.Tw) / 2
 		}
 		w := func(p float64) float64 {
 			v, ok := iso.OverallW(func(n, q float64) float64 { return s.To(pr, n, q) }, s.Concurrency, p, e)
@@ -66,7 +70,7 @@ func Table1(pr model.Params) string {
 			return v
 		}
 		x := iso.GrowthExponent(w, 1<<20, 1<<34, 24)
-		fmt.Fprintf(&sb, "%-10s %-55s %-18s %-16.3f %s\n", s.Name, s.Overhead, s.Isoefficiency, x, s.Range)
+		fmt.Fprintf(&sb, "%-10s %-55s %-18s %-16.3f %s\n", f.Name, s.Overhead, s.Isoefficiency, x, s.Range)
 	}
 	return sb.String()
 }

@@ -69,30 +69,28 @@ func AllPortReport(pr model.Params) string {
 		name     string
 		onePort  func(model.Params, float64, float64) float64
 		allPort  func(model.Params, float64, float64) float64
-		granular string
+		granular func(p float64) float64
 	}{
-		{"Simple", model.SimpleTo, model.SimpleAllPortTo, "simple"},
-		{"GK", model.GKTo, model.GKAllPortTo, "gk"},
+		{"Simple", model.SimpleTo, model.SimpleAllPortTo, iso.SimpleAllPortGranularityW},
+		{"GK", model.GKTo, model.GKAllPortTo, iso.GKAllPortGranularityW},
+	}
+	// isoW is the problem size holding E = 0.5 under overhead to on p
+	// processors, NaN where none does.
+	isoW := func(to func(model.Params, float64, float64) float64) func(p float64) float64 {
+		return func(p float64) float64 {
+			v, ok := iso.SolveW(func(n, q float64) float64 { return to(pr, n, q) }, p, 0.5)
+			if !ok {
+				return math.NaN()
+			}
+			return v
+		}
 	}
 	for _, r := range rows {
-		wOne := func(p float64) float64 {
-			v, ok := iso.SolveW(func(n, q float64) float64 { return r.onePort(pr, n, q) }, p, 0.5)
-			if !ok {
-				return math.NaN()
-			}
-			return v
-		}
-		wComm := func(p float64) float64 {
-			v, ok := iso.SolveW(func(n, q float64) float64 { return r.allPort(pr, n, q) }, p, 0.5)
-			if !ok {
-				return math.NaN()
-			}
-			return v
-		}
+		wOne, wComm := isoW(r.onePort), isoW(r.allPort)
 		wAll := func(p float64) float64 {
 			// Overall all-port isoefficiency: communication fixed point
 			// or the granularity floor, whichever is larger.
-			return math.Max(wComm(p), iso.AllPortGranularityW(r.granular, p))
+			return math.Max(wComm(p), r.granular(p))
 		}
 		xOne := iso.GrowthExponent(wOne, 1<<16, 1<<30, 20)
 		xComm := iso.GrowthExponent(wComm, 1<<16, 1<<30, 20)

@@ -106,11 +106,12 @@ func (o PredictionOutcome) Regret() float64 { return o.PredictedTp / o.BestTp }
 // (≤ 0: all CPUs); the outcomes, in (p, n) grid order, are identical
 // for every worker count.
 func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]PredictionOutcome, error) {
-	specs := model.Specs()
-	keys := make([]string, len(specs))
-	for i, s := range specs {
-		f, _ := core.ByName(s.Name)
-		keys[i] = f.Key
+	var table1 []core.Formulation
+	var keys []string
+	for _, f := range core.Formulations {
+		if f.Table1 != nil {
+			table1, keys = append(table1, f), append(keys, f.Key)
+		}
 	}
 	res, err := sweep.Run(&sweep.Spec{
 		Algorithms: keys, Machines: []string{"custom"},
@@ -141,16 +142,16 @@ func PredictionAccuracy(pr model.Params, ns, ps []int, workers int) ([]Predictio
 			pred := "" // no prediction on serial or infeasible cells
 			predTp, predRan := 0.0, false
 			predLetter := regions.Best(pr, float64(n), float64(p))
-			for i, s := range specs {
-				tp, ok := tps[at{keys[i], n, p}]
+			for _, f := range table1 {
+				tp, ok := tps[at{f.Key, n, p}]
 				if ok {
 					ran++
 					if tp < bestTp {
-						best, bestTp = s.Name, tp
+						best, bestTp = f.Name, tp
 					}
 				}
-				if s.Letter == predLetter {
-					pred, predTp, predRan = s.Name, tp, ok
+				if f.Table1.Letter == predLetter {
+					pred, predTp, predRan = f.Name, tp, ok
 				}
 			}
 			// Skip cells with nothing to predict between, and cells where

@@ -129,20 +129,20 @@ func MaxEfficiencyDNS(ts, tw float64) float64 {
 	return 1 / (1 + 2*(ts+tw))
 }
 
-// AllPortGranularityW returns the problem size lower bound imposed by
-// the minimum problem size W (flops) at which messages are large
-// enough to use all hypercube channels
-// simultaneously (Section 7): W ≥ (1/8)·p^1.5·(log p)³ for the simple
-// algorithm and W ≥ p·(log p)³ for the GK algorithm. These bounds are
-// what make all-port communication scale no better than one-port.
-func AllPortGranularityW(algorithm string, p float64) float64 {
+// SimpleAllPortGranularityW is the smallest problem size W, in flops,
+// at which the simple algorithm's messages are large enough to use all
+// hypercube channels simultaneously (Section 7):
+// W ≥ (1/8)·p^1.5·(log p)³. These floors are what make all-port
+// communication scale no better than one-port.
+func SimpleAllPortGranularityW(p float64) float64 {
 	l := math.Log2(p)
-	switch algorithm {
-	case "simple":
-		return math.Pow(p, 1.5) * l * l * l / 8
-	case "gk":
-		return p * l * l * l
-	default:
-		panic(fmt.Sprintf("iso: unknown all-port algorithm %q", algorithm))
-	}
+	return math.Pow(p, 1.5) * l * l * l / 8
+}
+
+// GKAllPortGranularityW is the GK algorithm's all-port floor on the
+// problem size W, in flops (Section 7): W ≥ p·(log p)³; see
+// SimpleAllPortGranularityW.
+func GKAllPortGranularityW(p float64) float64 {
+	l := math.Log2(p)
+	return p * l * l * l
 }

@@ -176,18 +176,18 @@ func TestAllPortGranularity(t *testing.T) {
 	// vs p^1.5 — and for GK p(log p)³ equals its one-port bound.
 	p := float64(1 << 16)
 	l := math.Log2(p)
-	if got, want := AllPortGranularityW("simple", p), math.Pow(p, 1.5)*l*l*l/8; got != want {
-		t.Fatalf("simple granularity = %v, want %v", got, want)
-	}
-	if got, want := AllPortGranularityW("gk", p), p*l*l*l; got != want {
-		t.Fatalf("gk granularity = %v, want %v", got, want)
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("unknown algorithm should panic")
+	for _, c := range []struct {
+		name string
+		w    func(p float64) float64
+		want float64
+	}{
+		{"simple", SimpleAllPortGranularityW, math.Pow(p, 1.5) * l * l * l / 8},
+		{"gk", GKAllPortGranularityW, p * l * l * l},
+	} {
+		if got := c.w(p); got != c.want {
+			t.Errorf("%s granularity = %v, want %v", c.name, got, c.want)
 		}
-	}()
-	AllPortGranularityW("nope", p)
+	}
 }
 
 // Property: the solved W is increasing in both p and target efficiency.

@@ -92,55 +92,6 @@ func TestEfficiencyHelpers(t *testing.T) {
 	}
 }
 
-func TestSpecsShape(t *testing.T) {
-	specs := Specs()
-	if len(specs) != 4 {
-		t.Fatalf("got %d specs", len(specs))
-	}
-	letters := map[byte]bool{}
-	for _, s := range specs {
-		letters[s.Letter] = true
-		if s.To == nil || s.Overhead == "" || s.Applicable == nil || s.Range == "" ||
-			s.Concurrency == nil || s.Isoefficiency == "" {
-			t.Errorf("%s: incomplete spec", s.Name)
-		}
-	}
-	for _, l := range []byte{'a', 'b', 'c', 'd'} {
-		if !letters[l] {
-			t.Errorf("letter %c missing", l)
-		}
-	}
-}
-
-func TestApplicabilityRanges(t *testing.T) {
-	for _, s := range Specs() {
-		n := 64.0
-		var inside, below, above float64
-		switch s.Name {
-		case "Berntsen":
-			inside, below, above = 256, 0.5, 1024 // n^1.5 = 512
-		case "Cannon":
-			inside, below, above = 1024, 0.5, 8192 // n² = 4096
-		case "GK":
-			inside, below, above = 4096, 0.5, 1<<19 // n³ = 2^18
-		case "DNS":
-			inside, below, above = 1<<17, 1024, 1<<19
-		}
-		if !s.Applicable(n, inside) {
-			t.Errorf("%s: should apply at p=%v", s.Name, inside)
-		}
-		if s.Name != "DNS" && !s.Applicable(n, 1) {
-			t.Errorf("%s: should apply at p=1", s.Name)
-		}
-		if s.Name == "DNS" && s.Applicable(n, below) {
-			t.Errorf("DNS must not apply below n²")
-		}
-		if s.Applicable(n, above) {
-			t.Errorf("%s: must not apply at p=%v", s.Name, above)
-		}
-	}
-}
-
 func TestExactFormsReduceToSerialAtP1(t *testing.T) {
 	prm := Params{Ts: 17, Tw: 3}
 	n := 12
@@ -221,8 +172,8 @@ func TestQuickMonotonicity(t *testing.T) {
 	f := func(pe, ne uint8) bool {
 		p := math.Pow(2, float64(2+pe%10))
 		n := math.Pow(2, float64(8+ne%6))
-		for _, s := range Specs() {
-			if s.To(pr, n, p) > s.To(pr, n, 2*p) || s.To(pr, n, p) > s.To(pr, 2*n, p) {
+		for _, to := range []func(Params, float64, float64) float64{BerntsenTo, CannonTo, GKTo, DNSTo} {
+			if to(pr, n, p) > to(pr, n, 2*p) || to(pr, n, p) > to(pr, 2*n, p) {
 				return false
 			}
 		}

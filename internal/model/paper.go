@@ -3,17 +3,18 @@
 //
 //   - the Paper* functions reproduce the equations exactly as printed
 //     (Eqs. 2–7 and 16–18), including the paper's habit of dropping
-//     lower-order terms, and the Spec table holds the rows of Table 1
-//     (overhead function and its printed form, applicability,
-//     isoefficiency); the Section 6 figures and crossover analyses use
-//     these;
+//     lower-order terms, and the *To functions give Table 1's overheads;
+//     the Section 6 figures and crossover analyses use these;
 //   - the Exact* functions (exact.go) give the virtual time the
 //     implementations in internal/core measure, term for term — the
 //     equation-validation tests assert bitwise equality between a
 //     simulator run and these.
 //
-// Which Paper* equation predicts which implementation is recorded in
-// one place, the formulation table of internal/sweep.
+// Spec is the shape of one row of Table 1 (overhead function and its
+// printed form, applicability, isoefficiency, efficiency ceiling). The
+// rows themselves, and which Paper* equation predicts which
+// implementation, are recorded in one place: the formulation table of
+// internal/core.
 //
 // All functions take n and p as float64 because the region analyses
 // sweep p to 2^30 and beyond.
@@ -142,11 +143,11 @@ func GKAllPortTo(pr Params, n, p float64) float64 {
 // Efficiency returns E = W/(W + To) for a given overhead function value.
 func Efficiency(w, to float64) float64 { return w / (w + to) }
 
-// Spec is one row of the paper's Table 1: an algorithm compared in
+// Spec is one row of the paper's Table 1 — an algorithm compared in
 // Section 6, with its overhead function, its region letter in
-// Figures 1–3, and its range of applicability.
+// Figures 1–3, and its range of applicability — minus the name: the
+// formulation table of internal/core holds it as a row's Table1.
 type Spec struct {
-	Name string
 	// Letter marks the algorithm's regions in the paper's figures:
 	// a = GK, b = Berntsen, c = Cannon, d = DNS.
 	Letter byte
@@ -165,48 +166,7 @@ type Spec struct {
 	// Isoefficiency is the asymptotic isoefficiency function as printed
 	// in Table 1.
 	Isoefficiency string
-}
-
-// Specs returns the four algorithms of Table 1 in the paper's order.
-func Specs() []Spec {
-	return []Spec{
-		{
-			Name: "Berntsen", Letter: 'b',
-			To:       BerntsenTo,
-			Overhead: "2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3)",
-			// p ≤ n^(3/2) written as p² ≤ n³, which is exact in floating
-			// point for power-of-two grids (math.Pow(n, 1.5) is not).
-			Applicable:    func(n, p float64) bool { return p >= 1 && p*p <= n*n*n },
-			Range:         "1 ≤ p ≤ n^(3/2)",
-			Concurrency:   func(n float64) float64 { return math.Pow(n, 1.5) },
-			Isoefficiency: "O(p^2)",
-		},
-		{
-			Name: "Cannon", Letter: 'c',
-			To:            CannonTo,
-			Overhead:      "2·ts·p^(3/2) + 2·tw·n²·√p",
-			Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n },
-			Range:         "1 ≤ p ≤ n²",
-			Concurrency:   func(n float64) float64 { return n * n },
-			Isoefficiency: "O(p^1.5)",
-		},
-		{
-			Name: "GK", Letter: 'a',
-			To:            GKTo,
-			Overhead:      "(5/3)·ts·p·log p + (5/3)·tw·n²·p^(1/3)·log p",
-			Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n*n },
-			Range:         "1 ≤ p ≤ n³",
-			Concurrency:   func(n float64) float64 { return n * n * n },
-			Isoefficiency: "O(p (log p)^3)",
-		},
-		{
-			Name: "DNS", Letter: 'd',
-			To:            DNSTo,
-			Overhead:      "(ts + tw)·((5/3)·p·log p + 2·n³)",
-			Applicable:    func(n, p float64) bool { return p >= n*n && p <= n*n*n },
-			Range:         "n² ≤ p ≤ n³",
-			Concurrency:   func(n float64) float64 { return n * n * n },
-			Isoefficiency: "O(p log p)",
-		},
-	}
+	// Ceiling is the efficiency no problem size reaches on a machine with
+	// constants ts and tw (Section 5.3); nil where it approaches 1.
+	Ceiling func(ts, tw float64) float64
 }

@@ -13,6 +13,7 @@ import (
 	"math"
 	"strings"
 
+	"matscale/internal/core"
 	"matscale/internal/model"
 )
 
@@ -24,20 +25,20 @@ const Infeasible = 'x'
 const Serial = 's'
 
 // Best returns the paper's letter for the algorithm with the smallest
-// Table 1 overhead at (n, p) among those applicable there.
+// Table 1 overhead at (n, p) among those applicable there; a tie goes
+// to the row earlier in Table 1's order.
 func Best(pr model.Params, n, p float64) byte {
 	if p <= 1 {
 		return Serial
 	}
 	best := byte(Infeasible)
 	bestTo := math.Inf(1)
-	for _, s := range model.Specs() {
-		if !s.Applicable(n, p) {
-			continue
-		}
-		if to := s.To(pr, n, p); to < bestTo {
-			bestTo = to
-			best = s.Letter
+	for _, f := range core.Formulations {
+		if s := f.Table1; s != nil && s.Applicable(n, p) {
+			if to := s.To(pr, n, p); to < bestTo {
+				bestTo = to
+				best = s.Letter
+			}
 		}
 	}
 	return best
@@ -175,18 +176,20 @@ type PairBoundary struct {
 // listed in Table 1 order, X's overhead is smaller for n below the
 // returned curve.
 func PairwiseBoundaries(pr model.Params, pMaxExp int) []PairBoundary {
-	specs := model.Specs()
 	var out []PairBoundary
-	for i := 0; i < len(specs); i++ {
-		for j := i + 1; j < len(specs); j++ {
-			b := PairBoundary{X: specs[i].Name, Y: specs[j].Name}
+	for i, f := range core.Formulations {
+		for _, g := range core.Formulations[i+1:] {
+			if f.Table1 == nil || g.Table1 == nil {
+				continue
+			}
 			// Fix the orientation ("X better below the curve") from the
 			// overheads at a small problem on few processors.
-			toX, toY := specs[i].To, specs[j].To
-			if toX(pr, 2, 4) > toY(pr, 2, 4) {
-				toX, toY = toY, toX
-				b.X, b.Y = specs[j].Name, specs[i].Name
+			x, y := f, g
+			if x.Table1.To(pr, 2, 4) > y.Table1.To(pr, 2, 4) {
+				x, y = y, x
 			}
+			b := PairBoundary{X: x.Name, Y: y.Name}
+			toX, toY := x.Table1.To, y.Table1.To
 			for e := 1; e <= pMaxExp; e++ {
 				p := math.Pow(2, float64(e))
 				b.P = append(b.P, p)

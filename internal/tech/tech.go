@@ -16,6 +16,7 @@ package tech
 import (
 	"fmt"
 
+	"matscale/internal/core"
 	"matscale/internal/iso"
 	"matscale/internal/model"
 )
@@ -81,17 +82,20 @@ type Tradeoff struct {
 // given operating point.
 func Compare(pr model.Params, p, e, k float64) ([]Tradeoff, error) {
 	var out []Tradeoff
-	for _, s := range model.Specs() {
-		more, err := MoreProcessorsFactor(pr, s.To, p, e, k)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Name, err)
+	for _, f := range core.Formulations {
+		if f.Table1 == nil {
+			continue
 		}
-		faster, err := FasterProcessorsFactor(pr, s.To, p, e, k)
+		more, err := MoreProcessorsFactor(pr, f.Table1.To, p, e, k)
 		if err != nil {
-			return nil, fmt.Errorf("%s: %w", s.Name, err)
+			return nil, fmt.Errorf("%s: %w", f.Name, err)
+		}
+		faster, err := FasterProcessorsFactor(pr, f.Table1.To, p, e, k)
+		if err != nil {
+			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}
 		out = append(out, Tradeoff{
-			Algorithm:            s.Name,
+			Algorithm:            f.Name,
 			K:                    k,
 			MoreProcsFactor:      more,
 			FasterProcsFactor:    faster,
