@@ -435,8 +435,8 @@ func acceptedGeometry(t *testing.T, f Formulation) (p, n int, res *Result) {
 
 // TestFormulationTable checks every row of the formulation table
 // against the implementation it names and the paper equation it
-// predicts with, and that exactly the four algorithms of Table 1 carry
-// a complete Table 1 entry, in Table 1's order.
+// predicts with. internal/model's TestSpecsShape checks the Table 1
+// column.
 func TestFormulationTable(t *testing.T) {
 	type tp = func(model.Params, float64, float64) float64
 	// The paper equation of each key on a hypercube and on the fully
@@ -496,24 +496,6 @@ func TestFormulationTable(t *testing.T) {
 				t.Errorf("%s on %s: PaperTp = %v, want %v", f.Name, preset, got, want)
 			}
 		}
-	}
-	var table1 []string
-	for _, f := range Formulations {
-		s := f.Table1
-		if s == nil {
-			continue
-		}
-		table1 = append(table1, f.Key+"="+string(s.Letter))
-		if s.To == nil || s.Overhead == "" || s.Applicable == nil || s.Range == "" ||
-			s.Concurrency == nil || s.Isoefficiency == "" {
-			t.Errorf("%s: incomplete Table 1 entry", f.Name)
-		}
-		if (s.Ceiling != nil) != (f.Key == "dns") {
-			t.Errorf("%s: has an efficiency ceiling = %v, want it on DNS alone", f.Name, s.Ceiling != nil)
-		}
-	}
-	if got, want := strings.Join(table1, ","), "berntsen=b,cannon=c,gk=a,dns=d"; got != want {
-		t.Errorf("Table 1 rows = %s, want %s", got, want)
 	}
 }
 
