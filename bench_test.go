@@ -171,11 +171,7 @@ func BenchmarkSection8Technology(b *testing.B) {
 	var more, faster float64
 	for i := 0; i < b.N; i++ {
 		var err error
-		more, err = tech.MoreProcessorsFactor(pr, model.CannonTo, 1<<14, 0.5, 10)
-		if err != nil {
-			b.Fatal(err)
-		}
-		faster, err = tech.FasterProcessorsFactor(pr, model.CannonTo, 1<<14, 0.5, 10)
+		more, faster, err = tech.Factors(pr, model.CannonTo, 1<<14, 0.5, 10)
 		if err != nil {
 			b.Fatal(err)
 		}

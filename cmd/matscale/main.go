@@ -8,8 +8,7 @@
 //	matscale table1     [-ts 150 -tw 3]
 //	matscale regions    -fig 1|2|3 [-pmax 30 -nmax 16] [-csv]
 //	matscale efficiency -fig 4|5 [-csv|-plot]
-//	matscale run        -alg gk|cannon|fox|foxpipe|simple|berntsen|dns|auto
-//	                    -n 64 -p 64 [-machine ncube2|fast|simd|cm5]
+//	matscale run        -alg <key>|auto -n 64 -p 64 [-machine ncube2|fast|simd|cm5]
 //	                    [-a A.csv -b B.csv -out C.csv]
 //	                    [-metrics] [-trace out.json] [-grid q]
 //	                    [-faults 'straggler=3@rank7,loss=0.01,seed=42']
@@ -21,7 +20,7 @@
 //	matscale allport    [-ts 10 -tw 3]
 //	matscale tech       [-ts 0.5 -tw 3 -p 16384 -e 0.05 -k 2]
 //	matscale improved   [-ts 9 -tw 1 -p 512]
-//	matscale isoval     [-alg cannon|gk -e 0.5]
+//	matscale isoval     [-alg <key> -e 0.5]
 //	matscale predict
 //	matscale sweep      [-alg cannon,gk -machine ncube2 -n 16,32 -p 16,64]
 //	                    [-faults 'scenario1;scenario2'] [-seed 1]
@@ -30,9 +29,10 @@
 //	matscale tssweep    [-n 64 -p 64 -tw 3]
 //	matscale saturation [-n 64 -ts 150 -tw 3]
 //	matscale verify
-//	matscale trace      [-op broadcast|allgather|...|gk -p 8 -m 64]
+//	matscale trace      [-op broadcast|allgather|...|<key> -p 8 -m 64]
 //	                    [-chrome out.json]
 //	matscale all        [-quick] [-jobs 0]
+//	(<key>: a formulation key; matscale help lists them)
 package main
 
 import (
@@ -40,6 +40,7 @@ import (
 	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"sort"
@@ -55,7 +56,7 @@ import (
 
 func main() {
 	if len(os.Args) < 2 {
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	cmd, args := os.Args[1], os.Args[2:]
@@ -100,10 +101,10 @@ func main() {
 	case "all":
 		err = cmdAll(args)
 	case "help", "-h", "--help":
-		usage()
+		usage(os.Stderr)
 	default:
 		fmt.Fprintf(os.Stderr, "matscale: unknown command %q\n", cmd)
-		usage()
+		usage(os.Stderr)
 		os.Exit(2)
 	}
 	if err != nil {
@@ -112,8 +113,8 @@ func main() {
 	}
 }
 
-func usage() {
-	fmt.Fprintln(os.Stderr, `matscale — reproduce Gupta & Kumar, ICPP'93 matrix multiplication scalability
+func usage(w io.Writer) {
+	fmt.Fprintln(w, `matscale — reproduce Gupta & Kumar, ICPP'93 matrix multiplication scalability
 
 commands:
   table1       Table 1: overheads, isoefficiency, applicability
@@ -134,7 +135,9 @@ commands:
   millionrank  strong-scaling study on the events backend, up to p = 2^20 ranks
   tssweep      GK-vs-Cannon winner as the startup time ts varies
   saturation   fixed-size speedup saturation (Section 3)
-  all          regenerate the complete reproduction in one run`)
+  all          regenerate the complete reproduction in one run
+
+formulation keys (-alg, trace -op): `+strings.Join(core.Keys(), ", "))
 }
 
 func paramFlags(fs *flag.FlagSet, ts, tw float64) (*float64, *float64) {
@@ -375,9 +378,9 @@ func machineForPreset(name string, p int, ts, tw float64) (*matscale.Machine, er
 }
 
 // cmdRobust answers "how robust is each formulation to this fault
-// scenario": it runs every applicable algorithm clean and under the
-// injected faults on the same machine and matrices, and tabulates the
-// slowdown, retry overhead, and critical-rank shift per formulation.
+// scenario": it runs every keyed formulation that applies, clean and
+// under the injected faults on the same machine and matrices, and
+// tabulates the slowdown, retry overhead, and critical-rank shift.
 func cmdRobust(args []string) error {
 	fs := flag.NewFlagSet("robust", flag.ExitOnError)
 	n := fs.Int("n", 16, "matrix dimension")
@@ -410,7 +413,7 @@ func cmdRobust(args []string) error {
 		dnsOpts = append(dnsOpts, matscale.WithDNSGrid(q))
 	}
 	ran := 0
-	for _, key := range []string{"simple", "cannon", "fox", "foxpipe", "berntsen", "dns", "gk"} {
+	for _, key := range core.Keys() {
 		f, _ := core.Lookup(key)
 		var opts []matscale.Option
 		if key == "dns" {

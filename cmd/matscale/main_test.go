@@ -2,12 +2,17 @@ package main
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strconv"
 	"strings"
 	"testing"
+
+	"matscale/internal/core"
+	"matscale/internal/experiments"
 )
 
 // capture runs f with os.Stdout redirected and returns what it printed.
@@ -220,8 +225,16 @@ func TestCmdIsoVal(t *testing.T) {
 	if !strings.Contains(out, "E simulated") {
 		t.Errorf("isoval output malformed:\n%s", out)
 	}
+	// Berntsen's ladder steps n by p^(2/3).
+	out, err = capture(t, func() error { return cmdIsoVal([]string{"-alg", "berntsen"}) })
+	if err != nil || !strings.Contains(out, "berntsen") || !strings.Contains(out, "     512") {
+		t.Errorf("isoval -alg berntsen: %v\n%s", err, out)
+	}
 	if _, err := capture(t, func() error { return cmdIsoVal([]string{"-alg", "nope"}) }); err == nil {
 		t.Error("unknown algorithm accepted")
+	}
+	if _, err := capture(t, func() error { return cmdIsoVal([]string{"-alg", "dns"}) }); !errors.Is(err, experiments.ErrNoProcessorGrid) {
+		t.Errorf("isoval -alg dns: err = %v, want no processor grid", err)
 	}
 }
 
@@ -242,6 +255,39 @@ func TestCmdVerifyPasses(t *testing.T) {
 	}
 	if !strings.Contains(out, "all checks passed") || strings.Contains(out, "FAIL") {
 		t.Errorf("verify output:\n%s", out)
+	}
+	// One ok line per (row, check); a row without an exact Tp checks
+	// its product alone.
+	var lines []string
+	for _, l := range strings.Split(out, "\n") {
+		lines = append(lines, strings.Join(strings.Fields(l), " "))
+	}
+	checks := 0
+	for _, f := range core.Formulations {
+		for _, c := range f.Checks {
+			checks++
+			head, tail := fmt.Sprintf("%s %s %d %d ", f.Name, c.Eq, c.N, c.P), " ok ok"
+			if c.Tp == nil {
+				tail = " - ok -"
+			}
+			match := func(l string) bool { return strings.HasPrefix(l, head) && strings.HasSuffix(l, tail) }
+			if n := len(slices.DeleteFunc(slices.Clone(lines), func(l string) bool { return !match(l) })); n != 1 {
+				t.Errorf("%d lines %q…%q, want one", n, head, tail)
+			}
+		}
+	}
+	if checks != 15 {
+		t.Errorf("%d checks, want 15", checks)
+	}
+}
+
+// TestCmdHelpListsKeys requires the command help to list every key of
+// the formulation table.
+func TestCmdHelpListsKeys(t *testing.T) {
+	var help bytes.Buffer
+	usage(&help)
+	if want := strings.Join(core.Keys(), ", "); !strings.Contains(help.String(), want) {
+		t.Errorf("help does not list the keys %s:\n%s", want, help.String())
 	}
 }
 
@@ -265,6 +311,13 @@ func TestCmdTrace(t *testing.T) {
 	}
 	if _, err := capture(t, func() error { return cmdTrace([]string{"-op", "nope"}) }); err == nil {
 		t.Error("unknown trace op accepted")
+	}
+	out, err := capture(t, func() error { return cmdTrace([]string{"-op", "cannon", "-p", "16", "-width", "40"}) })
+	if err != nil || !strings.Contains(out, "Cannon algorithm, n=16") || !strings.Contains(out, "p15") {
+		t.Errorf("cannon trace: %v\n%s", err, out)
+	}
+	if _, err := capture(t, func() error { return cmdTrace([]string{"-op", "dns"}) }); !errors.Is(err, experiments.ErrNoProcessorGrid) {
+		t.Errorf("trace -op dns: err = %v, want no processor grid", err)
 	}
 }
 

@@ -8,7 +8,6 @@ import (
 
 	"matscale/internal/core"
 	"matscale/internal/experiments"
-	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
 	"matscale/internal/topology"
@@ -18,17 +17,17 @@ func cmdIsoVal(args []string) error {
 	fs := flag.NewFlagSet("isoval", flag.ExitOnError)
 	ts, tw := paramFlags(fs, 17, 3)
 	e := fs.Float64("e", 0.5, "target efficiency")
-	algorithm := fs.String("alg", "cannon", "algorithm: cannon or gk")
+	algorithm := fs.String("alg", "cannon", "formulation `key` with a Table 1 overhead and a processor grid (matscale help lists the keys)")
 	fs.Parse(args)
 	pr := model.Params{Ts: *ts, Tw: *tw}
+	// The ladder: every power of two up to 512 with a grid of the row's shape.
 	var ps []int
-	switch *algorithm {
-	case "cannon":
-		ps = []int{4, 16, 64, 256}
-	case "gk":
-		ps = []int{8, 64, 512}
-	default:
-		return fmt.Errorf("unknown algorithm %q", *algorithm)
+	if f, ok := core.Lookup(*algorithm); ok && f.NStep != nil {
+		for p := 2; p <= 512; p *= 2 {
+			if f.NStep(p) > 0 {
+				ps = append(ps, p)
+			}
+		}
 	}
 	pts, err := experiments.IsoefficiencyValidation(pr, *e, *algorithm, ps)
 	if err != nil {
@@ -51,70 +50,45 @@ func cmdPredict(args []string) error {
 	return nil
 }
 
-// cmdVerify runs every algorithm on small configurations and checks
-// both the product (against the serial algorithm) and the simulated
-// parallel time (against the paper's closed-form equation) — the
-// repository's end-to-end self-check.
+// cmdVerify runs every formulation on its check cells and checks both
+// the product (against the serial algorithm) and the simulated parallel
+// time (against the exact form of the paper's equation, where the row
+// has one) — the repository's end-to-end self-check.
 func cmdVerify(args []string) error {
 	fs := flag.NewFlagSet("verify", flag.ExitOnError)
 	ts, tw := paramFlags(fs, 17, 3)
 	fs.Parse(args)
 	pr := model.Params{Ts: *ts, Tw: *tw}
 
-	type check struct {
-		name     string
-		eq       string
-		n, p     int
-		mach     *machine.Machine
-		alg      core.Algorithm
-		expected float64
-	}
-	hc := func(p int) *machine.Machine { return machine.Hypercube(p, pr.Ts, pr.Tw) }
-	// Cost constants and the port regime are read-only after
-	// construction (clockguard); derive configured copies instead.
-	ap := func(p int) *machine.Machine { return hc(p).WithAllPort(true) }
-	cm5 := func(p int) *machine.Machine { return machine.CM5(p).WithCost(pr.Ts, pr.Tw) }
-	mesh := func(p int) *machine.Machine { return machine.Mesh(p, pr.Ts, pr.Tw) }
-
-	checks := []check{
-		{"Simple", "Eq.(2)", 16, 16, hc(16), core.Simple, model.ExactSimpleTp(pr, 16, 16)},
-		{"Cannon", "Eq.(3)", 16, 16, hc(16), core.Cannon, model.ExactCannonTp(pr, 16, 16)},
-		{"Fox (binomial)", "§4.3", 16, 16, hc(16), core.Fox, model.ExactFoxTp(pr, 16, 16)},
-		{"Fox (pipelined)", "Eq.(4)", 16, 16, hc(16), core.FoxPipelined, model.ExactFoxPipelinedTp(pr, 16, 16)},
-		{"Fox (mesh relay)", "§4.3 mesh", 16, 16, mesh(16), core.FoxMesh, model.ExactFoxMeshTp(pr, 16, 16)},
-		{"Berntsen", "Eq.(5)", 16, 64, hc(64), core.Berntsen, model.ExactBerntsenTp(pr, 16, 64)},
-		{"DNS", "Eq.(6)", 8, 128, hc(128), core.DNS, model.ExactDNSTp(pr, 8, 128, 8)},
-		{"GK", "Eq.(7)", 16, 64, hc(64), core.GK, model.ExactGKTp(pr, 16, 64)},
-		{"GK improved bcast", "§5.4.1", 16, 64, hc(64), core.GKImprovedBroadcast, model.ExactGKImprovedTp(pr, 16, 64)},
-		{"Simple all-port", "Eq.(16)", 16, 16, ap(16), core.SimpleAllPort, model.ExactSimpleAllPortTp(pr, 16, 16)},
-		{"[18]-style mem-eff", "§7.1", 16, 16, ap(16), core.SimpleMemEfficientAllPort, model.ExactSimpleMemEffAllPortTp(pr, 16, 16)},
-		{"GK all-port", "Eq.(17)", 16, 64, ap(64), core.GKAllPort, model.ExactGKAllPortTp(pr, 16, 64)},
-		{"GK on CM-5", "Eq.(18)", 16, 64, cm5(64), core.GK, model.ExactGKCM5Tp(pr, 16, 64)},
-	}
-
 	fmt.Printf("Self-check (ts=%g, tw=%g): product vs serial and Tp vs equation\n", pr.Ts, pr.Tw)
-	fmt.Printf("%-20s %-10s %6s %6s %14s %14s %8s %8s\n", "algorithm", "equation", "n", "p", "Tp simulated", "Tp equation", "product", "timing")
+	fmt.Printf("%-25s %-10s %6s %6s %14s %14s %8s %8s\n", "algorithm", "equation", "n", "p", "Tp simulated", "Tp equation", "product", "timing")
 	failures := 0
-	for _, c := range checks {
-		a := matrix.RandomInts(c.n, c.n, 7)
-		b := matrix.RandomInts(c.n, c.n, 8)
-		res, err := c.alg(c.mach, a, b)
-		if err != nil {
-			fmt.Printf("%-20s %-10s %6d %6d ERROR: %v\n", c.name, c.eq, c.n, c.p, err)
-			failures++
-			continue
+	mark := func(ok bool) string {
+		if ok {
+			return "ok"
 		}
-		prodOK := matrix.MaxAbsDiff(res.C, matrix.Mul(a, b)) == 0
-		timeOK := math.Abs(res.Sim.Tp-c.expected) <= 1e-9*math.Max(1, c.expected)
-		mark := func(ok bool) string {
-			if ok {
-				return "ok"
+		failures++
+		return "FAIL"
+	}
+	for _, f := range core.Formulations {
+		for _, c := range f.Checks {
+			a, b := matrix.RandomInts(c.N, c.N, 7), matrix.RandomInts(c.N, c.N, 8)
+			res, err := f.Run(c.Machine(c.P, pr.Ts, pr.Tw), a, b)
+			if err != nil {
+				fmt.Printf("%-25s %-10s %6d %6d ERROR: %v\n", f.Name, c.Eq, c.N, c.P, err)
+				failures++
+				continue
 			}
-			failures++
-			return "FAIL"
+			prod := mark(matrix.MaxAbsDiff(res.C, matrix.Mul(a, b)) == 0)
+			want, timing := "-", "-"
+			if c.Tp != nil {
+				tp := c.Tp(pr, c.N, c.P)
+				want = fmt.Sprintf("%.1f", tp)
+				timing = mark(math.Abs(res.Sim.Tp-tp) <= 1e-9*math.Max(1, tp))
+			}
+			fmt.Printf("%-25s %-10s %6d %6d %14.1f %14s %8s %8s\n",
+				f.Name, c.Eq, c.N, c.P, res.Sim.Tp, want, prod, timing)
 		}
-		fmt.Printf("%-20s %-10s %6d %6d %14.1f %14.1f %8s %8s\n",
-			c.name, c.eq, c.n, c.p, res.Sim.Tp, c.expected, mark(prodOK), mark(timeOK))
 	}
 	if failures > 0 {
 		return fmt.Errorf("%d self-check failures", failures)

@@ -19,35 +19,23 @@ import (
 )
 
 func main() {
-	a := matrix.RandomInts(16, 16, 1)
-	b := matrix.RandomInts(16, 16, 2)
-
 	fmt.Println("1. Contention check: rerun every algorithm with link tracking")
-	fmt.Printf("%-10s %6s %14s %14s %16s\n", "algorithm", "p", "Tp plain", "Tp tracked", "contention wait")
-	cases := []struct {
-		name string
-		alg  core.Algorithm
-		p    int
-	}{
-		{"Simple", core.Simple, 16},
-		{"Cannon", core.Cannon, 16},
-		{"Fox", core.Fox, 16},
-		{"Berntsen", core.Berntsen, 64},
-		{"GK", core.GK, 64},
-	}
-	for _, c := range cases {
-		plain, err := c.alg(machine.Hypercube(c.p, 17, 3), a, b)
+	fmt.Printf("%-25s %6s %14s %14s %16s\n", "algorithm", "p", "Tp plain", "Tp tracked", "contention wait")
+	for _, f := range core.Formulations {
+		c := f.Checks[0] // the row's standard test cell
+		a, b := matrix.RandomInts(c.N, c.N, 1), matrix.RandomInts(c.N, c.N, 2)
+		plain, err := f.Run(c.Machine(c.P, 17, 3), a, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		m := machine.Hypercube(c.p, 17, 3)
+		m := c.Machine(c.P, 17, 3)
 		m.TrackContention = true
-		tracked, err := c.alg(m, a, b)
+		tracked, err := f.Run(m, a, b)
 		if err != nil {
 			log.Fatal(err)
 		}
-		fmt.Printf("%-10s %6d %14.1f %14.1f %16.1f\n",
-			c.name, c.p, plain.Sim.Tp, tracked.Sim.Tp, tracked.Sim.ContentionWait)
+		fmt.Printf("%-25s %6d %14.1f %14.1f %16.1f\n",
+			f.Name, c.P, plain.Sim.Tp, tracked.Sim.Tp, tracked.Sim.ContentionWait)
 	}
 	fmt.Println("-> identical times, zero waiting: the ts + tw·m model holds exactly.")
 	fmt.Println()

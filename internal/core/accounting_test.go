@@ -4,7 +4,6 @@ import (
 	"math"
 	"testing"
 
-	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
 )
@@ -40,40 +39,22 @@ func TestCannonTotalCommMatchesModel(t *testing.T) {
 	}
 }
 
-// accountingCases is every formulation at a geometry it accepts; the
-// mesh-only Fox variants run on a wraparound mesh, the rest on a
-// hypercube.
-var accountingCases = []struct {
-	name string
-	alg  Algorithm
-	n, p int
-	mk   func(p int) *machine.Machine
-}{
-	{"Simple", Simple, 16, 16, testHypercube},
-	{"SimpleAllPort", SimpleAllPort, 16, 16, testHypercube},
-	{"SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, 16, 16, testHypercube},
-	{"Cannon", Cannon, 16, 16, testHypercube},
-	{"Fox", Fox, 16, 16, testHypercube},
-	{"FoxPipelined", FoxPipelined, 16, 16, testHypercube},
-	{"FoxAsync", FoxAsync, 16, 16, testHypercube},
-	{"FoxMesh", FoxMesh, 16, 16, testMesh},
-	{"FoxPacketPipelined", FoxPacketPipelined, 16, 16, testMesh},
-	{"Berntsen", Berntsen, 16, 64, testHypercube},
-	{"GK", GK, 16, 64, testHypercube},
-	{"GKImproved", GKImprovedBroadcast, 16, 64, testHypercube},
-	{"GKAllPort", GKAllPort, 16, 64, testHypercube},
-	{"DNS", DNS, 8, 128, testHypercube},
+// standardCell runs row f on its standard test cell, Checks[0], with
+// the test cost constants.
+func standardCell(t *testing.T, f Formulation) *Result {
+	t.Helper()
+	c := f.Checks[0]
+	return runCase(t, f.Name, f.Run, c.Machine(c.P, testParams.Ts, testParams.Tw), c.N)
 }
 
 // TotalCompute must equal W = n³ exactly for every algorithm: the
 // parallel formulations perform no redundant arithmetic (under the
 // paper's unit-cost convention where reduction additions are pre-paid).
 func TestTotalComputeEqualsW(t *testing.T) {
-	for _, c := range accountingCases {
-		res := runCase(t, c.name, c.alg, c.mk(c.p), c.n)
-		w := float64(c.n) * float64(c.n) * float64(c.n)
-		if res.Sim.TotalCompute != w {
-			t.Errorf("%s: TotalCompute = %v, want W = %v", c.name, res.Sim.TotalCompute, w)
+	for _, f := range Formulations {
+		res := standardCell(t, f)
+		if w := res.W(); res.Sim.TotalCompute != w {
+			t.Errorf("%s: TotalCompute = %v, want W = %v", f.Name, res.Sim.TotalCompute, w)
 		}
 	}
 }
@@ -81,12 +62,12 @@ func TestTotalComputeEqualsW(t *testing.T) {
 // The overhead decomposition To = TotalComm + IdleTime holds for every
 // algorithm (with W = TotalCompute = n³).
 func TestOverheadDecomposesIntoCommAndIdle(t *testing.T) {
-	for _, c := range accountingCases {
-		res := runCase(t, c.name, c.alg, c.mk(c.p), c.n)
+	for _, f := range Formulations {
+		res := standardCell(t, f)
 		to := res.Overhead()
 		sum := res.Sim.TotalComm + res.Sim.IdleTime()
 		if math.Abs(to-sum) > 1e-6*math.Max(1, to) {
-			t.Errorf("%s: To = %v but comm+idle = %v", c.name, to, sum)
+			t.Errorf("%s: To = %v but comm+idle = %v", f.Name, to, sum)
 		}
 	}
 }

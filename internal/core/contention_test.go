@@ -14,26 +14,26 @@ import (
 // each phase. Running with link-level contention tracking must
 // therefore change no measured time.
 func TestAlgorithmsAreContentionFree(t *testing.T) {
-	a := matrix.RandomInts(16, 16, 71)
-	b := matrix.RandomInts(16, 16, 72)
-	cases := []struct {
+	type tc struct {
 		name string
 		alg  Algorithm
 		mk   func() *machine.Machine
-	}{
-		{"Cannon/hypercube", Cannon, func() *machine.Machine { return testHypercube(16) }},
-		{"Cannon/mesh", Cannon, func() *machine.Machine { return testMesh(16) }},
-		{"Simple", Simple, func() *machine.Machine { return testHypercube(16) }},
-		{"Fox", Fox, func() *machine.Machine { return testHypercube(16) }},
-		{"FoxMesh", FoxMesh, func() *machine.Machine { return testMesh(16) }},
-		{"FoxAsync", FoxAsync, func() *machine.Machine { return testMesh(16) }},
-		{"Berntsen", Berntsen, func() *machine.Machine { return testHypercube(64) }},
-		{"GK", GK, func() *machine.Machine { return testHypercube(64) }},
-		{"DNS", func(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+		n    int
+	}
+	// Every row on its standard test cell, Cannon on a mesh too, and DNS
+	// on its coarse block grid.
+	cases := []tc{
+		{"Cannon/mesh", Cannon, func() *machine.Machine { return testMesh(16) }, 16},
+		{"DNS/grid", func(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 			return DNSWithGrid(m, a, b, 4)
-		}, func() *machine.Machine { return testHypercube(32) }},
+		}, func() *machine.Machine { return testHypercube(32) }, 16},
+	}
+	for _, f := range Formulations {
+		c := f.Checks[0]
+		cases = append(cases, tc{f.Name, f.Run, func() *machine.Machine { return c.Machine(c.P, testParams.Ts, testParams.Tw) }, c.N})
 	}
 	for _, c := range cases {
+		a, b := matrix.RandomInts(c.n, c.n, 71), matrix.RandomInts(c.n, c.n, 72)
 		plain, err := c.alg(c.mk(), a, b)
 		if err != nil {
 			t.Fatalf("%s: %v", c.name, err)

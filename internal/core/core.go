@@ -19,11 +19,13 @@
 //     Section 7.2 (Eq. 17)
 //
 // Formulations, the formulation table, holds one row per algorithm:
-// its key, name, Algorithm, timed skeleton, paper equation and, for
-// the four algorithms Section 6 compares, its Table 1 entry (overhead,
+// its key, name, Algorithm, timed skeleton, paper equation, the Checks
+// (small cells and machines) its equation is checked on, the NStep of
+// the matrix sizes its processor grid accepts and, for the four
+// algorithms Section 6 compares, its Table 1 entry (overhead,
 // applicability, isoefficiency, region letter and efficiency ceiling);
-// the row's Measure method times a sweep cell. A family's
-// variants differ only in data. Each Fox execution is a foxVariant
+// the row's Measure method times a sweep cell. A family's variants
+// differ only in data. Each Fox execution is a foxVariant
 // (its row delivery of A, tags, barrier and, for the broadcast
 // variants, the skeleton's broadcast cost) run by the one foxImpl loop;
 // each GK variant is a gkVariant (its per-stage charge, nil for
@@ -41,9 +43,9 @@
 //
 // Every algorithm distributes the input blocks (untimed setup),
 // executes the timed communication and computation phases, and gathers
-// the product at zero virtual cost for verification. The measured
-// parallel time of each algorithm equals the paper's closed-form
-// expression for it; the tests assert this equality exactly.
+// the product at zero virtual cost for verification. On its Checks,
+// each row's measured parallel time equals the exact form of the
+// paper's expression for it, where the row has one.
 package core
 
 import (
@@ -170,8 +172,8 @@ func meshSide(m *machine.Machine, a, b *matrix.Dense, pow2Err string) (n, q int,
 // n and, when pow2Err (the error format, given the side) is not empty,
 // q a power of two.
 func squareSide(n, p int, pow2Err string) (int, error) {
-	q := topology.IntSqrt(p)
-	if q*q != p {
+	q := meshStep(p)
+	if q == 0 {
 		return 0, fmt.Errorf("core: p = %d is not a perfect square", p)
 	}
 	if n%q != 0 {
@@ -185,9 +187,9 @@ func squareSide(n, p int, pow2Err string) (int, error) {
 
 // Formulation is one row of the formulation table: the one place a
 // formulation's key, its name, its rank program, its timed skeleton,
-// its paper equation and its Table 1 entry meet. Sweeps, Select/RunAuto,
-// the region maps, the experiment drivers and the CLI all read
-// formulations here.
+// its paper equation, its check cells, its grid step and its Table 1
+// entry meet. Sweeps, Select/RunAuto, the region maps, the experiment
+// drivers, the CLI and the per-formulation tests all read rows here.
 type Formulation struct {
 	// Key names the formulation in sweep specs, -alg flags and cell
 	// keys; empty for a formulation no spec names.
@@ -204,47 +206,79 @@ type Formulation struct {
 	// Eq. 18). nil when the paper prints no equation for the key, and
 	// for the unkeyed rows.
 	PaperTp func(pr model.Params, n, p float64, fullyConnected bool) float64
+	// Checks are the small cells the row is checked on against its
+	// equation; Checks[0] is the row's standard test cell.
+	Checks []Check
+	// NStep(p) divides every n the row accepts on p processors; it is 0
+	// when p has no grid of the row's shape. nil for DNS, whose grid
+	// p = n²·r depends on n.
+	NStep func(p int) int
 	// Table1 is the row's entry in Table 1, set on the four algorithms
 	// Section 6 chooses among and nil elsewhere. Their order here is
 	// Table 1's: it breaks ties in the region maps and orders reports.
 	Table1 *model.Spec
 }
 
+// Check is one small cell a formulation is checked on: N×N operands on
+// P processors of the machine Machine builds with constants ts and tw,
+// where Tp, the exact form of equation Eq, must give the parallel time.
+// Tp is nil for a row with no exact form: the product alone is checked.
+type Check struct {
+	Eq      string
+	N, P    int
+	Machine func(p int, ts, tw float64) *machine.Machine
+	Tp      func(pr model.Params, n, p int) float64
+}
+
 // Formulations is the formulation table, one row per Algorithm the
 // package exports. Callers read it; none modifies it.
 var Formulations = []Formulation{
-	{"simple", "Simple", Simple, nil, hypercubeTp(model.PaperSimpleTp), nil},
-	{"", "SimpleAllPort", SimpleAllPort, nil, nil, nil},
-	{"", "SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, nil, nil, nil},
-	{"berntsen", "Berntsen", Berntsen, nil, hypercubeTp(model.PaperBerntsenTp), &model.Spec{
-		Letter: 'b', To: model.BerntsenTo,
-		Overhead: "2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3)",
-		// p ≤ n^(3/2) written as p² ≤ n³, which is exact in floating
-		// point for power-of-two grids (math.Pow(n, 1.5) is not).
-		Applicable:    func(n, p float64) bool { return p >= 1 && p*p <= n*n*n },
-		Range:         "1 ≤ p ≤ n^(3/2)",
-		Concurrency:   func(n float64) float64 { return math.Pow(n, 1.5) },
-		Isoefficiency: "O(p^2)",
-	}},
-	{"cannon", "Cannon", Cannon, cannonSkeleton, hypercubeTp(model.PaperCannonTp), &model.Spec{
-		Letter: 'c', To: model.CannonTo,
-		Overhead:      "2·ts·p^(3/2) + 2·tw·n²·√p",
-		Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n },
-		Range:         "1 ≤ p ≤ n²",
-		Concurrency:   func(n float64) float64 { return n * n },
-		Isoefficiency: "O(p^1.5)",
-	}},
-	{"fox", "Fox", Fox, foxBinomial.skeleton, hypercubeTp(model.PaperFoxTp), nil},
-	{"foxpipe", "FoxPipelined", FoxPipelined, foxPipelined.skeleton, hypercubeTp(model.PaperFoxTp), nil},
-	{"", "FoxAsync", FoxAsync, nil, nil, nil},
-	{"", "FoxMesh", FoxMesh, nil, nil, nil},
-	{"", "FoxPacketPipelined", FoxPacketPipelined, nil, nil, nil},
+	{"simple", "Simple", Simple, nil, hypercubeTp(model.PaperSimpleTp),
+		[]Check{{"Eq.(2)", 16, 16, machine.Hypercube, model.ExactSimpleTp}}, meshStep, nil},
+	{"", "SimpleAllPort", SimpleAllPort, nil, nil,
+		[]Check{{"Eq.(16)", 16, 16, allPort, model.ExactSimpleAllPortTp}}, meshStep, nil},
+	{"", "SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, nil, nil,
+		[]Check{{"§7.1", 16, 16, allPort, model.ExactSimpleMemEffAllPortTp}}, meshStep, nil},
+	{"berntsen", "Berntsen", Berntsen, nil, hypercubeTp(model.PaperBerntsenTp),
+		[]Check{{"Eq.(5)", 16, 64, machine.Hypercube, model.ExactBerntsenTp}},
+		func(p int) int { return cubeStep(p) * cubeStep(p) }, &model.Spec{
+			Letter: 'b', To: model.BerntsenTo,
+			Overhead: "2·ts·p^(4/3) + (1/3)·ts·p·log p + 3·tw·n²·p^(1/3)",
+			// p ≤ n^(3/2) written as p² ≤ n³, which is exact in floating
+			// point for power-of-two grids (math.Pow(n, 1.5) is not).
+			Applicable:    func(n, p float64) bool { return p >= 1 && p*p <= n*n*n },
+			Range:         "1 ≤ p ≤ n^(3/2)",
+			Concurrency:   func(n float64) float64 { return math.Pow(n, 1.5) },
+			Isoefficiency: "O(p^2)",
+		}},
+	{"cannon", "Cannon", Cannon, cannonSkeleton, hypercubeTp(model.PaperCannonTp),
+		[]Check{{"Eq.(3)", 16, 16, machine.Hypercube, model.ExactCannonTp}}, meshStep, &model.Spec{
+			Letter: 'c', To: model.CannonTo,
+			Overhead:      "2·ts·p^(3/2) + 2·tw·n²·√p",
+			Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n },
+			Range:         "1 ≤ p ≤ n²",
+			Concurrency:   func(n float64) float64 { return n * n },
+			Isoefficiency: "O(p^1.5)",
+		}},
+	{"fox", "Fox", Fox, foxBinomial.skeleton, hypercubeTp(model.PaperFoxTp),
+		[]Check{{"§4.3", 16, 16, machine.Hypercube, model.ExactFoxTp}}, meshStep, nil},
+	{"foxpipe", "FoxPipelined", FoxPipelined, foxPipelined.skeleton, hypercubeTp(model.PaperFoxTp),
+		[]Check{{"Eq.(4)", 16, 16, machine.Hypercube, model.ExactFoxPipelinedTp}}, meshStep, nil},
+	{"", "FoxAsync", FoxAsync, nil, nil,
+		[]Check{{"§4.3 async", 16, 16, machine.Hypercube, nil}}, meshStep, nil},
+	{"", "FoxMesh", FoxMesh, nil, nil,
+		[]Check{{"§4.3 mesh", 16, 16, machine.Mesh, model.ExactFoxMeshTp}}, meshStep, nil},
+	{"", "FoxPacketPipelined", FoxPacketPipelined, nil, nil,
+		[]Check{{"§4.3 pkts", 16, 16, machine.Mesh, nil}}, meshStep, nil},
 	{"gk", "GK", GK, gkBinomial.skeleton, func(pr model.Params, n, p float64, fullyConnected bool) float64 {
 		if fullyConnected {
 			return model.PaperGKCM5Tp(pr, n, p)
 		}
 		return model.PaperGKTp(pr, n, p)
-	}, &model.Spec{
+	}, []Check{
+		{"Eq.(7)", 16, 64, machine.Hypercube, model.ExactGKTp},
+		{"Eq.(18)", 16, 64, cm5, model.ExactGKCM5Tp},
+	}, cubeStep, &model.Spec{
 		Letter: 'a', To: model.GKTo,
 		Overhead:      "(5/3)·ts·p·log p + (5/3)·tw·n²·p^(1/3)·log p",
 		Applicable:    func(n, p float64) bool { return p >= 1 && p <= n*n*n },
@@ -252,23 +286,51 @@ var Formulations = []Formulation{
 		Concurrency:   func(n float64) float64 { return n * n * n },
 		Isoefficiency: "O(p (log p)^3)",
 	}},
-	{"gkimproved", "GKImprovedBroadcast", GKImprovedBroadcast, gkImproved.skeleton, nil, nil},
-	{"", "GKAllPort", GKAllPort, gkAllPort.skeleton, nil, nil},
-	{"dns", "DNS", DNS, nil, hypercubeTp(model.PaperDNSTp), &model.Spec{
-		Letter: 'd', To: model.DNSTo,
-		Overhead:      "(ts + tw)·((5/3)·p·log p + 2·n³)",
-		Applicable:    func(n, p float64) bool { return p >= n*n && p <= n*n*n },
-		Range:         "n² ≤ p ≤ n³",
-		Concurrency:   func(n float64) float64 { return n * n * n },
-		Isoefficiency: "O(p log p)",
-		Ceiling:       iso.MaxEfficiencyDNS,
-	}},
+	{"gkimproved", "GKImprovedBroadcast", GKImprovedBroadcast, gkImproved.skeleton, nil,
+		[]Check{{"§5.4.1", 16, 64, machine.Hypercube, model.ExactGKImprovedTp}}, cubeStep, nil},
+	{"", "GKAllPort", GKAllPort, gkAllPort.skeleton, nil,
+		[]Check{{"Eq.(17)", 16, 64, allPort, model.ExactGKAllPortTp}}, cubeStep, nil},
+	{"dns", "DNS", DNS, nil, hypercubeTp(model.PaperDNSTp),
+		[]Check{{"Eq.(6)", 8, 128, machine.Hypercube, func(pr model.Params, n, p int) float64 {
+			return model.ExactDNSTp(pr, n, p, n)
+		}}}, nil, &model.Spec{
+			Letter: 'd', To: model.DNSTo,
+			Overhead:      "(ts + tw)·((5/3)·p·log p + 2·n³)",
+			Applicable:    func(n, p float64) bool { return p >= n*n && p <= n*n*n },
+			Range:         "n² ≤ p ≤ n³",
+			Concurrency:   func(n float64) float64 { return n * n * n },
+			Isoefficiency: "O(p log p)",
+			Ceiling:       iso.MaxEfficiencyDNS,
+		}},
 }
 
 // hypercubeTp adapts a hypercube equation (Eqs. 2–6) that the paper
 // applies on every network.
 func hypercubeTp(tp func(model.Params, float64, float64) float64) func(model.Params, float64, float64, bool) float64 {
 	return func(pr model.Params, n, p float64, _ bool) float64 { return tp(pr, n, p) }
+}
+
+// allPort and cm5 build the all-port hypercube of Section 7 and the
+// CM-5 of Section 9 for Check.Machine.
+func allPort(p int, ts, tw float64) *machine.Machine {
+	return machine.Hypercube(p, ts, tw).WithAllPort(true)
+}
+func cm5(p int, ts, tw float64) *machine.Machine { return machine.CM5(p).WithCost(ts, tw) }
+
+// meshStep and cubeStep return √p and ∛p, the sides of the 2-D and
+// 3-D processor grids, or 0 when p has no such grid.
+func meshStep(p int) int {
+	if q := topology.IntSqrt(p); q*q == p {
+		return q
+	}
+	return 0
+}
+
+func cubeStep(p int) int {
+	if q := topology.IntCbrt(p); q*q*q == p {
+		return q
+	}
+	return 0
 }
 
 // Keys returns the keys of the keyed rows, sorted.
@@ -400,8 +462,8 @@ func onMesh(m *machine.Machine, a, b *matrix.Dense, n, q int, name string, body 
 // requiring p a perfect cube (a power of 8 on a hypercube) and the side
 // dividing n.
 func cubeSide(n, p int) (int, error) {
-	q := topology.IntCbrt(p)
-	if q*q*q != p {
+	q := cubeStep(p)
+	if q == 0 {
 		return 0, fmt.Errorf("core: p = %d is not a perfect cube", p)
 	}
 	if _, ok := topology.Log2(q); !ok {

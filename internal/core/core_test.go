@@ -288,26 +288,16 @@ func TestCrossAlgorithmAgreement(t *testing.T) {
 	a := matrix.RandomInts(n, n, 7)
 	b := matrix.RandomInts(n, n, 8)
 	want := matrix.Mul(a, b)
-	algs := []struct {
-		name string
-		alg  Algorithm
-		p    int
-	}{
-		{"Simple", Simple, 16},
-		{"Cannon", Cannon, 16},
-		{"Fox", Fox, 16},
-		{"FoxPipelined", FoxPipelined, 16},
-		{"Berntsen", Berntsen, 64},
-		{"GK", GK, 64},
-		{"GKImproved", GKImprovedBroadcast, 64},
-	}
-	for _, c := range algs {
-		res, err := c.alg(testHypercube(c.p), a, b)
+	for _, f := range Formulations {
+		if f.NStep == nil {
+			continue // DNS: its grid depends on n
+		}
+		res, err := f.Run(f.Checks[0].Machine(f.Checks[0].P, testParams.Ts, testParams.Tw), a, b)
 		if err != nil {
-			t.Fatalf("%s: %v", c.name, err)
+			t.Fatalf("%s: %v", f.Name, err)
 		}
 		if d := matrix.MaxAbsDiff(res.C, want); d != 0 {
-			t.Errorf("%s: differs from serial by %v", c.name, d)
+			t.Errorf("%s: differs from serial by %v", f.Name, d)
 		}
 	}
 }
@@ -419,18 +409,35 @@ func TestGKTraced(t *testing.T) {
 	}
 }
 
-// acceptedGeometry returns the first test geometry (p, n) on an nCUBE 2
-// that f.Run accepts, with Run's Result there.
-func acceptedGeometry(t *testing.T, f Formulation) (p, n int, res *Result) {
-	t.Helper()
-	for _, g := range []struct{ n, p int }{{16, 64}, {8, 64}, {16, 16}} {
-		res, err := f.Run(machine.NCube2(g.p), matrix.Random(g.n, g.n, 1), matrix.Random(g.n, g.n, 2))
-		if err == nil {
-			return g.p, g.n, res
+// TestNStepDividesAcceptedSizes checks each row's NStep against its
+// Run on a hypercube: at every p ≤ 64 that is a power of two, NStep(p)
+// is the greatest common divisor of the n ≤ 32 that Run accepts, so
+// every accepted n is a multiple of it, and it is 0 where Run accepts
+// none.
+func TestNStepDividesAcceptedSizes(t *testing.T) {
+	for _, f := range Formulations {
+		if f.NStep == nil {
+			continue
+		}
+		for p := 1; p <= 64; p *= 2 {
+			g := 0
+			for n := 1; n <= 32; n++ {
+				if _, err := f.Run(testHypercube(p), matrix.Random(n, n, 1), matrix.Random(n, n, 2)); err == nil {
+					g = gcd(g, n)
+				}
+			}
+			if step := f.NStep(p); step != g {
+				t.Errorf("%s at p = %d: NStep = %d, gcd of the accepted n = %d", f.Name, p, step, g)
+			}
 		}
 	}
-	t.Fatalf("%s: no test geometry accepted", f.Name)
-	return 0, 0, nil
+}
+
+func gcd(a, b int) int {
+	for b != 0 {
+		a, b = b, a%b
+	}
+	return a
 }
 
 // TestFormulationTable checks every row of the formulation table
@@ -467,8 +474,8 @@ func TestFormulationTable(t *testing.T) {
 		if g, ok := Lookup(f.Key); f.Key != "" && (!ok || g.Name != f.Name) {
 			t.Errorf("%s: Lookup(%q) = %q, %v", f.Name, f.Key, g.Name, ok)
 		}
-		// Run stamps the row's name on a geometry it accepts.
-		if _, _, res := acceptedGeometry(t, f); res.Algorithm != f.Name {
+		// Run stamps the row's name on its standard cell.
+		if res := standardCell(t, f); res.Algorithm != f.Name {
 			t.Errorf("%s: Result.Algorithm = %q", f.Name, res.Algorithm)
 		}
 		// PaperTp matches the equation on a hypercube and on the CM-5;
@@ -558,7 +565,7 @@ func goldenWaveNames(t *testing.T) map[string]bool {
 func TestMeasureBuildsOperandsOnlyForRankPrograms(t *testing.T) {
 	wave := goldenWaveNames(t)
 	for _, f := range Formulations {
-		p, n, _ := acceptedGeometry(t, f)
+		p, n := f.Checks[0].P, f.Checks[0].N
 		plain := 1
 		if wave[f.Name] {
 			plain = 0

@@ -10,26 +10,6 @@ import (
 	"matscale/internal/matrix"
 )
 
-// The seven formulations of the paper, all runnable on NCube2(64) with
-// n = 16 (8×8 mesh algorithms need 8 | n, the 3-D cube algorithms need
-// 4 | n).
-var faultCases = []struct {
-	name string
-	alg  Algorithm
-}{
-	{"Simple", Simple},
-	{"Cannon", Cannon},
-	{"Fox", Fox},
-	{"FoxPipelined", FoxPipelined},
-	{"Berntsen", Berntsen},
-	// DNS at p = 64 < n² runs on its 4×4×4 block grid — the standard
-	// entry point for coarse-grained DNS.
-	{"DNS", func(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
-		return DNSWithGrid(m, a, b, 4)
-	}},
-	{"GK", GK},
-}
-
 // issueFaults is the acceptance scenario of this PR: seed 42, a 2×
 // straggler at rank 0.
 func issueFaults() *faults.Config {
@@ -55,24 +35,22 @@ func faultMetricsBytes(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// The PR's acceptance criterion: with seed=42, straggler=2@rank0 on
-// NCube2(64), every formulation still returns the exact product, the
+// With seed=42, straggler=2@rank0 on an nCUBE 2 at its standard test
+// cell, every formulation still returns the exact product, the
 // per-rank accounting identities hold, measured To strictly exceeds the
 // unfaulted run's, and two consecutive runs produce byte-identical
 // metrics.
 func TestAllFormulationsUnderStragglerFaults(t *testing.T) {
-	const n, p = 16, 64
-	a := matrix.RandomInts(n, n, 1000+uint64(n))
-	b := matrix.RandomInts(n, n, 2000+uint64(n))
-	want := matrix.Mul(a, b)
-
-	for _, c := range faultCases {
-		t.Run(c.name, func(t *testing.T) {
-			clean, err := c.alg(ncube2WithMetrics(p, nil), a, b)
+	for _, f := range Formulations {
+		t.Run(f.Name, func(t *testing.T) {
+			n, p := f.Checks[0].N, f.Checks[0].P
+			a, b := matrix.RandomInts(n, n, 1000+uint64(n)), matrix.RandomInts(n, n, 2000+uint64(n))
+			want := matrix.Mul(a, b)
+			clean, err := f.Run(ncube2WithMetrics(p, nil), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			faulted, err := c.alg(ncube2WithMetrics(p, issueFaults()), a, b)
+			faulted, err := f.Run(ncube2WithMetrics(p, issueFaults()), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -104,7 +82,7 @@ func TestAllFormulationsUnderStragglerFaults(t *testing.T) {
 				t.Fatal("no straggler extra compute recorded")
 			}
 			// Byte-identical reruns.
-			again, err := c.alg(ncube2WithMetrics(p, issueFaults()), a, b)
+			again, err := f.Run(ncube2WithMetrics(p, issueFaults()), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}

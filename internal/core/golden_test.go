@@ -24,6 +24,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/golden_di
 
 const goldenFile = "testdata/golden_digests.txt"
 
+// GoldenDigests and GoldenFile give the external shuffle test, which
+// imports experiments, the digest grid and its recording.
+var GoldenDigests, GoldenFile = goldenDigests, goldenFile
+
 // goldenDigests runs every row of the formulation table over the digest grid and
 // returns one "case digest" line per run, in a fixed order.
 func goldenDigests(t *testing.T) []string {

@@ -17,38 +17,16 @@ func observed(p int) *machine.Machine {
 	return m
 }
 
-// invariantCases lists every formulation with a geometry it accepts on
-// a 64-processor hypercube (p = 64 = 8² = 4³).
-var invariantCases = []struct {
-	name string
-	alg  Algorithm
-	n    int
-}{
-	{"Simple", Simple, 16},
-	{"SimpleAllPort", SimpleAllPort, 16},
-	{"SimpleMemEfficientAllPort", SimpleMemEfficientAllPort, 16},
-	{"Cannon", Cannon, 16},
-	{"Fox", Fox, 16},
-	{"FoxPipelined", FoxPipelined, 16},
-	{"FoxAsync", FoxAsync, 16},
-	{"Berntsen", Berntsen, 16},
-	{"GK", GK, 16},
-	{"GKImprovedBroadcast", GKImprovedBroadcast, 16},
-	{"GKAllPort", GKAllPort, 16},
-	{"DNS", DNS, 8}, // plain DNS needs p ≥ n²: n = 8 on p = 64
-}
-
 // TestPerRankTimeBudget asserts the accounting contract of the
 // observability layer on every algorithm: each rank's virtual time
 // splits exactly into compute + send + idle summing to Tp, and the
 // measured overhead equals To = p·Tp − n³ with no error at all.
 func TestPerRankTimeBudget(t *testing.T) {
-	for _, tc := range invariantCases {
-		t.Run(tc.name, func(t *testing.T) {
-			m := observed(64)
-			a := matrix.RandomInts(tc.n, tc.n, 1)
-			b := matrix.RandomInts(tc.n, tc.n, 2)
-			res, err := tc.alg(m, a, b)
+	for _, f := range Formulations {
+		t.Run(f.Name, func(t *testing.T) {
+			n := f.Checks[0].N // on p = 64 = 8² = 4³; DNS's n = 8 keeps p ≥ n²
+			a, b := matrix.RandomInts(n, n, 1), matrix.RandomInts(n, n, 2)
+			res, err := f.Run(observed(64), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -72,8 +50,7 @@ func TestPerRankTimeBudget(t *testing.T) {
 					t.Errorf("rank %d finishes at %v after Tp = %v", r.Rank, r.Finish, tp)
 				}
 			}
-			w := float64(tc.n) * float64(tc.n) * float64(tc.n)
-			if want := 64*tp - w; mt.Overhead != want {
+			if want := 64*tp - res.W(); mt.Overhead != want {
 				t.Errorf("Overhead = %v, want p·Tp − W = %v exactly", mt.Overhead, want)
 			}
 			// The decomposition columns cover p·Tp exactly.

@@ -1,87 +1,58 @@
 package core
 
 import (
+	"math"
 	"testing"
 	"testing/quick"
 
-	"matscale/internal/machine"
 	"matscale/internal/matrix"
 	"matscale/internal/model"
 )
 
-// Property: for randomly drawn valid configurations, every mesh
-// algorithm is bit-exact against the serial product (integer inputs)
-// and exactly matches its timing model.
+// Property: for randomly drawn valid configurations on q×q processors,
+// every row with a grid there is bit-exact against the serial product
+// (integer inputs) and exactly matches its checks' timing models.
 func TestQuickRandomMeshConfigs(t *testing.T) {
-	f := func(seed uint64, qRaw, bsRaw uint8) bool {
-		q := []int{1, 2, 4, 8}[qRaw%4]
-		bs := int(bsRaw)%3 + 1
-		n := q * bs
-		p := q * q
-		a := matrix.RandomInts(n, n, seed)
-		b := matrix.RandomInts(n, n, seed+1)
-		want := matrix.Mul(a, b)
-		for _, c := range []struct {
-			name  string
-			alg   Algorithm
-			exact func(model.Params, int, int) float64
-		}{
-			{"Simple", Simple, model.ExactSimpleTp},
-			{"Cannon", Cannon, model.ExactCannonTp},
-			{"Fox", Fox, model.ExactFoxTp},
-			{"FoxPipelined", FoxPipelined, model.ExactFoxPipelinedTp},
-		} {
-			res, err := c.alg(machine.Hypercube(p, 17, 3), a, b)
-			if err != nil {
-				t.Logf("%s n=%d p=%d: %v", c.name, n, p, err)
-				return false
-			}
-			if matrix.MaxAbsDiff(res.C, want) != 0 {
-				t.Logf("%s n=%d p=%d: wrong product", c.name, n, p)
-				return false
-			}
-			wantTp := c.exact(model.Params{Ts: 17, Tw: 3}, n, p)
-			if d := res.Sim.Tp - wantTp; d > 1e-9 || d < -1e-9 {
-				t.Logf("%s n=%d p=%d: Tp %v want %v", c.name, n, p, res.Sim.Tp, wantTp)
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
-		t.Fatal(err)
-	}
+	quickRows(t, 25, []int{1, 2, 4, 8}, func(q int) int { return q * q })
 }
 
-// Property: random cube configurations keep GK and Berntsen exact.
+// Property: random configurations on q×q×q processors keep every row
+// with a grid there exact.
 func TestQuickRandomCubeConfigs(t *testing.T) {
-	f := func(seed uint64, qRaw, bsRaw uint8) bool {
-		q := []int{1, 2, 4}[qRaw%3]
-		p := q * q * q
-		// Berntsen needs q² | n; use n = q²·k.
-		n := q * q * (int(bsRaw)%2 + 1)
-		a := matrix.RandomInts(n, n, seed)
-		b := matrix.RandomInts(n, n, seed+1)
-		want := matrix.Mul(a, b)
-		pr := model.Params{Ts: 17, Tw: 3}
+	quickRows(t, 20, []int{1, 2, 4}, func(q int) int { return q * q * q })
+}
 
-		gk, err := GK(machine.Hypercube(p, 17, 3), a, b)
-		if err != nil || matrix.MaxAbsDiff(gk.C, want) != 0 {
-			return false
-		}
-		if d := gk.Sim.Tp - model.ExactGKTp(pr, n, p); d > 1e-9 || d < -1e-9 {
-			return false
-		}
-		bern, err := Berntsen(machine.Hypercube(p, 17, 3), a, b)
-		if err != nil || matrix.MaxAbsDiff(bern.C, want) != 0 {
-			return false
-		}
-		if d := bern.Sim.Tp - model.ExactBerntsenTp(pr, n, p); d > 1e-9 || d < -1e-9 {
-			return false
+// quickRows draws a seed, a grid side q from sides and a block factor
+// k ≤ 3 count times, and runs every row of the formulation table that
+// has a processor grid at p = procs(q) on n = k·NStep(p), on the
+// machine of each of its checks: the product must be the serial one and
+// Tp the check's exact form, where it has one.
+func quickRows(t *testing.T, count int, sides []int, procs func(q int) int) {
+	t.Helper()
+	pr := model.Params{Ts: 17, Tw: 3}
+	prop := func(seed uint64, qRaw, kRaw uint8) bool {
+		p := procs(sides[int(qRaw)%len(sides)])
+		for _, f := range Formulations {
+			if f.NStep == nil || f.NStep(p) == 0 {
+				continue
+			}
+			n := f.NStep(p) * (int(kRaw)%3 + 1)
+			a, b := matrix.RandomInts(n, n, seed), matrix.RandomInts(n, n, seed+1)
+			for _, c := range f.Checks {
+				res, err := f.Run(c.Machine(p, pr.Ts, pr.Tw), a, b)
+				if err != nil || matrix.MaxAbsDiff(res.C, matrix.Mul(a, b)) != 0 {
+					t.Logf("%s n=%d p=%d: wrong product or %v", f.Name, n, p, err)
+					return false
+				}
+				if c.Tp != nil && math.Abs(res.Sim.Tp-c.Tp(pr, n, p)) > 1e-9 {
+					t.Logf("%s %s n=%d p=%d: Tp %v want %v", f.Name, c.Eq, n, p, res.Sim.Tp, c.Tp(pr, n, p))
+					return false
+				}
+			}
 		}
 		return true
 	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 20}); err != nil {
+	if err := quick.Check(prop, &quick.Config{MaxCount: count}); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -104,21 +75,15 @@ func TestStructuredWorkloads(t *testing.T) {
 	}
 	for _, in := range inputs {
 		want := matrix.Mul(in.a, in.b)
-		for _, alg := range []struct {
-			name string
-			run  Algorithm
-			p    int
-		}{
-			{"Cannon", Cannon, 16},
-			{"GK", GK, 64},
-			{"Berntsen", Berntsen, 8},
-		} {
-			res, err := alg.run(testHypercube(alg.p), in.a, in.b)
-			if err != nil {
-				t.Fatalf("%s on %s: %v", alg.name, in.name, err)
-			}
-			if d := matrix.MaxAbsDiff(res.C, want); d > 1e-12 {
-				t.Errorf("%s on %s: differs by %v", alg.name, in.name, d)
+		for _, f := range Formulations {
+			if c := f.Checks[0]; c.N == n { // each row with n = 16 on its standard cell
+				res, err := f.Run(c.Machine(c.P, testParams.Ts, testParams.Tw), in.a, in.b)
+				if err != nil {
+					t.Fatalf("%s on %s: %v", f.Name, in.name, err)
+				}
+				if d := matrix.MaxAbsDiff(res.C, want); d > 1e-12 {
+					t.Errorf("%s on %s: differs by %v", f.Name, in.name, d)
+				}
 			}
 		}
 	}
@@ -138,37 +103,26 @@ func TestBandedProductThroughGK(t *testing.T) {
 	}
 }
 
-// Meta-sweep: the equation exactness holds across machine constants,
-// including the degenerate ts=0 and tw=0 machines.
+// Meta-sweep: the equation exactness of every check holds across
+// machine constants, including the degenerate ts=0 and tw=0 machines.
 func TestEquationsAcrossMachineConstants(t *testing.T) {
-	params := []model.Params{{Ts: 0, Tw: 1}, {Ts: 1, Tw: 0}, {Ts: 17, Tw: 3}, {Ts: 150, Tw: 3}, {Ts: 0.5, Tw: 3}}
-	a := matrix.RandomInts(16, 16, 61)
-	b := matrix.RandomInts(16, 16, 62)
-	for _, pr := range params {
-		for _, c := range []struct {
-			name  string
-			alg   Algorithm
-			p     int
-			exact func(model.Params, int, int) float64
-		}{
-			{"Simple", Simple, 16, model.ExactSimpleTp},
-			{"Cannon", Cannon, 16, model.ExactCannonTp},
-			{"Fox", Fox, 16, model.ExactFoxTp},
-			{"Berntsen", Berntsen, 64, model.ExactBerntsenTp},
-			{"GK", GK, 64, model.ExactGKTp},
-			{"GKImproved", GKImprovedBroadcast, 64, model.ExactGKImprovedTp},
-		} {
-			m := machine.Hypercube(c.p, pr.Ts, pr.Tw)
-			res, err := c.alg(m, a, b)
-			if err != nil {
-				t.Fatalf("%s ts=%g tw=%g: %v", c.name, pr.Ts, pr.Tw, err)
-			}
-			if d := matrix.MaxAbsDiff(res.C, matrix.Mul(a, b)); d != 0 {
-				t.Fatalf("%s ts=%g tw=%g: wrong product", c.name, pr.Ts, pr.Tw)
-			}
-			want := c.exact(pr, 16, c.p)
-			if diff := res.Sim.Tp - want; diff > 1e-9 || diff < -1e-9 {
-				t.Errorf("%s ts=%g tw=%g: Tp=%v want %v", c.name, pr.Ts, pr.Tw, res.Sim.Tp, want)
+	for _, pr := range []model.Params{{Ts: 0, Tw: 1}, {Ts: 1, Tw: 0}, {Ts: 17, Tw: 3}, {Ts: 150, Tw: 3}, {Ts: 0.5, Tw: 3}} {
+		for _, f := range Formulations {
+			for _, c := range f.Checks {
+				a, b := matrix.RandomInts(c.N, c.N, 61), matrix.RandomInts(c.N, c.N, 62)
+				res, err := f.Run(c.Machine(c.P, pr.Ts, pr.Tw), a, b)
+				if err != nil {
+					t.Fatalf("%s ts=%g tw=%g: %v", f.Name, pr.Ts, pr.Tw, err)
+				}
+				if d := matrix.MaxAbsDiff(res.C, matrix.Mul(a, b)); d != 0 {
+					t.Fatalf("%s ts=%g tw=%g: wrong product", f.Name, pr.Ts, pr.Tw)
+				}
+				if c.Tp == nil {
+					continue
+				}
+				if want := c.Tp(pr, c.N, c.P); math.Abs(res.Sim.Tp-want) > 1e-9 {
+					t.Errorf("%s %s ts=%g tw=%g: Tp=%v want %v", f.Name, c.Eq, pr.Ts, pr.Tw, res.Sim.Tp, want)
+				}
 			}
 		}
 	}

@@ -19,22 +19,14 @@ import (
 )
 
 // geometry returns the machine and dimension the suites run row f of
-// the formulation table on: n = 16 on a 64-processor hypercube
-// (64 = 8² = 4³ satisfies every mesh, cube and power-of-8 constraint),
-// the two mesh Fox variants on a 64-processor wraparound mesh, and
-// plain DNS, which needs p ≥ n², at n = 8.
+// the formulation table on: its standard test cell, Checks[0], with the
+// nCUBE 2's cost constants.
 func geometry(f core.Formulation) (mk func() *machine.Machine, n int) {
-	switch f.Name {
-	case "FoxMesh", "FoxPacketPipelined":
-		return mesh, 16
-	case "DNS":
-		return hyper, 8
-	}
-	return hyper, 16
+	c := f.Checks[0]
+	return func() *machine.Machine { return c.Machine(c.P, 150, 3) }, c.N
 }
 
 func hyper() *machine.Machine { return machine.NCube2(64) }
-func mesh() *machine.Machine  { return machine.Mesh(64, 7, 2) }
 
 // faulted is the perturbation of the faulted half of the differential
 // matrix: a fixed seed, a straggler, link jitter and message loss, so

@@ -228,14 +228,13 @@ func curveCrossover(gk, cannon *EfficiencyCurve) float64 {
 // p = 484/512).
 func predictedCrossover(pCannon, pGK int) float64 {
 	pr := model.Params{Ts: machine.CM5StartupMicros / machine.CM5FlopMicros, Tw: machine.CM5PerWordMicros / machine.CM5FlopMicros}
-	gkTo := func(q model.Params, n, p float64) float64 {
-		return p*model.PaperGKCM5Tp(q, n, p) - n*n*n
+	gk, _ := core.Lookup("gk")
+	cannon, _ := core.Lookup("cannon")
+	to := func(f core.Formulation, n float64, p int) float64 {
+		return float64(p)*f.PaperTp(pr, n, float64(p), true) - n*n*n
 	}
-	cannonTo := func(q model.Params, n, p float64) float64 {
-		return p*model.PaperCannonTp(q, n, p) - n*n*n
-	}
-	// Solve gkTo(n, pGK) = cannonTo(n, pCannon) for n by bisection.
-	diff := func(n float64) float64 { return gkTo(pr, n, float64(pGK)) - cannonTo(pr, n, float64(pCannon)) }
+	// Solve To_GK(n, pGK) = To_Cannon(n, pCannon) for n by bisection.
+	diff := func(n float64) float64 { return to(gk, n, pGK) - to(cannon, n, pCannon) }
 	lo, hi := 2.0, 1e5
 	if diff(lo) >= 0 || diff(hi) <= 0 {
 		return 0

@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"fmt"
 	"math"
 	"strings"
@@ -10,7 +11,6 @@ import (
 	"matscale/internal/model"
 	"matscale/internal/regions"
 	"matscale/internal/sweep"
-	"matscale/internal/topology"
 )
 
 // IsoPoint is one step of an isoefficiency validation run: the problem
@@ -24,36 +24,40 @@ type IsoPoint struct {
 	EMeasured float64 // simulated efficiency at (N, P)
 }
 
+// ErrNoProcessorGrid reports a formulation with no processor grid of
+// fixed shape at p (DNS has none: its grid p = n²·r depends on n).
+var ErrNoProcessorGrid = errors.New("no processor grid")
+
 // IsoefficiencyValidation closes the paper's central loop in
 // simulation: Section 3 claims that growing W along the isoefficiency
-// function holds the efficiency constant as p grows. For the chosen
-// algorithm ("cannon" or "gk") it solves W = K·To(W, p) at each
-// processor count, rounds the prescribed n to the nearest runnable
-// size, runs the real algorithm on the simulator, and reports the
-// measured efficiencies — which stay at the target up to rounding.
+// function holds the efficiency constant as p grows. For the
+// formulation keyed algorithm, with a Table 1 overhead and a processor
+// grid, it solves W = K·To(W, p) at each processor count, rounds the
+// prescribed n to the nearest multiple of the row's NStep, runs the
+// algorithm on the simulator, and reports the measured efficiencies —
+// which stay at the target up to rounding.
 // Each p is a one-cell sweep on a hypercube with pr's constants.
 func IsoefficiencyValidation(pr model.Params, target float64, algorithm string, ps []int) ([]IsoPoint, error) {
-	var side func(p int) int // structural divisor of n
-	// The overhead To(n, p): for both algorithms the Table 1 form equals
-	// the implementation's exact overhead, smooth in continuous n.
-	var to func(pr model.Params, n, p float64) float64
-	switch algorithm {
-	case "cannon":
-		side, to = topology.IntSqrt, model.CannonTo
-	case "gk":
-		side, to = topology.IntCbrt, model.GKTo
-	default:
+	f, ok := core.Lookup(algorithm)
+	switch {
+	case !ok:
 		return nil, fmt.Errorf("experiments: unknown algorithm %q", algorithm)
+	case f.Table1 == nil:
+		return nil, fmt.Errorf("experiments: %s has no Table 1 overhead", f.Name)
+	case f.NStep == nil:
+		return nil, fmt.Errorf("experiments: %w for %s", ErrNoProcessorGrid, f.Name)
 	}
 
 	out := make([]IsoPoint, len(ps))
 	for i, p := range ps {
-		cont := func(n, q float64) float64 { return to(pr, n, q) }
-		nReal, ok := iso.SolveN(cont, float64(p), target)
+		s := f.NStep(p)
+		if s == 0 {
+			return nil, fmt.Errorf("experiments: %w for %s at p=%d", ErrNoProcessorGrid, f.Name, p)
+		}
+		nReal, ok := iso.SolveN(func(n, q float64) float64 { return f.Table1.To(pr, n, q) }, float64(p), target)
 		if !ok {
 			return nil, fmt.Errorf("experiments: no isoefficiency fixed point at p=%d", p)
 		}
-		s := side(p)
 		n := int(math.Round(nReal/float64(s))) * s
 		if n < s {
 			n = s

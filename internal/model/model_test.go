@@ -92,31 +92,6 @@ func TestEfficiencyHelpers(t *testing.T) {
 	}
 }
 
-func TestExactFormsReduceToSerialAtP1(t *testing.T) {
-	prm := Params{Ts: 17, Tw: 3}
-	n := 12
-	w := float64(n * n * n)
-	for _, c := range []struct {
-		name string
-		f    func(Params, int, int) float64
-	}{
-		{"Simple", ExactSimpleTp},
-		{"Cannon", ExactCannonTp},
-		{"Fox", ExactFoxTp},
-		{"FoxPipelined", ExactFoxPipelinedTp},
-		{"Berntsen", ExactBerntsenTp},
-		{"GK", ExactGKTp},
-		{"GKCM5", ExactGKCM5Tp},
-		{"GKImproved", ExactGKImprovedTp},
-		{"GKAllPort", ExactGKAllPortTp},
-		{"SimpleAllPort", ExactSimpleAllPortTp},
-	} {
-		if got := c.f(prm, n, 1); got != w {
-			t.Errorf("%s at p=1: Tp = %v, want %v (pure serial)", c.name, got, w)
-		}
-	}
-}
-
 func TestExactDNSReducesToSerial(t *testing.T) {
 	prm := Params{Ts: 17, Tw: 3}
 	if got := ExactDNSTp(prm, 12, 1, 1); got != 12*12*12 {

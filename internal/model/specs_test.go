@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"matscale/internal/core"
+	"matscale/internal/model"
 )
 
 // TestSpecsShape checks that exactly the four algorithms of Table 1
@@ -30,5 +31,21 @@ func TestSpecsShape(t *testing.T) {
 	}
 	if got, want := strings.Join(table1, ","), "berntsen=b,cannon=c,gk=a,dns=d"; got != want {
 		t.Errorf("Table 1 rows = %s, want %s", got, want)
+	}
+}
+
+// TestExactFormsReduceToSerialAtP1 checks that the exact form of every
+// check in the formulation table is the serial time n³ on one
+// processor. DNS's form needs its block grid (TestExactDNSReducesToSerial).
+func TestExactFormsReduceToSerialAtP1(t *testing.T) {
+	for _, f := range core.Formulations {
+		for _, c := range f.Checks {
+			if c.Tp == nil || f.NStep == nil {
+				continue
+			}
+			if got := c.Tp(model.Params{Ts: 17, Tw: 3}, 12, 1); got != 12*12*12 {
+				t.Errorf("%s %s at p=1: Tp = %v, want 1728 (pure serial)", f.Name, c.Eq, got)
+			}
+		}
 	}
 }

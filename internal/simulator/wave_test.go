@@ -2,7 +2,9 @@ package simulator_test
 
 import (
 	"fmt"
+	"os"
 	"reflect"
+	"strings"
 	"testing"
 
 	"matscale/internal/collective"
@@ -109,39 +111,63 @@ func TestNativeCannonFaultedMatchesGoroutines(t *testing.T) {
 	}
 }
 
-// gkMachines lists, per GK variant, the machines the wave ≡ fiber suite
-// runs it on: the ones the CLI's verify command checks it on (ts = 17,
-// tw = 3), the CM-5 preset and a custom hypercube.
-var gkMachines = []struct {
-	alg      string
-	f        core.Algorithm
-	machines map[string]func(p int) *machine.Machine
-}{
-	{"GK", core.GK, map[string]func(int) *machine.Machine{
-		"hypercube": func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3) },
-		"cm5-17-3":  func(p int) *machine.Machine { return machine.CM5(p).WithCost(17, 3) },
-	}},
-	{"GKImprovedBroadcast", core.GKImprovedBroadcast, map[string]func(int) *machine.Machine{
-		"hypercube": func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3) },
-	}},
-	{"GKAllPort", core.GKAllPort, map[string]func(int) *machine.Machine{
-		"allport": func(p int) *machine.Machine { return machine.Hypercube(p, 17, 3).WithAllPort(true) },
-	}},
+// waveRows returns the rows of the formulation table that core's
+// recorded golden digests time on the wave tier, read from their
+// "wave/" lines, and those names.
+func waveRows(t *testing.T) ([]core.Formulation, map[string]bool) {
+	t.Helper()
+	data, err := os.ReadFile("../core/testdata/golden_digests.txt")
+	if err != nil {
+		t.Fatal(err)
+	}
+	names := map[string]bool{}
+	for _, line := range strings.Split(string(data), "\n") {
+		if rest, ok := strings.CutPrefix(line, "wave/"); ok {
+			name, _, _ := strings.Cut(rest, "/")
+			names[name] = true
+		}
+	}
+	var rows []core.Formulation
+	for _, f := range core.Formulations {
+		if names[f.Name] {
+			rows = append(rows, f)
+		}
+	}
+	return rows, names
 }
 
-// TestNativeGKFamilyMatchesFiber asserts the GK family's wave-tier
-// runs — MsgTime routes and binomial trees for GK, charged stages for
-// its two variants — are byte-identical to the fiber tier, clean and
-// under stragglers plus jitter, from one rank to 512.
+// checkMachines returns the machines the CLI's verify command checks
+// row f on (its Checks, at ts = 17, tw = 3), named by family.
+func checkMachines(f core.Formulation) map[string]func(p int) *machine.Machine {
+	out := map[string]func(int) *machine.Machine{}
+	for _, c := range f.Checks {
+		mk := func(p int) *machine.Machine { return c.Machine(p, 17, 3) }
+		name := "hypercube"
+		if m := mk(1); m.AllPort {
+			name = "allport"
+		} else if _, full := m.Topo.(topology.FullyConnected); full {
+			name = "cm5-17-3"
+		}
+		out[name] = mk
+	}
+	return out
+}
+
+// TestNativeGKFamilyMatchesFiber asserts the wave-tier runs of the rows
+// on a 3-D grid, the GK family — MsgTime routes and binomial trees for
+// GK, charged stages for its two variants — are byte-identical to the
+// fiber tier on their check machines, the CM-5 preset and a custom
+// hypercube, clean and under stragglers plus jitter, from one rank to
+// 512.
 func TestNativeGKFamilyMatchesFiber(t *testing.T) {
-	for _, v := range gkMachines {
-		machines := map[string]func(int) *machine.Machine{
-			"cm5":    machine.CM5,
-			"custom": func(p int) *machine.Machine { return machine.Hypercube(p, 40, 0.5) },
+	rows, _ := waveRows(t)
+	for _, f := range rows {
+		if f.NStep(8) == 0 {
+			continue // not on a 3-D grid
 		}
-		for name, mk := range v.machines {
-			machines[name] = mk
-		}
+		machines := checkMachines(f)
+		machines["cm5"] = machine.CM5
+		machines["custom"] = func(p int) *machine.Machine { return machine.Hypercube(p, 40, 0.5) }
 		for name, mk := range machines {
 			for _, p := range []int{1, 8, 64, 512} {
 				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
@@ -149,8 +175,8 @@ func TestNativeGKFamilyMatchesFiber(t *testing.T) {
 					if fc != nil {
 						label = "faulted"
 					}
-					t.Run(fmt.Sprintf("%s/%s/p%d/%s", v.alg, name, p, label), func(t *testing.T) {
-						assertWaveMatchesFiber(t, v.f, mk(p).WithFaults(fc), 16)
+					t.Run(fmt.Sprintf("%s/%s/p%d/%s", f.Name, name, p, label), func(t *testing.T) {
+						assertWaveMatchesFiber(t, f.Run, mk(p).WithFaults(fc), 16)
 					})
 				}
 			}
@@ -159,23 +185,24 @@ func TestNativeGKFamilyMatchesFiber(t *testing.T) {
 }
 
 // TestNativeGKFamilyOddBlocks runs the GK family's wave ≡ fiber check
-// at block sides 3 and 11, whose partial products end in the kernel's
-// row and column edges, clean and under stragglers plus jitter.
+// on its check machines at block sides 3 and 11, whose partial products
+// end in the kernel's row and column edges, clean and under stragglers
+// plus jitter.
 func TestNativeGKFamilyOddBlocks(t *testing.T) {
-	for _, v := range gkMachines {
-		for name, mk := range v.machines {
+	rows, _ := waveRows(t)
+	for _, f := range rows {
+		if f.NStep(8) == 0 {
+			continue // not on a 3-D grid
+		}
+		for name, mk := range checkMachines(f) {
 			for _, c := range []struct{ p, bs int }{{8, 3}, {64, 3}, {8, 11}, {64, 11}} {
 				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
 					label := "clean"
 					if fc != nil {
 						label = "faulted"
 					}
-					t.Run(fmt.Sprintf("%s/%s/p%d/bs%d/%s", v.alg, name, c.p, c.bs, label), func(t *testing.T) {
-						q3 := 2
-						if c.p == 64 {
-							q3 = 4
-						}
-						assertWaveMatchesFiber(t, v.f, mk(c.p).WithFaults(fc), q3*c.bs)
+					t.Run(fmt.Sprintf("%s/%s/p%d/bs%d/%s", f.Name, name, c.p, c.bs, label), func(t *testing.T) {
+						assertWaveMatchesFiber(t, f.Run, mk(c.p).WithFaults(fc), f.NStep(c.p)*c.bs)
 					})
 				}
 			}
@@ -201,10 +228,11 @@ var foxCases = []struct {
 	{"element/p256", 256, 16},
 }
 
-// TestNativeFoxMatchesFiber asserts the wave-tier runs of Fox (binomial
-// row broadcasts) and FoxPipelined (charged row broadcasts) are
-// byte-identical to the fiber tier on the hypercube presets, the CM-5
-// and a custom hypercube, clean and under stragglers plus jitter.
+// TestNativeFoxMatchesFiber asserts the wave-tier runs of the mesh
+// rows — Fox (binomial row broadcasts), FoxPipelined (charged row
+// broadcasts) and Cannon — are byte-identical to the fiber tier on the
+// hypercube presets, the CM-5 and a custom hypercube, clean and under
+// stragglers plus jitter.
 func TestNativeFoxMatchesFiber(t *testing.T) {
 	machines := []struct {
 		name string
@@ -214,10 +242,11 @@ func TestNativeFoxMatchesFiber(t *testing.T) {
 		{"cm5", machine.CM5},
 		{"custom", func(p int) *machine.Machine { return machine.Hypercube(p, 6.3, 3) }},
 	}
-	for _, v := range []struct {
-		name string
-		f    core.Algorithm
-	}{{"Fox", core.Fox}, {"FoxPipelined", core.FoxPipelined}} {
+	rows, _ := waveRows(t)
+	for _, f := range rows {
+		if f.NStep(4) == 0 {
+			continue // not on a 2-D mesh
+		}
 		for _, mc := range machines {
 			for _, tc := range foxCases {
 				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
@@ -225,8 +254,8 @@ func TestNativeFoxMatchesFiber(t *testing.T) {
 					if fc != nil {
 						label = "faulted"
 					}
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", v.name, mc.name, tc.name, label), func(t *testing.T) {
-						assertWaveMatchesFiber(t, v.f, mc.mk(tc.p).WithFaults(fc), tc.n)
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", f.Name, mc.name, tc.name, label), func(t *testing.T) {
+						assertWaveMatchesFiber(t, f.Run, mc.mk(tc.p).WithFaults(fc), tc.n)
 					})
 				}
 			}
@@ -234,42 +263,39 @@ func TestNativeFoxMatchesFiber(t *testing.T) {
 	}
 }
 
-// TestGKTakesWaveTier fails if a formulation with a skeleton — Cannon,
-// the GK family, Fox or FoxPipelined — silently falls back to the fiber
-// tier on an eligible machine: each run must count exactly one
-// wave-tier run, and a run on a metrics machine none.
+// TestGKTakesWaveTier fails if a row the golden digests time on the
+// wave tier — Cannon, the GK family, Fox or FoxPipelined — silently
+// falls back to the fiber tier on an eligible machine, or if any other
+// row takes it: on the CM-5 at its standard test cell each run must
+// count exactly one wave-tier run for those rows and none for the
+// others, and a run on a metrics machine none.
 func TestGKTakesWaveTier(t *testing.T) {
-	a := matrix.Random(16, 16, 1)
-	b := matrix.Random(16, 16, 2)
-	for _, tc := range []struct {
-		name string
-		f    core.Algorithm
-		p    int
-	}{
-		{"Cannon", core.Cannon, 64},
-		{"GK", core.GK, 64},
-		{"GKImprovedBroadcast", core.GKImprovedBroadcast, 64},
-		{"GKAllPort", core.GKAllPort, 64},
-		{"Fox", core.Fox, 64},
-		{"FoxPipelined", core.FoxPipelined, 64},
-	} {
+	_, wave := waveRows(t)
+	for _, f := range core.Formulations {
+		c := f.Checks[0]
+		a := matrix.Random(c.N, c.N, 1)
+		b := matrix.Random(c.N, c.N, 2)
+		want := int64(0)
+		if wave[f.Name] {
+			want = 1
+		}
 		for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
-			m := machine.CM5(tc.p).WithFaults(fc)
+			m := machine.CM5(c.P).WithFaults(fc)
 			before := simulator.WaveRuns()
-			if _, err := tc.f(m, a, b); err != nil {
-				t.Fatalf("%s: %v", tc.name, err)
+			if _, err := f.Run(m, a, b); err != nil {
+				t.Fatalf("%s: %v", f.Name, err)
 			}
-			if got := simulator.WaveRuns() - before; got != 1 {
-				t.Errorf("%s (faults %v): %d wave-tier runs, want 1", tc.name, fc != nil, got)
+			if got := simulator.WaveRuns() - before; got != want {
+				t.Errorf("%s (faults %v): %d wave-tier runs, want %d", f.Name, fc != nil, got, want)
 			}
 			observed := *m
 			observed.CollectMetrics = true
 			before = simulator.WaveRuns()
-			if _, err := tc.f(&observed, a, b); err != nil {
-				t.Fatalf("%s with metrics: %v", tc.name, err)
+			if _, err := f.Run(&observed, a, b); err != nil {
+				t.Fatalf("%s with metrics: %v", f.Name, err)
 			}
 			if got := simulator.WaveRuns() - before; got != 0 {
-				t.Errorf("%s with metrics: %d wave-tier runs, want 0", tc.name, got)
+				t.Errorf("%s with metrics: %d wave-tier runs, want 0", f.Name, got)
 			}
 		}
 	}

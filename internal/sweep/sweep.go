@@ -22,8 +22,8 @@ import (
 // machine presets, processor counts, matrix sizes and fault scenarios.
 // Every combination is one independent simulation cell.
 type Spec struct {
-	// Algorithms names the formulations to run: "simple", "cannon",
-	// "fox", "foxpipe", "berntsen", "dns", "gk", "gkimproved".
+	// Algorithms names the formulations to run by their keys in the
+	// formulation table (core.Keys lists them).
 	Algorithms []string `json:"algorithms"`
 	// Machines names the machine presets: "ncube2", "fast", "simd",
 	// "cm5", "custom". A "custom" machine is a store-and-forward

@@ -34,36 +34,25 @@ func WAtEfficiency(pr model.Params, to ToFunc, p, e float64) (float64, error) {
 	return w, nil
 }
 
-// MoreProcessorsFactor returns the factor by which the problem size
-// must grow to hold efficiency e when the machine gets k times as many
-// processors (same CPUs, same network).
-func MoreProcessorsFactor(pr model.Params, to ToFunc, p, e, k float64) (float64, error) {
+// Factors returns the factors by which the problem size must grow to
+// hold efficiency e on p processors when the machine gets k times as
+// many processors (more), or k-times faster ones on the same network
+// (faster), which scales the normalized ts and tw by k (Section 8). It
+// solves the base problem size once for both.
+func Factors(pr model.Params, to ToFunc, p, e, k float64) (more, faster float64, err error) {
 	w1, err := WAtEfficiency(pr, to, p, e)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	w2, err := WAtEfficiency(pr, to, k*p, e)
+	wMore, err := WAtEfficiency(pr, to, k*p, e)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	return w2 / w1, nil
-}
-
-// FasterProcessorsFactor returns the factor by which the problem size
-// must grow to hold efficiency e when the p processors are replaced by
-// k-times faster ones. With the network unchanged, the *normalized*
-// communication constants scale: ts' = k·ts, tw' = k·tw (Section 8).
-func FasterProcessorsFactor(pr model.Params, to ToFunc, p, e, k float64) (float64, error) {
-	w1, err := WAtEfficiency(pr, to, p, e)
+	wFaster, err := WAtEfficiency(model.Params{Ts: k * pr.Ts, Tw: k * pr.Tw}, to, p, e)
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	scaled := model.Params{Ts: k * pr.Ts, Tw: k * pr.Tw}
-	w2, err := WAtEfficiency(scaled, to, p, e)
-	if err != nil {
-		return 0, err
-	}
-	return w2 / w1, nil
+	return wMore / w1, wFaster / w1, nil
 }
 
 // Tradeoff compares the two upgrade paths for one algorithm: it
@@ -86,11 +75,7 @@ func Compare(pr model.Params, p, e, k float64) ([]Tradeoff, error) {
 		if f.Table1 == nil {
 			continue
 		}
-		more, err := MoreProcessorsFactor(pr, f.Table1.To, p, e, k)
-		if err != nil {
-			return nil, fmt.Errorf("%s: %w", f.Name, err)
-		}
-		faster, err := FasterProcessorsFactor(pr, f.Table1.To, p, e, k)
+		more, faster, err := Factors(pr, f.Table1.To, p, e, k)
 		if err != nil {
 			return nil, fmt.Errorf("%s: %w", f.Name, err)
 		}

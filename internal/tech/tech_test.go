@@ -12,7 +12,7 @@ func TestCannonMoreProcessors31x(t *testing.T) {
 	// processors is increased 10 times, one would have to solve a
 	// problem 31.6 times bigger" — the p^1.5 isoefficiency.
 	pr := model.Params{Ts: 0.5, Tw: 3}
-	f, err := MoreProcessorsFactor(pr, model.CannonTo, 1<<14, 0.5, 10)
+	f, _, err := Factors(pr, model.CannonTo, 1<<14, 0.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -26,7 +26,7 @@ func TestCannonFasterProcessors1000x(t *testing.T) {
 	// 10 times faster processors are used, then one would need to solve
 	// a 1000 times larger problem" — the tw³ sensitivity.
 	pr := model.Params{Ts: 0.001, Tw: 3}
-	f, err := FasterProcessorsFactor(pr, model.CannonTo, 1<<14, 0.5, 10)
+	_, f, err := Factors(pr, model.CannonTo, 1<<14, 0.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -39,11 +39,7 @@ func TestMoreProcessorsBeatsFasterForCannonSIMD(t *testing.T) {
 	// The headline claim: under these conditions a machine with k-fold
 	// as many processors beats one with k-fold faster processors.
 	pr := model.Params{Ts: 0.5, Tw: 3}
-	more, err := MoreProcessorsFactor(pr, model.CannonTo, 1<<14, 0.5, 10)
-	if err != nil {
-		t.Fatal(err)
-	}
-	faster, err := FasterProcessorsFactor(pr, model.CannonTo, 1<<14, 0.5, 10)
+	more, faster, err := Factors(pr, model.CannonTo, 1<<14, 0.5, 10)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -57,7 +53,7 @@ func TestFasterProcessorsCubeLawAcrossK(t *testing.T) {
 	// costs 8×, quadrupling costs 64×.
 	pr := model.Params{Ts: 0.001, Tw: 2}
 	for _, k := range []float64{2, 4} {
-		f, err := FasterProcessorsFactor(pr, model.CannonTo, 1<<12, 0.6, k)
+		_, f, err := Factors(pr, model.CannonTo, 1<<12, 0.6, k)
 		if err != nil {
 			t.Fatal(err)
 		}
