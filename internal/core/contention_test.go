@@ -20,10 +20,12 @@ func TestAlgorithmsAreContentionFree(t *testing.T) {
 		mk   func() *machine.Machine
 		n    int
 	}
-	// Every row on its standard test cell, Cannon on a mesh too, and DNS
-	// on its coarse block grid.
+	// Every row on its standard test cell, Cannon and FoxAsync on a
+	// wraparound mesh too (where FoxAsync's row relay and B shift share
+	// links), and DNS on its coarse block grid.
 	cases := []tc{
 		{"Cannon/mesh", Cannon, func() *machine.Machine { return testMesh(16) }, 16},
+		{"FoxAsync/mesh", FoxAsync, func() *machine.Machine { return testMesh(16) }, 16},
 		{"DNS/grid", func(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
 			return DNSWithGrid(m, a, b, 4)
 		}, func() *machine.Machine { return testHypercube(32) }, 16},

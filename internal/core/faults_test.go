@@ -35,22 +35,35 @@ func faultMetricsBytes(t *testing.T, res *Result) []byte {
 	return buf.Bytes()
 }
 
-// With seed=42, straggler=2@rank0 on an nCUBE 2 at its standard test
-// cell, every formulation still returns the exact product, the
-// per-rank accounting identities hold, measured To strictly exceeds the
-// unfaulted run's, and two consecutive runs produce byte-identical
-// metrics.
+// With seed=42, straggler=2@rank0 on NCube2(64), every formulation
+// still returns the exact product, the per-rank accounting identities
+// hold, measured To strictly exceeds the unfaulted run's, and two
+// consecutive runs produce byte-identical metrics.
 func TestAllFormulationsUnderStragglerFaults(t *testing.T) {
+	const p = 64 // 8² = 4³: every row takes its standard cell's n here
+	type tc struct {
+		name string
+		alg  Algorithm
+		n    int
+	}
+	// Every row, and DNS on its 4×4×4 block grid — the standard entry
+	// point for coarse-grained DNS at p < n².
+	cases := []tc{{"DNS/grid", func(m *machine.Machine, a, b *matrix.Dense) (*Result, error) {
+		return DNSWithGrid(m, a, b, 4)
+	}, 16}}
 	for _, f := range Formulations {
-		t.Run(f.Name, func(t *testing.T) {
-			n, p := f.Checks[0].N, f.Checks[0].P
+		cases = append(cases, tc{f.Name, f.Run, f.Checks[0].N})
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			n := c.n
 			a, b := matrix.RandomInts(n, n, 1000+uint64(n)), matrix.RandomInts(n, n, 2000+uint64(n))
 			want := matrix.Mul(a, b)
-			clean, err := f.Run(ncube2WithMetrics(p, nil), a, b)
+			clean, err := c.alg(ncube2WithMetrics(p, nil), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
-			faulted, err := f.Run(ncube2WithMetrics(p, issueFaults()), a, b)
+			faulted, err := c.alg(ncube2WithMetrics(p, issueFaults()), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -82,7 +95,7 @@ func TestAllFormulationsUnderStragglerFaults(t *testing.T) {
 				t.Fatal("no straggler extra compute recorded")
 			}
 			// Byte-identical reruns.
-			again, err := f.Run(ncube2WithMetrics(p, issueFaults()), a, b)
+			again, err := c.alg(ncube2WithMetrics(p, issueFaults()), a, b)
 			if err != nil {
 				t.Fatal(err)
 			}

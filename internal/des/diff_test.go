@@ -19,11 +19,12 @@ import (
 )
 
 // geometry returns the machine and dimension the suites run row f of
-// the formulation table on: its standard test cell, Checks[0], with the
-// nCUBE 2's cost constants.
+// the formulation table on: 64 processors (8² = 4³, so every row takes
+// its standard cell's n there) of the row's standard machine family,
+// Checks[0], with the nCUBE 2's cost constants.
 func geometry(f core.Formulation) (mk func() *machine.Machine, n int) {
 	c := f.Checks[0]
-	return func() *machine.Machine { return c.Machine(c.P, 150, 3) }, c.N
+	return func() *machine.Machine { return c.Machine(64, 150, 3) }, c.N
 }
 
 func hyper() *machine.Machine { return machine.NCube2(64) }

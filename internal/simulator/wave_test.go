@@ -137,7 +137,9 @@ func waveRows(t *testing.T) ([]core.Formulation, map[string]bool) {
 }
 
 // checkMachines returns the machines the CLI's verify command checks
-// row f on (its Checks, at ts = 17, tw = 3), named by family.
+// row f on (its Checks, at ts = 17, tw = 3), named by family — all-port
+// hypercube, CM-5 (fully connected) or hypercube — so the subtests keep
+// the names they had when these machines were listed by hand.
 func checkMachines(f core.Formulation) map[string]func(p int) *machine.Machine {
 	out := map[string]func(int) *machine.Machine{}
 	for _, c := range f.Checks {
