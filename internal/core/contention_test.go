@@ -62,13 +62,11 @@ func TestAlgorithmsAreContentionFree(t *testing.T) {
 // waiting time under tracking, so the zero-wait results above are
 // meaningful.
 func TestContentionDetectedWhenPresent(t *testing.T) {
-	m := machine.Hypercube(4, 10, 1)
-	m.TrackContention = true
 	// Rank 1 streams a large message over link 1->3 while rank 0's
 	// small message routes 0->1->3 and must queue behind it on the
 	// shared second hop (or vice versa, depending on claim order —
 	// either way someone waits).
-	res, err := simulator.Run(m, func(p *simulator.Proc) {
+	prog := func(p *simulator.Proc) {
 		switch p.Rank() {
 		case 0:
 			p.Send(3, 0, []float64{1})
@@ -78,7 +76,10 @@ func TestContentionDetectedWhenPresent(t *testing.T) {
 			p.Recv(0, 0)
 			p.Recv(1, 1)
 		}
-	})
+	}
+	m := machine.Hypercube(4, 10, 1)
+	m.TrackContention = true
+	res, err := simulator.Run(m, prog)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -87,17 +88,7 @@ func TestContentionDetectedWhenPresent(t *testing.T) {
 	}
 	// And the same program without tracking has none.
 	m2 := machine.Hypercube(4, 10, 1)
-	res2, err := simulator.Run(m2, func(p *simulator.Proc) {
-		switch p.Rank() {
-		case 0:
-			p.Send(3, 0, []float64{1})
-		case 1:
-			p.Send(3, 1, make([]float64, 100))
-		case 3:
-			p.Recv(0, 0)
-			p.Recv(1, 1)
-		}
-	})
+	res2, err := simulator.Run(m2, prog)
 	if err != nil {
 		t.Fatal(err)
 	}

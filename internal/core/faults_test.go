@@ -56,8 +56,7 @@ func TestAllFormulationsUnderStragglerFaults(t *testing.T) {
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
-			n := c.n
-			a, b := matrix.RandomInts(n, n, 1000+uint64(n)), matrix.RandomInts(n, n, 2000+uint64(n))
+			a, b := matrix.RandomInts(c.n, c.n, 1000+uint64(c.n)), matrix.RandomInts(c.n, c.n, 2000+uint64(c.n))
 			want := matrix.Mul(a, b)
 			clean, err := c.alg(ncube2WithMetrics(p, nil), a, b)
 			if err != nil {

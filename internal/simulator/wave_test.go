@@ -55,6 +55,14 @@ func stragglersAndJitter() *faults.Config {
 	}
 }
 
+// faultLabel names a fault setting of the native suites in a subtest.
+func faultLabel(fc *faults.Config) string {
+	if fc == nil {
+		return "clean"
+	}
+	return "faulted"
+}
+
 // assertWaveMatchesFiber runs alg on m, which must be eligible for the
 // wave tier, and on its fiber-tier reference: the same machine with
 // metrics on, whose Metrics are then dropped, since the wave tier
@@ -137,9 +145,8 @@ func waveRows(t *testing.T) ([]core.Formulation, map[string]bool) {
 }
 
 // checkMachines returns the machines the CLI's verify command checks
-// row f on (its Checks, at ts = 17, tw = 3), named by family — all-port
-// hypercube, CM-5 (fully connected) or hypercube — so the subtests keep
-// the names they had when these machines were listed by hand.
+// row f on (its Checks, at ts = 17, tw = 3), named by family as these
+// subtests were named when the machines were listed by hand.
 func checkMachines(f core.Formulation) map[string]func(p int) *machine.Machine {
 	out := map[string]func(int) *machine.Machine{}
 	for _, c := range f.Checks {
@@ -173,11 +180,7 @@ func TestNativeGKFamilyMatchesFiber(t *testing.T) {
 		for name, mk := range machines {
 			for _, p := range []int{1, 8, 64, 512} {
 				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
-					label := "clean"
-					if fc != nil {
-						label = "faulted"
-					}
-					t.Run(fmt.Sprintf("%s/%s/p%d/%s", f.Name, name, p, label), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/p%d/%s", f.Name, name, p, faultLabel(fc)), func(t *testing.T) {
 						assertWaveMatchesFiber(t, f.Run, mk(p).WithFaults(fc), 16)
 					})
 				}
@@ -199,11 +202,7 @@ func TestNativeGKFamilyOddBlocks(t *testing.T) {
 		for name, mk := range checkMachines(f) {
 			for _, c := range []struct{ p, bs int }{{8, 3}, {64, 3}, {8, 11}, {64, 11}} {
 				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
-					label := "clean"
-					if fc != nil {
-						label = "faulted"
-					}
-					t.Run(fmt.Sprintf("%s/%s/p%d/bs%d/%s", f.Name, name, c.p, c.bs, label), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/p%d/bs%d/%s", f.Name, name, c.p, c.bs, faultLabel(fc)), func(t *testing.T) {
 						assertWaveMatchesFiber(t, f.Run, mk(c.p).WithFaults(fc), f.NStep(c.p)*c.bs)
 					})
 				}
@@ -252,11 +251,7 @@ func TestNativeFoxMatchesFiber(t *testing.T) {
 		for _, mc := range machines {
 			for _, tc := range foxCases {
 				for _, fc := range []*faults.Config{nil, stragglersAndJitter()} {
-					label := "clean"
-					if fc != nil {
-						label = "faulted"
-					}
-					t.Run(fmt.Sprintf("%s/%s/%s/%s", f.Name, mc.name, tc.name, label), func(t *testing.T) {
+					t.Run(fmt.Sprintf("%s/%s/%s/%s", f.Name, mc.name, tc.name, faultLabel(fc)), func(t *testing.T) {
 						assertWaveMatchesFiber(t, f.Run, mc.mk(tc.p).WithFaults(fc), tc.n)
 					})
 				}
