@@ -39,7 +39,7 @@ BENCH_NEW ?= bench_pr.txt
 bench-gate:
 	$(GO) run ./scripts/benchgate -old $(BENCH_OLD) -new $(BENCH_NEW) -pkg 'internal/(simulator|matrix)' -max 0.10
 
-SIM_DIFF_TESTS = TestNativeCannon|TestNativeGK|TestNativeFox|TestGKTakesWaveTier|TestWaveStepsMatchFiber|TestWaveAllocsIndependentOfSteps|TestWaveEvaluatesRankMapsOnce|TestSkeletonDeclinesGoroutines|TestSystolicEligibility|TestRunSystolicRejectsMismatch|FuzzBackendEquivalence
+SIM_DIFF_TESTS = TestNativeCannon|TestNativeGK|TestNativeFox|TestGKTakesWaveTier|TestWaveStepsMatchFiber|TestWaveAllocsIndependentOfSteps|TestWaveRunAllocatesOnlyResult|TestWaveEvaluatesRankMapsOnce|TestRunSkeletonConcurrentRunsAgree|TestSkeletonDeclinesGoroutines|TestSystolicEligibility|TestRunSystolicRejectsMismatch|FuzzBackendEquivalence
 
 # The cross-backend differential suite under the race detector: the
 # goroutine engine and the discrete-event engine's fiber and wave tiers
@@ -73,9 +73,12 @@ kernel-equivalence:
 # CSV at 1 and 8 host workers, under the race detector (docs/SWEEP.md).
 # The clean and straggler cells of the skeleton formulations are timed
 # from their skeletons alone; berntsen's cells and the lossy scenario
-# run rank programs on seeded operands, so both paths are covered.
+# run rank programs on seeded operands, so both paths are covered. The
+# worker pool's own tests run first, under the race detector at 1, 2
+# and 4 CPUs.
 SWEEP_ARGS = sweep -alg cannon,gk,berntsen,fox,foxpipe -machine custom -ts 17 -n 16,32 -p 16,64 -faults ';straggler=2@rank0,seed=42;loss=0.02,seed=7'
 sweep-determinism:
+	$(GO) test -race -count=1 -cpu 1,2,4 -run 'TestForEach|TestBackendSweep' ./internal/sweep
 	$(GO) build -race -o bin/matscale ./cmd/matscale
 	./bin/matscale $(SWEEP_ARGS) -jobs 1 -csv sweep_serial.csv
 	./bin/matscale $(SWEEP_ARGS) -jobs 8 -csv sweep_parallel.csv

@@ -589,6 +589,10 @@ func cmdImproved(args []string) error {
 	ts, tw := paramFlags(fs, 9, 1)
 	p := fs.Int("p", 512, "processor count (power of 8)")
 	fs.Parse(args)
-	fmt.Print(experiments.ImprovedGKReport(model.Params{Ts: *ts, Tw: *tw}, *p))
+	s, err := experiments.ImprovedGKReport(model.Params{Ts: *ts, Tw: *tw}, *p)
+	if err != nil {
+		return err
+	}
+	fmt.Print(s)
 	return nil
 }

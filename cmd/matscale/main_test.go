@@ -215,6 +215,11 @@ func TestCmdImproved(t *testing.T) {
 	if !strings.Contains(out, "improved") {
 		t.Errorf("improved output malformed:\n%s", out)
 	}
+	for _, p := range []string{"0", "-8", "100"} {
+		if _, err := capture(t, func() error { return cmdImproved([]string{"-p", p}) }); !errors.Is(err, experiments.ErrNoProcessorGrid) {
+			t.Errorf("improved -p %s: err = %v, want ErrNoProcessorGrid", p, err)
+		}
+	}
 }
 
 func TestCmdIsoVal(t *testing.T) {

@@ -30,10 +30,11 @@ outer variables, or accumulates floating-point sums (all of which make
 results depend on map iteration order). Order-insensitive map loops can
 be annotated with a trailing '//nodetbreak:ordered' comment.
 
-sync.Pool declarations are also flagged: Get returns an arbitrary
-previously-pooled value, so a pool that carries any simulation state
-makes results depend on goroutine scheduling. Pools reviewed to recycle
-payload memory only can be annotated with '//nodetbreak:pooled'.`
+sync.Pool declarations and literals are also flagged: Get returns an
+arbitrary previously-pooled value, so a pool that carries any
+simulation state makes results depend on goroutine scheduling. Pools
+reviewed to recycle payload memory only can be annotated with
+'//nodetbreak:pooled'.`
 
 // Analyzer is the nodetbreak analyzer.
 var Analyzer = &analysis.Analyzer{
@@ -71,7 +72,7 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			continue
 		}
 		marked := config.MarkedLines(pass.Fset, f, ordMarker)
-		pooled := config.MarkedLines(pass.Fset, f, pooledMarker)
+		pools := poolCheck{pass: pass, pooled: config.MarkedLines(pass.Fset, f, pooledMarker), flagged: map[int]bool{}}
 		ast.Inspect(f, func(n ast.Node) bool {
 			switch n := n.(type) {
 			case *ast.CallExpr:
@@ -79,9 +80,17 @@ func run(pass *analysis.Pass) (interface{}, error) {
 			case *ast.RangeStmt:
 				checkMapRange(pass, n, marked)
 			case *ast.Field:
-				checkPoolType(pass, n.Type, pooled)
+				pools.check(n.Type)
 			case *ast.ValueSpec:
-				checkPoolType(pass, n.Type, pooled)
+				// The type expression, and each name's type, which
+				// also covers an inferred one: var p = newPool().
+				pools.check(n.Type)
+				for _, name := range n.Names {
+					pools.check(name)
+				}
+			case *ast.CompositeLit:
+				// A pool literal, which also covers p := &sync.Pool{…}.
+				pools.check(n)
 			}
 			return true
 		})
@@ -89,19 +98,28 @@ func run(pass *analysis.Pass) (interface{}, error) {
 	return nil, nil
 }
 
-// checkPoolType reports struct fields and variables of type sync.Pool
-// (or *sync.Pool) in deterministic packages: what Get returns depends
-// on goroutine scheduling, so only pools reviewed to carry payload
-// memory — never simulation state — are allowed, via pooledMarker.
-func checkPoolType(pass *analysis.Pass, typ ast.Expr, pooled map[int]bool) {
-	if typ == nil || !isSyncPool(pass.TypesInfo.TypeOf(typ)) {
+// poolCheck reports the struct fields, variables and literals of type
+// sync.Pool (or *sync.Pool) in one file of a deterministic package:
+// what Get returns depends on goroutine scheduling, so only pools
+// reviewed to carry payload memory — never simulation state — are
+// allowed, via pooledMarker. A line is reported at most once, as a
+// marker covers a whole line.
+type poolCheck struct {
+	pass    *analysis.Pass
+	pooled  map[int]bool // lines carrying pooledMarker
+	flagged map[int]bool // lines already reported
+}
+
+func (c poolCheck) check(e ast.Expr) {
+	if e == nil || !isSyncPool(c.pass.TypesInfo.TypeOf(e)) {
 		return
 	}
-	line := pass.Fset.Position(typ.Pos()).Line
-	if pooled[line] || pooled[line-1] {
+	line := c.pass.Fset.Position(e.Pos()).Line
+	if c.pooled[line] || c.pooled[line-1] || c.flagged[line] {
 		return
 	}
-	pass.Reportf(typ.Pos(), "sync.Pool in a deterministic package: Get returns a scheduling-dependent value; pool payload memory only and annotate %s after review", pooledMarker)
+	c.flagged[line] = true
+	c.pass.Reportf(e.Pos(), "sync.Pool in a deterministic package: Get returns a scheduling-dependent value; pool payload memory only and annotate %s after review", pooledMarker)
 }
 
 // isSyncPool reports whether t is sync.Pool or a pointer to it.

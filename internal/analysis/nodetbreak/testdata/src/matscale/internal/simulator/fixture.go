@@ -104,6 +104,23 @@ type pooledRun struct {
 
 var globalPool sync.Pool // want `sync\.Pool in a deterministic package`
 
+// A pool declared without a type expression is flagged by its literal
+// or by the type inferred for its name.
+var litPool = sync.Pool{New: func() any { return new(int) }} // want `sync\.Pool in a deterministic package`
+
+var reviewedLitPool = sync.Pool{New: func() any { return new(int) }} //nodetbreak:pooled — reviewed: scratch only
+
+func newPool() *sync.Pool { // want `sync\.Pool in a deterministic package`
+	return &sync.Pool{} // want `sync\.Pool in a deterministic package`
+}
+
+var inferredPool = newPool() // want `sync\.Pool in a deterministic package`
+
+func shortPool() interface{} {
+	p := &sync.Pool{} // want `sync\.Pool in a deterministic package`
+	return p.Get()
+}
+
 func usePools(r *pooledRun) interface{} {
 	return r.bufs.Get()
 }

@@ -318,8 +318,11 @@ func allPort(p int, ts, tw float64) *machine.Machine {
 func cm5(p int, ts, tw float64) *machine.Machine { return machine.CM5(p).WithCost(ts, tw) }
 
 // meshStep and cubeStep return √p and ∛p, the sides of the 2-D and
-// 3-D processor grids, or 0 when p has no such grid.
+// 3-D processor grids, or 0 when p has no such grid (p < 1 has none).
 func meshStep(p int) int {
+	if p < 1 {
+		return 0
+	}
 	if q := topology.IntSqrt(p); q*q == p {
 		return q
 	}
@@ -327,6 +330,9 @@ func meshStep(p int) int {
 }
 
 func cubeStep(p int) int {
+	if p < 1 {
+		return 0
+	}
 	if q := topology.IntCbrt(p); q*q*q == p {
 		return q
 	}

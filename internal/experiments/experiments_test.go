@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"errors"
 	"math"
 	"strings"
 	"testing"
@@ -164,9 +165,25 @@ func TestTechnologyReport(t *testing.T) {
 }
 
 func TestImprovedGKReportShowsThreshold(t *testing.T) {
-	s := ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, 512)
+	s, err := ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, 512)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if !strings.Contains(s, "naive") || !strings.Contains(s, "improved") {
 		t.Fatalf("report lacks winners:\n%s", s)
+	}
+}
+
+// TestImprovedGKReportRejectsNoGrid pins the sizes' start at the GK
+// row's NStep: a p with no cube grid (zero, negative, not a cube) is
+// an ErrNoProcessorGrid, not a loop that never ends or a table for a
+// grid GK rejects.
+func TestImprovedGKReportRejectsNoGrid(t *testing.T) {
+	for _, p := range []int{0, -8, 100} {
+		s, err := ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, p)
+		if !errors.Is(err, ErrNoProcessorGrid) || s != "" {
+			t.Errorf("p=%d: report %q, err %v; want ErrNoProcessorGrid", p, s, err)
+		}
 	}
 }
 

@@ -5,6 +5,7 @@ import (
 	"math"
 	"strings"
 
+	"matscale/internal/core"
 	"matscale/internal/iso"
 	"matscale/internal/model"
 	"matscale/internal/regions"
@@ -131,11 +132,17 @@ func TechnologyReport(pr model.Params, p, e, k float64) (string, error) {
 // ImprovedGKReport compares the naive-broadcast GK algorithm with the
 // Johnsson–Ho variant of Section 5.4.1 across message sizes, showing
 // the granularity threshold beyond which the optimized broadcast wins.
-func ImprovedGKReport(pr model.Params, p int) string {
+// The sizes start at the GK row's NStep(p) and double up to 512; a p
+// with no cube grid fails with ErrNoProcessorGrid.
+func ImprovedGKReport(pr model.Params, p int) (string, error) {
+	gk, _ := core.Lookup("gk")
+	q := gk.NStep(p)
+	if q == 0 {
+		return "", fmt.Errorf("experiments: %w for %s at p=%d", ErrNoProcessorGrid, gk.Name, p)
+	}
 	var sb strings.Builder
 	fmt.Fprintf(&sb, "Section 5.4.1 — GK with Johnsson–Ho broadcast (ts=%g, tw=%g, p=%d)\n", pr.Ts, pr.Tw, p)
 	fmt.Fprintf(&sb, "%8s %14s %14s %s\n", "n", "Tp naive", "Tp improved", "winner")
-	q := int(math.Cbrt(float64(p)) + 0.5)
 	for n := q; n <= 512; n *= 2 {
 		naive := model.ExactGKTp(pr, n, p)
 		improved := model.ExactGKImprovedTp(pr, n, p)
@@ -145,5 +152,5 @@ func ImprovedGKReport(pr model.Params, p int) string {
 		}
 		fmt.Fprintf(&sb, "%8d %14.1f %14.1f %s\n", n, naive, improved, winner)
 	}
-	return sb.String()
+	return sb.String(), nil
 }

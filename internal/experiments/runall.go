@@ -73,7 +73,7 @@ func RunAll(w io.Writer, quick bool, workers int) error {
 				return TechnologyReport(model.Params{Ts: 0.5, Tw: 3}, 1<<14, 0.05, 2)
 			}},
 		section{"Section 5.4.1 — GK with the Johnsson-Ho broadcast",
-			str(func() string { return ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, 4096) })},
+			func() (string, error) { return ImprovedGKReport(model.Params{Ts: 9, Tw: 1}, 4096) }},
 		section{"Methodology validation — isoefficiency holds in simulation",
 			func() (string, error) {
 				pts, err := IsoefficiencyValidation(model.Params{Ts: 17, Tw: 3}, 0.5, "cannon", []int{4, 16, 64, 256})

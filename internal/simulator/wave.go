@@ -46,6 +46,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"sync"
 	"sync/atomic"
 
 	"matscale/internal/machine"
@@ -176,13 +177,15 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 		return nil, false, fmt.Errorf("simulator: skeleton for %d ranks on a %d-processor machine", p, m.P())
 	}
 	transfers, lock := census(sk.Steps)
-	v := newResolver(m, p, lock && m.Faults == nil, transfers)
+	sc := scratchPool.Get().(*scratch)
+	defer scratchPool.Put(sc)
+	v := newResolver(m, p, lock && m.Faults == nil, transfers, sc)
 	msgs, words, err := v.resolve(sk.Steps, true)
 	if errors.Is(err, errUneven) {
 		// A shift that is self for only some ranks ends the lockstep
 		// attempt, and the pass starts over on the per-rank path, paying
 		// the rank maps before it twice. No formulation builds one.
-		v = newResolver(m, p, false, transfers)
+		v = newResolver(m, p, false, transfers, sc)
 		msgs, words, err = v.resolve(sk.Steps, true)
 	}
 	if err != nil {
@@ -190,10 +193,11 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 	}
 	waveRuns.Add(1)
 	w := &wave{
-		m:     m,
-		clock: make([]float64, p),
-		compT: make([]float64, p),
-		commT: make([]float64, p),
+		m:       m,
+		clock:   make([]float64, p),
+		compT:   make([]float64, p),
+		commT:   make([]float64, p),
+		scratch: sc,
 	}
 	if v.lock {
 		// One representative clock carries every rank: compute, then
@@ -214,8 +218,7 @@ func RunSkeleton(m *machine.Machine, sk Skeleton) (res *Result, ok bool, err err
 				w.factor[r] = m.Faults.ComputeFactor(r)
 			}
 		}
-		w.round = make([]stamp, 0, p)
-		w.links = v.links
+		w.round = slices.Grow(w.round[:0], p)
 		w.walk(sk.Steps, 0)
 	}
 	return w.result(msgs, words), true, nil
@@ -251,21 +254,35 @@ func census(steps []Step) (transfers int, lock bool) {
 // ranks and not for others, which charges ranks differently.
 var errUneven = errors.New("simulator: uneven shift")
 
+// scratch is the working memory of one RunSkeleton call that its
+// Result does not keep: the resolver's stored links, step after step,
+// and its member marks, and the wave's round in flight. RunSkeleton
+// takes it from scratchPool and returns it when the Result is built,
+// so concurrent runs each hold their own and a repeated run reuses
+// the arrays of an earlier one. Every slot is written before it is
+// read, so what a previous run left in it never reaches a Result.
+type scratch struct {
+	links []link
+	seen  []bool
+	round []stamp
+}
+
+var scratchPool = sync.Pool{New: func() any { return new(scratch) }} //nodetbreak:pooled — scratch only, every slot written before read
+
 // resolver is the validating pass of one RunSkeleton call. It checks
 // the steps in program order before anything is charged, counts the
 // messages and words they send, the totals Proc's deliver counts, and
 // evaluates every Shift and Send rank map once per rank. It stores the
-// links of each Shift or Send: every rank's on the per-rank path, only
-// the representative rank 0's on the lockstep path. A Repeat body is
-// resolved once, and one that no iteration runs is validated but not
-// stored.
+// links of each Shift or Send in its scratch: every rank's on the
+// per-rank path, only the representative rank 0's on the lockstep
+// path. A Repeat body is resolved once, and one that no iteration runs
+// is validated but not stored.
 type resolver struct {
 	m     *machine.Machine
 	p     int
 	lock  bool
-	width int    // links stored per Shift or Send: p, or 1 on the lockstep path
-	seen  []bool // member marks of checkGroups, made on first use
-	links []link // the stored links, step after step
+	width int // links stored per Shift or Send: p, or 1 on the lockstep path
+	*scratch
 }
 
 // link is one rank's resolved transfer in a Shift or Send: its
@@ -276,13 +293,15 @@ type link struct {
 }
 
 // newResolver returns the pass for p ranks on the lockstep path or the
-// per-rank one, sized for transfers stored Shift and Send steps.
-func newResolver(m *machine.Machine, p int, lock bool, transfers int) *resolver {
+// per-rank one, storing into sc, whose links it empties and sizes for
+// transfers stored Shift and Send steps.
+func newResolver(m *machine.Machine, p int, lock bool, transfers int, sc *scratch) *resolver {
 	width := p
 	if lock {
 		width = 1
 	}
-	return &resolver{m: m, p: p, lock: lock, width: width, links: make([]link, 0, transfers*width)}
+	sc.links = slices.Grow(sc.links[:0], transfers*width)
+	return &resolver{m: m, p: p, lock: lock, width: width, scratch: sc}
 }
 
 // resolve validates and resolves steps, storing what the charging
@@ -433,9 +452,7 @@ func (v *resolver) checkGroups(groups [][]int, roots []int, cost Cost) (msgs int
 	if cost.c < 0 {
 		return 0, fmt.Errorf("simulator: negative send cost %v", cost.c)
 	}
-	if v.seen == nil {
-		v.seen = make([]bool, v.p)
-	}
+	v.seen = slices.Grow(v.seen[:0], v.p)[:v.p]
 	clear(v.seen)
 	for g, group := range groups {
 		if _, ok := topology.Log2(len(group)); !ok && !cost.charged {
@@ -487,17 +504,16 @@ func (l *lockstep) walk(steps []Step, next int) int {
 }
 
 // wave is the per-rank state of one wave-tier run: the accumulators
-// Proc keeps for each rank, each rank's straggler factor, the resolved
-// links of every Shift and Send, and the round in flight. The lockstep
-// path fills only the clock, compute and comm totals. On a healthy
-// machine every factor is 1 and no compute is straggler extra, so sx
-// and factor stay nil.
+// Proc keeps for each rank, each rank's straggler factor, and the
+// run's scratch, which holds the resolved links of every Shift and
+// Send and the round in flight. The lockstep path fills only the
+// clock, compute and comm totals. On a healthy machine every factor is
+// 1 and no compute is straggler extra, so sx and factor stay nil.
 type wave struct {
 	m                       *machine.Machine
 	clock, compT, commT, sx []float64
 	factor                  []float64
-	links                   []link
-	round                   []stamp
+	*scratch
 }
 
 // stamp is one message of a round: its receiver and its sender's clock

@@ -5,6 +5,7 @@ import (
 	"os"
 	"reflect"
 	"strings"
+	"sync"
 	"testing"
 
 	"matscale/internal/collective"
@@ -456,6 +457,9 @@ func TestWaveStepsMatchFiber(t *testing.T) {
 // runs, and on a healthy one with only compute, uniform shifts, free
 // sends, barriers and gathers, so that the lockstep path runs.
 func TestWaveAllocsIndependentOfSteps(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops values at random")
+	}
 	const p = 64
 	everyone := make([]int, p)
 	for r := range everyone {
@@ -538,36 +542,7 @@ func TestWaveEvaluatesRankMapsOnce(t *testing.T) {
 			simulator.Gather{Words: 4},
 		}
 	}
-	lines := func(axis int) [][]int {
-		var out [][]int
-		for c1 := 0; c1 < grid.Q; c1++ {
-			for c2 := 0; c2 < grid.Q; c2++ {
-				out = append(out, grid.AxisLine(axis, c1, c2))
-			}
-		}
-		return out
-	}
-	roots := make([]int, grid.Q*grid.Q)
-	route := func(dst func(j, k int) int) simulator.Send {
-		return simulator.Send{Words: 4, Dst: counted(func(r int) int {
-			i, j, k := grid.Coords(r)
-			if i != 0 {
-				return -1
-			}
-			return dst(j, k)
-		})}
-	}
-	gkLike := func() []simulator.Step {
-		return []simulator.Step{
-			route(func(j, k int) int { return grid.RankOf(k, j, k) }),
-			simulator.Barrier{},
-			simulator.Broadcast{Words: 4, Groups: lines(2), Roots: roots},
-			route(func(j, k int) int { return grid.RankOf(j, j, k) }),
-			simulator.Compute{Flops: 8},
-			simulator.Reduce{Words: 4, Groups: lines(0), Roots: roots},
-			simulator.Gather{Words: 4},
-		}
-	}
+	gkLike := func() []simulator.Step { return gkSteps(grid, counted) }
 	for _, tc := range []struct {
 		name  string
 		m     *machine.Machine
@@ -589,5 +564,137 @@ func TestWaveEvaluatesRankMapsOnce(t *testing.T) {
 				}
 			}
 		})
+	}
+}
+
+// gkSteps is a GK-shaped skeleton on grid: routed sends from the i = 0
+// face, a binomial broadcast along the third axis, a reduction along
+// the first, barriers, compute and the verification gather. wrap, when
+// not nil, wraps each Send's rank map.
+func gkSteps(grid topology.Grid3D, wrap func(func(int) int) func(int) int) []simulator.Step {
+	lines := func(axis int) [][]int {
+		var out [][]int
+		for c1 := 0; c1 < grid.Q; c1++ {
+			for c2 := 0; c2 < grid.Q; c2++ {
+				out = append(out, grid.AxisLine(axis, c1, c2))
+			}
+		}
+		return out
+	}
+	roots := make([]int, grid.Q*grid.Q)
+	route := func(dst func(j, k int) int) simulator.Send {
+		d := func(r int) int {
+			i, j, k := grid.Coords(r)
+			if i != 0 {
+				return -1
+			}
+			return dst(j, k)
+		}
+		if wrap != nil {
+			d = wrap(d)
+		}
+		return simulator.Send{Words: 4, Dst: d}
+	}
+	return []simulator.Step{
+		route(func(j, k int) int { return grid.RankOf(k, j, k) }),
+		simulator.Barrier{},
+		simulator.Broadcast{Words: 4, Groups: lines(2), Roots: roots},
+		route(func(j, k int) int { return grid.RankOf(j, j, k) }),
+		simulator.Compute{Flops: 8},
+		simulator.Reduce{Words: 4, Groups: lines(0), Roots: roots},
+		simulator.Gather{Words: 4},
+	}
+}
+
+// TestWaveRunAllocatesOnlyResult pins the pooled scratch: once a first
+// run has filled the pool, a repeated run of a GK-shaped skeleton on
+// the per-rank path, at p = 512 on the CM-5, allocates only its Result
+// and the three per-rank slices the Result keeps.
+func TestWaveRunAllocatesOnlyResult(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race detector's sync.Pool drops values at random")
+	}
+	grid := topology.NewGrid3D(8)
+	sk := simulator.Skeleton{P: grid.Size(), Steps: gkSteps(grid, nil)}
+	m := machine.CM5(sk.P)
+	run := func() {
+		if _, ok, err := simulator.RunSkeleton(m, sk); !ok || err != nil {
+			t.Fatalf("RunSkeleton: ok=%v err=%v", ok, err)
+		}
+	}
+	run()
+	if got := testing.AllocsPerRun(20, run); got != 4 {
+		t.Errorf("a repeated run allocates %v times, want 4: the Result and its ProcClocks, ProcCompute and ProcComm", got)
+	}
+}
+
+// TestRunSkeletonConcurrentRunsAgree runs wave-tier cells of every
+// shape at once, as a sweep's workers do: GK at p = 512 on the CM-5,
+// Cannon under stragglers and jitter (the per-rank path), Cannon on a
+// healthy machine (the lockstep path), and a skeleton whose uneven
+// shift ends its lockstep attempt and restarts on the per-rank path.
+// Each concurrent Result must equal the one a serial run measures.
+func TestRunSkeletonConcurrentRunsAgree(t *testing.T) {
+	measure := func(key string, m *machine.Machine, n int) func() (*simulator.Result, error) {
+		f, _ := core.Lookup(key)
+		return func() (*simulator.Result, error) {
+			return f.Measure(m, n, func() [2]*matrix.Dense {
+				return [2]*matrix.Dense{matrix.Random(n, n, 1), matrix.Random(n, n, 2)}
+			})
+		}
+	}
+	// Ranks 0 and 1 keep their message, the others swap in pairs.
+	uneven := simulator.Skeleton{P: 16, Steps: []simulator.Step{
+		simulator.Compute{Flops: 8},
+		simulator.Shift{Words: 4, Dst: func(r int) int {
+			if r < 2 {
+				return r
+			}
+			return r ^ 1
+		}},
+		simulator.Gather{Words: 4},
+	}}
+	cases := []struct {
+		name string
+		run  func() (*simulator.Result, error)
+	}{
+		{"gk/cm5/p512", measure("gk", machine.CM5(512), 64)},
+		{"cannon/faulted", measure("cannon", machine.NCube2(64).WithFaults(stragglersAndJitter()), 64)},
+		{"cannon/lockstep", measure("cannon", machine.NCube2(64), 64)},
+		{"uneven", func() (*simulator.Result, error) {
+			res, ok, err := simulator.RunSkeleton(machine.NCube2(16), uneven)
+			if !ok && err == nil {
+				err = fmt.Errorf("declined")
+			}
+			return res, err
+		}},
+	}
+	want := make([]*simulator.Result, len(cases))
+	for i, c := range cases {
+		res, err := c.run()
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		want[i] = res
+	}
+	const copies = 4
+	got := make([]*simulator.Result, copies*len(cases))
+	errs := make([]error, len(got))
+	var wg sync.WaitGroup
+	for i := range got {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			got[i], errs[i] = cases[i%len(cases)].run()
+		}()
+	}
+	wg.Wait()
+	for i, res := range got {
+		c := cases[i%len(cases)]
+		if errs[i] != nil {
+			t.Errorf("%s, concurrent: %v", c.name, errs[i])
+		} else if !reflect.DeepEqual(res, want[i%len(cases)]) {
+			t.Errorf("%s: a concurrent run measured Tp = %v, a serial one %v", c.name, res.Tp, want[i%len(cases)].Tp)
+		}
 	}
 }

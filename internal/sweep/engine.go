@@ -28,6 +28,7 @@ import (
 	"fmt"
 	"runtime"
 	"sync"
+	"sync/atomic"
 )
 
 // Workers resolves a requested worker count: n if positive, otherwise
@@ -39,10 +40,12 @@ func Workers(n int) int {
 	return runtime.NumCPU()
 }
 
-// ForEach runs fn(0) … fn(n-1) on a pool of worker goroutines and
-// returns the error of the lowest failing index (nil when every call
-// succeeds). workers ≤ 0 uses all host CPUs; workers == 1 runs the
-// loop serially on the calling goroutine.
+// ForEach runs fn(0) … fn(n-1) on a pool of workers and returns the
+// error of the lowest failing index (nil when every call succeeds).
+// workers ≤ 0 uses all host CPUs. The calling goroutine is one of the
+// workers: only workers−1 goroutines start, and each worker takes the
+// next index from a shared counter, so workers == 1 starts none and
+// runs the indexes in order on the caller.
 //
 // Determinism contract: every index runs exactly once and all indexes
 // run even when some fail, so a deterministic fn yields identical
@@ -54,32 +57,26 @@ func ForEach(workers, n int, fn func(i int) error) error {
 	if n <= 0 {
 		return nil
 	}
-	workers = Workers(workers)
-	if workers > n {
-		workers = n
-	}
 	errs := make([]error, n)
-	if workers <= 1 {
-		for i := 0; i < n; i++ {
+	var next atomic.Int64
+	work := func() {
+		for {
+			i := int(next.Add(1)) - 1
+			if i >= n {
+				return
+			}
 			errs[i] = call(fn, i)
 		}
-		return firstError(errs)
 	}
-	idx := make(chan int)
 	var wg sync.WaitGroup
-	wg.Add(workers)
-	for w := 0; w < workers; w++ {
+	for range min(Workers(workers), n) - 1 {
+		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for i := range idx {
-				errs[i] = call(fn, i)
-			}
+			work()
 		}()
 	}
-	for i := 0; i < n; i++ {
-		idx <- i
-	}
-	close(idx)
+	work()
 	wg.Wait()
 	return firstError(errs)
 }

@@ -368,6 +368,7 @@ func Run(s *Spec, opt Options) (*Result, error) {
 	// different fault scenarios — hit the cache.
 	preds := make([]float64, len(cells))
 	cache := map[predKey]float64{}
+	full := map[string]bool{} // each preset's network kind, learned once
 	for i, c := range cells {
 		build, ts, tw, _ := machine.LookupPreset(c.Machine, s.Ts, s.Tw)
 		k := predKey{alg: c.Algorithm, mach: c.Machine, ts: ts, tw: tw, n: c.N, p: c.P}
@@ -375,13 +376,17 @@ func Run(s *Spec, opt Options) (*Result, error) {
 		if ok {
 			res.PredCacheHits++
 		} else {
-			// A preset's network kind does not depend on p, so a
-			// one-processor instance, valid on every network, answers
-			// for every cell.
-			one, _ := build(1)
-			_, full := one.Topo.(topology.FullyConnected)
+			fc, known := full[c.Machine]
+			if !known {
+				// A preset's network kind does not depend on p, so a
+				// one-processor instance, valid on every network,
+				// answers for every cell.
+				one, _ := build(1)
+				_, fc = one.Topo.(topology.FullyConnected)
+				full[c.Machine] = fc
+			}
 			if f, _ := core.Lookup(k.alg); f.PaperTp != nil {
-				v = f.PaperTp(model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), full)
+				v = f.PaperTp(model.Params{Ts: ts, Tw: tw}, float64(k.n), float64(k.p), fc)
 			}
 			cache[k] = v
 		}
